@@ -113,7 +113,6 @@ class SweepOptions:
     tolerance: float = 1e-4
     max_iterations: int = 500
     adjoint_impulse: str = "multiplicative"
-    state_interp: str = "linear"
 
     def __post_init__(self):
         if not 0.0 < self.theta <= 1.0:
@@ -183,45 +182,61 @@ def total_cost(
     return float(np.sum(0.5 * steps * (g_left + g_right)) + weights.terminal.value(horizon))
 
 
-def _adjoint_deriv(pq, y, v, u, pr: ModelParams, weights: CostWeights):
-    """Costate derivative on the canonical layout [p1..p6, q1..qn]."""
-    w1, w2, w3, w4 = weights.omega
+def _adjoint_coeffs(x, v, u, pr: ModelParams) -> list:
+    """State- and control-dependent coefficients of the costate RHS.
+
+    ``x[S]`` .. ``x[I]`` are compartments and ``v``/``u`` controls, each a
+    float for one node or an array over nodes.  Returns, in the same form,
+    [beta*force, beta*eps*S, beta*mu*S, beta*(1-q)*S, u, gamma1*v, gamma2*v,
+    gamma_{j+2}*v + delta_{j+1} and gamma_{j+2}*v for the middle doses].
+    """
     g, d = pr.gamma, pr.delta
-    n = len(g)
-    p1, p2, p3, p4, p5, p6 = pq[0], pq[1], pq[2], pq[3], pq[4], pq[5]
+    s = x[S]
+    force = pr.epsilon * x[E] + (1.0 - pr.q) * x[I] + pr.mu * x[A]
+    middle = range(1, pr.n - 1)
+    return [
+        pr.beta * force,
+        pr.beta * pr.epsilon * s,
+        pr.beta * pr.mu * s,
+        pr.beta * (1.0 - pr.q) * s,
+        u,
+        g[0] * v,
+        g[1] * v,
+        *(g[j + 1] * v + d[j] for j in middle),
+        *(g[j + 1] * v for j in middle),
+    ]
+
+
+def _costate_rhs(pq, c, pr: ModelParams, weights: CostWeights) -> list[float]:
+    """Costate derivative [p1..p6, q1..qn] from one node's ``_adjoint_coeffs``.
+
+    Linear in the costates and written on plain floats, like ``_deriv``.
+    """
+    w1, w2, w3, w4 = weights.omega
+    d = pr.delta
+    n = len(d)
+    p1, p2, p3, p4, p5, p6 = pq[:6]
     qd = pq[6:]
-    s = y[S]
-    force = pr.epsilon * y[E] + (1.0 - pr.q) * y[I] + pr.mu * y[A]
-    out = np.empty_like(pq)
-    out[0] = pr.beta * force * (p1 - p2) + g[0] * v * (p1 - qd[0]) - w1
-    out[1] = (
-        pr.beta * pr.epsilon * s * (p1 - p2)
-        + pr.k * (p2 - (1.0 - pr.z) * p3 - pr.z * p4)
-        - w2
-    )
-    out[2] = (
-        pr.beta * pr.mu * s * (p1 - p2)
-        + pr.eta * p3
-        - (1.0 - pr.p) * pr.eta * p4
-        - w3
-    )
-    out[3] = (
-        pr.beta * (1.0 - pr.q) * s * (p1 - p2)
-        + u * (p4 - p5)
-        + pr.f * (p4 - pr.alpha * p5)
-        - (1.0 - pr.alpha) * pr.f * p6
-        - w4
-    )
-    out[4] = 0.0
-    out[5] = 0.0
-    out[6] = d[0] * (qd[0] - p2) + g[1] * v * (qd[0] - qd[1])
+    bf, bes, bms, bqs, u, g1v, g2v = c[:7]
+    dp = p1 - p2
+    out = [
+        bf * dp + g1v * (p1 - qd[0]) - w1,
+        bes * dp + pr.k * (p2 - (1.0 - pr.z) * p3 - pr.z * p4) - w2,
+        bms * dp + pr.eta * p3 - (1.0 - pr.p) * pr.eta * p4 - w3,
+        bqs * dp + u * (p4 - p5) + pr.f * (p4 - pr.alpha * p5)
+        - (1.0 - pr.alpha) * pr.f * p6 - w4,
+        0.0,
+        0.0,
+        d[0] * (qd[0] - p2) + g2v * (qd[0] - qd[1]),
+    ]
     for j in range(1, n - 1):
-        out[6 + j] = -d[j] * p2 + (g[j + 1] * v + d[j]) * qd[j]
+        x = -d[j] * p2 + c[6 + j] * qd[j]
         if pr.delta_n_to_exposed:
             # the last costate is nonzero once its breakthrough flow exists,
             # so the chain coupling it normally kills must be kept
-            out[6 + j] -= g[j + 1] * v * qd[j + 1]
-    out[6 + n - 1] = d[n - 1] * (qd[n - 1] - p2) if pr.delta_n_to_exposed else 0.0
+            x -= c[4 + n + j] * qd[j + 1]
+        out.append(x)
+    out.append(d[n - 1] * (qd[n - 1] - p2) if pr.delta_n_to_exposed else 0.0)
     return out
 
 
@@ -236,7 +251,8 @@ def adjoint_rhs(
     """Time derivative of the costates, in the layout [p1..p6, q1..qn]."""
     if len(adjoint.q) != params.n or state.n != params.n:
         raise ValueError("costate/state dose counts must match the parameters")
-    return _adjoint_deriv(adjoint.as_array(), state.as_array(), v, u, params, weights)
+    c = _adjoint_coeffs(state.as_array().tolist(), v, u, params)
+    return np.array(_costate_rhs(adjoint.as_array().tolist(), c, params, weights))
 
 
 def hamiltonian(
@@ -252,7 +268,7 @@ def hamiltonian(
     pq = adjoint.as_array()
     return float(
         _running_cost_arrays(y, float(u), float(v), weights, params)
-        + pq @ _deriv(y, float(v), float(u), params)
+        + pq @ np.array(_deriv(y.tolist(), float(v), float(u), params))
     )
 
 
@@ -313,7 +329,6 @@ def fbsm_solve(
     opts = options or SweepOptions()
     times = grid.times
     v_max = params.v_max
-    want_mid = opts.state_interp == "midpoint"
     u = np.zeros_like(times)
     v = np.zeros_like(times)
     history = []
@@ -323,18 +338,9 @@ def fbsm_solve(
     for it in range(1, opts.max_iterations + 1):
         iterations = it
         controls = ControlSignal(times, v, u, v_max)
-        traj = integrate_forward(
-            initial, controls, params, grid, schedule, record_midpoints=want_mid
-        )
+        traj = integrate_forward(initial, controls, params, grid, schedule)
         adj = integrate_adjoint_backward(
-            traj,
-            controls,
-            params,
-            weights,
-            grid,
-            schedule,
-            adjoint_impulse=opts.adjoint_impulse,
-            state_interp=opts.state_interp,
+            traj, controls, params, weights, grid, schedule, adjoint_impulse=opts.adjoint_impulse
         )
         history.append(total_cost(traj, controls, weights, params))
         u_star, v_star = _clamped_controls(traj.states_post, adj.values_post, params, weights)
@@ -348,16 +354,9 @@ def fbsm_solve(
             break
 
     controls = ControlSignal(times, v, u, v_max)
-    traj = integrate_forward(initial, controls, params, grid, schedule, record_midpoints=want_mid)
+    traj = integrate_forward(initial, controls, params, grid, schedule)
     adj = integrate_adjoint_backward(
-        traj,
-        controls,
-        params,
-        weights,
-        grid,
-        schedule,
-        adjoint_impulse=opts.adjoint_impulse,
-        state_interp=opts.state_interp,
+        traj, controls, params, weights, grid, schedule, adjoint_impulse=opts.adjoint_impulse
     )
     cost = total_cost(traj, controls, weights, params)
     history.append(cost)

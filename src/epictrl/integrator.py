@@ -5,6 +5,11 @@ instantaneous arrival jumps at scheduled nodes.  Backward runs integrate the
 costate system from its zero terminal condition, applying the matching
 adjoint jumps.  Both record pre-jump and post-jump values at impulse nodes so
 trajectories represent the discontinuities losslessly.
+
+Both step loops run on plain Python floats: numpy's per-call cost on vectors
+of n + 6 elements would otherwise dominate.  Every floating-point operation
+keeps the order of the numpy formulation, and the tests hold both passes
+bitwise equal to a numpy reference implementation.
 """
 
 from __future__ import annotations
@@ -27,10 +32,15 @@ from .model import (
     Trajectory,
     _apply_impulse,
     _deriv,
+    _row_view,
 )
 
 # Jumps act on the first four compartments (S, E, A, I) and their costates.
 _JUMP_SLOTS = 4
+# Steps per block of costate-RHS coefficients the backward pass builds at
+# once.  A block is held as Python floats: 256- and 64-step blocks raised
+# the oracle benchmark's peak RSS by 0.2 and 0.1 MB, 32-step blocks did not.
+_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -106,20 +116,11 @@ class AdjointTrajectory:
 
     @property
     def times(self) -> np.ndarray:
-        dup = set(self.impulse_nodes)
-        return np.array(
-            [t for j, t in enumerate(self.node_times) for _ in range(2 if j in dup else 1)]
-        )
+        return _row_view(self.node_times, self.node_times, self.impulse_nodes)
 
     @property
     def values(self) -> np.ndarray:
-        dup = set(self.impulse_nodes)
-        rows = []
-        for j in range(len(self.node_times)):
-            rows.append(self.values_pre[j])
-            if j in dup:
-                rows.append(self.values_post[j])
-        return np.array(rows)
+        return _row_view(self.values_pre, self.values_post, self.impulse_nodes)
 
     def at(self, node: int, side: str = "post") -> AdjointVector:
         arr = self.values_post if side == "post" else self.values_pre
@@ -162,7 +163,6 @@ def integrate_forward(
     params: ModelParams,
     grid: TimeGrid,
     schedule: ImpulseSchedule | None = None,
-    record_midpoints: bool = False,
 ) -> Trajectory:
     """March the controlled dynamics over the grid with classic RK4.
 
@@ -172,56 +172,52 @@ def integrate_forward(
     magnitude is at most 1e-9 times the initial living population; anything
     larger raises StabilityError (the step size is too coarse).
 
-    With ``record_midpoints`` the trajectory also stores cubic-Hermite state
-    values at step midpoints, which the backward pass can use in place of
-    linear interpolation.
+    The step loop runs on Python floats and is bitwise equal to the same RK4
+    written with numpy vectors.
     """
     if initial.n != params.n:
         raise ValueError(f"state has {initial.n} dose compartments, params expect {params.n}")
     imap = _impulse_map(schedule, grid)
-    v_n, u_n, v_m, u_m = _sampled_controls(controls, grid)
+    # memoryviews index as Python floats without holding a list of them
+    v_n, u_n, v_m, u_m = (memoryview(x) for x in _sampled_controls(controls, grid))
     times = grid.times
     h = grid.h
+    half, sixth = 0.5 * h, h / 6.0
     steps = grid.n_steps
     dim = 6 + params.n
 
-    y = initial.as_array()
-    n0 = float(y.sum() - y[D])
+    y0 = initial.as_array()
+    n0 = float(y0.sum() - y0[D])
     tol = 1e-9 * n0
     pre = np.empty((steps + 1, dim))
     post = np.empty((steps + 1, dim))
-    mid = np.empty((steps, dim)) if record_midpoints else None
-    pre[0] = post[0] = y
+    pre[0] = post[0] = y0
+    y = y0.tolist()
 
     for i in range(steps):
         k1 = _deriv(y, v_n[i], u_n[i], params)
-        k2 = _deriv(y + (0.5 * h) * k1, v_m[i], u_m[i], params)
-        k3 = _deriv(y + (0.5 * h) * k2, v_m[i], u_m[i], params)
-        k4 = _deriv(y + h * k3, v_n[i + 1], u_n[i + 1], params)
-        y1 = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        lowest = y1.min()
+        k2 = _deriv([x + half * k for x, k in zip(y, k1)], v_m[i], u_m[i], params)
+        k3 = _deriv([x + half * k for x, k in zip(y, k2)], v_m[i], u_m[i], params)
+        k4 = _deriv([x + h * k for x, k in zip(y, k3)], v_n[i + 1], u_n[i + 1], params)
+        y = [x + sixth * (a + 2.0 * b + 2.0 * c + d) for x, a, b, c, d in zip(y, k1, k2, k3, k4)]
+        lowest = min(y)
         if lowest < 0.0:
             if lowest < -tol:
                 raise StabilityError(
                     f"compartment reached {lowest:.3e} at t={times[i + 1]:.6g}; reduce h"
                 )
-            np.maximum(y1, 0.0, out=y1)
-        if record_midpoints:
-            f_right = _deriv(y1, v_n[i + 1], u_n[i + 1], params)
-            mid[i] = 0.5 * (y + y1) + (h / 8.0) * (k1 - f_right)
-        pre[i + 1] = y1
+            y = [0.0 if x < 0.0 else x for x in y]  # keeps -0.0, like np.maximum
+        pre[i + 1] = y
         lam = imap.get(i + 1)
         if lam is not None:
-            y1 = _apply_impulse(y1, lam)
-        post[i + 1] = y1
-        y = y1
+            y = _apply_impulse(y, lam)
+        post[i + 1] = y
 
     return Trajectory(
         node_times=times,
         states_pre=pre,
         states_post=post,
         impulse_nodes=tuple(sorted(imap)),
-        states_mid=mid,
     )
 
 
@@ -233,20 +229,23 @@ def integrate_adjoint_backward(
     grid: TimeGrid,
     schedule: ImpulseSchedule | None = None,
     adjoint_impulse: str = "multiplicative",
-    state_interp: str = "linear",
 ) -> AdjointTrajectory:
     """Integrate the costate system backward from its zero terminal value.
 
     The trajectory must come from ``integrate_forward`` on the same grid and
     controls.  States at interior RK stages are linearly interpolated between
-    the segment endpoints, or taken from recorded midpoints when
-    ``state_interp='midpoint'``.
+    the segment endpoints.
+
+    The costate RHS is linear in the costates.  Its state- and
+    control-dependent coefficients are built with numpy for a block of steps
+    at a time; the step loop then runs on Python floats and is bitwise equal
+    to the same RK4 written with numpy vectors.
 
     At impulse nodes the costates of the jumped compartments are jumped too:
     multiplied by (1 + lam_l) by default, or shifted by lam_l when
     ``adjoint_impulse='literal'``.
     """
-    from .control import _adjoint_deriv  # deferred: control builds on this module
+    from .control import _adjoint_coeffs, _costate_rhs  # deferred: control builds on this module
 
     times = grid.times
     if len(traj.node_times) != len(times) or np.max(np.abs(traj.node_times - times)) > 1e-9 * max(
@@ -256,43 +255,47 @@ def integrate_adjoint_backward(
     imap = _impulse_map(schedule, grid)
     if set(imap) != set(traj.impulse_nodes):
         raise GridMismatchError("schedule impulse nodes do not match the trajectory's")
-    if state_interp not in ("linear", "midpoint"):
-        raise ValueError(f"unknown state interpolation mode {state_interp!r}")
-    if state_interp == "midpoint" and traj.states_mid is None:
-        raise GridMismatchError("trajectory has no recorded midpoints; rerun with record_midpoints")
     if adjoint_impulse not in ("multiplicative", "literal"):
         raise ValueError(f"unknown adjoint impulse mode {adjoint_impulse!r}")
+    multiplicative = adjoint_impulse == "multiplicative"
 
     v_n, u_n, v_m, u_m = _sampled_controls(controls, grid)
     h = grid.h
+    half, sixth = 0.5 * h, h / 6.0
     steps = grid.n_steps
     dim = 6 + params.n
     pre = np.empty((steps + 1, dim))
     post = np.empty((steps + 1, dim))
 
-    pq = np.zeros(dim)
+    pq = [0.0] * dim
     pre[steps] = post[steps] = pq
-    for i in range(steps - 1, -1, -1):
-        x_right = traj.states_pre[i + 1]
-        x_left = traj.states_post[i]
-        if state_interp == "midpoint":
-            x_mid = traj.states_mid[i]
-        else:
-            x_mid = 0.5 * (x_left + x_right)
-        k1 = _adjoint_deriv(pq, x_right, v_n[i + 1], u_n[i + 1], params, weights)
-        k2 = _adjoint_deriv(pq - (0.5 * h) * k1, x_mid, v_m[i], u_m[i], params, weights)
-        k3 = _adjoint_deriv(pq - (0.5 * h) * k2, x_mid, v_m[i], u_m[i], params, weights)
-        k4 = _adjoint_deriv(pq - h * k3, x_left, v_n[i], u_n[i], params, weights)
-        pq = pq - (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        post[i] = pq
-        lam = imap.get(i)
-        if lam is not None:
-            pq = pq.copy()
-            if adjoint_impulse == "multiplicative":
-                pq[:_JUMP_SLOTS] *= 1.0 + np.asarray(lam)
-            else:
-                pq[:_JUMP_SLOTS] += np.asarray(lam)
-        pre[i] = pq
+    for hi in range(steps, 0, -_BLOCK):
+        # step i runs from node i + 1 (right) back to node i (left)
+        lo = max(hi - _BLOCK, 0)
+        x_right = traj.states_pre[lo + 1 : hi + 1]
+        x_left = traj.states_post[lo:hi]
+        # compartment-major: x[k] holds compartment k at the (3, nodes) points
+        x = np.stack([x_right.T, 0.5 * (x_left + x_right).T, x_left.T], axis=1)
+        v = np.stack([v_n[lo + 1 : hi + 1], v_m[lo:hi], v_n[lo:hi]])
+        u = np.stack([u_n[lo + 1 : hi + 1], u_m[lo:hi], u_n[lo:hi]])
+        coeffs = np.stack(_adjoint_coeffs(x, v, u, params), axis=-1)
+        c_right, c_mid, c_left = coeffs.tolist()
+        for r in range(hi - lo - 1, -1, -1):
+            k1 = _costate_rhs(pq, c_right[r], params, weights)
+            k2 = _costate_rhs([x - half * k for x, k in zip(pq, k1)], c_mid[r], params, weights)
+            k3 = _costate_rhs([x - half * k for x, k in zip(pq, k2)], c_mid[r], params, weights)
+            k4 = _costate_rhs([x - h * k for x, k in zip(pq, k3)], c_left[r], params, weights)
+            pq = [
+                x - sixth * (a + 2.0 * b + 2.0 * c + d)
+                for x, a, b, c, d in zip(pq, k1, k2, k3, k4)
+            ]
+            post[lo + r] = pq
+            lam = imap.get(lo + r)
+            if lam is not None and multiplicative:
+                pq = _apply_impulse(pq, lam)
+            elif lam is not None:
+                pq = [x + l for x, l in zip(pq, lam)] + pq[_JUMP_SLOTS:]
+            pre[lo + r] = pq
 
     return AdjointTrajectory(
         node_times=times,

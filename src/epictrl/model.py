@@ -209,6 +209,12 @@ class ImpulseSchedule:
         return tuple(ev.time for ev in self.events)
 
 
+def _row_view(pre: np.ndarray, post: np.ndarray, impulse_nodes) -> np.ndarray:
+    """Rows of ``pre`` in node order, each impulse node followed by its ``post`` row."""
+    jumps = np.asarray(impulse_nodes, dtype=int)
+    return np.insert(pre, jumps + 1, post[jumps], axis=0)
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """Time-gridded states; impulse nodes carry a pre-jump and a post-jump value.
@@ -223,7 +229,6 @@ class Trajectory:
     states_pre: np.ndarray
     states_post: np.ndarray
     impulse_nodes: tuple[int, ...] = field(default_factory=tuple)
-    states_mid: np.ndarray | None = None
 
     def __post_init__(self):
         if self.states_pre.shape != self.states_post.shape:
@@ -235,26 +240,13 @@ class Trajectory:
     def n(self) -> int:
         return self.states_pre.shape[1] - 6
 
-    def _row_index(self):
-        # Each node contributes one row, impulse nodes two (pre then post).
-        dup = set(self.impulse_nodes)
-        rows = []
-        for j in range(len(self.node_times)):
-            rows.append((j, "pre"))
-            if j in dup:
-                rows.append((j, "post"))
-        return rows
-
     @property
     def times(self) -> np.ndarray:
-        return np.array([self.node_times[j] for j, _ in self._row_index()])
+        return _row_view(self.node_times, self.node_times, self.impulse_nodes)
 
     @property
     def states(self) -> np.ndarray:
-        out = np.empty((len(self._row_index()), self.states_pre.shape[1]))
-        for r, (j, side) in enumerate(self._row_index()):
-            out[r] = self.states_pre[j] if side == "pre" else self.states_post[j]
-        return out
+        return _row_view(self.states_pre, self.states_post, self.impulse_nodes)
 
     def state_at(self, node: int, side: str = "post") -> StateVector:
         arr = self.states_post if side == "post" else self.states_pre
@@ -271,31 +263,39 @@ def transmissibility_force(state: StateVector, params: ModelParams) -> float:
     return params.epsilon * state.E + (1.0 - params.q) * state.I + params.mu * state.A
 
 
-def _deriv(y: np.ndarray, v: float, u: float, pr: ModelParams) -> np.ndarray:
-    """Right-hand side of the controlled dynamics on the canonical layout."""
+def _deriv(y, v: float, u: float, pr: ModelParams) -> list[float]:
+    """Right-hand side of the controlled dynamics on the canonical layout.
+
+    Works on plain floats: ``y`` is any sequence in the canonical layout and
+    the result is a list.  The RK4 marcher calls this four times a step, where
+    numpy's per-call cost on a handful of elements would dominate.
+    """
     g, d = pr.gamma, pr.delta
     n = len(g)
     s, e, a, i = y[S], y[E], y[A], y[I]
+    vd = y[V0:]
     force = pr.epsilon * e + (1.0 - pr.q) * i + pr.mu * a
     infect = pr.beta * force * s
     leak = 0.0
     for j in range(n - 1):
-        leak += d[j] * y[V0 + j]
+        leak += d[j] * vd[j]
     if pr.delta_n_to_exposed:
-        leak += d[n - 1] * y[V0 + n - 1]
-    out = np.empty_like(y)
-    out[S] = -infect - g[0] * v * s
-    out[E] = infect - pr.k * e + leak
-    out[A] = (1.0 - pr.z) * pr.k * e - pr.eta * a
-    out[I] = pr.z * pr.k * e + (1.0 - pr.p) * pr.eta * a - pr.f * i - u * i
-    out[R] = pr.alpha * pr.f * i + u * i + pr.p * pr.eta * a
-    out[D] = (1.0 - pr.alpha) * pr.f * i
-    out[V0] = g[0] * v * s - g[1] * v * y[V0] - d[0] * y[V0]
+        leak += d[n - 1] * vd[n - 1]
+    out = [
+        -infect - g[0] * v * s,
+        infect - pr.k * e + leak,
+        (1.0 - pr.z) * pr.k * e - pr.eta * a,
+        pr.z * pr.k * e + (1.0 - pr.p) * pr.eta * a - pr.f * i - u * i,
+        pr.alpha * pr.f * i + u * i + pr.p * pr.eta * a,
+        (1.0 - pr.alpha) * pr.f * i,
+        g[0] * v * s - g[1] * v * vd[0] - d[0] * vd[0],
+    ]
     for j in range(1, n - 1):
-        out[V0 + j] = g[j] * v * y[V0 + j - 1] - g[j + 1] * v * y[V0 + j] - d[j] * y[V0 + j]
-    out[V0 + n - 1] = g[n - 1] * v * y[V0 + n - 2]
+        out.append(g[j] * v * vd[j - 1] - g[j + 1] * v * vd[j] - d[j] * vd[j])
+    last = g[n - 1] * v * vd[n - 2]
     if pr.delta_n_to_exposed:
-        out[V0 + n - 1] -= d[n - 1] * y[V0 + n - 1]
+        last -= d[n - 1] * vd[n - 1]
+    out.append(last)
     return out
 
 
@@ -311,16 +311,12 @@ def vector_field(state: StateVector, v: float, u: float, params: ModelParams) ->
         raise ValueError("treatment control outside [0, 1]")
     if not 0.0 <= v <= params.v_max:
         raise ValueError(f"vaccination control outside [0, {params.v_max}]")
-    return _deriv(state.as_array(), v, u, params)
+    return np.array(_deriv(state.as_array().tolist(), v, u, params))
 
 
-def _apply_impulse(y: np.ndarray, lam) -> np.ndarray:
-    out = y.copy()
-    out[S] *= 1.0 + lam[0]
-    out[E] *= 1.0 + lam[1]
-    out[A] *= 1.0 + lam[2]
-    out[I] *= 1.0 + lam[3]
-    return out
+def _apply_impulse(y, lam) -> list[float]:
+    """Arrival jump on a float sequence: S, E, A, I scaled by (1 + lam_i)."""
+    return [x * (1.0 + l) for x, l in zip(y[:4], lam)] + list(y[4:])
 
 
 def apply_impulse(state: StateVector, lam) -> StateVector:
@@ -328,7 +324,7 @@ def apply_impulse(state: StateVector, lam) -> StateVector:
     lam = tuple(float(x) for x in lam)
     if len(lam) != 4 or any(not 0.0 <= x <= 1.0 for x in lam):
         raise ValueError("impulse rates must be four values in [0, 1]")
-    return StateVector.from_array(_apply_impulse(state.as_array(), lam))
+    return StateVector.from_array(_apply_impulse(state.as_array().tolist(), lam))
 
 
 def total_population(state: StateVector) -> float:

@@ -403,13 +403,6 @@ class TestFbsmSolve:
         assert np.all((sol.controls.u >= 0) & (sol.controls.u <= 1))
         assert np.all((sol.controls.v >= 0) & (sol.controls.v <= params.v_max))
 
-    def test_midpoint_interpolation_mode_solves(self, covid19, default_weights):
-        params, initial = covid19
-        sol = solve_small(params, initial, default_weights, tau=2.0, h=0.02, state_interp="midpoint")
-        assert sol.converged
-        ref = solve_small(params, initial, default_weights, tau=2.0, h=0.02)
-        np.testing.assert_allclose(sol.controls.u, ref.controls.u, atol=1e-5)
-
     def test_variational_derivative_matches_sweep_gradient(self, covid19, default_weights, rng):
         # bump J along a hat at one node: the cost change predicted by the
         # costate integrand agrees with the central difference

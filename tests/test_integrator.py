@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 import epictrl as ec
-from epictrl.model import D, S
+from epictrl.control import CostWeights, _running_cost_arrays
+from epictrl.integrator import _BLOCK, _JUMP_SLOTS, _impulse_map, _sampled_controls
+from epictrl.model import A, D, E, I, R, S, V0, ModelParams
 
 
 def zero_controls(grid, params):
@@ -209,22 +211,6 @@ class TestIntegrateAdjointBackward:
         with pytest.raises(ec.GridMismatchError):
             ec.integrate_adjoint_backward(traj, controls, params, default_weights, grid, sched)
 
-    def test_insensitive_to_state_interpolation(self, covid19, default_weights):
-        # linear interpolation vs recorded midpoints on the default scenario
-        params, initial = covid19
-        grid = ec.TimeGrid(35.0, 0.01)
-        controls = zero_controls(grid, params)
-        traj = ec.integrate_forward(initial, controls, params, grid, record_midpoints=True)
-        a_lin = ec.integrate_adjoint_backward(
-            traj, controls, params, default_weights, grid, state_interp="linear"
-        )
-        a_mid = ec.integrate_adjoint_backward(
-            traj, controls, params, default_weights, grid, state_interp="midpoint"
-        )
-        scale = np.max(np.abs(a_lin.values_post))
-        diff = np.max(np.abs(a_lin.values_post - a_mid.values_post))
-        assert diff / scale < 1e-6
-
     def test_multiplicative_jump_matches_cost_gradient(self, covid19, default_weights):
         # the costate jump convention is validated against central
         # differences of the cost: the multiplicative form tracks the true
@@ -276,3 +262,315 @@ class TestIntegrateAdjointBackward:
         np.testing.assert_allclose(
             lit.values_pre[node, :4], lit.values_post[node, :4] + np.array(lam)
         )
+
+
+# Reference for the seed-equivalence tests below: the numpy formulation that
+# the float step loops replaced, kept verbatim (the removed midpoint-state
+# mode aside).  Both passes must reproduce it bit for bit.
+
+
+def _ref_deriv(y: np.ndarray, v: float, u: float, pr: ModelParams) -> np.ndarray:
+    """Right-hand side of the controlled dynamics on the canonical layout."""
+    g, d = pr.gamma, pr.delta
+    n = len(g)
+    s, e, a, i = y[S], y[E], y[A], y[I]
+    force = pr.epsilon * e + (1.0 - pr.q) * i + pr.mu * a
+    infect = pr.beta * force * s
+    leak = 0.0
+    for j in range(n - 1):
+        leak += d[j] * y[V0 + j]
+    if pr.delta_n_to_exposed:
+        leak += d[n - 1] * y[V0 + n - 1]
+    out = np.empty_like(y)
+    out[S] = -infect - g[0] * v * s
+    out[E] = infect - pr.k * e + leak
+    out[A] = (1.0 - pr.z) * pr.k * e - pr.eta * a
+    out[I] = pr.z * pr.k * e + (1.0 - pr.p) * pr.eta * a - pr.f * i - u * i
+    out[R] = pr.alpha * pr.f * i + u * i + pr.p * pr.eta * a
+    out[D] = (1.0 - pr.alpha) * pr.f * i
+    out[V0] = g[0] * v * s - g[1] * v * y[V0] - d[0] * y[V0]
+    for j in range(1, n - 1):
+        out[V0 + j] = g[j] * v * y[V0 + j - 1] - g[j + 1] * v * y[V0 + j] - d[j] * y[V0 + j]
+    out[V0 + n - 1] = g[n - 1] * v * y[V0 + n - 2]
+    if pr.delta_n_to_exposed:
+        out[V0 + n - 1] -= d[n - 1] * y[V0 + n - 1]
+    return out
+
+
+def _ref_apply_impulse(y: np.ndarray, lam) -> np.ndarray:
+    out = y.copy()
+    out[S] *= 1.0 + lam[0]
+    out[E] *= 1.0 + lam[1]
+    out[A] *= 1.0 + lam[2]
+    out[I] *= 1.0 + lam[3]
+    return out
+
+
+def _ref_adjoint_deriv(pq, y, v, u, pr: ModelParams, weights: CostWeights):
+    """Costate derivative on the canonical layout [p1..p6, q1..qn]."""
+    w1, w2, w3, w4 = weights.omega
+    g, d = pr.gamma, pr.delta
+    n = len(g)
+    p1, p2, p3, p4, p5, p6 = pq[0], pq[1], pq[2], pq[3], pq[4], pq[5]
+    qd = pq[6:]
+    s = y[S]
+    force = pr.epsilon * y[E] + (1.0 - pr.q) * y[I] + pr.mu * y[A]
+    out = np.empty_like(pq)
+    out[0] = pr.beta * force * (p1 - p2) + g[0] * v * (p1 - qd[0]) - w1
+    out[1] = (
+        pr.beta * pr.epsilon * s * (p1 - p2)
+        + pr.k * (p2 - (1.0 - pr.z) * p3 - pr.z * p4)
+        - w2
+    )
+    out[2] = (
+        pr.beta * pr.mu * s * (p1 - p2)
+        + pr.eta * p3
+        - (1.0 - pr.p) * pr.eta * p4
+        - w3
+    )
+    out[3] = (
+        pr.beta * (1.0 - pr.q) * s * (p1 - p2)
+        + u * (p4 - p5)
+        + pr.f * (p4 - pr.alpha * p5)
+        - (1.0 - pr.alpha) * pr.f * p6
+        - w4
+    )
+    out[4] = 0.0
+    out[5] = 0.0
+    out[6] = d[0] * (qd[0] - p2) + g[1] * v * (qd[0] - qd[1])
+    for j in range(1, n - 1):
+        out[6 + j] = -d[j] * p2 + (g[j + 1] * v + d[j]) * qd[j]
+        if pr.delta_n_to_exposed:
+            out[6 + j] -= g[j + 1] * v * qd[j + 1]
+    out[6 + n - 1] = d[n - 1] * (qd[n - 1] - p2) if pr.delta_n_to_exposed else 0.0
+    return out
+
+
+def _ref_forward(initial, controls, params, grid, schedule=None):
+    """Seed forward step loop; returns (states_pre, states_post)."""
+    imap = _impulse_map(schedule, grid)
+    v_n, u_n, v_m, u_m = _sampled_controls(controls, grid)
+    times = grid.times
+    h = grid.h
+    steps = grid.n_steps
+    dim = 6 + params.n
+
+    y = initial.as_array()
+    n0 = float(y.sum() - y[D])
+    tol = 1e-9 * n0
+    pre = np.empty((steps + 1, dim))
+    post = np.empty((steps + 1, dim))
+    pre[0] = post[0] = y
+
+    for i in range(steps):
+        k1 = _ref_deriv(y, v_n[i], u_n[i], params)
+        k2 = _ref_deriv(y + (0.5 * h) * k1, v_m[i], u_m[i], params)
+        k3 = _ref_deriv(y + (0.5 * h) * k2, v_m[i], u_m[i], params)
+        k4 = _ref_deriv(y + h * k3, v_n[i + 1], u_n[i + 1], params)
+        y1 = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        lowest = y1.min()
+        if lowest < 0.0:
+            if lowest < -tol:
+                raise ec.StabilityError(
+                    f"compartment reached {lowest:.3e} at t={times[i + 1]:.6g}; reduce h"
+                )
+            np.maximum(y1, 0.0, out=y1)
+        pre[i + 1] = y1
+        lam = imap.get(i + 1)
+        if lam is not None:
+            y1 = _ref_apply_impulse(y1, lam)
+        post[i + 1] = y1
+        y = y1
+    return pre, post
+
+
+def _ref_backward(traj, controls, params, weights, grid, schedule=None, adjoint_impulse="multiplicative"):
+    """Seed backward step loop; returns (values_pre, values_post)."""
+    imap = _impulse_map(schedule, grid)
+    v_n, u_n, v_m, u_m = _sampled_controls(controls, grid)
+    h = grid.h
+    steps = grid.n_steps
+    dim = 6 + params.n
+    pre = np.empty((steps + 1, dim))
+    post = np.empty((steps + 1, dim))
+
+    pq = np.zeros(dim)
+    pre[steps] = post[steps] = pq
+    for i in range(steps - 1, -1, -1):
+        x_right = traj.states_pre[i + 1]
+        x_left = traj.states_post[i]
+        x_mid = 0.5 * (x_left + x_right)
+        k1 = _ref_adjoint_deriv(pq, x_right, v_n[i + 1], u_n[i + 1], params, weights)
+        k2 = _ref_adjoint_deriv(pq - (0.5 * h) * k1, x_mid, v_m[i], u_m[i], params, weights)
+        k3 = _ref_adjoint_deriv(pq - (0.5 * h) * k2, x_mid, v_m[i], u_m[i], params, weights)
+        k4 = _ref_adjoint_deriv(pq - h * k3, x_left, v_n[i], u_n[i], params, weights)
+        pq = pq - (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        post[i] = pq
+        lam = imap.get(i)
+        if lam is not None:
+            pq = pq.copy()
+            if adjoint_impulse == "multiplicative":
+                pq[:_JUMP_SLOTS] *= 1.0 + np.asarray(lam)
+            else:
+                pq[:_JUMP_SLOTS] += np.asarray(lam)
+        pre[i] = pq
+    return pre, post
+
+
+def _ref_rows(node_times, pre, post, impulse_nodes):
+    """Seed row views: (times, rows), every impulse node listed twice."""
+    dup = set(impulse_nodes)
+    times, rows = [], []
+    for j in range(len(node_times)):
+        times.append(node_times[j])
+        rows.append(pre[j])
+        if j in dup:
+            times.append(node_times[j])
+            rows.append(post[j])
+    return np.array(times), np.array(rows)
+
+
+def _random_draw(rng, n, delta_n_to_exposed, impulses, tau=4.0, h=0.01):
+    """Admissible model, state, weights and piecewise-linear controls."""
+    gamma = np.sort(rng.uniform(0.1, 1.0, size=n))[::-1]
+    delta = np.minimum(np.sort(rng.uniform(0.0, 0.05, size=n))[::-1], gamma)
+    params = ec.ModelParams(
+        beta=float(rng.uniform(0.0, 6e-4)),
+        epsilon=float(rng.uniform(0.0, 1.0)),
+        q=float(rng.uniform(0.0, 1.0)),
+        mu=float(rng.uniform(0.0, 1.0)),
+        k=float(rng.uniform(0.0, 1.0)),
+        z=float(rng.uniform(0.0, 1.0)),
+        p=float(rng.uniform(0.0, 1.0)),
+        eta=float(rng.uniform(0.0, 1.0)),
+        alpha=float(rng.uniform(0.0, 1.0)),
+        f=float(rng.uniform(0.0, 1.0)),
+        gamma=tuple(gamma),
+        delta=tuple(delta),
+        delta_n_to_exposed=delta_n_to_exposed,
+    )
+    pools = rng.uniform(0.0, 2500.0, size=4)
+    doses = rng.uniform(0.0, 500.0, size=n)
+    initial = ec.StateVector(*pools, 0.0, 0.0, tuple(doses))
+    weights = ec.CostWeights(
+        omega=tuple(rng.uniform(0.0, 2.0, size=4)), sigma0=50.0, sigma=tuple(rng.uniform(10, 90, size=n))
+    )
+    grid = ec.TimeGrid(tau, h)
+    # controls sampled on a coarser grid, so stage midpoints interpolate
+    knots = np.linspace(0.0, grid.tau, 9)
+    controls = ec.ControlSignal(
+        knots, rng.uniform(0.0, params.v_max, size=9), rng.uniform(0.0, 1.0, size=9), params.v_max
+    )
+    schedule = None
+    if impulses:
+        nodes = np.sort(rng.choice(np.arange(1, grid.n_steps), size=impulses, replace=False))
+        schedule = ec.ImpulseSchedule(
+            tuple(
+                ec.ImpulseEvent(float(node * grid.h), tuple(rng.uniform(0.0, 0.5, size=4)))
+                for node in nodes
+            )
+        )
+    return params, initial, weights, grid, controls, schedule
+
+
+def _bitwise_equal(a, b) -> bool:
+    """Equal shapes and bytes: unlike ``np.array_equal``, tells -0.0 from 0.0."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return np.array_equal(a, b) and a.tobytes() == b.tobytes()
+
+
+def _assert_both_passes_match(params, initial, weights, grid, controls, schedule):
+    traj = ec.integrate_forward(initial, controls, params, grid, schedule)
+    pre, post = _ref_forward(initial, controls, params, grid, schedule)
+    assert _bitwise_equal(traj.states_pre, pre)
+    assert _bitwise_equal(traj.states_post, post)
+    for mode in ("multiplicative", "literal"):
+        adj = ec.integrate_adjoint_backward(
+            traj, controls, params, weights, grid, schedule, adjoint_impulse=mode
+        )
+        a_pre, a_post = _ref_backward(traj, controls, params, weights, grid, schedule, mode)
+        assert _bitwise_equal(adj.values_pre, a_pre)
+        assert _bitwise_equal(adj.values_post, a_post)
+    return traj, adj
+
+
+class TestSeedEquivalence:
+    @pytest.mark.parametrize("delta_n_to_exposed", [False, True])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_passes_bitwise_equal_to_numpy_reference(self, n, delta_n_to_exposed):
+        rng = np.random.default_rng(1000 * n + delta_n_to_exposed)
+        for impulses in range(4):
+            draw = _random_draw(rng, n, delta_n_to_exposed, impulses)
+            _assert_both_passes_match(*draw)
+
+    def test_block_boundaries_and_default_scenario(self, covid19, default_weights):
+        # 3500 steps span many coefficient blocks, ending in a partial one;
+        # one impulse sits on a block's first node, one on the node below it
+        params, initial = covid19
+        grid = ec.TimeGrid(35.0, 0.01)
+        edge = grid.n_steps - 8 * _BLOCK
+        controls = ec.ControlSignal.constant(grid.times, 0.3, 0.4, params.v_max)
+        sched = ec.ImpulseSchedule(
+            (
+                ec.ImpulseEvent((edge - 1) * grid.h, (0.4, 0.3, 0.2, 0.1)),
+                ec.ImpulseEvent(edge * grid.h, (0.1, 0.2, 0.3, 0.4)),
+            )
+        )
+        assert grid.n_steps % _BLOCK
+        _assert_both_passes_match(params, initial, default_weights, grid, controls, sched)
+
+    def test_positivity_clamp_matches(self, covid19, default_weights):
+        # a huge inert recovered pool widens the clamp tolerance, so the
+        # coarse step's overshoot of E below zero is clamped, not fatal
+        params, _ = covid19
+        fast = ec.ModelParams(**{**params.__dict__, "beta": 0.02})
+        initial = ec.StateVector(50.0, 100.0, 100.0, 400.0, 1e12, 0.0, (0.0, 0.0))
+        grid = ec.TimeGrid(10.0, 0.5)
+        controls = zero_controls(grid, fast)
+        traj, _ = _assert_both_passes_match(fast, initial, default_weights, grid, controls, None)
+        x = traj.states_pre
+        assert np.any((x[:-1, E] > 0.0) & (x[1:, E] == 0.0))
+
+    def test_coarse_step_still_raises(self, covid19):
+        params, initial = covid19
+        stiff = ec.ModelParams(**{**params.__dict__, "beta": 0.01})
+        grid = ec.TimeGrid(35.0, 1.0)
+        controls = zero_controls(grid, stiff)
+        with pytest.raises(ec.StabilityError) as ref:
+            _ref_forward(initial, controls, stiff, grid)
+        with pytest.raises(ec.StabilityError) as new:
+            ec.integrate_forward(initial, controls, stiff, grid)
+        assert str(new.value) == str(ref.value)
+
+    def test_row_views_match_loops(self):
+        params, initial, weights, grid, controls, schedule = _random_draw(
+            np.random.default_rng(7), 3, False, 3
+        )
+        traj, adj = _assert_both_passes_match(params, initial, weights, grid, controls, schedule)
+        for got_t, got_rows, pre, post in (
+            (traj.times, traj.states, traj.states_pre, traj.states_post),
+            (adj.times, adj.values, adj.values_pre, adj.values_post),
+        ):
+            times, rows = _ref_rows(grid.times, pre, post, traj.impulse_nodes)
+            assert _bitwise_equal(got_t, times)
+            assert _bitwise_equal(got_rows, rows)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_single_calls_exact(self, n):
+        rng = np.random.default_rng(n)
+        for dn in (False, True):
+            params, _, weights, _, _, _ = _random_draw(rng, n, dn, 0)
+            y = rng.uniform(0.0, 5000.0, size=n + 6)
+            pq = rng.normal(0.0, 10.0, size=n + 6)
+            v, u = float(rng.uniform(0.0, params.v_max)), float(rng.uniform(0.0, 1.0))
+            state = ec.StateVector.from_array(y)
+            adjoint = ec.AdjointVector.from_array(pq)
+            assert _bitwise_equal(ec.vector_field(state, v, u, params), _ref_deriv(y, v, u, params))
+            assert _bitwise_equal(
+                ec.adjoint_rhs(adjoint, state, u, v, params, weights),
+                _ref_adjoint_deriv(pq, y, v, u, params, weights),
+            )
+            ham = float(
+                _running_cost_arrays(y, u, v, weights, params) + pq @ _ref_deriv(y, v, u, params)
+            )
+            assert _bitwise_equal(ec.hamiltonian(state, adjoint, u, v, params, weights), ham)
