@@ -62,17 +62,23 @@ def _first_crossing(times: np.ndarray, values: np.ndarray, threshold: float) -> 
     return float(times[below[0]]) if below.size else None
 
 
+def _trajectory_lines(times, states, u, v) -> list[str]:
+    """Trajectory CSV rows as lines "t,S,...,Vn,u,v", each value formatted once."""
+    table = np.column_stack([times, states, u, v])
+    return [",".join([format(x, ".12g") for x in row.tolist()]) for row in table]
+
+
 def summarize(
-    times: np.ndarray,
-    states: np.ndarray,
+    lines: list[str],
     cost: float,
     iterations: int | None = None,
     converged: bool | None = None,
     transversality_residual: float | None = None,
 ) -> RunSummary:
-    """Summary computed from 12-digit-rounded rows, matching the CSV exactly."""
-    t = np.array([_r12(x) for x in times])
-    y = np.array([[_r12(x) for x in row] for row in states])
+    """Summary computed from the trajectory CSV lines, matching the CSV exactly."""
+    table = np.loadtxt(lines, delimiter=",", ndmin=2)
+    t = table[:, 0]
+    y = table[:, 1:-2]
     living = y.sum(axis=1) - y[:, D]
     return RunSummary(
         final_population=_r12(living[-1]),
@@ -93,14 +99,17 @@ def summarize(
     )
 
 
-def _write_trajectory(path: str, times, states, u, v) -> None:
-    n = states.shape[1] - 6
-    header = ["t", "S", "E", "A", "I", "R", "D"] + [f"V{i + 1}" for i in range(n)] + ["u", "v"]
+def _write_lines(path: str, header: list[str], lines) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row_t, row_y, row_u, row_v in zip(times, states, u, v):
-            writer.writerow([_fmt(row_t)] + [_fmt(x) for x in row_y] + [_fmt(row_u), _fmt(row_v)])
+        csv.writer(fh).writerow(header)
+        # numbers need no quoting, and "\r\n" is the csv module's row terminator
+        fh.writelines(line + "\r\n" for line in lines)
+
+
+def _write_trajectory(path: str, lines: list[str]) -> None:
+    n = lines[0].count(",") - 8  # t, six pools, n doses, u, v
+    header = ["t", "S", "E", "A", "I", "R", "D"] + [f"V{i + 1}" for i in range(n)] + ["u", "v"]
+    _write_lines(path, header, lines)
 
 
 def _write_controls(path: str, controls: ControlSignal) -> None:
@@ -162,32 +171,32 @@ def cmd_simulate(config: RunConfig, mode: str, controls_file: str | None, out_di
     )
     cost = total_cost(traj, controls, config.weights, config.params)
     times = traj.times
-    states = traj.states
     v_rows, u_rows = controls.at(times)
+    lines = _trajectory_lines(times, traj.states, u_rows, v_rows)
     os.makedirs(out_dir, exist_ok=True)
-    _write_trajectory(os.path.join(out_dir, "trajectory.csv"), times, states, u_rows, v_rows)
-    _write_summary(os.path.join(out_dir, "summary.json"), summarize(times, states, cost))
+    _write_trajectory(os.path.join(out_dir, "trajectory.csv"), lines)
+    _write_summary(os.path.join(out_dir, "summary.json"), summarize(lines, cost))
     return 0
 
 
-def _write_solution(out_dir: str, config: RunConfig, solution: OptimalSolution) -> RunSummary:
+def _write_solution(out_dir: str, config: RunConfig, solution: OptimalSolution) -> list[str]:
+    """Write every output of a solved run; returns the trajectory CSV lines."""
     times = solution.state_traj.times
-    states = solution.state_traj.states
     v_rows, u_rows = solution.controls.at(times)
+    lines = _trajectory_lines(times, solution.state_traj.states, u_rows, v_rows)
     os.makedirs(out_dir, exist_ok=True)
-    _write_trajectory(os.path.join(out_dir, "trajectory.csv"), times, states, u_rows, v_rows)
+    _write_trajectory(os.path.join(out_dir, "trajectory.csv"), lines)
     _write_controls(os.path.join(out_dir, "controls.csv"), solution.controls)
     _write_adjoints(os.path.join(out_dir, "adjoints.csv"), solution.adjoint_traj)
     summary = summarize(
-        times,
-        states,
+        lines,
         solution.cost,
         iterations=solution.iterations,
         converged=solution.converged,
         transversality_residual=solution.transversality_residual,
     )
     _write_summary(os.path.join(out_dir, "summary.json"), summary)
-    return summary
+    return lines
 
 
 def cmd_optimize(config: RunConfig, free_tau: tuple[float, float] | None, out_dir: str) -> int:
@@ -218,7 +227,7 @@ def cmd_compare(diseases: list[str], impulsive: bool, out_dir: str) -> int:
     if unknown:
         raise UnknownPresetError(f"unknown disease(s) {unknown}; choose from {PRESET_NAMES}")
     worst = 0
-    merged_rows = []
+    merged = []
     n = 0
     for disease in diseases:
         config = default_config(disease, impulsive=impulsive)
@@ -226,21 +235,14 @@ def cmd_compare(diseases: list[str], impulsive: bool, out_dir: str) -> int:
             config.initial, config.params, config.weights, config.grid, config.schedule, config.solver
         )
         sub = os.path.join(out_dir, disease)
-        _write_solution(sub, config, solution)
+        lines = _write_solution(sub, config, solution)
         if not solution.converged:
             worst = 2
-        times = solution.state_traj.times
-        states = solution.state_traj.states
-        n = max(n, states.shape[1] - 6)
-        v_rows, u_rows = solution.controls.at(times)
-        for t, y, u, v in zip(times, states, u_rows, v_rows):
-            merged_rows.append([disease, _fmt(t)] + [_fmt(x) for x in y] + [_fmt(u), _fmt(v)])
+        n = max(n, lines[0].count(",") - 8)
+        merged.extend(f"{disease},{line}" for line in lines)
     header = ["disease", "t", "S", "E", "A", "I", "R", "D"] + [f"V{i + 1}" for i in range(n)] + ["u", "v"]
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "comparison.csv"), "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(merged_rows)
+    _write_lines(os.path.join(out_dir, "comparison.csv"), header, merged)
     return worst
 
 

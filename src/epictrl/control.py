@@ -138,13 +138,14 @@ class OptimalSolution:
 
 
 def _running_cost_arrays(states, u, v, weights: CostWeights, params: ModelParams):
+    """Running cost; ``states[S]`` .. ``states[I]`` are floats or arrays over nodes."""
     w1, w2, w3, w4 = weights.omega
     gain = weights.vaccination_gain(params)
     return (
-        w1 * states[..., S]
-        + w2 * states[..., E]
-        + w3 * states[..., A]
-        + w4 * states[..., I]
+        w1 * states[S]
+        + w2 * states[E]
+        + w3 * states[A]
+        + w4 * states[I]
         + 0.5 * weights.sigma0 * u * u
         + 0.5 * gain * v * v
     )
@@ -176,8 +177,8 @@ def total_cost(
         raise GridMismatchError("controls do not cover the trajectory horizon")
     v_n = np.interp(times, controls.grid, controls.v)
     u_n = np.interp(times, controls.grid, controls.u)
-    g_left = _running_cost_arrays(traj.states_post[:-1], u_n[:-1], v_n[:-1], weights, params)
-    g_right = _running_cost_arrays(traj.states_pre[1:], u_n[1:], v_n[1:], weights, params)
+    g_left = _running_cost_arrays(traj.states_post[:-1].T, u_n[:-1], v_n[:-1], weights, params)
+    g_right = _running_cost_arrays(traj.states_pre[1:].T, u_n[1:], v_n[1:], weights, params)
     steps = np.diff(times)
     return float(np.sum(0.5 * steps * (g_left + g_right)) + weights.terminal.value(horizon))
 

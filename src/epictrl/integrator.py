@@ -9,7 +9,9 @@ trajectories represent the discontinuities losslessly.
 Both step loops run on plain Python floats: numpy's per-call cost on vectors
 of n + 6 elements would otherwise dominate.  Every floating-point operation
 keeps the order of the numpy formulation, and the tests hold both passes
-bitwise equal to a numpy reference implementation.
+bitwise equal to a numpy reference implementation.  The forward step is
+``model._rk4_step`` over ``model._deriv``, the same step the brute-force
+oracle runs on a compartment-major batch of candidates.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .model import (
     StateVector,
     Trajectory,
     _apply_impulse,
-    _deriv,
+    _rk4_step,
     _row_view,
 )
 
@@ -182,7 +184,6 @@ def integrate_forward(
     v_n, u_n, v_m, u_m = (memoryview(x) for x in _sampled_controls(controls, grid))
     times = grid.times
     h = grid.h
-    half, sixth = 0.5 * h, h / 6.0
     steps = grid.n_steps
     dim = 6 + params.n
 
@@ -195,11 +196,7 @@ def integrate_forward(
     y = y0.tolist()
 
     for i in range(steps):
-        k1 = _deriv(y, v_n[i], u_n[i], params)
-        k2 = _deriv([x + half * k for x, k in zip(y, k1)], v_m[i], u_m[i], params)
-        k3 = _deriv([x + half * k for x, k in zip(y, k2)], v_m[i], u_m[i], params)
-        k4 = _deriv([x + h * k for x, k in zip(y, k3)], v_n[i + 1], u_n[i + 1], params)
-        y = [x + sixth * (a + 2.0 * b + 2.0 * c + d) for x, a, b, c, d in zip(y, k1, k2, k3, k4)]
+        y = _rk4_step(y, h, v_n[i], u_n[i], v_m[i], u_m[i], v_n[i + 1], u_n[i + 1], params)
         lowest = min(y)
         if lowest < 0.0:
             if lowest < -tol:

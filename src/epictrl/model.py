@@ -266,9 +266,10 @@ def transmissibility_force(state: StateVector, params: ModelParams) -> float:
 def _deriv(y, v: float, u: float, pr: ModelParams) -> list[float]:
     """Right-hand side of the controlled dynamics on the canonical layout.
 
-    Works on plain floats: ``y`` is any sequence in the canonical layout and
-    the result is a list.  The RK4 marcher calls this four times a step, where
-    numpy's per-call cost on a handful of elements would dominate.
+    ``y`` is a sequence of compartments and the result a list: floats for one
+    run, where numpy's per-call cost would dominate, or (M,) arrays (and ``v``,
+    ``u`` floats or (M,) arrays) for a batch of M runs.  Only indexing and
+    arithmetic are used, so each batch column equals its float run bitwise.
     """
     g, d = pr.gamma, pr.delta
     n = len(g)
@@ -297,6 +298,16 @@ def _deriv(y, v: float, u: float, pr: ModelParams) -> list[float]:
         last -= d[n - 1] * vd[n - 1]
     out.append(last)
     return out
+
+
+def _rk4_step(y, h: float, v0, u0, vm, um, v1, u1, pr: ModelParams) -> list:
+    """One RK4 step of ``_deriv``; controls at the step's start (0), midpoint (m), end (1)."""
+    half, sixth = 0.5 * h, h / 6.0
+    k1 = _deriv(y, v0, u0, pr)
+    k2 = _deriv([x + half * k for x, k in zip(y, k1)], vm, um, pr)
+    k3 = _deriv([x + half * k for x, k in zip(y, k2)], vm, um, pr)
+    k4 = _deriv([x + h * k for x, k in zip(y, k3)], v1, u1, pr)
+    return [x + sixth * (a + 2.0 * b + 2.0 * c + d) for x, a, b, c, d in zip(y, k1, k2, k3, k4)]
 
 
 def vector_field(state: StateVector, v: float, u: float, params: ModelParams) -> np.ndarray:

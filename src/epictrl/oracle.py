@@ -1,8 +1,9 @@
 """Independent validators for the sweep solver.
 
 ``brute_force_optimum`` exhaustively enumerates piecewise-constant control
-pairs on a coarse segment grid and integrates every candidate with a
-vectorized RK4 marcher, giving a search-free reference optimum.
+pairs on a coarse segment grid, giving a search-free reference optimum.  It
+marches all candidates in lockstep through the sweep's own ``_rk4_step`` and
+``_deriv`` on a compartment-major batch (one row of candidates each).
 ``finite_difference_gradient`` probes the cost functional directly with
 central differences, to be compared against the costate-based gradient.
 """
@@ -22,7 +23,7 @@ from .control import (
 )
 from .errors import BoxViolationError, ExplosionGuardError
 from .integrator import TimeGrid, integrate_adjoint_backward, integrate_forward
-from .model import A, E, I, S, V0, ControlSignal, ModelParams, StateVector
+from .model import ControlSignal, ModelParams, StateVector, _rk4_step
 
 _CANDIDATE_GUARD = 10_000_000
 _CHUNK = 65536
@@ -54,32 +55,6 @@ class OracleConfig:
         return self.u_levels**self.segments * self.v_levels**self.segments
 
 
-def _batch_deriv(y: np.ndarray, v: np.ndarray, u: np.ndarray, pr: ModelParams) -> np.ndarray:
-    """Vectorized dynamics over a batch of states (M, n+6) and controls (M,)."""
-    g, d = pr.gamma, pr.delta
-    n = len(g)
-    s, e, a, i = y[:, S], y[:, E], y[:, A], y[:, I]
-    force = pr.epsilon * e + (1.0 - pr.q) * i + pr.mu * a
-    infect = pr.beta * force * s
-    leak = y[:, V0 : V0 + n - 1] @ np.asarray(d[: n - 1])
-    if pr.delta_n_to_exposed:
-        leak = leak + d[n - 1] * y[:, V0 + n - 1]
-    out = np.empty_like(y)
-    out[:, S] = -infect - g[0] * v * s
-    out[:, E] = infect - pr.k * e + leak
-    out[:, A] = (1.0 - pr.z) * pr.k * e - pr.eta * a
-    out[:, I] = pr.z * pr.k * e + (1.0 - pr.p) * pr.eta * a - (pr.f + u) * i
-    out[:, 4] = (pr.alpha * pr.f + u) * i + pr.p * pr.eta * a
-    out[:, 5] = (1.0 - pr.alpha) * pr.f * i
-    out[:, V0] = g[0] * v * s - (g[1] * v + d[0]) * y[:, V0]
-    for j in range(1, n - 1):
-        out[:, V0 + j] = g[j] * v * y[:, V0 + j - 1] - (g[j + 1] * v + d[j]) * y[:, V0 + j]
-    out[:, V0 + n - 1] = g[n - 1] * v * y[:, V0 + n - 2]
-    if pr.delta_n_to_exposed:
-        out[:, V0 + n - 1] -= d[n - 1] * y[:, V0 + n - 1]
-    return out
-
-
 def _integrate_batch_cost(
     y0: np.ndarray,
     u_seg: np.ndarray,
@@ -88,25 +63,23 @@ def _integrate_batch_cost(
     weights: CostWeights,
     config: OracleConfig,
 ) -> np.ndarray:
-    """Cost of every candidate, marching all of them in lockstep."""
+    """Cost of every candidate, marching all of them in lockstep with
+    ``_rk4_step`` on one row of M candidates per compartment."""
     m = u_seg.shape[0]
     seg_len = config.horizon / config.segments
     steps = max(1, int(round(seg_len / config.h)))
     h = seg_len / steps
-    y = np.tile(y0, (m, 1))
+    y = list(np.tile(y0[:, None], (1, m)))
     cost = np.zeros(m)
     for seg in range(config.segments):
         u = u_seg[:, seg]
         v = v_seg[:, seg]
         for _ in range(steps):
             g_left = _running_cost_arrays(y, u, v, weights, params)
-            k1 = _batch_deriv(y, v, u, params)
-            k2 = _batch_deriv(y + (0.5 * h) * k1, v, u, params)
-            k3 = _batch_deriv(y + (0.5 * h) * k2, v, u, params)
-            k4 = _batch_deriv(y + h * k3, v, u, params)
-            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            y = _rk4_step(y, h, v, u, v, u, v, u, params)
             # the flow preserves positivity, so any negative is roundoff
-            np.maximum(y, 0.0, out=y)
+            for x in y:
+                np.maximum(x, 0.0, out=x)
             cost += (0.5 * h) * (g_left + _running_cost_arrays(y, u, v, weights, params))
     return cost + weights.terminal.value(config.horizon)
 

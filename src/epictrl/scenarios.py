@@ -374,11 +374,9 @@ def config_to_raw(config: RunConfig) -> dict:
     return raw
 
 
-def validate_config(config: RunConfig | dict) -> list[str]:
-    """Violation list for a config; typed configs add cross-component checks."""
-    if isinstance(config, dict):
-        return validate_raw_config(config)
-    out = validate_raw_config(config_to_raw(config))
+def _cross_violations(config: RunConfig) -> list[str]:
+    """Checks that span components: sigma against the doses, impulses against the grid."""
+    out = []
     if len(config.weights.sigma) != config.params.n:
         out.append("weights.sigma: length differs from the dose count")
     elif config.weights.vaccination_gain(config.params) <= 0:
@@ -393,6 +391,13 @@ def validate_config(config: RunConfig | dict) -> list[str]:
             if idx <= 0 or idx >= config.grid.n_steps:
                 out.append(f"schedule: impulse at t={ev.time} outside (0, {config.grid.tau})")
     return out
+
+
+def validate_config(config: RunConfig | dict) -> list[str]:
+    """Violation list for a config; typed configs add cross-component checks."""
+    if isinstance(config, dict):
+        return validate_raw_config(config)
+    return validate_raw_config(config_to_raw(config)) + _cross_violations(config)
 
 
 def load_config(path: str) -> RunConfig:
@@ -412,7 +417,7 @@ def load_config(path: str) -> RunConfig:
     if violations:
         raise ParseError(f"{path}: invalid config:\n  " + "\n  ".join(violations))
     config = _build(raw)
-    cross = validate_config(config)
+    cross = _cross_violations(config)
     if cross:
         raise ParseError(f"{path}: invalid config:\n  " + "\n  ".join(cross))
     return config

@@ -1,9 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 
 import epictrl as ec
-from epictrl.model import _deriv
-from epictrl.oracle import _batch_deriv
+from epictrl.model import A, E, I, S, V0, _deriv, _rk4_step
+from epictrl.oracle import _integrate_batch_cost
 
 
 class TestOracleConfig:
@@ -24,27 +26,136 @@ class TestOracleConfig:
             ec.OracleConfig(horizon=5.0, u_levels=1)
 
 
-class TestBatchDynamics:
-    def test_matches_single_state_rhs(self, covid19, rng):
-        params, _ = covid19
-        for _ in range(50):
-            y = rng.uniform(0, 5000, size=8)
-            u, v = rng.uniform(0, 1), rng.uniform(0, 1)
-            single = _deriv(y, v, u, params)
-            batch = _batch_deriv(y[None, :], np.array([v]), np.array([u]), params)[0]
-            np.testing.assert_allclose(batch, single, rtol=1e-12, atol=1e-10)
+def _params(n: int, delta_n_to_exposed: bool) -> ec.ModelParams:
+    gamma = (1.0, 0.7, 0.4)[:n]
+    delta = (0.01, 0.005, 0.002)[:n]
+    return ec.ModelParams(
+        beta=2e-4, epsilon=0.1, q=0.4, mu=0.8, k=0.5, z=0.3, p=0.2, eta=0.25,
+        alpha=0.9, f=0.3, gamma=gamma, delta=delta, delta_n_to_exposed=delta_n_to_exposed,
+    )
 
-    def test_matches_three_dose_rhs(self, rng):
-        params = ec.ModelParams(
-            beta=2e-4, epsilon=0.1, q=0.4, mu=0.8, k=0.5, z=0.3, p=0.2, eta=0.25,
-            alpha=0.9, f=0.3, gamma=(1.0, 0.7, 0.4), delta=(0.01, 0.005, 0.0),
-        )
-        for _ in range(20):
-            y = rng.uniform(0, 5000, size=9)
-            u, v = rng.uniform(0, 1), rng.uniform(0, 1)
-            single = _deriv(y, v, u, params)
-            batch = _batch_deriv(y[None, :], np.array([v]), np.array([u]), params)[0]
-            np.testing.assert_allclose(batch, single, rtol=1e-12, atol=1e-10)
+
+def _bitwise_equal(a, b) -> bool:
+    """Equal shapes and bytes: unlike ``np.array_equal``, tells -0.0 from 0.0."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return np.array_equal(a, b) and a.tobytes() == b.tobytes()
+
+
+class TestSharedBatchPath:
+    """The oracle's compartment-major batch runs the sweep's own float code."""
+
+    @pytest.mark.parametrize("delta_n_to_exposed", [False, True])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_batch_columns_bitwise_equal_to_float_runs(self, n, delta_n_to_exposed, rng):
+        params = _params(n, delta_n_to_exposed)
+        m = 40
+        y = rng.uniform(0.0, 5000.0, size=(n + 6, m))
+        v0, vm, v1 = rng.uniform(0.0, params.v_max, size=(3, m))
+        u0, um, u1 = rng.uniform(0.0, 1.0, size=(3, m))
+        deriv = np.array(_deriv(list(y), v0, u0, params))
+        step = np.array(_rk4_step(list(y), 0.05, v0, u0, vm, um, v1, u1, params))
+        for j in range(m):
+            col = y[:, j].tolist()
+            c = [float(x[j]) for x in (v0, u0, vm, um, v1, u1)]
+            assert _bitwise_equal(deriv[:, j], _deriv(col, c[0], c[1], params))
+            assert _bitwise_equal(step[:, j], _rk4_step(col, 0.05, *c, params))
+
+
+# The oracle's marcher before it shared ``_rk4_step``, verbatim: its own
+# vector field on an (M, n+6) batch and its own inline RK4.
+def _ref_batch_deriv(y: np.ndarray, v: np.ndarray, u: np.ndarray, pr: ec.ModelParams) -> np.ndarray:
+    g, d = pr.gamma, pr.delta
+    n = len(g)
+    s, e, a, i = y[:, S], y[:, E], y[:, A], y[:, I]
+    force = pr.epsilon * e + (1.0 - pr.q) * i + pr.mu * a
+    infect = pr.beta * force * s
+    leak = y[:, V0 : V0 + n - 1] @ np.asarray(d[: n - 1])
+    if pr.delta_n_to_exposed:
+        leak = leak + d[n - 1] * y[:, V0 + n - 1]
+    out = np.empty_like(y)
+    out[:, S] = -infect - g[0] * v * s
+    out[:, E] = infect - pr.k * e + leak
+    out[:, A] = (1.0 - pr.z) * pr.k * e - pr.eta * a
+    out[:, I] = pr.z * pr.k * e + (1.0 - pr.p) * pr.eta * a - (pr.f + u) * i
+    out[:, 4] = (pr.alpha * pr.f + u) * i + pr.p * pr.eta * a
+    out[:, 5] = (1.0 - pr.alpha) * pr.f * i
+    out[:, V0] = g[0] * v * s - (g[1] * v + d[0]) * y[:, V0]
+    for j in range(1, n - 1):
+        out[:, V0 + j] = g[j] * v * y[:, V0 + j - 1] - (g[j + 1] * v + d[j]) * y[:, V0 + j]
+    out[:, V0 + n - 1] = g[n - 1] * v * y[:, V0 + n - 2]
+    if pr.delta_n_to_exposed:
+        out[:, V0 + n - 1] -= d[n - 1] * y[:, V0 + n - 1]
+    return out
+
+
+def _ref_running_cost_arrays(states, u, v, weights, params):
+    w1, w2, w3, w4 = weights.omega
+    gain = weights.vaccination_gain(params)
+    return (
+        w1 * states[..., S]
+        + w2 * states[..., E]
+        + w3 * states[..., A]
+        + w4 * states[..., I]
+        + 0.5 * weights.sigma0 * u * u
+        + 0.5 * gain * v * v
+    )
+
+
+def _ref_integrate_batch_cost(y0, u_seg, v_seg, params, weights, config):
+    m = u_seg.shape[0]
+    seg_len = config.horizon / config.segments
+    steps = max(1, int(round(seg_len / config.h)))
+    h = seg_len / steps
+    y = np.tile(y0, (m, 1))
+    cost = np.zeros(m)
+    for seg in range(config.segments):
+        u = u_seg[:, seg]
+        v = v_seg[:, seg]
+        for _ in range(steps):
+            g_left = _ref_running_cost_arrays(y, u, v, weights, params)
+            k1 = _ref_batch_deriv(y, v, u, params)
+            k2 = _ref_batch_deriv(y + (0.5 * h) * k1, v, u, params)
+            k3 = _ref_batch_deriv(y + (0.5 * h) * k2, v, u, params)
+            k4 = _ref_batch_deriv(y + h * k3, v, u, params)
+            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            np.maximum(y, 0.0, out=y)
+            cost += (0.5 * h) * (g_left + _ref_running_cost_arrays(y, u, v, weights, params))
+    return cost + weights.terminal.value(config.horizon)
+
+
+class TestOracleSeedEquivalence:
+    """Per-candidate costs against the oracle's former private marcher.
+
+    Not bitwise: the former vector field factored (f + u)*I and
+    (gamma2*v + delta1)*V1, and summed the dose leak with a matrix product.
+    """
+
+    def _assert_costs_match(self, params, initial, weights):
+        cfg = ec.OracleConfig(horizon=3.0, segments=2, u_levels=3, v_levels=3, h=0.05)
+        u_levels = np.linspace(0.0, 1.0, cfg.u_levels)
+        v_levels = np.linspace(0.0, params.v_max, cfg.v_levels)
+        pairs = list(itertools.product(
+            itertools.product(u_levels, repeat=cfg.segments),
+            itertools.product(v_levels, repeat=cfg.segments),
+        ))
+        u_seg = np.array([u for u, _ in pairs])
+        v_seg = np.array([v for _, v in pairs])
+        y0 = initial.as_array()
+        got = _integrate_batch_cost(y0, u_seg, v_seg, params, weights, cfg)
+        ref = _ref_integrate_batch_cost(y0, u_seg, v_seg, params, weights, cfg)
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0)
+        best_j, _ = ec.brute_force_optimum(initial, params, weights, cfg)
+        assert best_j == pytest.approx(ref.min(), rel=1e-12)
+
+    def test_covid19(self, covid19, default_weights):
+        params, initial = covid19
+        self._assert_costs_match(params, initial, default_weights)
+
+    def test_three_doses_with_breakthrough_to_exposed(self):
+        params = _params(3, True)
+        initial = ec.StateVector(6000.0, 800.0, 400.0, 300.0, 100.0, 0.0, (500.0, 300.0, 200.0))
+        weights = ec.CostWeights(sigma=(50.0, 50.0, 50.0))
+        self._assert_costs_match(params, initial, weights)
 
 
 class TestBruteForceOptimum:

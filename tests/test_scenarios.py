@@ -134,6 +134,18 @@ class TestLoadSaveConfig:
         assert "gamma: not non-increasing" in message
         assert "impulse rate out of [0,1]" in message
 
+    def test_load_rejects_off_grid_impulse(self, tmp_path):
+        # passes the raw checks; only the cross-component grid check catches it
+        raw = covid_raw()
+        raw["grid"] = {"tau": 35.0, "h": 0.01}
+        raw["schedule"] = {"events": [{"time": 7.0042, "lambda": [0.05] * 4}]}
+        assert validate_raw_config(raw) == []
+        path = tmp_path / "off_grid.json"
+        path.write_text(json.dumps(raw))
+        with pytest.raises(ec.ParseError) as err:
+            ec.load_config(str(path))
+        assert "off the grid" in str(err.value)
+
     def test_syntax_error_carries_location(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text('{"params": \n !}')
