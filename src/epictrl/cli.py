@@ -280,7 +280,7 @@ def _build_parser() -> argparse.ArgumentParser:
         type=float,
         metavar=("MIN", "MAX"),
         default=None,
-        help="also optimize the horizon over [MIN, MAX]",
+        help="free horizon in [MIN, MAX]: solved at MIN, where J* is least, and H+M' reported",
     )
     opt.add_argument("--out", required=True)
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -39,8 +39,6 @@ from .model import (
 )
 
 log = logging.getLogger("epictrl")
-
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -399,62 +397,32 @@ def optimize_terminal_time(
     tau_range: tuple[float, float],
     h: float = 0.01,
     options: SweepOptions | None = None,
-    tau_tol: float = 0.1,
 ) -> tuple[float, OptimalSolution]:
-    """Golden-section search for the horizon with the cheapest optimal cost.
+    """Cheapest horizon in ``tau_range`` and its solution: always the lower end.
 
-    Each candidate horizon is solved with a fresh grid and a full sweep; the
-    cost is unimodal in practice (strictly increasing whenever the running
-    cost is non-negative and the terminal penalty grows).  Impulse events at
-    or beyond a candidate horizon are dropped for that evaluation.  The
-    free-time optimality defect at the winner is recorded as a diagnostic.
+    The optimal cost J*(tau) never decreases in tau.  The running cost is
+    non-negative (omega, sigma >= 0 and states are clamped at zero), and every
+    terminal-cost kind is non-decreasing for tau > 0.  ``TimeGrid`` rounds a
+    horizon to whole steps of the same h, so for tau < tau' the grid of tau is
+    a prefix of the grid of tau', and impulses at or beyond tau only touch the
+    later cells.  The optimal controls for tau', cut at tau, are thus
+    admissible for tau with the same states up to tau, a running cost that
+    drops the later cells and a terminal cost no larger, so
+    J*(tau) <= J*(tau').  Hence one sweep at MIN answers the search.
+
+    Impulse events from h/2 before MIN on are dropped.  The free-time
+    optimality defect H(tau) + M'(tau) is recorded as the certificate: the
+    costates vanish at tau (no event within h/2 of it, and the terminal cost
+    depends on tau alone), so it equals g(tau) + M'(tau) >= 0, the slope
+    dJ*/dtau at MIN.
     """
     tau_min, tau_max = float(tau_range[0]), float(tau_range[1])
     if not 0.0 < tau_min < tau_max:
         raise RangeError(f"need 0 < tau_min < tau_max, got ({tau_min}, {tau_max})")
-    if tau_max - tau_min < tau_tol:
-        raise RangeError("search range narrower than the tolerance")
-
-    evaluated: dict[float, OptimalSolution] = {}
-
-    def solve_at(tau: float) -> float:
-        grid = TimeGrid(tau, h)
-        sol = fbsm_solve(
-            initial, params, weights, grid, _truncated_schedule(schedule, grid.tau, h), options
-        )
-        evaluated[tau] = sol
-        log.debug("terminal-time probe tau=%.6g -> J=%.6g", tau, sol.cost)
-        return sol.cost
-
-    a, b = tau_min, tau_max
-    solve_at(a)
-    solve_at(b)
-    c = b - _INVPHI * (b - a)
-    d_ = a + _INVPHI * (b - a)
-    fc, fd = solve_at(c), solve_at(d_)
-    while (b - a) > tau_tol:
-        if fc < fd:
-            b = d_
-            d_, fd = c, fc
-            c = b - _INVPHI * (b - a)
-            fc = solve_at(c)
-        else:
-            a = c
-            c, fc = d_, fd
-            d_ = a + _INVPHI * (b - a)
-            fd = solve_at(d_)
-
-    tau_star = min(evaluated, key=lambda t: evaluated[t].cost)
-    best = evaluated[tau_star]
-    residual = transversality_residual(best, params, weights)
-    best = OptimalSolution(
-        controls=best.controls,
-        state_traj=best.state_traj,
-        adjoint_traj=best.adjoint_traj,
-        cost=best.cost,
-        iterations=best.iterations,
-        converged=best.converged,
-        transversality_residual=residual,
-        cost_history=best.cost_history,
+    grid = TimeGrid(tau_min, h)
+    best = fbsm_solve(
+        initial, params, weights, grid, _truncated_schedule(schedule, grid.tau, h), options
     )
-    return tau_star, best
+    return tau_min, replace(
+        best, transversality_residual=transversality_residual(best, params, weights)
+    )

@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import GridMismatchError, ScheduleError, StabilityError
+from .errors import GridMismatchError, ScheduleError
 
 if TYPE_CHECKING:
     from .control import CostWeights
@@ -32,9 +32,11 @@ from .model import (
     ModelParams,
     StateVector,
     Trajectory,
+    _NEGATIVE_TOL,
     _apply_impulse,
     _rk4_step,
     _row_view,
+    _too_coarse,
 )
 
 # Jumps act on the first four compartments (S, E, A, I) and their costates.
@@ -189,7 +191,7 @@ def integrate_forward(
 
     y0 = initial.as_array()
     n0 = float(y0.sum() - y0[D])
-    tol = 1e-9 * n0
+    tol = _NEGATIVE_TOL * n0
     pre = np.empty((steps + 1, dim))
     post = np.empty((steps + 1, dim))
     pre[0] = post[0] = y0
@@ -200,9 +202,7 @@ def integrate_forward(
         lowest = min(y)
         if lowest < 0.0:
             if lowest < -tol:
-                raise StabilityError(
-                    f"compartment reached {lowest:.3e} at t={times[i + 1]:.6g}; reduce h"
-                )
+                raise _too_coarse(lowest, times[i + 1])
             y = [0.0 if x < 0.0 else x for x in y]  # keeps -0.0, like np.maximum
         pre[i + 1] = y
         lam = imap.get(i + 1)

@@ -20,11 +20,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateParameterError
+from .errors import DegenerateParameterError, StabilityError
 
 # Indices into the canonical state layout.
 S, E, A, I, R, D = 0, 1, 2, 3, 4, 5
 V0 = 6  # first vaccination compartment
+
+# A step may leave a compartment below zero by at most this fraction of the
+# initial living population (roundoff, clamped to zero); lower means the step
+# is too coarse.
+_NEGATIVE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -308,6 +313,11 @@ def _rk4_step(y, h: float, v0, u0, vm, um, v1, u1, pr: ModelParams) -> list:
     k3 = _deriv([x + half * k for x, k in zip(y, k2)], vm, um, pr)
     k4 = _deriv([x + h * k for x, k in zip(y, k3)], v1, u1, pr)
     return [x + sixth * (a + 2.0 * b + 2.0 * c + d) for x, a, b, c, d in zip(y, k1, k2, k3, k4)]
+
+
+def _too_coarse(lowest: float, t: float) -> StabilityError:
+    """The error for a step that left a compartment below the negative tolerance."""
+    return StabilityError(f"compartment reached {lowest:.3e} at t={t:.6g}; reduce h")
 
 
 def vector_field(state: StateVector, v: float, u: float, params: ModelParams) -> np.ndarray:

@@ -23,7 +23,15 @@ from .control import (
 )
 from .errors import BoxViolationError, ExplosionGuardError
 from .integrator import TimeGrid, integrate_adjoint_backward, integrate_forward
-from .model import ControlSignal, ModelParams, StateVector, _rk4_step
+from .model import (
+    D,
+    _NEGATIVE_TOL,
+    ControlSignal,
+    ModelParams,
+    StateVector,
+    _rk4_step,
+    _too_coarse,
+)
 
 _CANDIDATE_GUARD = 10_000_000
 _CHUNK = 65536
@@ -64,22 +72,31 @@ def _integrate_batch_cost(
     config: OracleConfig,
 ) -> np.ndarray:
     """Cost of every candidate, marching all of them in lockstep with
-    ``_rk4_step`` on one row of M candidates per compartment."""
+    ``_rk4_step`` on one row of M candidates per compartment.
+
+    As in ``integrate_forward``, a step that leaves a compartment below the
+    negative tolerance raises StabilityError; smaller negatives are roundoff
+    and are clamped to zero.
+    """
     m = u_seg.shape[0]
     seg_len = config.horizon / config.segments
     steps = max(1, int(round(seg_len / config.h)))
     h = seg_len / steps
+    tol = _NEGATIVE_TOL * float(y0.sum() - y0[D])
     y = list(np.tile(y0[:, None], (1, m)))
     cost = np.zeros(m)
     for seg in range(config.segments):
         u = u_seg[:, seg]
         v = v_seg[:, seg]
-        for _ in range(steps):
+        for k in range(steps):
             g_left = _running_cost_arrays(y, u, v, weights, params)
             y = _rk4_step(y, h, v, u, v, u, v, u, params)
-            # the flow preserves positivity, so any negative is roundoff
             for x in y:
-                np.maximum(x, 0.0, out=x)
+                lowest = x.min()
+                if lowest < 0.0:
+                    if lowest < -tol:
+                        raise _too_coarse(lowest, (seg * steps + k + 1) * h)
+                    np.maximum(x, 0.0, out=x)
             cost += (0.5 * h) * (g_left + _running_cost_arrays(y, u, v, weights, params))
     return cost + weights.terminal.value(config.horizon)
 

@@ -1,8 +1,19 @@
+import logging
+import math
+
 import numpy as np
 import pytest
 
 import epictrl as ec
-from epictrl.control import _switching_arrays, transversality_residual
+from epictrl.control import (
+    OptimalSolution,
+    _switching_arrays,
+    _truncated_schedule,
+    fbsm_solve,
+    transversality_residual,
+)
+from epictrl.errors import RangeError
+from epictrl.integrator import TimeGrid
 
 
 def zero_controls(grid, params):
@@ -424,9 +435,7 @@ class TestOptimizeTerminalTime:
     def test_pure_terminal_cost_picks_lower_bound(self, covid19):
         params, initial = covid19
         w = ec.CostWeights(omega=(0, 0, 0, 0), terminal=ec.TerminalCost("quadratic", 1.0))
-        tau_star, sol = ec.optimize_terminal_time(
-            initial, params, w, None, (2.0, 5.0), h=0.05, tau_tol=0.05
-        )
+        tau_star, sol = ec.optimize_terminal_time(initial, params, w, None, (2.0, 5.0), h=0.05)
         assert tau_star == pytest.approx(2.0)
         assert sol.cost == pytest.approx(4.0)
         assert sol.transversality_residual is not None
@@ -435,7 +444,7 @@ class TestOptimizeTerminalTime:
         params, initial = covid19
         opts = ec.SweepOptions(max_iterations=200)
         tau_star, _ = ec.optimize_terminal_time(
-            initial, params, default_weights, None, (2.0, 4.0), h=0.05, options=opts, tau_tol=0.1
+            initial, params, default_weights, None, (2.0, 4.0), h=0.05, options=opts
         )
         probes = np.linspace(2.0, 4.0, 8)
         costs = []
@@ -452,7 +461,7 @@ class TestOptimizeTerminalTime:
         opts = ec.SweepOptions(max_iterations=300)
         window = (28.0, 35.0)
         tau_star, sol = ec.optimize_terminal_time(
-            initial, params, default_weights, None, window, h=0.05, options=opts, tau_tol=0.75
+            initial, params, default_weights, None, window, h=0.05, options=opts
         )
         span = window[1] - window[0]
         for probe in (tau_star - 0.1 * span, tau_star + 0.1 * span):
@@ -476,7 +485,170 @@ class TestOptimizeTerminalTime:
         sched = ec.ImpulseSchedule((ec.ImpulseEvent(3.0, (0.1, 0.1, 0.1, 0.1)),))
         opts = ec.SweepOptions(max_iterations=100)
         tau_star, sol = ec.optimize_terminal_time(
-            initial, params, default_weights, sched, (2.0, 4.0), h=0.05, options=opts, tau_tol=0.5
+            initial, params, default_weights, sched, (2.0, 4.0), h=0.05, options=opts
         )
         assert 2.0 <= tau_star <= 4.0
         assert sol.converged
+
+
+# The horizon search before it became one solve at tau_min, verbatim: a
+# golden-section search that sweeps every probed horizon and keeps the
+# cheapest.
+log = logging.getLogger("epictrl")
+
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _ref_optimize_terminal_time(
+    initial,
+    params,
+    weights,
+    schedule,
+    tau_range,
+    h=0.01,
+    options=None,
+    tau_tol=0.1,
+):
+    tau_min, tau_max = float(tau_range[0]), float(tau_range[1])
+    if not 0.0 < tau_min < tau_max:
+        raise RangeError(f"need 0 < tau_min < tau_max, got ({tau_min}, {tau_max})")
+    if tau_max - tau_min < tau_tol:
+        raise RangeError("search range narrower than the tolerance")
+
+    evaluated: dict[float, OptimalSolution] = {}
+
+    def solve_at(tau: float) -> float:
+        grid = TimeGrid(tau, h)
+        sol = fbsm_solve(
+            initial, params, weights, grid, _truncated_schedule(schedule, grid.tau, h), options
+        )
+        evaluated[tau] = sol
+        log.debug("terminal-time probe tau=%.6g -> J=%.6g", tau, sol.cost)
+        return sol.cost
+
+    a, b = tau_min, tau_max
+    solve_at(a)
+    solve_at(b)
+    c = b - _INVPHI * (b - a)
+    d_ = a + _INVPHI * (b - a)
+    fc, fd = solve_at(c), solve_at(d_)
+    while (b - a) > tau_tol:
+        if fc < fd:
+            b = d_
+            d_, fd = c, fc
+            c = b - _INVPHI * (b - a)
+            fc = solve_at(c)
+        else:
+            a = c
+            c, fc = d_, fd
+            d_ = a + _INVPHI * (b - a)
+            fd = solve_at(d_)
+
+    tau_star = min(evaluated, key=lambda t: evaluated[t].cost)
+    best = evaluated[tau_star]
+    residual = transversality_residual(best, params, weights)
+    best = OptimalSolution(
+        controls=best.controls,
+        state_traj=best.state_traj,
+        adjoint_traj=best.adjoint_traj,
+        cost=best.cost,
+        iterations=best.iterations,
+        converged=best.converged,
+        transversality_residual=residual,
+        cost_history=best.cost_history,
+    )
+    return tau_star, best
+
+
+def _bitwise_equal(a, b) -> bool:
+    """Equal shapes and bytes: unlike ``np.array_equal``, tells -0.0 from 0.0."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return np.array_equal(a, b) and a.tobytes() == b.tobytes()
+
+
+_EVENT_AT_3 = ec.ImpulseSchedule((ec.ImpulseEvent(3.0, (0.1, 0.1, 0.1, 0.1)),))
+_NO_STATE_COST = (0.0, 0.0, 0.0, 0.0)
+
+
+class TestHorizonSeedEquivalence:
+    """One solve at tau_min gives exactly what the golden-section search gave."""
+
+    @pytest.mark.parametrize(
+        "disease, weights, schedule, window, options",
+        [
+            ("covid19", ec.CostWeights(), None, (2.0, 4.0), None),
+            ("covid19", ec.CostWeights(omega=_NO_STATE_COST), None, (2.0, 5.0), None),
+            ("covid19", ec.CostWeights(), _EVENT_AT_3, (2.0, 4.0), None),
+            (
+                "covid19",
+                ec.CostWeights(terminal=ec.TerminalCost("linear", 3.0)),
+                None,
+                (2.0, 4.0),
+                None,
+            ),
+            (
+                "covid19",
+                ec.CostWeights(terminal=ec.TerminalCost("exponential", 1.5, rate=0.2)),
+                None,
+                (2.0, 4.0),
+                None,
+            ),
+            (
+                "covid19",
+                ec.CostWeights(omega=_NO_STATE_COST, terminal=ec.TerminalCost("quadratic", 0.0)),
+                None,
+                (2.0, 4.0),
+                None,
+            ),
+            ("ebola", ec.CostWeights(), None, (2.0, 4.0), None),
+            ("covid19", ec.CostWeights(), None, (2.0, 4.0), ec.SweepOptions(0.7, max_iterations=5)),
+        ],
+        ids=[
+            "covid19",
+            "terminal-only",
+            "event-at-3",
+            "linear",
+            "exponential",
+            "all-tie",
+            "ebola",
+            "five-iterations",
+        ],
+    )
+    def test_bitwise_equal_to_golden_section(self, disease, weights, schedule, window, options):
+        params, initial = ec.preset(disease)
+        ref_tau, ref = _ref_optimize_terminal_time(
+            initial, params, weights, schedule, window, h=0.05, options=options
+        )
+        tau_star, sol = ec.optimize_terminal_time(
+            initial, params, weights, schedule, window, h=0.05, options=options
+        )
+        assert tau_star == ref_tau == window[0]
+        for got, want in (
+            (sol.controls.u, ref.controls.u),
+            (sol.controls.v, ref.controls.v),
+            (sol.state_traj.states_pre, ref.state_traj.states_pre),
+            (sol.state_traj.states_post, ref.state_traj.states_post),
+            (sol.adjoint_traj.values_pre, ref.adjoint_traj.values_pre),
+            (sol.adjoint_traj.values_post, ref.adjoint_traj.values_post),
+            (sol.cost, ref.cost),
+            (sol.transversality_residual, ref.transversality_residual),
+            (sol.cost_history, ref.cost_history),
+        ):
+            assert _bitwise_equal(got, want)
+        assert (sol.iterations, sol.converged) == (ref.iterations, ref.converged)
+
+    @pytest.mark.parametrize("schedule", [None, _EVENT_AT_3], ids=["no-events", "event-at-3"])
+    def test_residual_is_running_cost_plus_terminal_slope(self, covid19, default_weights, schedule):
+        # the costates vanish at tau, so H(tau) keeps only the running cost
+        params, initial = covid19
+        tau_star, sol = ec.optimize_terminal_time(
+            initial, params, default_weights, schedule, (3.0, 4.0), h=0.05
+        )
+        last = len(sol.state_traj.node_times) - 1
+        v_end, u_end = sol.controls.at(tau_star)
+        g_end = ec.running_cost(
+            sol.state_traj.state_at(last, side="post"), u_end, v_end, default_weights, params
+        )
+        expected = g_end + default_weights.terminal.slope(tau_star)
+        assert sol.transversality_residual == pytest.approx(expected, rel=1e-12)
+        assert sol.transversality_residual >= 0.0

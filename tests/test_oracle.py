@@ -209,6 +209,41 @@ class TestBruteForceOptimum:
         j_two, _ = ec.brute_force_optimum(initial, params, default_weights, two)
         assert j_two <= j_one + 1e-9
 
+    def test_coarse_step_raises_like_the_forward_pass(self, covid19, default_weights):
+        # one 2-day step at full vaccination drives S far below zero: the
+        # oracle refuses it, as integrate_forward does, instead of clamping
+        params, initial = covid19
+        cfg = ec.OracleConfig(horizon=4.0, segments=2, h=2.0)
+        with pytest.raises(ec.StabilityError, match="at t=2; reduce h"):
+            ec.brute_force_optimum(initial, params, default_weights, cfg)
+        grid = ec.TimeGrid(4.0, 2.0)
+        controls = ec.ControlSignal.constant(grid.times, params.v_max, 1.0, params.v_max)
+        with pytest.raises(ec.StabilityError, match="at t=2; reduce h"):
+            ec.integrate_forward(initial, controls, params, grid)
+
+    def test_roundoff_negatives_clamped_like_the_forward_pass(self, covid19, default_weights):
+        # a huge inert recovered pool widens the negative tolerance, so the
+        # coarse step's overshoot of E below zero is clamped, not fatal; every
+        # candidate's cost matches the forward pass, which clamps the same way
+        params, _ = covid19
+        fast = ec.ModelParams(**{**params.__dict__, "beta": 0.02})
+        initial = ec.StateVector(50.0, 100.0, 100.0, 400.0, 1e12, 0.0, (0.0, 0.0))
+        cfg = ec.OracleConfig(horizon=10.0, segments=1, h=0.5)
+        levels = list(itertools.product((0.0, 1.0), (0.0, 0.5 * fast.v_max)))
+        u_seg = np.array([[u] for u, _ in levels])
+        v_seg = np.array([[v] for _, v in levels])
+        costs = _integrate_batch_cost(initial.as_array(), u_seg, v_seg, fast, default_weights, cfg)
+        grid = ec.TimeGrid(10.0, 0.5)
+        clamped = False
+        for (u, v), cost in zip(levels, costs):
+            controls = ec.ControlSignal.constant(grid.times, v, u, fast.v_max)
+            traj = ec.integrate_forward(initial, controls, fast, grid)
+            e = traj.states_pre[:, E]
+            clamped |= bool(np.any((e[:-1] > 0.0) & (e[1:] == 0.0)))
+            expected = ec.total_cost(traj, controls, default_weights, fast)
+            assert cost == pytest.approx(expected, rel=1e-12)
+        assert clamped
+
     def test_piecewise_signal_reproduces_segment_levels(self, covid19):
         params, _ = covid19
         grid = ec.TimeGrid(4.0, 0.01)
