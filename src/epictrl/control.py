@@ -21,6 +21,7 @@ from .integrator import (
     AdjointTrajectory,
     AdjointVector,
     TimeGrid,
+    _ADJOINT_IMPULSE_MODES,
     integrate_adjoint_backward,
     integrate_forward,
 )
@@ -36,6 +37,9 @@ from .model import (
     StateVector,
     Trajectory,
     _deriv,
+    _entry_faults,
+    _number_faults,
+    _raise_faults,
 )
 
 log = logging.getLogger("epictrl")
@@ -55,12 +59,16 @@ class TerminalCost:
     rate: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in ("linear", "quadratic", "exponential"):
-            raise ValueError(f"unknown terminal cost kind {self.kind!r}")
-        if self.coeff < 0:
-            raise ValueError("terminal cost coefficient must be non-negative")
-        if self.kind == "exponential" and self.rate <= 0:
-            raise ValueError("exponential terminal cost needs a positive rate")
+        _raise_faults(self)
+
+    @staticmethod
+    def violations(values) -> list[str]:
+        """Faults of the given fields as "field: reason": a known kind, coeff >= 0, rate > 0."""
+        kind = values.get("kind", "linear")
+        known = kind in ("linear", "quadratic", "exponential")
+        out = [] if known else [f"kind: unknown kind {kind!r}"]
+        out += _number_faults(values, ("coeff",), 0.0)
+        return out + _number_faults(values, ("rate",), positive=True)
 
     def value(self, tau: float) -> float:
         if self.kind == "linear":
@@ -89,18 +97,22 @@ class CostWeights:
     def __post_init__(self):
         object.__setattr__(self, "omega", tuple(float(x) for x in self.omega))
         object.__setattr__(self, "sigma", tuple(float(x) for x in self.sigma))
-        if len(self.omega) != 4:
-            raise ValueError("need exactly four epidemic-cost weights")
-        if any(x < 0 for x in self.omega) or any(x < 0 for x in self.sigma):
-            raise ValueError("cost weights must be non-negative")
-        if self.sigma0 <= 0:
-            raise ValueError("treatment gain sigma0 must be positive")
+        _raise_faults(self)
+
+    @staticmethod
+    def violations(values) -> list[str]:
+        """Faults of the given fields as "field: reason": four omega and any sigma >= 0,
+        sigma0 > 0; one sigma per dose is checked against the params of a config."""
+        return (
+            _entry_faults(values, "omega", exact=4)
+            + _number_faults(values, ("sigma0",), positive=True)
+            + _entry_faults(values, "sigma", least=0)
+        )
 
     def vaccination_gain(self, params: ModelParams) -> float:
-        """Quadratic coefficient of the vaccination effort, sum sigma_i*gamma_i^2."""
-        if len(self.sigma) != params.n:
-            raise ValueError(f"need {params.n} vaccination gains, got {len(self.sigma)}")
-        return sum(s * g * g for s, g in zip(self.sigma, params.gamma))
+        """Quadratic coefficient of the vaccination effort, sum sigma_i*gamma_i^2; ValueError
+        unless sigma holds one gain per dose."""
+        return sum(s * g * g for s, g in zip(self.sigma, params.gamma, strict=True))
 
 
 @dataclass(frozen=True)
@@ -113,12 +125,20 @@ class SweepOptions:
     adjoint_impulse: str = "multiplicative"
 
     def __post_init__(self):
-        if not 0.0 < self.theta <= 1.0:
-            raise ValueError("relaxation factor must lie in (0, 1]")
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
-        if self.max_iterations < 1:
-            raise ValueError("need at least one iteration")
+        _raise_faults(self)
+
+    @staticmethod
+    def violations(values) -> list[str]:
+        """Faults of the given fields as "field: reason": theta in (0, 1], tolerance > 0, an
+        integer max_iterations >= 1, and a known adjoint_impulse mode."""
+        out = _number_faults(values, ("theta",), hi=1.0, positive=True)
+        out += _number_faults(values, ("tolerance",), positive=True)
+        its = values.get("max_iterations", 1)
+        if not isinstance(its, int) or isinstance(its, bool) or its < 1:
+            out.append("max_iterations: expected a positive integer")
+        if values.get("adjoint_impulse", "multiplicative") not in _ADJOINT_IMPULSE_MODES:
+            out.append("adjoint_impulse: expected 'multiplicative' or 'literal'")
+        return out
 
 
 @dataclass(frozen=True)
@@ -147,13 +167,6 @@ def _running_cost_arrays(states, u, v, weights: CostWeights, params: ModelParams
         + 0.5 * weights.sigma0 * u * u
         + 0.5 * gain * v * v
     )
-
-
-def running_cost(
-    state: StateVector, u: float, v: float, weights: CostWeights, params: ModelParams
-) -> float:
-    """Instantaneous cost rate: weighted pools plus quadratic control effort."""
-    return float(_running_cost_arrays(state.as_array(), float(u), float(v), weights, params))
 
 
 def total_cost(
@@ -298,14 +311,6 @@ def _clamped_controls(states, adjoints, params, weights):
     if np.any(np.isnan(u_raw)) or np.any(np.isnan(v_raw)):
         raise ValueError("NaN encountered in control update")
     return np.clip(u_raw, 0.0, 1.0), np.clip(v_raw, 0.0, params.v_max)
-
-
-def control_update(
-    state: StateVector, adjoint: AdjointVector, params: ModelParams, weights: CostWeights
-) -> tuple[float, float]:
-    """Pointwise PMP controls, clamped to their boxes."""
-    u, v = _clamped_controls(state.as_array(), adjoint.as_array(), params, weights)
-    return float(u), float(v)
 
 
 def fbsm_solve(

@@ -16,7 +16,8 @@ so a state vector has n + 6 components.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -30,6 +31,64 @@ V0 = 6  # first vaccination compartment
 # initial living population (roundoff, clamped to zero); lower means the step
 # is too coarse.
 _NEGATIVE_TOL = 1e-9
+
+
+# Value rules.  Each config component states its rules once, in a static
+# ``violations`` that returns every fault as "field: reason" and skips absent
+# fields; its constructor raises on any fault, and the config-file validator
+# calls the same function with the values of the right JSON type.
+
+
+def _number_faults(values, names, lo=None, hi=None, positive=False) -> list[str]:
+    """A fault for each of ``names`` in ``values`` that is not finite or not in range."""
+    out = []
+    for name in names:
+        if name not in values:
+            continue
+        x = values[name]
+        if not math.isfinite(x):
+            out.append(f"{name}: not finite")
+        elif positive and x <= 0:
+            out.append(f"{name}: must be positive")
+        elif lo is not None and x < lo:
+            out.append(f"{name}: {float(x)} below minimum {lo}")
+        elif hi is not None and x > hi:
+            out.append(f"{name}: {float(x)} above maximum {hi}")
+    return out
+
+
+def _entry_faults(
+    values, name, least=1, exact=None, hi=math.inf, bad="negative entry", chain=False
+) -> list[str]:
+    """The first fault of list ``values[name]``: its length, a non-finite entry, one outside
+    [0, hi], or, for a dose ``chain``, an entry above the one before it."""
+    xs = values.get(name)
+    if xs is None:
+        return []
+    if exact is not None and len(xs) != exact:
+        return [f"{name}: expected exactly {exact} entries"]
+    if len(xs) < least:
+        return [f"{name}: expected a list of at least {least} numbers"]
+    if not all(math.isfinite(x) for x in xs):
+        return [f"{name}: not finite"]
+    if any(not 0.0 <= x <= hi for x in xs):
+        return [f"{name}: {bad}"]
+    if chain and any(a < b for a, b in zip(xs, xs[1:])):
+        return [f"{name}: not non-increasing"]
+    return []
+
+
+def _field_values(component) -> dict:
+    """A dataclass's fields by name, read with getattr: ``vars()`` would build the instance
+    dict, which takes later attribute reads, ``_deriv``'s among them, off CPython's fast path."""
+    return {f.name: getattr(component, f.name) for f in fields(component)}
+
+
+def _raise_faults(component, faults: list[str] | None = None) -> None:
+    """ValueError naming every fault of a component; by default, its ``violations``."""
+    faults = component.violations(_field_values(component)) if faults is None else faults
+    if faults:
+        raise ValueError(f"{type(component).__name__}: " + "; ".join(faults))
 
 
 @dataclass(frozen=True)
@@ -46,13 +105,13 @@ class StateVector:
 
     def __post_init__(self):
         object.__setattr__(self, "V", tuple(float(x) for x in self.V))
-        if len(self.V) < 1:
-            raise ValueError("state needs at least one vaccination compartment")
-        for name in ("S", "E", "A", "I", "R", "D"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"compartment {name} must be non-negative")
-        if any(x < 0 for x in self.V):
-            raise ValueError("vaccination compartments must be non-negative")
+        _raise_faults(self)
+
+    @staticmethod
+    def violations(values) -> list[str]:
+        """Faults of the given fields as "field: reason": finite, non-negative, one dose or more."""
+        out = _number_faults(values, ("S", "E", "A", "I", "R", "D"), 0.0)
+        return out + _entry_faults(values, "V")
 
     @property
     def n(self) -> int:
@@ -102,27 +161,27 @@ class ModelParams:
     def __post_init__(self):
         object.__setattr__(self, "gamma", tuple(float(x) for x in self.gamma))
         object.__setattr__(self, "delta", tuple(float(x) for x in self.delta))
-        g, d = self.gamma, self.delta
-        if len(g) < 2:
-            raise ValueError("need at least two vaccination doses (len(gamma) >= 2)")
-        if len(d) != len(g):
-            raise ValueError("gamma and delta must have equal length")
-        if g[0] <= 0:
-            raise ValueError("gamma[0] must be positive")
-        if any(g[i] < g[i + 1] for i in range(len(g) - 1)) or g[-1] < 0:
-            raise ValueError("gamma must be non-increasing and non-negative")
-        if any(d[i] < d[i + 1] for i in range(len(d) - 1)) or d[-1] < 0:
-            raise ValueError("delta must be non-increasing and non-negative")
-        if any(gi < di for gi, di in zip(g, d)):
-            raise ValueError("each gamma[i] must dominate delta[i]")
-        for name in ("beta", "eta", "p", "k", "z", "alpha", "f"):
-            x = getattr(self, name)
-            if not 0.0 <= x <= 1.0:
-                raise ValueError(f"parameter {name}={x} outside [0, 1]")
-        if self.epsilon < 0 or self.mu < 0:
-            raise ValueError("epsilon and mu must be non-negative")
-        if not 0.0 <= self.q <= 1.0:
-            raise ValueError("q must lie in [0, 1]")
+        _raise_faults(self)
+
+    @staticmethod
+    def violations(values) -> list[str]:
+        """Faults of the given fields as "field: reason": rates in [0, 1], epsilon, mu >= 0, and
+        equally long non-increasing dose chains of two or more, gamma[0] > 0, delta <= gamma."""
+        out = _number_faults(values, ("beta", "eta", "p", "k", "z", "alpha", "f", "q"), 0.0, 1.0)
+        out += _number_faults(values, ("epsilon", "mu"), 0.0)
+        g_faults = _entry_faults(values, "gamma", least=2, chain=True)
+        d_faults = _entry_faults(values, "delta", least=2, chain=True)
+        out += g_faults + d_faults
+        g = None if g_faults else values.get("gamma")
+        d = None if d_faults else values.get("delta")
+        if g is not None and g[0] <= 0:
+            out.append("gamma: first entry must be positive")
+        if g is not None and d is not None:
+            if len(d) != len(g):
+                out.append("delta: length differs from gamma")
+            elif any(gi < di for gi, di in zip(g, d)):
+                out.append("delta: exceeds gamma at some dose")
+        return out
 
     @property
     def n(self) -> int:
@@ -189,10 +248,14 @@ class ImpulseEvent:
 
     def __post_init__(self):
         object.__setattr__(self, "lam", tuple(float(x) for x in self.lam))
-        if len(self.lam) != 4:
-            raise ValueError("impulse needs exactly four arrival rates")
-        if any(not 0.0 <= x <= 1.0 for x in self.lam):
-            raise ValueError("impulse rates must lie in [0, 1]")
+        _raise_faults(self)
+
+    @staticmethod
+    def violations(values) -> list[str]:
+        """Faults of the given fields as "field: reason": a positive time, four rates in [0, 1]."""
+        return _number_faults(values, ("time",), positive=True) + _entry_faults(
+            values, "lam", exact=4, hi=1.0, bad="impulse rate out of [0,1]"
+        )
 
 
 @dataclass(frozen=True)
@@ -203,11 +266,18 @@ class ImpulseSchedule:
 
     def __post_init__(self):
         object.__setattr__(self, "events", tuple(self.events))
-        times = [ev.time for ev in self.events]
-        if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
-            raise ValueError("impulse times must be strictly increasing")
-        if any(t <= 0 for t in times):
-            raise ValueError("impulse times must be positive")
+        _raise_faults(self, self.violations(self.times))
+
+    @staticmethod
+    def violations(times) -> list[str]:
+        """A fault for each event time not after every earlier one; None skips a time."""
+        out, last = [], -math.inf
+        for i, t in enumerate(times):
+            if t is not None:
+                if t <= last:
+                    out.append(f"events[{i}].time: not strictly increasing")
+                last = max(last, t)
+        return out
 
     @property
     def times(self) -> tuple[float, ...]:
@@ -261,11 +331,6 @@ class Trajectory:
         """Living population N at every grid node (deceased excluded)."""
         arr = self.states_post if side == "post" else self.states_pre
         return arr.sum(axis=1) - arr[:, D]
-
-
-def transmissibility_force(state: StateVector, params: ModelParams) -> float:
-    """Weighted infectious pressure epsilon*E + (1-q)*I + mu*A."""
-    return params.epsilon * state.E + (1.0 - params.q) * state.I + params.mu * state.A
 
 
 def _deriv(y, v: float, u: float, pr: ModelParams) -> list[float]:
@@ -338,14 +403,6 @@ def vector_field(state: StateVector, v: float, u: float, params: ModelParams) ->
 def _apply_impulse(y, lam) -> list[float]:
     """Arrival jump on a float sequence: S, E, A, I scaled by (1 + lam_i)."""
     return [x * (1.0 + l) for x, l in zip(y[:4], lam)] + list(y[4:])
-
-
-def apply_impulse(state: StateVector, lam) -> StateVector:
-    """Instantaneous arrival jump: S, E, A, I each scaled by (1 + lam_i)."""
-    lam = tuple(float(x) for x in lam)
-    if len(lam) != 4 or any(not 0.0 <= x <= 1.0 for x in lam):
-        raise ValueError("impulse rates must be four values in [0, 1]")
-    return StateVector.from_array(_apply_impulse(state.as_array().tolist(), lam))
 
 
 def total_population(state: StateVector) -> float:

@@ -9,21 +9,36 @@ rejected so typos cannot silently change a run.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 
 from .control import CostWeights, SweepOptions, TerminalCost
 from .errors import ParseError, ScheduleError, UnknownPresetError
 from .integrator import TimeGrid
-from .model import ImpulseEvent, ImpulseSchedule, ModelParams, StateVector
+from .model import ImpulseEvent, ImpulseSchedule, ModelParams, StateVector, _field_values
 
-_PARAM_KEYS = {"beta", "epsilon", "q", "mu", "k", "z", "p", "eta", "alpha", "f", "gamma", "delta"}
-_INITIAL_KEYS = {"S", "E", "A", "I", "R", "D", "V"}
-_WEIGHT_KEYS = {"omega", "sigma0", "sigma", "terminal"}
-_TERMINAL_KEYS = {"kind", "coeff", "rate"}
-_GRID_KEYS = {"tau", "h"}
-_SOLVER_KEYS = {"relaxation", "tolerance", "max_iterations"}
-_FLAG_KEYS = {"adjoint_impulse", "include_delta_n"}
-_TOP_KEYS = {"params", "initial", "weights", "grid", "schedule", "solver", "flags"}
+# The JSON type of each key of a section; None leaves a value (an enum) to the
+# component's rules alone.
+_NUMBER, _NUMBERS, _BOOL, _LIST = "a number", "a list of numbers", "a boolean", "a list"
+_SHAPES = {
+    "params": dict.fromkeys(("beta", "epsilon", "q", "mu", "k", "z", "p", "eta", "alpha"), _NUMBER)
+    | {"f": _NUMBER, "gamma": _NUMBERS, "delta": _NUMBERS},
+    "initial": dict.fromkeys(("S", "E", "A", "I", "R", "D"), _NUMBER) | {"V": _NUMBERS},
+    "weights": {"omega": _NUMBERS, "sigma0": _NUMBER, "sigma": _NUMBERS, "terminal": None},
+    "weights.terminal": {"kind": None, "coeff": _NUMBER, "rate": _NUMBER},
+    "grid": {"tau": _NUMBER, "h": _NUMBER},
+    "schedule": {"events": _LIST},
+    "event": {"time": _NUMBER, "lambda": _NUMBERS},
+    "solver": {"relaxation": _NUMBER, "tolerance": _NUMBER, "max_iterations": _NUMBER},
+    "flags": {"adjoint_impulse": None, "include_delta_n": _BOOL},
+}
+_REQUIRED = {"params": _SHAPES["params"], "initial": _SHAPES["initial"], "grid": _SHAPES["grid"]}
+_TOP_KEYS = ("params", "initial", "weights", "grid", "schedule", "solver", "flags")
+# Config keys named differently from the component field they set.
+_FIELDS = {"relaxation": "theta", "lambda": "lam"}
+_KEYS = {field: key for key, field in _FIELDS.items()}
+# The section each component's rules check.
+_COMPONENTS = dict(params=ModelParams, initial=StateVector, weights=CostWeights, grid=TimeGrid)
 
 # Transmission coefficient from the COVID-19 scenario, reused by the other
 # presets whose sources do not state one.
@@ -76,328 +91,186 @@ def default_config(disease: str = "covid19", impulsive: bool = False) -> RunConf
     return RunConfig(params=params, initial=initial, weights=CostWeights(), grid=grid, schedule=schedule)
 
 
-def _check_number(raw, path, out, lo=None, hi=None):
-    if not isinstance(raw, (int, float)) or isinstance(raw, bool):
-        out.append(f"{path}: expected a number")
-        return None
-    x = float(raw)
-    if lo is not None and x < lo:
-        out.append(f"{path}: {x} below minimum {lo}")
-    if hi is not None and x > hi:
-        out.append(f"{path}: {x} above maximum {hi}")
-    return x
+def _is_number(x) -> bool:
+    """A float, or an integer a float can hold: json keeps integer literals exact, however long."""
+    return isinstance(x, float) or (
+        isinstance(x, int) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
+    )
 
 
-def _check_vector(raw, path, out, min_len=1):
-    if not isinstance(raw, list) or len(raw) < min_len:
-        out.append(f"{path}: expected a list of at least {min_len} numbers")
-        return None
-    vals = []
-    for i, x in enumerate(raw):
-        v = _check_number(x, f"{path}[{i}]", out)
-        vals.append(0.0 if v is None else v)
-    return vals
+def _shaped(section, path: str, shape: dict, required, out: list[str]) -> dict:
+    """The entries of a JSON object that have their JSON type.
 
-
-def _check_keys(section, path, allowed, required, out):
+    Appends a line to ``out`` for a non-object, an unknown or missing key, and
+    each entry of the wrong type.
+    """
     if not isinstance(section, dict):
         out.append(f"{path}: expected an object")
-        return False
-    for key in section:
-        if key not in allowed:
-            out.append(f"{path}.{key}: unknown key")
-    for key in required:
+        return {}
+    out += [f"{path}.{key}: unknown key" for key in section if key not in shape]
+    out += [f"{path}.{key}: missing" for key in required if key not in section]
+    good = {}
+    for key, kind in shape.items():
         if key not in section:
-            out.append(f"{path}.{key}: missing")
-    return True
+            continue
+        x = section[key]
+        if (
+            (kind == _NUMBER and not _is_number(x))
+            or (kind == _NUMBERS and not (isinstance(x, list) and all(map(_is_number, x))))
+            or (kind == _BOOL and not isinstance(x, bool))
+            or (kind == _LIST and not isinstance(x, list))
+        ):
+            out.append(f"{path}.{key}: expected {kind}")
+        else:
+            good[key] = x
+    return good
 
 
-def validate_raw_config(raw: dict) -> list[str]:
-    """Every violation in a parsed config document, never just the first."""
-    out: list[str] = []
+def _prefixed(path: str, faults: list[str], paths: dict | None = None) -> list[str]:
+    """Component faults "field: reason" as "path.key: reason"; ``paths`` may override a path."""
+    out = []
+    for fault in faults:
+        name, reason = fault.split(": ", 1)
+        where = (paths or {}).get(name, f"{path}.{_KEYS.get(name, name)}")
+        out.append(f"{where}: {reason}")
+    return out
+
+
+def _fields(section: dict) -> dict:
+    """A section's entries keyed by the component field each one sets."""
+    return {_FIELDS.get(key, key): x for key, x in section.items()}
+
+
+def _solver_fields(solver: dict, flags: dict) -> dict:
+    """SweepOptions fields set by the solver section and by flags.adjoint_impulse."""
+    return _fields(solver) | {k: x for k, x in flags.items() if k == "adjoint_impulse"}
+
+
+def _section_violations(raw) -> list[str]:
+    """JSON-shape faults and each component's value-rule faults, section by section."""
     if not isinstance(raw, dict):
         return ["top level: expected an object"]
-    for key in raw:
-        if key not in _TOP_KEYS:
-            out.append(f"{key}: unknown key")
-    for key in ("params", "initial", "grid"):
+    out = [f"{key}: unknown key" for key in raw if key not in _TOP_KEYS]
+    out += [f"{key}: missing" for key in _REQUIRED if key not in raw]
+
+    def shaped(key):
         if key not in raw:
-            out.append(f"{key}: missing")
+            return {}
+        return _shaped(raw[key], key, _SHAPES[key], _REQUIRED.get(key, ()), out)
 
-    n_doses = None
-    pm = raw.get("params")
-    if pm is not None and _check_keys(pm, "params", _PARAM_KEYS, _PARAM_KEYS, out):
-        for name in ("beta", "eta", "p", "k", "z", "alpha", "f", "q"):
-            if name in pm:
-                _check_number(pm[name], f"params.{name}", out, 0.0, 1.0)
-        for name in ("epsilon", "mu"):
-            if name in pm:
-                _check_number(pm[name], f"params.{name}", out, 0.0)
-        gamma = _check_vector(pm.get("gamma", []), "params.gamma", out, 2)
-        delta = _check_vector(pm.get("delta", []), "params.delta", out, 2)
-        if gamma is not None:
-            n_doses = len(gamma)
-            if any(a < b for a, b in zip(gamma, gamma[1:])):
-                out.append("params.gamma: not non-increasing")
-            if gamma and gamma[0] <= 0:
-                out.append("params.gamma: first entry must be positive")
-            if any(x < 0 for x in gamma):
-                out.append("params.gamma: negative entry")
-        if delta is not None:
-            if any(a < b for a, b in zip(delta, delta[1:])):
-                out.append("params.delta: not non-increasing")
-            if any(x < 0 for x in delta):
-                out.append("params.delta: negative entry")
-        if gamma is not None and delta is not None:
-            if len(gamma) != len(delta):
-                out.append("params.delta: length differs from params.gamma")
-            elif any(g < d for g, d in zip(gamma, delta)):
-                out.append("params.delta: exceeds params.gamma at some dose")
-
-    ini = raw.get("initial")
-    if ini is not None and _check_keys(ini, "initial", _INITIAL_KEYS, _INITIAL_KEYS, out):
-        for name in ("S", "E", "A", "I", "R", "D"):
-            if name in ini:
-                _check_number(ini[name], f"initial.{name}", out, 0.0)
-        vvec = _check_vector(ini.get("V", []), "initial.V", out, 1)
-        if vvec is not None:
-            if any(x < 0 for x in vvec):
-                out.append("initial.V: negative entry")
-            if n_doses is not None and len(vvec) != n_doses:
-                out.append(f"initial.V: expected {n_doses} entries to match params.gamma")
-
-    wt = raw.get("weights")
-    if wt is not None and _check_keys(wt, "weights", _WEIGHT_KEYS, set(), out):
-        omega = wt.get("omega")
-        if omega is not None:
-            vals = _check_vector(omega, "weights.omega", out, 4)
-            if vals is not None:
-                if len(vals) != 4:
-                    out.append("weights.omega: expected exactly four entries")
-                if any(x < 0 for x in vals):
-                    out.append("weights.omega: negative entry")
-        if "sigma0" in wt:
-            s0 = _check_number(wt["sigma0"], "weights.sigma0", out)
-            if s0 is not None and s0 <= 0:
-                out.append("weights.sigma0: must be positive")
-        sigma = wt.get("sigma")
-        if sigma is not None:
-            vals = _check_vector(sigma, "weights.sigma", out, 1)
-            if vals is not None:
-                if any(x < 0 for x in vals):
-                    out.append("weights.sigma: negative entry")
-                if n_doses is not None and len(vals) != n_doses:
-                    out.append(f"weights.sigma: expected {n_doses} entries to match params.gamma")
-        term = wt.get("terminal")
-        if term is not None and _check_keys(term, "weights.terminal", _TERMINAL_KEYS, {"kind"}, out):
-            kind = term.get("kind")
-            if kind not in ("linear", "quadratic", "exponential", None):
-                out.append(f"weights.terminal.kind: unknown kind {kind!r}")
-            if "coeff" in term:
-                _check_number(term["coeff"], "weights.terminal.coeff", out, 0.0)
-            if "rate" in term:
-                rate = _check_number(term["rate"], "weights.terminal.rate", out)
-                if rate is not None and rate <= 0:
-                    out.append("weights.terminal.rate: must be positive")
-
-    tau = None
-    gr = raw.get("grid")
-    if gr is not None and _check_keys(gr, "grid", _GRID_KEYS, _GRID_KEYS, out):
-        tau = _check_number(gr.get("tau"), "grid.tau", out)
-        h = _check_number(gr.get("h"), "grid.h", out)
-        if tau is not None and tau <= 0:
-            out.append("grid.tau: must be positive")
-        if h is not None and h <= 0:
-            out.append("grid.h: must be positive")
-
-    sch = raw.get("schedule")
-    if sch is not None:
-        if _check_keys(sch, "schedule", {"events"}, {"events"}, out):
-            events = sch.get("events")
-            if not isinstance(events, list):
-                out.append("schedule.events: expected a list")
-            else:
-                prev = 0.0
-                for i, ev in enumerate(events):
-                    path = f"schedule.events[{i}]"
-                    if not _check_keys(ev, path, {"time", "lambda"}, {"time", "lambda"}, out):
-                        continue
-                    t = _check_number(ev.get("time"), f"{path}.time", out)
-                    if t is not None:
-                        if t <= prev:
-                            out.append(f"{path}.time: not strictly increasing")
-                        if tau is not None and not 0.0 < t < tau:
-                            out.append(f"{path}.time: outside (0, {tau})")
-                        prev = t if t > prev else prev
-                    lam = ev.get("lambda")
-                    vals = _check_vector(lam, f"{path}.lambda", out, 4)
-                    if vals is not None:
-                        if len(vals) != 4:
-                            out.append(f"{path}.lambda: expected exactly four rates")
-                        if any(not 0.0 <= x <= 1.0 for x in vals):
-                            out.append(f"{path}.lambda: impulse rate out of [0,1]")
-
-    sv = raw.get("solver")
-    if sv is not None and _check_keys(sv, "solver", _SOLVER_KEYS, set(), out):
-        if "relaxation" in sv:
-            th = _check_number(sv["relaxation"], "solver.relaxation", out)
-            if th is not None and not 0.0 < th <= 1.0:
-                out.append("solver.relaxation: must lie in (0, 1]")
-        if "tolerance" in sv:
-            tl = _check_number(sv["tolerance"], "solver.tolerance", out)
-            if tl is not None and tl <= 0:
-                out.append("solver.tolerance: must be positive")
-        if "max_iterations" in sv:
-            mi = sv["max_iterations"]
-            if not isinstance(mi, int) or isinstance(mi, bool) or mi < 1:
-                out.append("solver.max_iterations: expected a positive integer")
-
-    fl = raw.get("flags")
-    if fl is not None and _check_keys(fl, "flags", _FLAG_KEYS, set(), out):
-        if "adjoint_impulse" in fl and fl["adjoint_impulse"] not in ("multiplicative", "literal"):
-            out.append("flags.adjoint_impulse: expected 'multiplicative' or 'literal'")
-        if "include_delta_n" in fl and not isinstance(fl["include_delta_n"], bool):
-            out.append("flags.include_delta_n: expected a boolean")
-
+    for key, component in _COMPONENTS.items():
+        fields = shaped(key)
+        out += _prefixed(key, component.violations(fields))
+        if key == "weights" and "terminal" in fields:
+            path = "weights.terminal"
+            terminal = _shaped(fields["terminal"], path, _SHAPES[path], ("kind",), out)
+            out += _prefixed(path, TerminalCost.violations(terminal))
+    if raw.get("schedule") is not None:
+        times = []
+        schedule = _shaped(raw["schedule"], "schedule", _SHAPES["schedule"], ("events",), out)
+        for i, ev in enumerate(schedule.get("events", ())):
+            path = f"schedule.events[{i}]"
+            event = _shaped(ev, path, _SHAPES["event"], _SHAPES["event"], out)
+            out += _prefixed(path, ImpulseEvent.violations(_fields(event)))
+            times.append(event.get("time"))
+        out += _prefixed("schedule", ImpulseSchedule.violations(times))
+    solver = _solver_fields(shaped("solver"), shaped("flags"))
+    flag = {"adjoint_impulse": "flags.adjoint_impulse"}
+    out += _prefixed("solver", SweepOptions.violations(solver), flag)
     return out
 
 
 def _build(raw: dict) -> RunConfig:
-    pm = dict(raw["params"])
-    fl = raw.get("flags", {})
-    params = ModelParams(
-        beta=pm["beta"],
-        epsilon=pm["epsilon"],
-        q=pm["q"],
-        mu=pm["mu"],
-        k=pm["k"],
-        z=pm["z"],
-        p=pm["p"],
-        eta=pm["eta"],
-        alpha=pm["alpha"],
-        f=pm["f"],
-        gamma=tuple(pm["gamma"]),
-        delta=tuple(pm["delta"]),
-        delta_n_to_exposed=bool(fl.get("include_delta_n", False)),
-    )
-    ini = raw["initial"]
-    initial = StateVector(
-        S=ini["S"], E=ini["E"], A=ini["A"], I=ini["I"], R=ini["R"], D=ini["D"], V=tuple(ini["V"])
-    )
-    wt = raw.get("weights", {})
-    term = wt.get("terminal", {})
-    default_sigma = tuple(50.0 for _ in params.gamma)
-    weights = CostWeights(
-        omega=tuple(wt.get("omega", (1.0, 1.0, 1.0, 1.0))),
-        sigma0=wt.get("sigma0", 50.0),
-        sigma=tuple(wt.get("sigma", default_sigma)),
-        terminal=TerminalCost(
-            kind=term.get("kind", "quadratic"),
-            coeff=term.get("coeff", 1.0),
-            rate=term.get("rate", 1.0),
-        ),
-    )
-    grid = TimeGrid(raw["grid"]["tau"], raw["grid"]["h"])
-    schedule = None
-    if raw.get("schedule") is not None:
+    """The config of a document that ``_section_violations`` finds clean."""
+    flags = raw.get("flags", {})
+    params = ModelParams(**raw["params"], delta_n_to_exposed=flags.get("include_delta_n", False))
+    weights = dict(raw.get("weights", {}))
+    terminal = TerminalCost(**weights.pop("terminal", {}))
+    schedule = raw.get("schedule")
+    if schedule is not None:
         schedule = ImpulseSchedule(
-            tuple(
-                ImpulseEvent(ev["time"], tuple(ev["lambda"]))
-                for ev in raw["schedule"]["events"]
-            )
+            tuple(ImpulseEvent(ev["time"], ev["lambda"]) for ev in schedule["events"])
         )
-    sv = raw.get("solver", {})
-    solver = SweepOptions(
-        theta=sv.get("relaxation", 0.5),
-        tolerance=sv.get("tolerance", 1e-4),
-        max_iterations=sv.get("max_iterations", 500),
-        adjoint_impulse=fl.get("adjoint_impulse", "multiplicative"),
-    )
     return RunConfig(
-        params=params, initial=initial, weights=weights, grid=grid, schedule=schedule, solver=solver
+        params=params,
+        initial=StateVector(**raw["initial"]),
+        weights=CostWeights(**{"sigma": (50.0,) * params.n, **weights}, terminal=terminal),
+        grid=TimeGrid(**raw["grid"]),
+        schedule=schedule,
+        solver=SweepOptions(**_solver_fields(raw.get("solver", {}), flags)),
     )
+
+
+def _json_object(component, skip=()) -> dict:
+    """A component's fields keyed by config key, with lists for tuples."""
+    return {
+        _KEYS.get(name, name): list(x) if isinstance(x, tuple) else x
+        for name, x in _field_values(component).items()
+        if name not in skip
+    }
 
 
 def config_to_raw(config: RunConfig) -> dict:
     """Plain-JSON form of a config, the inverse of loading."""
-    p = config.params
-    raw = {
-        "params": {
-            "beta": p.beta,
-            "epsilon": p.epsilon,
-            "q": p.q,
-            "mu": p.mu,
-            "k": p.k,
-            "z": p.z,
-            "p": p.p,
-            "eta": p.eta,
-            "alpha": p.alpha,
-            "f": p.f,
-            "gamma": list(p.gamma),
-            "delta": list(p.delta),
-        },
-        "initial": {
-            "S": config.initial.S,
-            "E": config.initial.E,
-            "A": config.initial.A,
-            "I": config.initial.I,
-            "R": config.initial.R,
-            "D": config.initial.D,
-            "V": list(config.initial.V),
-        },
-        "weights": {
-            "omega": list(config.weights.omega),
-            "sigma0": config.weights.sigma0,
-            "sigma": list(config.weights.sigma),
-            "terminal": {
-                "kind": config.weights.terminal.kind,
-                "coeff": config.weights.terminal.coeff,
-                "rate": config.weights.terminal.rate,
-            },
-        },
+    weights, schedule = config.weights, config.schedule
+    return {
+        "params": _json_object(config.params, ("delta_n_to_exposed",)),
+        "initial": _json_object(config.initial),
+        "weights": _json_object(weights, ("terminal",))
+        | {"terminal": _json_object(weights.terminal)},
         "grid": {"tau": config.grid.tau_requested, "h": config.grid.h},
-        "schedule": None,
-        "solver": {
-            "relaxation": config.solver.theta,
-            "tolerance": config.solver.tolerance,
-            "max_iterations": config.solver.max_iterations,
-        },
+        "schedule": None
+        if schedule is None
+        else {"events": [_json_object(ev) for ev in schedule.events]},
+        "solver": _json_object(config.solver, ("adjoint_impulse",)),
         "flags": {
             "adjoint_impulse": config.solver.adjoint_impulse,
             "include_delta_n": config.params.delta_n_to_exposed,
         },
     }
-    if config.schedule is not None:
-        raw["schedule"] = {
-            "events": [{"time": ev.time, "lambda": list(ev.lam)} for ev in config.schedule.events]
-        }
-    return raw
 
 
-def _cross_violations(config: RunConfig) -> list[str]:
-    """Checks that span components: sigma against the doses, impulses against the grid."""
-    out = []
-    if len(config.weights.sigma) != config.params.n:
-        out.append("weights.sigma: length differs from the dose count")
-    elif config.weights.vaccination_gain(config.params) <= 0:
+def _dose_violations(config: RunConfig) -> list[str]:
+    """The per-dose lists against the dose count of params.gamma; a positive vaccination gain."""
+    n = config.params.n
+    counts = {"initial.V": config.initial.n, "weights.sigma": len(config.weights.sigma)}
+    out = [
+        f"{where}: expected {n} entries to match params.gamma"
+        for where, k in counts.items()
+        if k != n
+    ]
+    if counts["weights.sigma"] == n and config.weights.vaccination_gain(config.params) <= 0:
         out.append("weights.sigma: vaccination gain sum must be positive")
-    if config.schedule is not None:
-        for ev in config.schedule.events:
-            try:
-                idx = config.grid.node_index(ev.time)
-            except ScheduleError:
-                out.append(f"schedule: impulse at t={ev.time} is off the grid (h={config.grid.h})")
-                continue
-            if idx <= 0 or idx >= config.grid.n_steps:
-                out.append(f"schedule: impulse at t={ev.time} outside (0, {config.grid.tau})")
     return out
 
 
+def _cross_violations(config: RunConfig) -> list[str]:
+    """Checks that span components: the dose counts, and each impulse on an interior grid node."""
+    out = _dose_violations(config)
+    for ev in config.schedule.events if config.schedule is not None else ():
+        try:
+            config.grid.node_index(ev.time)
+        except ScheduleError as exc:
+            out.append(f"schedule: {exc}")
+    return out
+
+
+def validate_raw_config(raw: dict) -> list[str]:
+    """Every violation in a parsed config document, never just the first.
+
+    The JSON shape and every component rule are checked section by section;
+    the dose counts follow once those pass.  Impulses are checked against the
+    grid only by ``load_config`` and ``validate_config``.
+    """
+    return _section_violations(raw) or _dose_violations(_build(raw))
+
+
 def validate_config(config: RunConfig | dict) -> list[str]:
-    """Violation list for a config; typed configs add cross-component checks."""
+    """Violation list for a config document, or the cross-component checks of a typed config,
+    whose components have passed their own rules on construction."""
     if isinstance(config, dict):
         return validate_raw_config(config)
-    return validate_raw_config(config_to_raw(config)) + _cross_violations(config)
+    return _cross_violations(config)
 
 
 def load_config(path: str) -> RunConfig:
@@ -413,13 +286,12 @@ def load_config(path: str) -> RunConfig:
         raise ParseError(f"{path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
-    violations = validate_raw_config(raw)
+    violations = _section_violations(raw)
+    if not violations:
+        config = _build(raw)
+        violations = _cross_violations(config)
     if violations:
         raise ParseError(f"{path}: invalid config:\n  " + "\n  ".join(violations))
-    config = _build(raw)
-    cross = _cross_violations(config)
-    if cross:
-        raise ParseError(f"{path}: invalid config:\n  " + "\n  ".join(cross))
     return config
 
 

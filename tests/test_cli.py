@@ -71,6 +71,16 @@ class TestSimulate:
         path.write_text("{broken")
         assert cli.main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
 
+    def test_non_finite_config_exits_nonzero(self, tmp_path):
+        _, cfg = small_config(tmp_path)
+        raw = json.loads(open(cfg).read())
+        raw["params"]["epsilon"] = float("nan")
+        with open(cfg, "w") as fh:
+            json.dump(raw, fh)
+        out = tmp_path / "o"
+        assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 1
+        assert not (out / "summary.json").exists()
+
     def test_controls_from_file_reproduces_optimized_run(self, tmp_path):
         # controls.csv rounds to 12 significant digits, so replaying it
         # reproduces the optimized trajectory to that precision

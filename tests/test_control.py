@@ -7,6 +7,8 @@ import pytest
 import epictrl as ec
 from epictrl.control import (
     OptimalSolution,
+    _clamped_controls,
+    _running_cost_arrays,
     _switching_arrays,
     _truncated_schedule,
     fbsm_solve,
@@ -41,6 +43,14 @@ class TestTerminalCost:
             ec.TerminalCost("cubic", 1.0)
         with pytest.raises(ValueError):
             ec.TerminalCost("exponential", 1.0, rate=0.0)
+        # one rate rule for every kind, as config files have always had it
+        with pytest.raises(ValueError):
+            ec.TerminalCost("quadratic", 1.0, rate=-1.0)
+
+
+    def test_rejects_negative_coeff(self):
+        with pytest.raises(ValueError, match="coeff: -1.0 below minimum 0.0"):
+            ec.TerminalCost("linear", -1.0)
 
 
 class TestCostWeights:
@@ -51,6 +61,8 @@ class TestCostWeights:
             ec.CostWeights(omega=(1, 1, 1, -1))
         with pytest.raises(ValueError):
             ec.CostWeights(sigma0=0.0)
+        with pytest.raises(ValueError, match="sigma: negative entry"):
+            ec.CostWeights(sigma=(50.0, -1.0))
 
     def test_vaccination_gain(self, covid19):
         params, _ = covid19
@@ -60,30 +72,49 @@ class TestCostWeights:
             ec.CostWeights(sigma=(50,)).vaccination_gain(params)
 
 
+class TestSweepOptions:
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            dict(adjoint_impulse="bogus"),
+            dict(theta=0.0),
+            dict(theta=1.5),
+            dict(tolerance=float("nan")),
+            dict(max_iterations=0),
+            dict(max_iterations=2.5),
+        ],
+    )
+    def test_rejected_on_construction(self, bad):
+        # not first inside the sweep's backward pass
+        with pytest.raises(ValueError):
+            ec.SweepOptions(**bad)
+
+
 class TestRunningCost:
     def test_zero_state_zero_controls(self, covid19, default_weights):
         params, _ = covid19
         zero = ec.StateVector(0, 0, 0, 0, 0, 0, (0, 0))
-        assert ec.running_cost(zero, 0.0, 0.0, default_weights, params) == 0.0
+        assert _running_cost_arrays(zero.as_array(), 0.0, 0.0, default_weights, params) == 0.0
 
     def test_pure_state_cost(self, covid19):
         params, _ = covid19
         w = ec.CostWeights(omega=(1, 1, 1, 1))
         state = ec.StateVector(1, 1, 1, 1, 0, 0, (0, 0))
-        assert ec.running_cost(state, 0.0, 0.0, w, params) == pytest.approx(4.0)
+        assert _running_cost_arrays(state.as_array(), 0.0, 0.0, w, params) == pytest.approx(4.0)
 
     def test_treatment_effort_cost(self, covid19):
         # sigma0*u^2/2 with sigma0=50, u=1
         params, _ = covid19
         w = ec.CostWeights(omega=(0, 0, 0, 0), sigma0=50.0)
         zero = ec.StateVector(0, 0, 0, 0, 0, 0, (0, 0))
-        assert ec.running_cost(zero, 1.0, 0.0, w, params) == pytest.approx(25.0)
+        assert _running_cost_arrays(zero.as_array(), 1.0, 0.0, w, params) == pytest.approx(25.0)
 
     def test_vaccination_effort_cost(self, covid19):
         params, _ = covid19
         w = ec.CostWeights(omega=(0, 0, 0, 0), sigma=(30.0, 10.0))
         zero = ec.StateVector(0, 0, 0, 0, 0, 0, (0, 0))
-        assert ec.running_cost(zero, 0.0, 0.5, w, params) == pytest.approx(0.5 * 40.0 * 0.25)
+        cost = _running_cost_arrays(zero.as_array(), 0.0, 0.5, w, params)
+        assert cost == pytest.approx(0.5 * 40.0 * 0.25)
 
 
 class TestTotalCost:
@@ -215,7 +246,8 @@ class TestHamiltonian:
         state = ec.StateVector(*rng.uniform(0, 100, size=6), tuple(rng.uniform(0, 100, 2)))
         adj = ec.AdjointVector((0,) * 6, (0, 0))
         got = ec.hamiltonian(state, adj, 0.3, 0.4, params, default_weights)
-        assert got == pytest.approx(ec.running_cost(state, 0.3, 0.4, default_weights, params))
+        want = _running_cost_arrays(state.as_array(), 0.3, 0.4, default_weights, params)
+        assert got == pytest.approx(want)
 
     def test_zero_everything(self, covid19):
         params, _ = covid19
@@ -270,7 +302,7 @@ class TestControlUpdate:
         params, _ = covid19
         state = ec.StateVector(0, 0, 0, 100, 0, 0, (0, 0))
         adj = ec.AdjointVector((0, 0, 0, 2.0, 2.0, 0), (0, 0))
-        u, v = ec.control_update(state, adj, params, default_weights)
+        u, v = _clamped_controls(state.as_array(), adj.as_array(), params, default_weights)
         assert u == 0.0
 
     def test_upper_clamp(self, covid19):
@@ -279,13 +311,14 @@ class TestControlUpdate:
         w = ec.CostWeights(sigma0=50.0)
         state = ec.StateVector(0, 0, 0, 100, 0, 0, (0, 0))
         adj = ec.AdjointVector((0, 0, 0, 2.0, 0, 0), (0, 0))
-        u, v = ec.control_update(state, adj, params, w)
+        u, v = _clamped_controls(state.as_array(), adj.as_array(), params, w)
         assert u == 1.0
 
     def test_zero_adjoints_give_zero_controls(self, covid19, default_weights):
         params, initial = covid19
         adj = ec.AdjointVector((0,) * 6, (0, 0))
-        assert ec.control_update(initial, adj, params, default_weights) == (0.0, 0.0)
+        u, v = _clamped_controls(initial.as_array(), adj.as_array(), params, default_weights)
+        assert (u, v) == (0.0, 0.0)
 
     def test_two_dose_switching_reduces(self, covid19, default_weights, rng):
         # with n=2 the inner sum is empty: W = g1*S*(p1-q1) + g2*q1*V1
@@ -294,7 +327,7 @@ class TestControlUpdate:
         for _ in range(20):
             state = ec.StateVector(*rng.uniform(0, 2000, size=6), tuple(rng.uniform(0, 2000, 2)))
             adj = ec.AdjointVector(tuple(rng.normal(size=6)), tuple(rng.normal(size=2)))
-            _, v = ec.control_update(state, adj, params, default_weights)
+            _, v = _clamped_controls(state.as_array(), adj.as_array(), params, default_weights)
             w_val = params.gamma[0] * state.S * (adj.p[0] - adj.q[0])
             w_val += params.gamma[1] * adj.q[0] * state.V[0]
             expected = min(max(w_val / gain, 0.0), params.v_max)
@@ -306,14 +339,14 @@ class TestControlUpdate:
         state = ec.StateVector(1, 0, 0, 0, 0, 0, (0, 0))
         adj = ec.AdjointVector((0,) * 6, (0, 0))
         with pytest.raises(ec.DegenerateParameterError):
-            ec.control_update(state, adj, params, w)
+            _clamped_controls(state.as_array(), adj.as_array(), params, w)
 
     def test_nan_is_a_hard_error(self, covid19, default_weights):
         params, _ = covid19
         state = ec.StateVector(1, 0, 0, 0, 0, 0, (0, 0))
         adj = ec.AdjointVector((float("nan"), 0, 0, 0, 0, 0), (0, 0))
         with pytest.raises(ValueError):
-            ec.control_update(state, adj, params, default_weights)
+            _clamped_controls(state.as_array(), adj.as_array(), params, default_weights)
 
 
 class TestFbsmSolve:
@@ -646,8 +679,8 @@ class TestHorizonSeedEquivalence:
         )
         last = len(sol.state_traj.node_times) - 1
         v_end, u_end = sol.controls.at(tau_star)
-        g_end = ec.running_cost(
-            sol.state_traj.state_at(last, side="post"), u_end, v_end, default_weights, params
+        g_end = _running_cost_arrays(
+            sol.state_traj.states_post[last], u_end, v_end, default_weights, params
         )
         expected = g_end + default_weights.terminal.slope(tau_star)
         assert sol.transversality_residual == pytest.approx(expected, rel=1e-12)

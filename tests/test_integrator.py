@@ -30,6 +30,8 @@ class TestTimeGrid:
             ec.TimeGrid(1.0, 0.0)
         with pytest.raises(ValueError):
             ec.TimeGrid(0.001, 0.01)
+        with pytest.raises(ValueError, match="h: too small"):
+            ec.TimeGrid(1e300, 1e-10)
 
     def test_node_index_snaps_and_rejects(self):
         grid = ec.TimeGrid(10.0, 0.01)

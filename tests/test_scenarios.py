@@ -1,3 +1,4 @@
+import copy
 import json
 import pathlib
 
@@ -11,6 +12,50 @@ CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
 def covid_raw():
     return config_to_raw(default_config("covid19"))
+
+
+def with_value(doc, path, value):
+    """A copy of ``doc`` with the entry at ``path`` (keys and indices) set to ``value``."""
+    doc = copy.deepcopy(doc)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+def json_paths(node, path=()):
+    """The path of every number and every list in a JSON document."""
+    if isinstance(node, dict):
+        for key, x in node.items():
+            yield from json_paths(x, path + (key,))
+    elif isinstance(node, list):
+        yield path
+        for i, x in enumerate(node):
+            yield from json_paths(x, path + (i,))
+    elif isinstance(node, (int, float)) and not isinstance(node, bool):
+        yield path
+
+
+def corpus():
+    """covid19.json with one number set to a bad value, or one list emptied or lengthened."""
+    base = json.loads((CONFIG_DIR / "covid19.json").read_text())
+    for path in json_paths(base):
+        node = base
+        for key in path:
+            node = node[key]
+        if isinstance(node, list):
+            yield with_value(base, path, [])
+            yield with_value(base, path, node + node[-1:])
+        else:
+            for value in (-1, 0, float("nan"), float("inf"), float("-inf"), 1e300, None, "x"):
+                yield with_value(base, path, value)
+
+
+def load_raw(tmp_path, raw):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(raw))
+    return ec.load_config(str(path))
 
 
 class TestPresets:
@@ -85,6 +130,62 @@ class TestValidateRawConfig:
         assert {"params: missing", "initial: missing", "grid: missing"} <= set(violations)
 
 
+class TestRejectedDocuments:
+    @pytest.mark.parametrize(
+        "path, value, line",
+        [
+            (("params", "epsilon"), float("nan"), "params.epsilon: not finite"),
+            (("params", "mu"), float("inf"), "params.mu: not finite"),
+            (("grid", "tau"), float("inf"), "grid.tau: not finite"),
+            (("initial", "V", 1), float("inf"), "initial.V: not finite"),
+            (("initial", "S"), 10**400, "initial.S: expected a number"),
+            # these three once passed the raw checks, then leaked ValueError from a constructor
+            (("weights", "terminal", "kind"), None, "weights.terminal.kind: unknown kind None"),
+            (("grid",), {"tau": 0.004, "h": 0.01}, "grid.tau: shorter than half a step"),
+            (("params", "beta"), float("nan"), "params.beta: not finite"),
+        ],
+        ids=["eps-nan", "mu-inf", "tau-inf", "V-inf", "S-int", "kind-null", "half-step", "beta-nan"],
+    )
+    def test_value_rules_reach_the_raw_validator(self, tmp_path, path, value, line):
+        raw = with_value(covid_raw(), path, value)
+        assert validate_raw_config(raw) == [line]
+        with pytest.raises(ec.ParseError, match=line):
+            load_raw(tmp_path, raw)
+
+    @pytest.mark.parametrize(
+        "path, value, line",
+        [
+            (("weights",), None, "weights: expected an object"),
+            (("params",), {}, "params.beta: missing"),
+            (("flags", "include_delta_n"), "yes", "flags.include_delta_n: expected a boolean"),
+            (("schedule",), {"events": {}}, "schedule.events: expected a list"),
+            (
+                ("weights", "sigma"),
+                [0.0, 0.0],
+                "weights.sigma: vaccination gain sum must be positive",
+            ),
+            (("initial", "V"), [0.0] * 3, "initial.V: expected 2 entries to match params.gamma"),
+        ],
+        ids=["object", "missing", "boolean", "list", "gain", "dose-count"],
+    )
+    def test_shape_and_dose_checks(self, tmp_path, path, value, line):
+        raw = with_value(covid_raw(), path, value)
+        assert validate_raw_config(raw)[0] == line
+        with pytest.raises(ec.ParseError, match=line):
+            load_raw(tmp_path, raw)
+
+    def test_generated_corpus_loads_or_raises_parse_error(self, tmp_path):
+        docs = list(corpus())
+        assert len(docs) > 250
+        for raw in docs:
+            try:
+                load_raw(tmp_path, raw)
+                loaded = True
+            except ec.ParseError:
+                loaded = False
+            assert (validate_raw_config(raw) == []) == loaded, raw
+
+
 class TestValidateConfig:
     def test_off_grid_schedule_is_cross_checked(self):
         config = default_config("covid19", impulsive=True)
@@ -111,6 +212,21 @@ class TestValidateConfig:
         )
         violations = ec.validate_config(bad)
         assert any("sigma" in v for v in violations)
+
+    def test_one_line_per_fault(self):
+        config = default_config("covid19")
+        bad = ec.RunConfig(
+            params=config.params,
+            initial=config.initial,
+            weights=ec.CostWeights(sigma=(50.0,)),
+            grid=ec.TimeGrid(35.0, 0.01),
+            schedule=ec.ImpulseSchedule((ec.ImpulseEvent(40.0, (0.05,) * 4),)),
+            solver=config.solver,
+        )
+        assert ec.validate_config(bad) == [
+            "weights.sigma: expected 2 entries to match params.gamma",
+            "schedule: impulse at t=40.0 outside (0, 35.0)",
+        ]
 
 
 class TestLoadSaveConfig:
