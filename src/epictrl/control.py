@@ -43,6 +43,8 @@ from .model import (
 )
 
 log = logging.getLogger("epictrl")
+# Largest x for which math.exp(x) is a finite float.
+_EXP_LIMIT = math.log(np.finfo(float).max)
 
 
 @dataclass(frozen=True)
@@ -69,6 +71,12 @@ class TerminalCost:
         out = [] if known else [f"kind: unknown kind {kind!r}"]
         out += _number_faults(values, ("coeff",), 0.0)
         return out + _number_faults(values, ("rate",), positive=True)
+
+    def horizon_fault(self, tau: float) -> str:
+        """Why the penalty cannot be evaluated at horizon tau, or "": exp(rate*tau) overflows."""
+        if self.kind == "exponential" and self.rate * tau > _EXP_LIMIT:
+            return f"rate*tau = {self.rate * tau:.6g} overflows exp (limit {_EXP_LIMIT:.6g})"
+        return ""
 
     def value(self, tau: float) -> float:
         if self.kind == "linear":
@@ -425,6 +433,9 @@ def optimize_terminal_time(
     if not 0.0 < tau_min < tau_max:
         raise RangeError(f"need 0 < tau_min < tau_max, got ({tau_min}, {tau_max})")
     grid = TimeGrid(tau_min, h)
+    fault = weights.terminal.horizon_fault(grid.tau)
+    if fault:
+        raise RangeError(f"terminal cost at tau_min = {grid.tau:.6g}: {fault}")
     best = fbsm_solve(
         initial, params, weights, grid, _truncated_schedule(schedule, grid.tau, h), options
     )

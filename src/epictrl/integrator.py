@@ -144,16 +144,28 @@ class AdjointTrajectory:
         return AdjointVector.from_array(arr[node])
 
 
-def _impulse_map(schedule: ImpulseSchedule | None, grid: TimeGrid) -> dict[int, tuple]:
-    """Map schedule events onto interior grid nodes, rejecting collisions."""
-    if schedule is None:
-        return {}
+def _impulse_nodes(schedule: ImpulseSchedule | None, grid: TimeGrid) -> tuple[dict[int, tuple], list[str]]:
+    """Schedule events keyed by interior grid node, and a fault per event off the grid or
+    on the node of an earlier event."""
     imap: dict[int, tuple] = {}
-    for ev in schedule.events:
-        idx = grid.node_index(ev.time)
+    faults = []
+    for ev in schedule.events if schedule is not None else ():
+        try:
+            idx = grid.node_index(ev.time)
+        except ScheduleError as exc:
+            faults.append(str(exc))
+            continue
         if idx in imap:
-            raise ScheduleError(f"two impulses snap to the same grid node t={ev.time}")
-        imap[idx] = ev.lam
+            faults.append(f"two impulses snap to the same grid node t={ev.time}")
+        imap.setdefault(idx, ev.lam)
+    return imap, faults
+
+
+def _impulse_map(schedule: ImpulseSchedule | None, grid: TimeGrid) -> dict[int, tuple]:
+    """Map schedule events onto interior grid nodes; ScheduleError for the first fault."""
+    imap, faults = _impulse_nodes(schedule, grid)
+    if faults:
+        raise ScheduleError(faults[0])
     return imap
 
 

@@ -2,15 +2,15 @@
 
 ``brute_force_optimum`` exhaustively enumerates piecewise-constant control
 pairs on a coarse segment grid, giving a search-free reference optimum.  It
-marches all candidates in lockstep through the sweep's own ``_rk4_step`` and
-``_deriv`` on a compartment-major batch (one row of candidates each).
+marches each shared control prefix once, depth-first in chunks of at most
+``_CHUNK`` candidates, through the sweep's own ``_rk4_step`` and ``_deriv``
+on a compartment-major batch (one row of candidates each).
 ``finite_difference_gradient`` probes the cost functional directly with
 central differences, to be compared against the costate-based gradient.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +34,7 @@ from .model import (
 )
 
 _CANDIDATE_GUARD = 10_000_000
-_CHUNK = 65536
+_CHUNK = 8192
 
 
 @dataclass(frozen=True)
@@ -63,42 +63,59 @@ class OracleConfig:
         return self.u_levels**self.segments * self.v_levels**self.segments
 
 
-def _integrate_batch_cost(
+def _leaf_costs(
     y0: np.ndarray,
-    u_seg: np.ndarray,
-    v_seg: np.ndarray,
+    u_choices: np.ndarray,
+    v_choices: np.ndarray,
     params: ModelParams,
     weights: CostWeights,
     config: OracleConfig,
-) -> np.ndarray:
-    """Cost of every candidate, marching all of them in lockstep with
-    ``_rk4_step`` on one row of M candidates per compartment.
+):
+    """Yield ``(first, costs)`` per leaf chunk of the prefix tree, depth-first.
 
-    As in ``integrate_forward``, a step that leaves a compartment below the
-    negative tolerance raises StabilityError; smaller negatives are roundoff
-    and are clamped to zero.
+    Candidates sharing their first s segments share one trajectory through
+    them.  From one row holding ``y0``, each segment repeats every live
+    prefix into its u_levels*v_levels children, with level pair p = (u level
+    p // v_levels, v level p % v_levels), ``_CHUNK`` children at a time,
+    each chunk marched to the leaves before the next.  ``costs`` are whole
+    candidate costs in tree order (the level pairs as digits, first segment
+    most significant); ``first`` is the tree index of ``costs[0]``.
+
+    Each row runs ``_rk4_step`` as ``integrate_forward`` runs a float state:
+    a step that leaves a compartment below the negative tolerance raises
+    StabilityError; smaller negatives are roundoff and are clamped to zero.
     """
-    m = u_seg.shape[0]
+    n_pairs = config.u_levels * config.v_levels
+    u_pair = np.repeat(u_choices, config.v_levels)
+    v_pair = np.tile(v_choices, config.u_levels)
     seg_len = config.horizon / config.segments
     steps = max(1, int(round(seg_len / config.h)))
     h = seg_len / steps
     tol = _NEGATIVE_TOL * float(y0.sum() - y0[D])
-    y = list(np.tile(y0[:, None], (1, m)))
-    cost = np.zeros(m)
-    for seg in range(config.segments):
-        u = u_seg[:, seg]
-        v = v_seg[:, seg]
-        for k in range(steps):
-            g_left = _running_cost_arrays(y, u, v, weights, params)
-            y = _rk4_step(y, h, v, u, v, u, v, u, params)
-            for x in y:
-                lowest = x.min()
-                if lowest < 0.0:
-                    if lowest < -tol:
-                        raise _too_coarse(lowest, (seg * steps + k + 1) * h)
-                    np.maximum(x, 0.0, out=x)
-            cost += (0.5 * h) * (g_left + _running_cost_arrays(y, u, v, weights, params))
-    return cost + weights.terminal.value(config.horizon)
+    terminal = weights.terminal.value(config.horizon)
+
+    def march(y, cost, first, seg):
+        if seg == config.segments:
+            yield first, cost + terminal
+            return
+        children = len(cost) * n_pairs
+        for lo in range(0, children, _CHUNK):
+            parent, pair = np.divmod(np.arange(lo, min(lo + _CHUNK, children)), n_pairs)
+            u, v = u_pair[pair], v_pair[pair]
+            yc, c = [x[parent] for x in y], cost[parent]
+            for k in range(steps):
+                g_left = _running_cost_arrays(yc, u, v, weights, params)
+                yc = _rk4_step(yc, h, v, u, v, u, v, u, params)
+                for x in yc:
+                    lowest = x.min()
+                    if lowest < 0.0:
+                        if lowest < -tol:
+                            raise _too_coarse(lowest, (seg * steps + k + 1) * h)
+                        np.maximum(x, 0.0, out=x)
+                c += (0.5 * h) * (g_left + _running_cost_arrays(yc, u, v, weights, params))
+            yield from march(yc, c, first * n_pairs + lo, seg + 1)
+
+    yield from march(list(y0[:, None]), np.zeros(1), 0, 0)
 
 
 def brute_force_optimum(
@@ -109,46 +126,30 @@ def brute_force_optimum(
 ) -> tuple[float, tuple[np.ndarray, np.ndarray]]:
     """Exhaustive minimum over piecewise-constant control pairs.
 
-    Returns the best cost and the winning per-segment (u, v) levels.  The
-    candidate count is bounded at construction of the config; enumeration is
-    chunked so memory stays flat.
+    Returns the best cost and the winning per-segment (u, v) levels.  A tie
+    goes to the first candidate in u-sequence-major order: the u level
+    numbers of all segments, then the v level numbers, first segment most
+    significant.  The candidate count is bounded at construction of the
+    config; ``_leaf_costs`` holds at most ``_CHUNK`` rows per segment and
+    only a running best is kept, so memory stays flat.
     """
     if initial.n != params.n:
         raise ValueError("state and parameter dose counts must match")
     u_choices = np.linspace(0.0, 1.0, config.u_levels)
     v_choices = np.linspace(0.0, params.v_max, config.v_levels)
-    u_combos = np.array(list(itertools.product(u_choices, repeat=config.segments)))
-    v_combos = np.array(list(itertools.product(v_choices, repeat=config.segments)))
-    n_v = len(v_combos)
-    total = len(u_combos) * n_v
-    y0 = initial.as_array()
-
-    best_cost = np.inf
-    best_pair = None
-    for start in range(0, total, _CHUNK):
-        idx = np.arange(start, min(start + _CHUNK, total))
-        u_seg = u_combos[idx // n_v]
-        v_seg = v_combos[idx % n_v]
-        costs = _integrate_batch_cost(y0, u_seg, v_seg, params, weights, config)
-        k = int(np.argmin(costs))
-        if costs[k] < best_cost:
-            best_cost = float(costs[k])
-            best_pair = (u_seg[k].copy(), v_seg[k].copy())
-    return best_cost, best_pair
-
-
-def piecewise_signal(
-    u_seg: np.ndarray, v_seg: np.ndarray, horizon: float, grid: TimeGrid, v_max: float = 1.0
-) -> ControlSignal:
-    """Sample per-segment constant levels onto a dense grid.
-
-    Linear interpolation of the samples reproduces the steps exactly except
-    for a one-cell ramp at each segment boundary.
-    """
-    times = grid.times
-    seg_len = horizon / len(u_seg)
-    idx = np.minimum((times / seg_len).astype(int), len(u_seg) - 1)
-    return ControlSignal(times, np.asarray(v_seg)[idx], np.asarray(u_seg)[idx], v_max)
+    tree_shape = (config.u_levels, config.v_levels) * config.segments
+    flat_shape = tree_shape[0::2] + tree_shape[1::2]
+    best = (np.inf, -1)
+    for first, costs in _leaf_costs(initial.as_array(), u_choices, v_choices, params, weights, config):
+        j = costs.min()
+        if j <= best[0]:
+            digits = np.unravel_index(first + np.flatnonzero(costs == j), tree_shape)
+            index = np.ravel_multi_index(digits[0::2] + digits[1::2], flat_shape)
+            best = min(best, (float(j), int(index.min())))
+    if best[1] < 0:
+        return best[0], None
+    digits = list(np.unravel_index(best[1], flat_shape))
+    return best[0], (u_choices[digits[: config.segments]], v_choices[digits[config.segments :]])
 
 
 def _bump(controls: ControlSignal, cell_index: int, eps: float, which: str) -> tuple[ControlSignal, ControlSignal]:

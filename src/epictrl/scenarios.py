@@ -13,8 +13,8 @@ import sys
 from dataclasses import dataclass
 
 from .control import CostWeights, SweepOptions, TerminalCost
-from .errors import ParseError, ScheduleError, UnknownPresetError
-from .integrator import TimeGrid
+from .errors import ParseError, UnknownPresetError
+from .integrator import TimeGrid, _impulse_nodes
 from .model import ImpulseEvent, ImpulseSchedule, ModelParams, StateVector, _field_values
 
 # The JSON type of each key of a section; None leaves a value (an enum) to the
@@ -245,14 +245,12 @@ def _dose_violations(config: RunConfig) -> list[str]:
 
 
 def _cross_violations(config: RunConfig) -> list[str]:
-    """Checks that span components: the dose counts, and each impulse on an interior grid node."""
+    """Checks that span components: the dose counts, each impulse on its own interior grid
+    node, and a terminal cost that can be evaluated at tau."""
     out = _dose_violations(config)
-    for ev in config.schedule.events if config.schedule is not None else ():
-        try:
-            config.grid.node_index(ev.time)
-        except ScheduleError as exc:
-            out.append(f"schedule: {exc}")
-    return out
+    out += [f"schedule: {fault}" for fault in _impulse_nodes(config.schedule, config.grid)[1]]
+    fault = config.weights.terminal.horizon_fault(config.grid.tau)
+    return out + ([f"weights.terminal.rate: {fault}"] if fault else [])
 
 
 def validate_raw_config(raw: dict) -> list[str]:

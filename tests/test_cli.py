@@ -179,6 +179,20 @@ class TestOptimize:
             summary = json.load(fh)
         assert summary["transversality_residual"] is not None
 
+    @pytest.mark.parametrize("tau, free_tau", [(35.0, None), (5.0, ["30", "40"])])
+    def test_overflowing_terminal_cost_is_an_error_line(self, tmp_path, capsys, tau, free_tau):
+        # exp(rate * tau) overflows at the config's tau, or only at the free
+        # horizon's lower end, where the free-time search solves
+        terminal = ec.TerminalCost("exponential", 1.0, 30.0)
+        _, cfg = small_config(tmp_path, tau=tau, h=0.05, weights=ec.CostWeights(terminal=terminal))
+        out = tmp_path / "out"
+        argv = ["optimize", "--config", cfg, "--out", str(out)]
+        assert cli.main(argv + (["--free-tau", *free_tau] if free_tau else [])) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "overflows exp" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_byte_identical_reruns(self, tmp_path):
         _, cfg = small_config(tmp_path)
         a = tmp_path / "a"

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 import epictrl as ec
-from epictrl.model import A, E, I, S, V0, _deriv, _rk4_step
-from epictrl.oracle import _integrate_batch_cost
+from epictrl import oracle
+from epictrl.control import _running_cost_arrays
+from epictrl.model import D, _NEGATIVE_TOL, A, E, I, S, V0, _deriv, _rk4_step, _too_coarse
 
 
 class TestOracleConfig:
@@ -33,6 +34,13 @@ def _params(n: int, delta_n_to_exposed: bool) -> ec.ModelParams:
         beta=2e-4, epsilon=0.1, q=0.4, mu=0.8, k=0.5, z=0.3, p=0.2, eta=0.25,
         alpha=0.9, f=0.3, gamma=gamma, delta=delta, delta_n_to_exposed=delta_n_to_exposed,
     )
+
+
+_THREE_DOSES = (
+    _params(3, True),
+    ec.StateVector(6000.0, 800.0, 400.0, 300.0, 100.0, 0.0, (500.0, 300.0, 200.0)),
+    ec.CostWeights(sigma=(50.0, 50.0, 50.0)),
+)
 
 
 def _bitwise_equal(a, b) -> bool:
@@ -123,6 +131,69 @@ def _ref_integrate_batch_cost(y0, u_seg, v_seg, params, weights, config):
     return cost + weights.terminal.value(config.horizon)
 
 
+# The oracle's marcher before it shared control prefixes, verbatim: every
+# candidate marched in lockstep through every segment.
+def _integrate_batch_cost(y0, u_seg, v_seg, params, weights, config):
+    """Cost of every candidate, marching all of them in lockstep with
+    ``_rk4_step`` on one row of M candidates per compartment.
+
+    As in ``integrate_forward``, a step that leaves a compartment below the
+    negative tolerance raises StabilityError; smaller negatives are roundoff
+    and are clamped to zero.
+    """
+    m = u_seg.shape[0]
+    seg_len = config.horizon / config.segments
+    steps = max(1, int(round(seg_len / config.h)))
+    h = seg_len / steps
+    tol = _NEGATIVE_TOL * float(y0.sum() - y0[D])
+    y = list(np.tile(y0[:, None], (1, m)))
+    cost = np.zeros(m)
+    for seg in range(config.segments):
+        u = u_seg[:, seg]
+        v = v_seg[:, seg]
+        for k in range(steps):
+            g_left = _running_cost_arrays(y, u, v, weights, params)
+            y = _rk4_step(y, h, v, u, v, u, v, u, params)
+            for x in y:
+                lowest = x.min()
+                if lowest < 0.0:
+                    if lowest < -tol:
+                        raise _too_coarse(lowest, (seg * steps + k + 1) * h)
+                    np.maximum(x, 0.0, out=x)
+            cost += (0.5 * h) * (g_left + _running_cost_arrays(y, u, v, weights, params))
+    return cost + weights.terminal.value(config.horizon)
+
+
+def _flat_candidates(params, config):
+    """Every candidate's per-segment u and v levels in the flat marcher's order:
+    index U * n_v + V over the u and v level sequences, first segment most significant."""
+    u_choices = np.linspace(0.0, 1.0, config.u_levels)
+    v_choices = np.linspace(0.0, params.v_max, config.v_levels)
+    u_combos = np.array(list(itertools.product(u_choices, repeat=config.segments)))
+    v_combos = np.array(list(itertools.product(v_choices, repeat=config.segments)))
+    idx = np.arange(len(u_combos) * len(v_combos))
+    return u_combos[idx // len(v_combos)], v_combos[idx % len(v_combos)]
+
+
+def _tree_costs(initial, params, weights, config):
+    """Every candidate's cost from the prefix-tree march, placed in the flat order."""
+    u_choices = np.linspace(0.0, 1.0, config.u_levels)
+    v_choices = np.linspace(0.0, params.v_max, config.v_levels)
+    tree_shape = (config.u_levels, config.v_levels) * config.segments
+    flat_shape = tree_shape[0::2] + tree_shape[1::2]
+    costs = np.full(config.candidates, np.nan)
+    seen = np.zeros(config.candidates, dtype=int)
+    leaves = oracle._leaf_costs(initial.as_array(), u_choices, v_choices, params, weights, config)
+    for first, chunk in leaves:
+        assert len(chunk) <= oracle._CHUNK
+        digits = np.unravel_index(first + np.arange(len(chunk)), tree_shape)
+        idx = np.ravel_multi_index(digits[0::2] + digits[1::2], flat_shape)
+        costs[idx] = chunk
+        seen[idx] += 1
+    assert np.all(seen == 1)
+    return costs
+
+
 class TestOracleSeedEquivalence:
     """Per-candidate costs against the oracle's former private marcher.
 
@@ -132,17 +203,9 @@ class TestOracleSeedEquivalence:
 
     def _assert_costs_match(self, params, initial, weights):
         cfg = ec.OracleConfig(horizon=3.0, segments=2, u_levels=3, v_levels=3, h=0.05)
-        u_levels = np.linspace(0.0, 1.0, cfg.u_levels)
-        v_levels = np.linspace(0.0, params.v_max, cfg.v_levels)
-        pairs = list(itertools.product(
-            itertools.product(u_levels, repeat=cfg.segments),
-            itertools.product(v_levels, repeat=cfg.segments),
-        ))
-        u_seg = np.array([u for u, _ in pairs])
-        v_seg = np.array([v for _, v in pairs])
-        y0 = initial.as_array()
-        got = _integrate_batch_cost(y0, u_seg, v_seg, params, weights, cfg)
-        ref = _ref_integrate_batch_cost(y0, u_seg, v_seg, params, weights, cfg)
+        u_seg, v_seg = _flat_candidates(params, cfg)
+        got = _tree_costs(initial, params, weights, cfg)
+        ref = _ref_integrate_batch_cost(initial.as_array(), u_seg, v_seg, params, weights, cfg)
         np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0)
         best_j, _ = ec.brute_force_optimum(initial, params, weights, cfg)
         assert best_j == pytest.approx(ref.min(), rel=1e-12)
@@ -152,10 +215,76 @@ class TestOracleSeedEquivalence:
         self._assert_costs_match(params, initial, default_weights)
 
     def test_three_doses_with_breakthrough_to_exposed(self):
-        params = _params(3, True)
-        initial = ec.StateVector(6000.0, 800.0, 400.0, 300.0, 100.0, 0.0, (500.0, 300.0, 200.0))
-        weights = ec.CostWeights(sigma=(50.0, 50.0, 50.0))
-        self._assert_costs_match(params, initial, weights)
+        self._assert_costs_match(*_THREE_DOSES)
+
+
+def _piecewise_signal(u_seg, v_seg, horizon, grid, v_max=1.0):
+    """Sample per-segment constant levels onto a dense grid.
+
+    Linear interpolation of the samples reproduces the steps exactly except
+    for a one-cell ramp at each segment boundary.
+    """
+    times = grid.times
+    seg_len = horizon / len(u_seg)
+    idx = np.minimum((times / seg_len).astype(int), len(u_seg) - 1)
+    return ec.ControlSignal(times, np.asarray(v_seg)[idx], np.asarray(u_seg)[idx], v_max)
+
+
+class TestPrefixTreeMatchesFlatMarch:
+    """Every candidate's cost from the prefix-tree march equals the flat lockstep
+    marcher's bitwise, and the reported optimum is the flat marcher's first argmin."""
+
+    @pytest.mark.parametrize(
+        "shape, chunk",
+        [
+            (dict(horizon=1.0, segments=5, u_levels=3, v_levels=3, h=0.05), None),
+            (dict(horizon=3.0, segments=2, u_levels=5, v_levels=5, h=0.05), None),
+            (dict(horizon=3.0, segments=3, u_levels=2, v_levels=4, h=0.05), None),
+            (dict(horizon=1.8, segments=6, u_levels=2, v_levels=3, h=0.1), None),
+            (dict(horizon=3.0, segments=3, u_levels=3, v_levels=3, h=0.05, doses=3), None),
+            # 8 then 64 children: the parents split before the last segment
+            (dict(horizon=3.0, segments=3, u_levels=2, v_levels=4, h=0.05), 20),
+        ],
+        ids=["c04-short", "2seg-5x5", "3seg-2x4", "6seg-2x3-h0.1", "3doses-to-exposed", "chunk20"],
+    )
+    def test_costs_bitwise_and_first_argmin(self, shape, chunk, covid19, default_weights, monkeypatch):
+        shape = dict(shape)
+        if shape.pop("doses", 2) == 3:
+            params, initial, weights = _THREE_DOSES
+        else:
+            (params, initial), weights = covid19, default_weights
+        if chunk is not None:
+            monkeypatch.setattr(oracle, "_CHUNK", chunk)
+        cfg = ec.OracleConfig(**shape)
+        u_seg, v_seg = _flat_candidates(params, cfg)
+        ref = _integrate_batch_cost(initial.as_array(), u_seg, v_seg, params, weights, cfg)
+        assert _bitwise_equal(_tree_costs(initial, params, weights, cfg), ref)
+        k = int(np.argmin(ref))
+        best_j, (u_best, v_best) = ec.brute_force_optimum(initial, params, weights, cfg)
+        assert _bitwise_equal(best_j, ref[k])
+        assert _bitwise_equal(u_best, u_seg[k]) and _bitwise_equal(v_best, v_seg[k])
+
+    @pytest.mark.parametrize(
+        "ties, split, v_levels",
+        [([2, 4], None, (1.0, 0.0)), ([2, 4], 3, (1.0, 0.0)), ([1, 4], 3, (0.0, 1.0))],
+        ids=["one-chunk", "later-chunk-wins", "earlier-chunk-wins"],
+    )
+    def test_tie_goes_to_the_first_candidate_in_flat_order(
+        self, ties, split, v_levels, covid19, default_weights, monkeypatch
+    ):
+        # 2 segments of 2 x 2 levels, so u stays 0 on every tied candidate.
+        # Tree index 1 has pairs (0,0),(0,1): flat index 1; tree index 2 has
+        # (0,0),(1,0): flat index 4; tree index 4 has (0,1),(0,0): flat index 2.
+        params, initial = covid19
+        cfg = ec.OracleConfig(horizon=2.0, segments=2, u_levels=2, v_levels=2)
+        costs = np.full(16, 5.0)
+        costs[ties] = 1.0
+        chunks = [(0, costs)] if split is None else [(0, costs[:split]), (split, costs[split:])]
+        monkeypatch.setattr(oracle, "_leaf_costs", lambda *args: iter(chunks))
+        best_j, (u_best, v_best) = ec.brute_force_optimum(initial, params, default_weights, cfg)
+        assert best_j == 1.0
+        assert list(u_best) == [0.0, 0.0]
+        assert list(v_best) == [level * params.v_max for level in v_levels]
 
 
 class TestBruteForceOptimum:
@@ -228,11 +357,14 @@ class TestBruteForceOptimum:
         params, _ = covid19
         fast = ec.ModelParams(**{**params.__dict__, "beta": 0.02})
         initial = ec.StateVector(50.0, 100.0, 100.0, 400.0, 1e12, 0.0, (0.0, 0.0))
-        cfg = ec.OracleConfig(horizon=10.0, segments=1, h=0.5)
+        cfg = ec.OracleConfig(horizon=10.0, segments=1, u_levels=2, v_levels=2, h=0.5)
+        # one segment of 2 x 2 levels: the tree order is the product order
         levels = list(itertools.product((0.0, 1.0), (0.0, 0.5 * fast.v_max)))
-        u_seg = np.array([[u] for u, _ in levels])
-        v_seg = np.array([[v] for _, v in levels])
-        costs = _integrate_batch_cost(initial.as_array(), u_seg, v_seg, fast, default_weights, cfg)
+        leaves = oracle._leaf_costs(
+            initial.as_array(), np.array([0.0, 1.0]), np.array([0.0, 0.5 * fast.v_max]),
+            fast, default_weights, cfg,
+        )
+        costs = np.concatenate([chunk for _, chunk in leaves])
         grid = ec.TimeGrid(10.0, 0.5)
         clamped = False
         for (u, v), cost in zip(levels, costs):
@@ -247,7 +379,7 @@ class TestBruteForceOptimum:
     def test_piecewise_signal_reproduces_segment_levels(self, covid19):
         params, _ = covid19
         grid = ec.TimeGrid(4.0, 0.01)
-        sig = ec.piecewise_signal(
+        sig = _piecewise_signal(
             np.array([0.0, 1.0]), np.array([1.0, 0.0]), 4.0, grid, params.v_max
         )
         v, u = sig.at(0.5)

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 import pathlib
 
@@ -261,6 +262,34 @@ class TestLoadSaveConfig:
         with pytest.raises(ec.ParseError) as err:
             ec.load_config(str(path))
         assert "off the grid" in str(err.value)
+
+    def test_load_rejects_two_impulses_on_one_node(self, tmp_path):
+        # 7.0000000001 is on the h=0.05 grid within tolerance and snaps to the
+        # node of the day-7 event; a sweep would stop at it mid-run
+        raw = json.loads((CONFIG_DIR / "covid19_impulsive.json").read_text())
+        raw["grid"]["h"] = 0.05
+        raw["schedule"]["events"].insert(1, {"time": 7.0000000001, "lambda": [0.05] * 4})
+        fault = "schedule: two impulses snap to the same grid node t=7.0000000001"
+        with pytest.raises(ec.ParseError, match=fault):
+            load_raw(tmp_path, raw)
+        config = default_config("covid19", impulsive=True)
+        events = config.schedule.events
+        extra = ec.ImpulseEvent(7.0000000001, (0.05,) * 4)
+        config = dataclasses.replace(
+            config,
+            grid=ec.TimeGrid(35.0, 0.05),
+            schedule=ec.ImpulseSchedule(events[:1] + (extra,) + events[1:]),
+        )
+        assert ec.validate_config(config) == [fault]
+
+    def test_load_rejects_terminal_cost_that_overflows(self, tmp_path):
+        # exp(30 * 35) is beyond the largest float
+        raw = covid_raw()
+        raw["weights"]["terminal"] = {"kind": "exponential", "coeff": 1.0, "rate": 30.0}
+        with pytest.raises(ec.ParseError, match=r"weights.terminal.rate: rate\*tau = 1050 overflows"):
+            load_raw(tmp_path, raw)
+        raw["weights"]["terminal"]["rate"] = 20.0
+        assert load_raw(tmp_path, raw).weights.terminal.rate == 20.0
 
     def test_syntax_error_carries_location(self, tmp_path):
         path = tmp_path / "broken.json"
