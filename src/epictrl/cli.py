@@ -51,10 +51,6 @@ def _r12(x: float) -> float:
     return float(format(float(x), ".12g"))
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".12g")
-
-
 def _first_crossing(times: np.ndarray, values: np.ndarray, threshold: float) -> float | None:
     if threshold <= 0.0:
         return None
@@ -62,10 +58,11 @@ def _first_crossing(times: np.ndarray, values: np.ndarray, threshold: float) -> 
     return float(times[below[0]]) if below.size else None
 
 
-def _trajectory_lines(times, states, u, v) -> list[str]:
-    """Trajectory CSV rows as lines "t,S,...,Vn,u,v", each value formatted once."""
-    table = np.column_stack([times, states, u, v])
-    return [",".join([format(x, ".12g") for x in row.tolist()]) for row in table]
+def _csv_lines(*columns):
+    """CSV rows of side-by-side columns (vectors or tables), each value formatted once, as
+    they are consumed."""
+    table = np.column_stack(columns)
+    return (",".join([format(x, ".12g") for x in row.tolist()]) for row in table)
 
 
 def summarize(
@@ -113,22 +110,14 @@ def _write_trajectory(path: str, lines: list[str]) -> None:
 
 
 def _write_controls(path: str, controls: ControlSignal) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "u", "v"])
-        for t, u, v in zip(controls.grid, controls.u, controls.v):
-            writer.writerow([_fmt(t), _fmt(u), _fmt(v)])
+    _write_lines(path, ["t", "u", "v"], _csv_lines(controls.grid, controls.u, controls.v))
 
 
 def _write_adjoints(path: str, adjoint_traj) -> None:
     values = adjoint_traj.values
     n = values.shape[1] - 6
     header = ["t"] + [f"p{i + 1}" for i in range(6)] + [f"q{i + 1}" for i in range(n)]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for t, row in zip(adjoint_traj.times, values):
-            writer.writerow([_fmt(t)] + [_fmt(x) for x in row])
+    _write_lines(path, header, _csv_lines(adjoint_traj.times, values))
 
 
 def _write_summary(path: str, summary: RunSummary) -> None:
@@ -172,7 +161,7 @@ def cmd_simulate(config: RunConfig, mode: str, controls_file: str | None, out_di
     cost = total_cost(traj, controls, config.weights, config.params)
     times = traj.times
     v_rows, u_rows = controls.at(times)
-    lines = _trajectory_lines(times, traj.states, u_rows, v_rows)
+    lines = list(_csv_lines(times, traj.states, u_rows, v_rows))
     os.makedirs(out_dir, exist_ok=True)
     _write_trajectory(os.path.join(out_dir, "trajectory.csv"), lines)
     _write_summary(os.path.join(out_dir, "summary.json"), summarize(lines, cost))
@@ -183,7 +172,7 @@ def _write_solution(out_dir: str, config: RunConfig, solution: OptimalSolution) 
     """Write every output of a solved run; returns the trajectory CSV lines."""
     times = solution.state_traj.times
     v_rows, u_rows = solution.controls.at(times)
-    lines = _trajectory_lines(times, solution.state_traj.states, u_rows, v_rows)
+    lines = list(_csv_lines(times, solution.state_traj.states, u_rows, v_rows))
     os.makedirs(out_dir, exist_ok=True)
     _write_trajectory(os.path.join(out_dir, "trajectory.csv"), lines)
     _write_controls(os.path.join(out_dir, "controls.csv"), solution.controls)
@@ -249,7 +238,7 @@ def cmd_compare(diseases: list[str], impulsive: bool, out_dir: str) -> int:
 def cmd_r0(config: RunConfig) -> int:
     n0 = model.total_population(config.initial)
     value = model.basic_reproduction_number(config.params, n0)
-    print(f"R0 = {_fmt(value)}")
+    print(f"R0 = {float(value):.12g}")
     print(
         "note: the literature value reported for this covid-19 scenario is 1.52; "
         "the threshold formula with these exact inputs gives the figure above, "

@@ -21,7 +21,6 @@ from .integrator import (
     AdjointTrajectory,
     AdjointVector,
     TimeGrid,
-    _ADJOINT_IMPULSE_MODES,
     integrate_adjoint_backward,
     integrate_forward,
 )
@@ -73,9 +72,12 @@ class TerminalCost:
         return out + _number_faults(values, ("rate",), positive=True)
 
     def horizon_fault(self, tau: float) -> str:
-        """Why the penalty cannot be evaluated at horizon tau, or "": exp(rate*tau) overflows."""
+        """Why the penalty cannot be evaluated at horizon tau as "field: reason", or "":
+        exp(rate*tau) overflows, or the value or slope overflows to inf."""
         if self.kind == "exponential" and self.rate * tau > _EXP_LIMIT:
-            return f"rate*tau = {self.rate * tau:.6g} overflows exp (limit {_EXP_LIMIT:.6g})"
+            return f"rate: rate*tau = {self.rate * tau:.6g} overflows exp (limit {_EXP_LIMIT:.6g})"
+        if not (math.isfinite(self.value(tau)) and math.isfinite(self.slope(tau))):
+            return f"coeff: {self.coeff:.6g} overflows the value or slope at tau = {tau:.6g}"
         return ""
 
     def value(self, tau: float) -> float:
@@ -130,22 +132,19 @@ class SweepOptions:
     theta: float = 0.5
     tolerance: float = 1e-4
     max_iterations: int = 500
-    adjoint_impulse: str = "multiplicative"
 
     def __post_init__(self):
         _raise_faults(self)
 
     @staticmethod
     def violations(values) -> list[str]:
-        """Faults of the given fields as "field: reason": theta in (0, 1], tolerance > 0, an
-        integer max_iterations >= 1, and a known adjoint_impulse mode."""
+        """Faults of the given fields as "field: reason": theta in (0, 1], tolerance > 0 and
+        an integer max_iterations >= 1."""
         out = _number_faults(values, ("theta",), hi=1.0, positive=True)
         out += _number_faults(values, ("tolerance",), positive=True)
         its = values.get("max_iterations", 1)
         if not isinstance(its, int) or isinstance(its, bool) or its < 1:
             out.append("max_iterations: expected a positive integer")
-        if values.get("adjoint_impulse", "multiplicative") not in _ADJOINT_IMPULSE_MODES:
-            out.append("adjoint_impulse: expected 'multiplicative' or 'literal'")
         return out
 
 
@@ -345,39 +344,29 @@ def fbsm_solve(
     v = np.zeros_like(times)
     history = []
     converged = False
-    iterations = 0
 
-    for it in range(1, opts.max_iterations + 1):
-        iterations = it
+    # pass `it` evaluates the controls after `it` updates; no update follows the last pass
+    for it in range(opts.max_iterations + 1):
         controls = ControlSignal(times, v, u, v_max)
         traj = integrate_forward(initial, controls, params, grid, schedule)
-        adj = integrate_adjoint_backward(
-            traj, controls, params, weights, grid, schedule, adjoint_impulse=opts.adjoint_impulse
-        )
+        adj = integrate_adjoint_backward(traj, controls, params, weights, grid, schedule)
         history.append(total_cost(traj, controls, weights, params))
+        if converged or it == opts.max_iterations:
+            break
         u_star, v_star = _clamped_controls(traj.states_post, adj.values_post, params, weights)
         u_new = np.clip(opts.theta * u_star + (1.0 - opts.theta) * u, 0.0, 1.0)
         v_new = np.clip(opts.theta * v_star + (1.0 - opts.theta) * v, 0.0, v_max)
         change = float(np.max(np.abs(u_new - u) + np.abs(v_new - v) / v_max))
         u, v = u_new, v_new
-        log.debug("sweep iteration %d: J=%.6g, control change %.3e", it, history[-1], change)
-        if change < opts.tolerance:
-            converged = True
-            break
+        log.debug("sweep iteration %d: J=%.6g, control change %.3e", it + 1, history[-1], change)
+        converged = change < opts.tolerance
 
-    controls = ControlSignal(times, v, u, v_max)
-    traj = integrate_forward(initial, controls, params, grid, schedule)
-    adj = integrate_adjoint_backward(
-        traj, controls, params, weights, grid, schedule, adjoint_impulse=opts.adjoint_impulse
-    )
-    cost = total_cost(traj, controls, weights, params)
-    history.append(cost)
     return OptimalSolution(
         controls=controls,
         state_traj=traj,
         adjoint_traj=adj,
-        cost=cost,
-        iterations=iterations,
+        cost=history[-1],
+        iterations=it,
         converged=converged,
         cost_history=tuple(history),
     )
@@ -435,7 +424,7 @@ def optimize_terminal_time(
     grid = TimeGrid(tau_min, h)
     fault = weights.terminal.horizon_fault(grid.tau)
     if fault:
-        raise RangeError(f"terminal cost at tau_min = {grid.tau:.6g}: {fault}")
+        raise RangeError(f"at tau_min = {grid.tau:.6g}, weights.terminal.{fault}")
     best = fbsm_solve(
         initial, params, weights, grid, _truncated_schedule(schedule, grid.tau, h), options
     )

@@ -42,14 +42,10 @@ from .model import (
     _too_coarse,
 )
 
-# Jumps act on the first four compartments (S, E, A, I) and their costates.
-_JUMP_SLOTS = 4
 # Steps per block of costate-RHS coefficients the backward pass builds at
 # once.  A block is held as Python floats: 256- and 64-step blocks raised
 # the oracle benchmark's peak RSS by 0.2 and 0.1 MB, 32-step blocks did not.
 _BLOCK = 32
-# Costate jump rules at impulse nodes.
-_ADJOINT_IMPULSE_MODES = ("multiplicative", "literal")
 
 
 @dataclass(frozen=True)
@@ -248,7 +244,6 @@ def integrate_adjoint_backward(
     weights: CostWeights,
     grid: TimeGrid,
     schedule: ImpulseSchedule | None = None,
-    adjoint_impulse: str = "multiplicative",
 ) -> AdjointTrajectory:
     """Integrate the costate system backward from its zero terminal value.
 
@@ -261,9 +256,8 @@ def integrate_adjoint_backward(
     at a time; the step loop then runs on Python floats and is bitwise equal
     to the same RK4 written with numpy vectors.
 
-    At impulse nodes the costates of the jumped compartments are jumped too:
-    multiplied by (1 + lam_l) by default, or shifted by lam_l when
-    ``adjoint_impulse='literal'``.
+    At impulse nodes the costates of the jumped compartments are multiplied
+    by (1 + lam_l), the transpose of the diagonal arrival jump.
     """
     from .control import _adjoint_coeffs, _costate_rhs  # deferred: control builds on this module
 
@@ -275,9 +269,6 @@ def integrate_adjoint_backward(
     imap = _impulse_map(schedule, grid)
     if set(imap) != set(traj.impulse_nodes):
         raise GridMismatchError("schedule impulse nodes do not match the trajectory's")
-    if adjoint_impulse not in _ADJOINT_IMPULSE_MODES:
-        raise ValueError(f"unknown adjoint impulse mode {adjoint_impulse!r}")
-    multiplicative = adjoint_impulse == "multiplicative"
 
     v_n, u_n, v_m, u_m = _sampled_controls(controls, grid)
     h = grid.h
@@ -311,10 +302,8 @@ def integrate_adjoint_backward(
             ]
             post[lo + r] = pq
             lam = imap.get(lo + r)
-            if lam is not None and multiplicative:
+            if lam is not None:
                 pq = _apply_impulse(pq, lam)
-            elif lam is not None:
-                pq = [x + l for x, l in zip(pq, lam)] + pq[_JUMP_SLOTS:]
             pre[lo + r] = pq
 
     return AdjointTrajectory(

@@ -208,7 +208,6 @@ def adjoint_gradient(
     cell_index: int,
     which: str = "u",
     schedule=None,
-    adjoint_impulse: str = "multiplicative",
 ) -> float:
     """Costate-based dJ/d(eps) for the same unit bump.
 
@@ -217,9 +216,7 @@ def adjoint_gradient(
     against the bump's hat profile.
     """
     traj = integrate_forward(initial, controls, params, grid, schedule)
-    adj = integrate_adjoint_backward(
-        traj, controls, params, weights, grid, schedule, adjoint_impulse=adjoint_impulse
-    )
+    adj = integrate_adjoint_backward(traj, controls, params, weights, grid, schedule)
     times = grid.times
     v_n = np.interp(times, controls.grid, controls.v)
     u_n = np.interp(times, controls.grid, controls.u)

@@ -30,7 +30,7 @@ _SHAPES = {
     "schedule": {"events": _LIST},
     "event": {"time": _NUMBER, "lambda": _NUMBERS},
     "solver": {"relaxation": _NUMBER, "tolerance": _NUMBER, "max_iterations": _NUMBER},
-    "flags": {"adjoint_impulse": None, "include_delta_n": _BOOL},
+    "flags": {"include_delta_n": _BOOL},
 }
 _REQUIRED = {"params": _SHAPES["params"], "initial": _SHAPES["initial"], "grid": _SHAPES["grid"]}
 _TOP_KEYS = ("params", "initial", "weights", "grid", "schedule", "solver", "flags")
@@ -126,24 +126,18 @@ def _shaped(section, path: str, shape: dict, required, out: list[str]) -> dict:
     return good
 
 
-def _prefixed(path: str, faults: list[str], paths: dict | None = None) -> list[str]:
-    """Component faults "field: reason" as "path.key: reason"; ``paths`` may override a path."""
+def _prefixed(path: str, faults: list[str]) -> list[str]:
+    """Component faults "field: reason" as "path.key: reason"."""
     out = []
     for fault in faults:
         name, reason = fault.split(": ", 1)
-        where = (paths or {}).get(name, f"{path}.{_KEYS.get(name, name)}")
-        out.append(f"{where}: {reason}")
+        out.append(f"{path}.{_KEYS.get(name, name)}: {reason}")
     return out
 
 
 def _fields(section: dict) -> dict:
     """A section's entries keyed by the component field each one sets."""
     return {_FIELDS.get(key, key): x for key, x in section.items()}
-
-
-def _solver_fields(solver: dict, flags: dict) -> dict:
-    """SweepOptions fields set by the solver section and by flags.adjoint_impulse."""
-    return _fields(solver) | {k: x for k, x in flags.items() if k == "adjoint_impulse"}
 
 
 def _section_violations(raw) -> list[str]:
@@ -174,10 +168,9 @@ def _section_violations(raw) -> list[str]:
             out += _prefixed(path, ImpulseEvent.violations(_fields(event)))
             times.append(event.get("time"))
         out += _prefixed("schedule", ImpulseSchedule.violations(times))
-    solver = _solver_fields(shaped("solver"), shaped("flags"))
-    flag = {"adjoint_impulse": "flags.adjoint_impulse"}
-    out += _prefixed("solver", SweepOptions.violations(solver), flag)
-    return out
+    solver = _fields(shaped("solver"))
+    shaped("flags")  # its one key sets a ModelParams field, and has no value rule
+    return out + _prefixed("solver", SweepOptions.violations(solver))
 
 
 def _build(raw: dict) -> RunConfig:
@@ -197,7 +190,7 @@ def _build(raw: dict) -> RunConfig:
         weights=CostWeights(**{"sigma": (50.0,) * params.n, **weights}, terminal=terminal),
         grid=TimeGrid(**raw["grid"]),
         schedule=schedule,
-        solver=SweepOptions(**_solver_fields(raw.get("solver", {}), flags)),
+        solver=SweepOptions(**_fields(raw.get("solver", {}))),
     )
 
 
@@ -222,16 +215,15 @@ def config_to_raw(config: RunConfig) -> dict:
         "schedule": None
         if schedule is None
         else {"events": [_json_object(ev) for ev in schedule.events]},
-        "solver": _json_object(config.solver, ("adjoint_impulse",)),
-        "flags": {
-            "adjoint_impulse": config.solver.adjoint_impulse,
-            "include_delta_n": config.params.delta_n_to_exposed,
-        },
+        "solver": _json_object(config.solver),
+        "flags": {"include_delta_n": config.params.delta_n_to_exposed},
     }
 
 
-def _dose_violations(config: RunConfig) -> list[str]:
-    """The per-dose lists against the dose count of params.gamma; a positive vaccination gain."""
+def _cross_violations(config: RunConfig) -> list[str]:
+    """Checks that span components: the per-dose lists against the dose count of
+    params.gamma, a positive vaccination gain, each impulse on its own interior grid node,
+    and a terminal cost that can be evaluated at tau."""
     n = config.params.n
     counts = {"initial.V": config.initial.n, "weights.sigma": len(config.weights.sigma)}
     out = [
@@ -241,26 +233,15 @@ def _dose_violations(config: RunConfig) -> list[str]:
     ]
     if counts["weights.sigma"] == n and config.weights.vaccination_gain(config.params) <= 0:
         out.append("weights.sigma: vaccination gain sum must be positive")
-    return out
-
-
-def _cross_violations(config: RunConfig) -> list[str]:
-    """Checks that span components: the dose counts, each impulse on its own interior grid
-    node, and a terminal cost that can be evaluated at tau."""
-    out = _dose_violations(config)
     out += [f"schedule: {fault}" for fault in _impulse_nodes(config.schedule, config.grid)[1]]
     fault = config.weights.terminal.horizon_fault(config.grid.tau)
-    return out + ([f"weights.terminal.rate: {fault}"] if fault else [])
+    return out + _prefixed("weights.terminal", [fault] if fault else [])
 
 
 def validate_raw_config(raw: dict) -> list[str]:
-    """Every violation in a parsed config document, never just the first.
-
-    The JSON shape and every component rule are checked section by section;
-    the dose counts follow once those pass.  Impulses are checked against the
-    grid only by ``load_config`` and ``validate_config``.
-    """
-    return _section_violations(raw) or _dose_violations(_build(raw))
+    """Every violation in a parsed config document, never just the first: the sections,
+    then, once they pass, the cross-component checks.  ``load_config`` runs the same."""
+    return _section_violations(raw) or _cross_violations(_build(raw))
 
 
 def validate_config(config: RunConfig | dict) -> list[str]:
@@ -284,13 +265,10 @@ def load_config(path: str) -> RunConfig:
         raise ParseError(f"{path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
-    violations = _section_violations(raw)
-    if not violations:
-        config = _build(raw)
-        violations = _cross_violations(config)
+    violations = validate_raw_config(raw)
     if violations:
         raise ParseError(f"{path}: invalid config:\n  " + "\n  ".join(violations))
-    return config
+    return _build(raw)
 
 
 def save_config(config: RunConfig, path: str) -> None:

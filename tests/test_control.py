@@ -76,7 +76,6 @@ class TestSweepOptions:
     @pytest.mark.parametrize(
         "bad",
         [
-            dict(adjoint_impulse="bogus"),
             dict(theta=0.0),
             dict(theta=1.5),
             dict(tolerance=float("nan")),

@@ -3,7 +3,7 @@ import pytest
 
 import epictrl as ec
 from epictrl.control import CostWeights, _running_cost_arrays
-from epictrl.integrator import _BLOCK, _JUMP_SLOTS, _impulse_map, _sampled_controls
+from epictrl.integrator import _BLOCK, _impulse_map, _sampled_controls
 from epictrl.model import A, D, E, I, R, S, V0, ModelParams
 
 
@@ -237,12 +237,7 @@ class TestIntegrateAdjointBackward:
                     initial, params, default_weights, controls, grid, cell, which,
                     schedule=sched,
                 )
-                lit = ec.adjoint_gradient(
-                    initial, params, default_weights, controls, grid, cell, which,
-                    schedule=sched, adjoint_impulse="literal",
-                )
                 assert abs(fd - mult) / abs(fd) < 1e-3
-                assert abs(fd - lit) > 10.0 * abs(fd - mult)
 
     def test_adjoint_impulse_jump_modes(self, covid19, default_weights):
         params, initial = covid19
@@ -252,23 +247,19 @@ class TestIntegrateAdjointBackward:
         controls = zero_controls(grid, params)
         traj = ec.integrate_forward(initial, controls, params, grid, sched)
         node = grid.node_index(1.0)
-        mult = ec.integrate_adjoint_backward(
-            traj, controls, params, default_weights, grid, sched, adjoint_impulse="multiplicative"
-        )
+        mult = ec.integrate_adjoint_backward(traj, controls, params, default_weights, grid, sched)
         np.testing.assert_allclose(
             mult.values_pre[node, :4], mult.values_post[node, :4] * (1.0 + np.array(lam))
-        )
-        lit = ec.integrate_adjoint_backward(
-            traj, controls, params, default_weights, grid, sched, adjoint_impulse="literal"
-        )
-        np.testing.assert_allclose(
-            lit.values_pre[node, :4], lit.values_post[node, :4] + np.array(lam)
         )
 
 
 # Reference for the seed-equivalence tests below: the numpy formulation that
 # the float step loops replaced, kept verbatim (the removed midpoint-state
-# mode aside).  Both passes must reproduce it bit for bit.
+# mode and literal costate jump aside).  Both passes must reproduce it bit for
+# bit.
+
+# Jumps act on the first four compartments (S, E, A, I) and their costates.
+_JUMP_SLOTS = 4
 
 
 def _ref_deriv(y: np.ndarray, v: float, u: float, pr: ModelParams) -> np.ndarray:
@@ -386,7 +377,7 @@ def _ref_forward(initial, controls, params, grid, schedule=None):
     return pre, post
 
 
-def _ref_backward(traj, controls, params, weights, grid, schedule=None, adjoint_impulse="multiplicative"):
+def _ref_backward(traj, controls, params, weights, grid, schedule=None):
     """Seed backward step loop; returns (values_pre, values_post)."""
     imap = _impulse_map(schedule, grid)
     v_n, u_n, v_m, u_m = _sampled_controls(controls, grid)
@@ -411,10 +402,7 @@ def _ref_backward(traj, controls, params, weights, grid, schedule=None, adjoint_
         lam = imap.get(i)
         if lam is not None:
             pq = pq.copy()
-            if adjoint_impulse == "multiplicative":
-                pq[:_JUMP_SLOTS] *= 1.0 + np.asarray(lam)
-            else:
-                pq[:_JUMP_SLOTS] += np.asarray(lam)
+            pq[:_JUMP_SLOTS] *= 1.0 + np.asarray(lam)
         pre[i] = pq
     return pre, post
 
@@ -486,13 +474,10 @@ def _assert_both_passes_match(params, initial, weights, grid, controls, schedule
     pre, post = _ref_forward(initial, controls, params, grid, schedule)
     assert _bitwise_equal(traj.states_pre, pre)
     assert _bitwise_equal(traj.states_post, post)
-    for mode in ("multiplicative", "literal"):
-        adj = ec.integrate_adjoint_backward(
-            traj, controls, params, weights, grid, schedule, adjoint_impulse=mode
-        )
-        a_pre, a_post = _ref_backward(traj, controls, params, weights, grid, schedule, mode)
-        assert _bitwise_equal(adj.values_pre, a_pre)
-        assert _bitwise_equal(adj.values_post, a_post)
+    adj = ec.integrate_adjoint_backward(traj, controls, params, weights, grid, schedule)
+    a_pre, a_post = _ref_backward(traj, controls, params, weights, grid, schedule)
+    assert _bitwise_equal(adj.values_pre, a_pre)
+    assert _bitwise_equal(adj.values_post, a_post)
     return traj, adj
 
 

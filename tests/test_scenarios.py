@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import json
 import pathlib
+import re
 
 import pytest
 
@@ -166,8 +167,9 @@ class TestRejectedDocuments:
                 "weights.sigma: vaccination gain sum must be positive",
             ),
             (("initial", "V"), [0.0] * 3, "initial.V: expected 2 entries to match params.gamma"),
+            (("flags", "adjoint_impulse"), "multiplicative", "flags.adjoint_impulse: unknown key"),
         ],
-        ids=["object", "missing", "boolean", "list", "gain", "dose-count"],
+        ids=["object", "missing", "boolean", "list", "gain", "dose-count", "jump-rule"],
     )
     def test_shape_and_dose_checks(self, tmp_path, path, value, line):
         raw = with_value(covid_raw(), path, value)
@@ -252,11 +254,12 @@ class TestLoadSaveConfig:
         assert "impulse rate out of [0,1]" in message
 
     def test_load_rejects_off_grid_impulse(self, tmp_path):
-        # passes the raw checks; only the cross-component grid check catches it
+        # passes the section checks; the cross-component grid check catches it,
+        # in the validator as in load_config
         raw = covid_raw()
         raw["grid"] = {"tau": 35.0, "h": 0.01}
         raw["schedule"] = {"events": [{"time": 7.0042, "lambda": [0.05] * 4}]}
-        assert validate_raw_config(raw) == []
+        assert validate_raw_config(raw) == ["schedule: impulse at t=7.0042 is off the grid (h=0.01)"]
         path = tmp_path / "off_grid.json"
         path.write_text(json.dumps(raw))
         with pytest.raises(ec.ParseError) as err:
@@ -288,8 +291,28 @@ class TestLoadSaveConfig:
         raw["weights"]["terminal"] = {"kind": "exponential", "coeff": 1.0, "rate": 30.0}
         with pytest.raises(ec.ParseError, match=r"weights.terminal.rate: rate\*tau = 1050 overflows"):
             load_raw(tmp_path, raw)
+        assert ec.validate_config(raw) == [
+            "weights.terminal.rate: rate*tau = 1050 overflows exp (limit 709.783)"
+        ]
         raw["weights"]["terminal"]["rate"] = 20.0
         assert load_raw(tmp_path, raw).weights.terminal.rate == 20.0
+
+    @pytest.mark.parametrize(
+        "terminal",
+        [
+            # exp(20 * 35) is finite, 1e10 times it is not
+            {"kind": "exponential", "coeff": 1e10, "rate": 20.0},
+            {"kind": "quadratic", "coeff": 1e306, "rate": 1.0},
+        ],
+        ids=["exponential", "quadratic"],
+    )
+    def test_load_rejects_terminal_cost_whose_value_overflows(self, tmp_path, terminal):
+        raw = covid_raw()
+        raw["weights"]["terminal"] = terminal
+        line = f"weights.terminal.coeff: {terminal['coeff']:g} overflows the value or slope at tau = 35"
+        assert validate_raw_config(raw) == [line]
+        with pytest.raises(ec.ParseError, match=re.escape(line)):
+            load_raw(tmp_path, raw)
 
     def test_syntax_error_carries_location(self, tmp_path):
         path = tmp_path / "broken.json"
