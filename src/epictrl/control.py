@@ -35,6 +35,7 @@ from .model import (
     ModelParams,
     StateVector,
     Trajectory,
+    _costate_deriv,
     _deriv,
     _entry_faults,
     _number_faults,
@@ -181,7 +182,6 @@ def total_cost(
     controls: ControlSignal,
     weights: CostWeights,
     params: ModelParams,
-    tau: float | None = None,
 ) -> float:
     """Trapezoidal quadrature of the running cost plus the terminal penalty.
 
@@ -190,7 +190,6 @@ def total_cost(
     cell.
     """
     times = traj.node_times
-    horizon = float(times[-1]) if tau is None else float(tau)
     if controls.tau < times[-1] - 1e-9 * max(1.0, times[-1]):
         raise GridMismatchError("controls do not cover the trajectory horizon")
     v_n = np.interp(times, controls.grid, controls.v)
@@ -198,65 +197,8 @@ def total_cost(
     g_left = _running_cost_arrays(traj.states_post[:-1].T, u_n[:-1], v_n[:-1], weights, params)
     g_right = _running_cost_arrays(traj.states_pre[1:].T, u_n[1:], v_n[1:], weights, params)
     steps = np.diff(times)
-    return float(np.sum(0.5 * steps * (g_left + g_right)) + weights.terminal.value(horizon))
-
-
-def _adjoint_coeffs(x, v, u, pr: ModelParams) -> list:
-    """State- and control-dependent coefficients of the costate RHS.
-
-    ``x[S]`` .. ``x[I]`` are compartments and ``v``/``u`` controls, each a
-    float for one node or an array over nodes.  Returns, in the same form,
-    [beta*force, beta*eps*S, beta*mu*S, beta*(1-q)*S, u, gamma1*v, gamma2*v,
-    gamma_{j+2}*v + delta_{j+1} and gamma_{j+2}*v for the middle doses].
-    """
-    g, d = pr.gamma, pr.delta
-    s = x[S]
-    force = pr.epsilon * x[E] + (1.0 - pr.q) * x[I] + pr.mu * x[A]
-    middle = range(1, pr.n - 1)
-    return [
-        pr.beta * force,
-        pr.beta * pr.epsilon * s,
-        pr.beta * pr.mu * s,
-        pr.beta * (1.0 - pr.q) * s,
-        u,
-        g[0] * v,
-        g[1] * v,
-        *(g[j + 1] * v + d[j] for j in middle),
-        *(g[j + 1] * v for j in middle),
-    ]
-
-
-def _costate_rhs(pq, c, pr: ModelParams, weights: CostWeights) -> list[float]:
-    """Costate derivative [p1..p6, q1..qn] from one node's ``_adjoint_coeffs``.
-
-    Linear in the costates and written on plain floats, like ``_deriv``.
-    """
-    w1, w2, w3, w4 = weights.omega
-    d = pr.delta
-    n = len(d)
-    p1, p2, p3, p4, p5, p6 = pq[:6]
-    qd = pq[6:]
-    bf, bes, bms, bqs, u, g1v, g2v = c[:7]
-    dp = p1 - p2
-    out = [
-        bf * dp + g1v * (p1 - qd[0]) - w1,
-        bes * dp + pr.k * (p2 - (1.0 - pr.z) * p3 - pr.z * p4) - w2,
-        bms * dp + pr.eta * p3 - (1.0 - pr.p) * pr.eta * p4 - w3,
-        bqs * dp + u * (p4 - p5) + pr.f * (p4 - pr.alpha * p5)
-        - (1.0 - pr.alpha) * pr.f * p6 - w4,
-        0.0,
-        0.0,
-        d[0] * (qd[0] - p2) + g2v * (qd[0] - qd[1]),
-    ]
-    for j in range(1, n - 1):
-        x = -d[j] * p2 + c[6 + j] * qd[j]
-        if pr.delta_n_to_exposed:
-            # the last costate is nonzero once its breakthrough flow exists,
-            # so the chain coupling it normally kills must be kept
-            x -= c[4 + n + j] * qd[j + 1]
-        out.append(x)
-    out.append(d[n - 1] * (qd[n - 1] - p2) if pr.delta_n_to_exposed else 0.0)
-    return out
+    terminal = weights.terminal.value(float(times[-1]))
+    return float(np.sum(0.5 * steps * (g_left + g_right)) + terminal)
 
 
 def adjoint_rhs(
@@ -270,11 +212,11 @@ def adjoint_rhs(
     """Time derivative of the costates, in the layout [p1..p6, q1..qn]."""
     if len(adjoint.q) != params.n or state.n != params.n:
         raise ValueError("costate/state dose counts must match the parameters")
-    c = _adjoint_coeffs(state.as_array().tolist(), v, u, params)
-    return np.array(_costate_rhs(adjoint.as_array().tolist(), c, params, weights))
+    pq, y = adjoint.as_array().tolist(), state.as_array().tolist()
+    return np.array(_costate_deriv(pq, y, v, u, params, weights.omega))
 
 
-def hamiltonian(
+def _hamiltonian(
     state: StateVector,
     adjoint: AdjointVector,
     u: float,
@@ -387,7 +329,7 @@ def transversality_residual(solution: OptimalSolution, params: ModelParams, weig
     adjoint = solution.adjoint_traj.at(last, side="post")
     tau = float(solution.state_traj.node_times[-1])
     v_end, u_end = solution.controls.at(tau)
-    ham = hamiltonian(state, adjoint, float(u_end), float(v_end), params, weights)
+    ham = _hamiltonian(state, adjoint, float(u_end), float(v_end), params, weights)
     return ham + weights.terminal.slope(tau)
 
 

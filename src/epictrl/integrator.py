@@ -7,25 +7,24 @@ adjoint jumps.  Both record pre-jump and post-jump values at impulse nodes so
 trajectories represent the discontinuities losslessly.
 
 Both step loops run on plain Python floats: numpy's per-call cost on vectors
-of n + 6 elements would otherwise dominate.  Every floating-point operation
-keeps the order of the numpy formulation, and the tests hold both passes
-bitwise equal to a numpy reference implementation.  The forward step is
-``model._rk4_step`` over ``model._deriv``, the same step the brute-force
-oracle runs on a compartment-major batch of candidates.
+of n + 6 elements would otherwise dominate.  Both step through
+``model._rk4_step``: the forward pass over ``model._deriv``, the step the
+brute-force oracle runs on a compartment-major batch of candidates, and the
+backward pass over ``model._costate_deriv`` with step -h.  Every
+floating-point operation keeps the order of the numpy formulation, and the
+tests hold both passes bitwise equal to a numpy reference implementation.
+Each pass writes one array row per node and copies it to the other side of
+the jumps, patched at the impulse nodes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import GridMismatchError, ScheduleError
-
-if TYPE_CHECKING:
-    from .control import CostWeights
 from .model import (
     D,
     ControlSignal,
@@ -35,17 +34,14 @@ from .model import (
     Trajectory,
     _NEGATIVE_TOL,
     _apply_impulse,
+    _costate_deriv,
+    _deriv,
     _number_faults,
     _raise_faults,
     _rk4_step,
     _row_view,
     _too_coarse,
 )
-
-# Steps per block of costate-RHS coefficients the backward pass builds at
-# once.  A block is held as Python floats: 256- and 64-step blocks raised
-# the oracle benchmark's peak RSS by 0.2 and 0.1 MB, 32-step blocks did not.
-_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -58,8 +54,8 @@ class TimeGrid:
 
     tau: float
     h: float
-    n_steps: int = 0
-    tau_requested: float = 0.0
+    n_steps: int = field(default=0, init=False)
+    tau_requested: float = field(default=0.0, init=False)
 
     def __post_init__(self):
         _raise_faults(self)
@@ -180,6 +176,14 @@ def _sampled_controls(controls: ControlSignal, grid: TimeGrid):
     return v_n, u_n, v_m, u_m
 
 
+def _patched(rows: np.ndarray, jumped: dict[int, list]) -> np.ndarray:
+    """A copy of ``rows`` with the row of each impulse node replaced by its jumped value."""
+    out = rows.copy()
+    for node, row in jumped.items():
+        out[node] = row
+    return out
+
+
 def integrate_forward(
     initial: StateVector,
     controls: ControlSignal,
@@ -212,12 +216,14 @@ def integrate_forward(
     n0 = float(y0.sum() - y0[D])
     tol = _NEGATIVE_TOL * n0
     pre = np.empty((steps + 1, dim))
-    post = np.empty((steps + 1, dim))
-    pre[0] = post[0] = y0
+    pre[0] = y0
+    jumped = {}
     y = y0.tolist()
+    end = (v_n[0], u_n[0], params)
 
     for i in range(steps):
-        y = _rk4_step(y, h, v_n[i], u_n[i], v_m[i], u_m[i], v_n[i + 1], u_n[i + 1], params)
+        start, end = end, (v_n[i + 1], u_n[i + 1], params)
+        y = _rk4_step(_deriv, y, h, start, (v_m[i], u_m[i], params), end)
         lowest = min(y)
         if lowest < 0.0:
             if lowest < -tol:
@@ -226,13 +232,12 @@ def integrate_forward(
         pre[i + 1] = y
         lam = imap.get(i + 1)
         if lam is not None:
-            y = _apply_impulse(y, lam)
-        post[i + 1] = y
+            y = jumped[i + 1] = _apply_impulse(y, lam)
 
     return Trajectory(
         node_times=times,
         states_pre=pre,
-        states_post=post,
+        states_post=_patched(pre, jumped),
         impulse_nodes=tuple(sorted(imap)),
     )
 
@@ -241,26 +246,24 @@ def integrate_adjoint_backward(
     traj: Trajectory,
     controls: ControlSignal,
     params: ModelParams,
-    weights: CostWeights,
+    weights,
     grid: TimeGrid,
     schedule: ImpulseSchedule | None = None,
 ) -> AdjointTrajectory:
     """Integrate the costate system backward from its zero terminal value.
 
     The trajectory must come from ``integrate_forward`` on the same grid and
-    controls.  States at interior RK stages are linearly interpolated between
-    the segment endpoints.
+    controls; of the ``control.CostWeights`` only the running-cost weights
+    ``omega`` enter.  States at interior RK stages are linearly interpolated
+    between the segment endpoints.
 
-    The costate RHS is linear in the costates.  Its state- and
-    control-dependent coefficients are built with numpy for a block of steps
-    at a time; the step loop then runs on Python floats and is bitwise equal
-    to the same RK4 written with numpy vectors.
+    Each step is ``model._rk4_step`` with step -h over
+    ``model._costate_deriv`` on Python floats, bitwise equal to the same RK4
+    written with numpy vectors.
 
     At impulse nodes the costates of the jumped compartments are multiplied
     by (1 + lam_l), the transpose of the diagonal arrival jump.
     """
-    from .control import _adjoint_coeffs, _costate_rhs  # deferred: control builds on this module
-
     times = grid.times
     if len(traj.node_times) != len(times) or np.max(np.abs(traj.node_times - times)) > 1e-9 * max(
         1.0, grid.tau
@@ -270,45 +273,34 @@ def integrate_adjoint_backward(
     if set(imap) != set(traj.impulse_nodes):
         raise GridMismatchError("schedule impulse nodes do not match the trajectory's")
 
-    v_n, u_n, v_m, u_m = _sampled_controls(controls, grid)
+    v_n, u_n, v_m, u_m = (memoryview(x) for x in _sampled_controls(controls, grid))
     h = grid.h
-    half, sixth = 0.5 * h, h / 6.0
     steps = grid.n_steps
-    dim = 6 + params.n
-    pre = np.empty((steps + 1, dim))
-    post = np.empty((steps + 1, dim))
+    omega = weights.omega
+    post = np.empty((steps + 1, 6 + params.n))
+    jumped = {}
+    pq = [0.0] * post.shape[1]
+    post[steps] = pq
+    left = (traj.states_pre[steps].tolist(), v_n[steps], u_n[steps], params, omega)
 
-    pq = [0.0] * dim
-    pre[steps] = post[steps] = pq
-    for hi in range(steps, 0, -_BLOCK):
-        # step i runs from node i + 1 (right) back to node i (left)
-        lo = max(hi - _BLOCK, 0)
-        x_right = traj.states_pre[lo + 1 : hi + 1]
-        x_left = traj.states_post[lo:hi]
-        # compartment-major: x[k] holds compartment k at the (3, nodes) points
-        x = np.stack([x_right.T, 0.5 * (x_left + x_right).T, x_left.T], axis=1)
-        v = np.stack([v_n[lo + 1 : hi + 1], v_m[lo:hi], v_n[lo:hi]])
-        u = np.stack([u_n[lo + 1 : hi + 1], u_m[lo:hi], u_n[lo:hi]])
-        coeffs = np.stack(_adjoint_coeffs(x, v, u, params), axis=-1)
-        c_right, c_mid, c_left = coeffs.tolist()
-        for r in range(hi - lo - 1, -1, -1):
-            k1 = _costate_rhs(pq, c_right[r], params, weights)
-            k2 = _costate_rhs([x - half * k for x, k in zip(pq, k1)], c_mid[r], params, weights)
-            k3 = _costate_rhs([x - half * k for x, k in zip(pq, k2)], c_mid[r], params, weights)
-            k4 = _costate_rhs([x - h * k for x, k in zip(pq, k3)], c_left[r], params, weights)
-            pq = [
-                x - sixth * (a + 2.0 * b + 2.0 * c + d)
-                for x, a, b, c, d in zip(pq, k1, k2, k3, k4)
-            ]
-            post[lo + r] = pq
-            lam = imap.get(lo + r)
-            if lam is not None:
-                pq = _apply_impulse(pq, lam)
-            pre[lo + r] = pq
+    for i in range(steps - 1, -1, -1):
+        # step i runs from node i + 1 (right) back to node i (left), with the
+        # arguments of _costate_deriv at each; the states either side of node
+        # i + 1 differ only if it is an impulse node
+        right = left
+        if i + 1 in imap:
+            right = (traj.states_pre[i + 1].tolist(), v_n[i + 1], u_n[i + 1], params, omega)
+        left = (traj.states_post[i].tolist(), v_n[i], u_n[i], params, omega)
+        mid = ([0.5 * (a + b) for a, b in zip(left[0], right[0])], v_m[i], u_m[i], params, omega)
+        pq = _rk4_step(_costate_deriv, pq, -h, right, mid, left)
+        post[i] = pq
+        lam = imap.get(i)
+        if lam is not None:
+            pq = jumped[i] = _apply_impulse(pq, lam)
 
     return AdjointTrajectory(
         node_times=times,
-        values_pre=pre,
+        values_pre=_patched(post, jumped),
         values_post=post,
         impulse_nodes=tuple(sorted(imap)),
     )

@@ -370,13 +370,48 @@ def _deriv(y, v: float, u: float, pr: ModelParams) -> list[float]:
     return out
 
 
-def _rk4_step(y, h: float, v0, u0, vm, um, v1, u1, pr: ModelParams) -> list:
-    """One RK4 step of ``_deriv``; controls at the step's start (0), midpoint (m), end (1)."""
+def _costate_deriv(pq, y, v: float, u: float, pr: ModelParams, omega) -> list[float]:
+    """Costate derivative [p1..p6, q1..qn], minus the state gradient of the Hamiltonian
+    with running-cost weights ``omega``; on floats, like ``_deriv``."""
+    w1, w2, w3, w4 = omega
+    g, d = pr.gamma, pr.delta
+    n = len(g)
+    p1, p2, p3, p4, p5, p6 = pq[:6]
+    qd = pq[6:]
+    s = y[S]
+    dp = p1 - p2
+    out = [
+        pr.beta * (pr.epsilon * y[E] + (1.0 - pr.q) * y[I] + pr.mu * y[A]) * dp
+        + g[0] * v * (p1 - qd[0])
+        - w1,
+        pr.beta * pr.epsilon * s * dp + pr.k * (p2 - (1.0 - pr.z) * p3 - pr.z * p4) - w2,
+        pr.beta * pr.mu * s * dp + pr.eta * p3 - (1.0 - pr.p) * pr.eta * p4 - w3,
+        pr.beta * (1.0 - pr.q) * s * dp + u * (p4 - p5) + pr.f * (p4 - pr.alpha * p5)
+        - (1.0 - pr.alpha) * pr.f * p6 - w4,
+        0.0,
+        0.0,
+        d[0] * (qd[0] - p2) + g[1] * v * (qd[0] - qd[1]),
+    ]
+    for j in range(1, n - 1):
+        x = -d[j] * p2 + (g[j + 1] * v + d[j]) * qd[j]
+        if pr.delta_n_to_exposed:
+            # the last costate is nonzero once its breakthrough flow exists,
+            # so the chain coupling it normally kills must be kept
+            x -= g[j + 1] * v * qd[j + 1]
+        out.append(x)
+    out.append(d[n - 1] * (qd[n - 1] - p2) if pr.delta_n_to_exposed else 0.0)
+    return out
+
+
+def _rk4_step(f, y, h: float, a0, am, a1) -> list:
+    """One RK4 step of ``f(y, *a)``, the arguments ``a`` taken at the step's start (a0),
+    midpoint (am) and end (a1).  A negative h steps backward in time, exactly: it only
+    flips the sign of each stage's increment."""
     half, sixth = 0.5 * h, h / 6.0
-    k1 = _deriv(y, v0, u0, pr)
-    k2 = _deriv([x + half * k for x, k in zip(y, k1)], vm, um, pr)
-    k3 = _deriv([x + half * k for x, k in zip(y, k2)], vm, um, pr)
-    k4 = _deriv([x + h * k for x, k in zip(y, k3)], v1, u1, pr)
+    k1 = f(y, *a0)
+    k2 = f([x + half * k for x, k in zip(y, k1)], *am)
+    k3 = f([x + half * k for x, k in zip(y, k2)], *am)
+    k4 = f([x + h * k for x, k in zip(y, k3)], *a1)
     return [x + sixth * (a + 2.0 * b + 2.0 * c + d) for x, a, b, c, d in zip(y, k1, k2, k3, k4)]
 
 

@@ -29,6 +29,7 @@ from .model import (
     ControlSignal,
     ModelParams,
     StateVector,
+    _deriv,
     _rk4_step,
     _too_coarse,
 )
@@ -103,16 +104,19 @@ def _leaf_costs(
             parent, pair = np.divmod(np.arange(lo, min(lo + _CHUNK, children)), n_pairs)
             u, v = u_pair[pair], v_pair[pair]
             yc, c = [x[parent] for x in y], cost[parent]
+            vu = (v, u, params)
+            g_left = _running_cost_arrays(yc, u, v, weights, params)
             for k in range(steps):
-                g_left = _running_cost_arrays(yc, u, v, weights, params)
-                yc = _rk4_step(yc, h, v, u, v, u, v, u, params)
+                yc = _rk4_step(_deriv, yc, h, vu, vu, vu)
                 for x in yc:
                     lowest = x.min()
                     if lowest < 0.0:
                         if lowest < -tol:
                             raise _too_coarse(lowest, (seg * steps + k + 1) * h)
                         np.maximum(x, 0.0, out=x)
-                c += (0.5 * h) * (g_left + _running_cost_arrays(yc, u, v, weights, params))
+                g_right = _running_cost_arrays(yc, u, v, weights, params)
+                c += (0.5 * h) * (g_left + g_right)
+                g_left = g_right
             yield from march(yc, c, first * n_pairs + lo, seg + 1)
 
     yield from march(list(y0[:, None]), np.zeros(1), 0, 0)

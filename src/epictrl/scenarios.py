@@ -9,6 +9,7 @@ rejected so typos cannot silently change a run.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from dataclasses import dataclass
 
@@ -222,8 +223,9 @@ def config_to_raw(config: RunConfig) -> dict:
 
 def _cross_violations(config: RunConfig) -> list[str]:
     """Checks that span components: the per-dose lists against the dose count of
-    params.gamma, a positive vaccination gain, each impulse on its own interior grid node,
-    and a terminal cost that can be evaluated at tau."""
+    params.gamma, a positive vaccination gain, a finite bound on the running cost over the
+    horizon, each impulse on its own interior grid node, and a terminal cost that can be
+    evaluated at tau."""
     n = config.params.n
     counts = {"initial.V": config.initial.n, "weights.sigma": len(config.weights.sigma)}
     out = [
@@ -231,8 +233,19 @@ def _cross_violations(config: RunConfig) -> list[str]:
         for where, k in counts.items()
         if k != n
     ]
-    if counts["weights.sigma"] == n and config.weights.vaccination_gain(config.params) <= 0:
-        out.append("weights.sigma: vaccination gain sum must be positive")
+    if counts["weights.sigma"] == n:
+        w, tau, v_max = config.weights, config.grid.tau, config.params.v_max
+        gain = w.vaccination_gain(config.params)
+        if gain <= 0:
+            out.append("weights.sigma: vaccination gain sum must be positive")
+        # the rows of the vector field sum to zero, so only arrivals grow the
+        # population (D included); u <= 1 and v <= v_max bound the effort terms
+        events = config.schedule.events if config.schedule is not None else ()
+        people = sum(config.initial.as_array().tolist())
+        people *= math.prod(1.0 + max(ev.lam) for ev in events)
+        g_max = sum(w.omega) * people + 0.5 * w.sigma0 + 0.5 * gain * v_max * v_max
+        if not math.isfinite(tau * g_max):
+            out.append(f"weights: the running-cost bound over tau = {tau:.6g} is not finite")
     out += [f"schedule: {fault}" for fault in _impulse_nodes(config.schedule, config.grid)[1]]
     fault = config.weights.terminal.horizon_fault(config.grid.tau)
     return out + _prefixed("weights.terminal", [fault] if fault else [])

@@ -8,6 +8,7 @@ import epictrl as ec
 from epictrl.control import (
     OptimalSolution,
     _clamped_controls,
+    _hamiltonian,
     _running_cost_arrays,
     _switching_arrays,
     _truncated_schedule,
@@ -233,8 +234,8 @@ class TestAdjointRhs:
                 hi[comp] += eps
                 lo[comp] -= eps
                 grad = (
-                    ec.hamiltonian(ec.StateVector.from_array(hi), adj, u, v, pr, w)
-                    - ec.hamiltonian(ec.StateVector.from_array(lo), adj, u, v, pr, w)
+                    _hamiltonian(ec.StateVector.from_array(hi), adj, u, v, pr, w)
+                    - _hamiltonian(ec.StateVector.from_array(lo), adj, u, v, pr, w)
                 ) / (2 * eps)
                 assert rate[comp] == pytest.approx(-grad, rel=1e-5, abs=1e-5)
 
@@ -244,7 +245,7 @@ class TestHamiltonian:
         params, _ = covid19
         state = ec.StateVector(*rng.uniform(0, 100, size=6), tuple(rng.uniform(0, 100, 2)))
         adj = ec.AdjointVector((0,) * 6, (0, 0))
-        got = ec.hamiltonian(state, adj, 0.3, 0.4, params, default_weights)
+        got = _hamiltonian(state, adj, 0.3, 0.4, params, default_weights)
         want = _running_cost_arrays(state.as_array(), 0.3, 0.4, default_weights, params)
         assert got == pytest.approx(want)
 
@@ -253,7 +254,7 @@ class TestHamiltonian:
         w = ec.CostWeights(omega=(0, 0, 0, 0))
         zero = ec.StateVector(0, 0, 0, 0, 0, 0, (0, 0))
         adj = ec.AdjointVector((0,) * 6, (0, 0))
-        assert ec.hamiltonian(zero, adj, 0.0, 0.0, params, w) == 0.0
+        assert _hamiltonian(zero, adj, 0.0, 0.0, params, w) == 0.0
 
     def test_treatment_gradient_identity(self, covid19, default_weights, rng):
         # dH/du equals sigma0*u - I*(p4-p5); H is quadratic in u so the
@@ -266,8 +267,8 @@ class TestHamiltonian:
             u = rng.uniform(eps, 1 - eps)
             v = rng.uniform(0, 1)
             fd = (
-                ec.hamiltonian(state, adj, u + eps, v, params, default_weights)
-                - ec.hamiltonian(state, adj, u - eps, v, params, default_weights)
+                _hamiltonian(state, adj, u + eps, v, params, default_weights)
+                - _hamiltonian(state, adj, u - eps, v, params, default_weights)
             ) / (2 * eps)
             analytic = default_weights.sigma0 * u - state.I * (adj.p[3] - adj.p[4])
             assert fd == pytest.approx(analytic, rel=1e-6, abs=1e-6)
@@ -286,8 +287,8 @@ class TestHamiltonian:
             u = rng.uniform(0, 1)
             v = rng.uniform(eps, 1 - eps)
             fd = (
-                ec.hamiltonian(state, adj, u, v + eps, params, default_weights)
-                - ec.hamiltonian(state, adj, u, v - eps, params, default_weights)
+                _hamiltonian(state, adj, u, v + eps, params, default_weights)
+                - _hamiltonian(state, adj, u, v - eps, params, default_weights)
             ) / (2 * eps)
             u_raw, v_raw = _switching_arrays(
                 state.as_array(), adj.as_array(), params, default_weights

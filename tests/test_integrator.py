@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 import epictrl as ec
-from epictrl.control import CostWeights, _running_cost_arrays
-from epictrl.integrator import _BLOCK, _impulse_map, _sampled_controls
+from epictrl.control import CostWeights, _hamiltonian, _running_cost_arrays
+from epictrl.integrator import _impulse_map, _sampled_controls
 from epictrl.model import A, D, E, I, R, S, V0, ModelParams
 
 
@@ -24,6 +24,12 @@ class TestTimeGrid:
         assert grid.n_steps == 100
         assert grid.tau == pytest.approx(1.0)
         assert grid.tau_requested == 1.004
+
+    def test_derived_fields_are_not_arguments(self):
+        with pytest.raises(TypeError):
+            ec.TimeGrid(35.0, 0.01, n_steps=7)
+        with pytest.raises(TypeError):
+            ec.TimeGrid(35.0, 0.01, tau_requested=1.0)
 
     def test_rejects_bad_steps(self):
         with pytest.raises(ValueError):
@@ -490,20 +496,18 @@ class TestSeedEquivalence:
             draw = _random_draw(rng, n, delta_n_to_exposed, impulses)
             _assert_both_passes_match(*draw)
 
-    def test_block_boundaries_and_default_scenario(self, covid19, default_weights):
-        # 3500 steps span many coefficient blocks, ending in a partial one;
-        # one impulse sits on a block's first node, one on the node below it
+    def test_default_scenario_with_adjacent_impulses(self, covid19, default_weights):
+        # the full 3500-step covid19 grid, with impulses on two adjacent
+        # nodes: the step between them starts and ends at a jump
         params, initial = covid19
         grid = ec.TimeGrid(35.0, 0.01)
-        edge = grid.n_steps - 8 * _BLOCK
         controls = ec.ControlSignal.constant(grid.times, 0.3, 0.4, params.v_max)
         sched = ec.ImpulseSchedule(
             (
-                ec.ImpulseEvent((edge - 1) * grid.h, (0.4, 0.3, 0.2, 0.1)),
-                ec.ImpulseEvent(edge * grid.h, (0.1, 0.2, 0.3, 0.4)),
+                ec.ImpulseEvent(3243 * grid.h, (0.4, 0.3, 0.2, 0.1)),
+                ec.ImpulseEvent(3244 * grid.h, (0.1, 0.2, 0.3, 0.4)),
             )
         )
-        assert grid.n_steps % _BLOCK
         _assert_both_passes_match(params, initial, default_weights, grid, controls, sched)
 
     def test_positivity_clamp_matches(self, covid19, default_weights):
@@ -560,4 +564,4 @@ class TestSeedEquivalence:
             ham = float(
                 _running_cost_arrays(y, u, v, weights, params) + pq @ _ref_deriv(y, v, u, params)
             )
-            assert _bitwise_equal(ec.hamiltonian(state, adjoint, u, v, params, weights), ham)
+            assert _bitwise_equal(_hamiltonian(state, adjoint, u, v, params, weights), ham)

@@ -61,12 +61,15 @@ class TestSharedBatchPath:
         v0, vm, v1 = rng.uniform(0.0, params.v_max, size=(3, m))
         u0, um, u1 = rng.uniform(0.0, 1.0, size=(3, m))
         deriv = np.array(_deriv(list(y), v0, u0, params))
-        step = np.array(_rk4_step(list(y), 0.05, v0, u0, vm, um, v1, u1, params))
+        step = np.array(
+            _rk4_step(_deriv, list(y), 0.05, (v0, u0, params), (vm, um, params), (v1, u1, params))
+        )
         for j in range(m):
             col = y[:, j].tolist()
             c = [float(x[j]) for x in (v0, u0, vm, um, v1, u1)]
             assert _bitwise_equal(deriv[:, j], _deriv(col, c[0], c[1], params))
-            assert _bitwise_equal(step[:, j], _rk4_step(col, 0.05, *c, params))
+            args = [(c[0], c[1], params), (c[2], c[3], params), (c[4], c[5], params)]
+            assert _bitwise_equal(step[:, j], _rk4_step(_deriv, col, 0.05, *args))
 
 
 # The oracle's marcher before it shared ``_rk4_step``, verbatim: its own
@@ -153,7 +156,7 @@ def _integrate_batch_cost(y0, u_seg, v_seg, params, weights, config):
         v = v_seg[:, seg]
         for k in range(steps):
             g_left = _running_cost_arrays(y, u, v, weights, params)
-            y = _rk4_step(y, h, v, u, v, u, v, u, params)
+            y = _rk4_step(_deriv, y, h, (v, u, params), (v, u, params), (v, u, params))
             for x in y:
                 lowest = x.min()
                 if lowest < 0.0:

@@ -177,6 +177,20 @@ class TestRejectedDocuments:
         with pytest.raises(ec.ParseError, match=line):
             load_raw(tmp_path, raw)
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("omega", [1e306, 1.0, 1.0, 1.0]), ("sigma", [1e308, 1e308])],
+        ids=["omega", "sigma"],
+    )
+    def test_running_cost_bound_must_be_finite(self, tmp_path, key, value):
+        # each once loaded and then solved to a cost of inf (omega) or nan (sigma)
+        raw = with_value(covid_raw(), ("grid",), {"tau": 5.0, "h": 0.05})
+        raw["weights"][key] = value
+        line = "weights: the running-cost bound over tau = 5 is not finite"
+        assert ec.validate_config(raw) == [line]
+        with pytest.raises(ec.ParseError, match=line):
+            load_raw(tmp_path, raw)
+
     def test_generated_corpus_loads_or_raises_parse_error(self, tmp_path):
         docs = list(corpus())
         assert len(docs) > 250
