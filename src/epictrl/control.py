@@ -35,11 +35,11 @@ from .model import (
     ModelParams,
     StateVector,
     Trajectory,
-    _costate_deriv,
-    _deriv,
+    _costate_kernels,
     _entry_faults,
     _number_faults,
     _raise_faults,
+    _state_kernels,
 )
 
 log = logging.getLogger("epictrl")
@@ -177,6 +177,19 @@ def _running_cost_arrays(states, u, v, weights: CostWeights, params: ModelParams
     )
 
 
+def _running_cost_fault(initial: StateVector, params: ModelParams, weights: CostWeights, tau, schedule):
+    """The fault "weights: ..." when the bound on the running cost over tau is not finite,
+    else "".  The rows of the vector field sum to zero, so only arrivals grow the
+    population (D included); u <= 1 and v <= v_max bound the effort terms."""
+    events = schedule.events if schedule is not None else ()
+    people = sum(initial.as_array().tolist()) * math.prod(1.0 + max(ev.lam) for ev in events)
+    gain, v_max = weights.vaccination_gain(params), params.v_max
+    g_max = sum(weights.omega) * people + 0.5 * weights.sigma0 + 0.5 * gain * v_max * v_max
+    if math.isfinite(tau * g_max):
+        return ""
+    return f"weights: the running-cost bound over tau = {tau:.6g} is not finite"
+
+
 def total_cost(
     traj: Trajectory,
     controls: ControlSignal,
@@ -212,8 +225,8 @@ def adjoint_rhs(
     """Time derivative of the costates, in the layout [p1..p6, q1..qn]."""
     if len(adjoint.q) != params.n or state.n != params.n:
         raise ValueError("costate/state dose counts must match the parameters")
-    pq, y = adjoint.as_array().tolist(), state.as_array().tolist()
-    return np.array(_costate_deriv(pq, y, v, u, params, weights.omega))
+    field, _ = _costate_kernels(params, weights.omega)
+    return np.array(field(adjoint.as_array().tolist(), (state.S, state.E, state.A, state.I, v, u)))
 
 
 def _hamiltonian(
@@ -229,7 +242,7 @@ def _hamiltonian(
     pq = adjoint.as_array()
     return float(
         _running_cost_arrays(y, float(u), float(v), weights, params)
-        + pq @ np.array(_deriv(y.tolist(), float(v), float(u), params))
+        + pq @ np.array(_state_kernels(params)[0](y.tolist(), (float(v), float(u))))
     )
 
 
@@ -277,8 +290,12 @@ def fbsm_solve(
     and relaxes toward them.  The sweep stops when the largest per-node
     control change, measured relative to each control's box width, drops
     below the tolerance.  Non-convergence is reported through the
-    ``converged`` flag, never as an exception.
+    ``converged`` flag, never as an exception; weights whose running cost has no
+    finite bound over the horizon raise RangeError before the first pass.
     """
+    fault = _running_cost_fault(initial, params, weights, grid.tau, schedule)
+    if fault:
+        raise RangeError(fault)
     opts = options or SweepOptions()
     times = grid.times
     v_max = params.v_max

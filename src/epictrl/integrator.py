@@ -7,10 +7,11 @@ adjoint jumps.  Both record pre-jump and post-jump values at impulse nodes so
 trajectories represent the discontinuities losslessly.
 
 Both step loops run on plain Python floats: numpy's per-call cost on vectors
-of n + 6 elements would otherwise dominate.  Both step through
-``model._rk4_step``: the forward pass over ``model._deriv``, the step the
-brute-force oracle runs on a compartment-major batch of candidates, and the
-backward pass over ``model._costate_deriv`` with step -h.  Every
+of n + 6 elements would otherwise dominate.  Each node is one call of a
+straight-line RK4 step that ``model`` generates for the dose count
+and binds to the rates once per pass: the forward pass takes the state step,
+which the brute-force oracle also runs on a compartment-major batch of
+candidates, and the backward pass the costate step with step -h.  Every
 floating-point operation keeps the order of the numpy formulation, and the
 tests hold both passes bitwise equal to a numpy reference implementation.
 Each pass writes one array row per node and copies it to the other side of
@@ -20,6 +21,7 @@ the jumps, patched at the impulse nodes.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,12 +36,11 @@ from .model import (
     Trajectory,
     _NEGATIVE_TOL,
     _apply_impulse,
-    _costate_deriv,
-    _deriv,
+    _costate_kernels,
     _number_faults,
     _raise_faults,
-    _rk4_step,
     _row_view,
+    _state_kernels,
     _too_coarse,
 )
 
@@ -217,19 +218,21 @@ def integrate_forward(
     tol = _NEGATIVE_TOL * n0
     pre = np.empty((steps + 1, dim))
     pre[0] = y0
+    put, row = struct.Struct(f"{dim}d").pack_into, 8 * dim  # 3x faster than pre[i] = y
     jumped = {}
     y = y0.tolist()
-    end = (v_n[0], u_n[0], params)
+    _, step = _state_kernels(params)
+    end = (v_n[0], u_n[0])
 
     for i in range(steps):
-        start, end = end, (v_n[i + 1], u_n[i + 1], params)
-        y = _rk4_step(_deriv, y, h, start, (v_m[i], u_m[i], params), end)
+        start, end = end, (v_n[i + 1], u_n[i + 1])
+        y = step(y, h, start, (v_m[i], u_m[i]), end)
         lowest = min(y)
         if lowest < 0.0:
             if lowest < -tol:
                 raise _too_coarse(lowest, times[i + 1])
             y = [0.0 if x < 0.0 else x for x in y]  # keeps -0.0, like np.maximum
-        pre[i + 1] = y
+        put(pre, (i + 1) * row, *y)
         lam = imap.get(i + 1)
         if lam is not None:
             y = jumped[i + 1] = _apply_impulse(y, lam)
@@ -257,9 +260,9 @@ def integrate_adjoint_backward(
     ``omega`` enter.  States at interior RK stages are linearly interpolated
     between the segment endpoints.
 
-    Each step is ``model._rk4_step`` with step -h over
-    ``model._costate_deriv`` on Python floats, bitwise equal to the same RK4
-    written with numpy vectors.
+    Each step is the generated costate step with step -h on Python floats,
+    bitwise equal to the same RK4 written with numpy vectors; it reads only
+    the S, E, A and I states, one node at a time.
 
     At impulse nodes the costates of the jumped compartments are multiplied
     by (1 + lam_l), the transpose of the diagonal arrival jump.
@@ -276,24 +279,26 @@ def integrate_adjoint_backward(
     v_n, u_n, v_m, u_m = (memoryview(x) for x in _sampled_controls(controls, grid))
     h = grid.h
     steps = grid.n_steps
-    omega = weights.omega
-    post = np.empty((steps + 1, 6 + params.n))
+    _, step = _costate_kernels(params, weights.omega)
+    x_pre, x_post = traj.states_pre[:, :4], traj.states_post[:, :4]
+    dim = 6 + params.n
+    post = np.empty((steps + 1, dim))
+    put, row = struct.Struct(f"{dim}d").pack_into, 8 * dim
     jumped = {}
-    pq = [0.0] * post.shape[1]
+    pq = [0.0] * dim
     post[steps] = pq
-    left = (traj.states_pre[steps].tolist(), v_n[steps], u_n[steps], params, omega)
+    left = (*x_pre[steps].tolist(), v_n[steps], u_n[steps])
 
     for i in range(steps - 1, -1, -1):
-        # step i runs from node i + 1 (right) back to node i (left), with the
-        # arguments of _costate_deriv at each; the states either side of node
-        # i + 1 differ only if it is an impulse node
-        right = left
-        if i + 1 in imap:
-            right = (traj.states_pre[i + 1].tolist(), v_n[i + 1], u_n[i + 1], params, omega)
-        left = (traj.states_post[i].tolist(), v_n[i], u_n[i], params, omega)
-        mid = ([0.5 * (a + b) for a, b in zip(left[0], right[0])], v_m[i], u_m[i], params, omega)
-        pq = _rk4_step(_costate_deriv, pq, -h, right, mid, left)
-        post[i] = pq
+        # step i runs from node i + 1 (right) back to node i (left); the states
+        # either side of node i + 1 differ only if it is an impulse node
+        right = left if i + 1 not in imap else (*x_pre[i + 1].tolist(), v_n[i + 1], u_n[i + 1])
+        left = (*x_post[i].tolist(), v_n[i], u_n[i])
+        s0, e0, a0, i0, _, _ = left
+        s1, e1, a1, i1, _, _ = right
+        mid = (0.5 * (s0 + s1), 0.5 * (e0 + e1), 0.5 * (a0 + a1), 0.5 * (i0 + i1), v_m[i], u_m[i])
+        pq = step(pq, -h, right, mid, left)
+        put(post, i * row, *pq)
         lam = imap.get(i)
         if lam is not None:
             pq = jumped[i] = _apply_impulse(pq, lam)

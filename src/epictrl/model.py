@@ -16,7 +16,9 @@ so a state vector has n + 6 components.
 
 from __future__ import annotations
 
+import functools
 import math
+import re
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -80,7 +82,7 @@ def _entry_faults(
 
 def _field_values(component) -> dict:
     """A dataclass's fields by name, read with getattr: ``vars()`` would build the instance
-    dict, which takes later attribute reads, ``_deriv``'s among them, off CPython's fast path."""
+    dict, which takes later attribute reads off CPython's fast path."""
     return {f.name: getattr(component, f.name) for f in fields(component)}
 
 
@@ -333,86 +335,109 @@ class Trajectory:
         return arr.sum(axis=1) - arr[:, D]
 
 
-def _deriv(y, v: float, u: float, pr: ModelParams) -> list[float]:
-    """Right-hand side of the controlled dynamics on the canonical layout.
+# The state and costate fields, each stated once as source lines over variable names, so
+# that one RK4 step of each runs as straight-line code.  The lines keep the operation order
+# of the numpy formulation; a product of rates is one bound constant only where Python's
+# left-to-right evaluation already formed it, and a term two rows share is computed once.
+_BIND = """\
+def bind(pr, omega):
+    beta, eps, mu, k, z, eta, f, alpha = pr.beta, pr.epsilon, pr.mu, pr.k, pr.z, pr.eta, pr.f, pr.alpha
+    q1, z1, p1e = 1.0 - pr.q, 1.0 - z, (1.0 - pr.p) * eta
+    z1k, zk, pe, af, af1 = z1 * k, z * k, pr.p * eta, alpha * f, (1.0 - alpha) * f
+    be, bm, bq = beta * eps, beta * mu, beta * q1
+    {g}, = pr.gamma
+    {d}, = pr.delta
+"""
 
-    ``y`` is a sequence of compartments and the result a list: floats for one
-    run, where numpy's per-call cost would dominate, or (M,) arrays (and ``v``,
-    ``u`` floats or (M,) arrays) for a batch of M runs.  Only indexing and
-    arithmetic are used, so each batch column equals its float run bitwise.
-    """
-    g, d = pr.gamma, pr.delta
-    n = len(g)
-    s, e, a, i = y[S], y[E], y[A], y[I]
-    vd = y[V0:]
-    force = pr.epsilon * e + (1.0 - pr.q) * i + pr.mu * a
-    infect = pr.beta * force * s
-    leak = 0.0
-    for j in range(n - 1):
-        leak += d[j] * vd[j]
-    if pr.delta_n_to_exposed:
-        leak += d[n - 1] * vd[n - 1]
-    out = [
-        -infect - g[0] * v * s,
-        infect - pr.k * e + leak,
-        (1.0 - pr.z) * pr.k * e - pr.eta * a,
-        pr.z * pr.k * e + (1.0 - pr.p) * pr.eta * a - pr.f * i - u * i,
-        pr.alpha * pr.f * i + u * i + pr.p * pr.eta * a,
-        (1.0 - pr.alpha) * pr.f * i,
-        g[0] * v * s - g[1] * v * vd[0] - d[0] * vd[0],
-    ]
+
+def _state_rows(n: int, to_exposed: bool, y, point, out) -> list[str]:
+    """Lines setting ``out`` to the state derivative at the names ``y``, ``point`` = (v, u)."""
+    (s, e, a, i), w, (v, u) = y[:4], y[V0:], point
+    leaks = range(n if to_exposed else n - 1)
+    lines = [f"infect = beta * (eps * {e} + q1 * {i} + mu * {a}) * {s}", f"ui = {u} * {i}"]
+    lines += [f"fl{j} = g{j} * {v} * {([s] + w)[j]}" for j in range(n)]  # into dose j + 1
+    lines += [f"dw{j} = d{j} * {w[j]}" for j in leaks]  # breakthrough out of dose j + 1
+    leak = " + ".join(["0.0"] + [f"dw{j}" for j in leaks])
+    rows = ["-infect - fl0", f"infect - k * {e} + ({leak})", f"z1k * {e} - eta * {a}"]
+    rows += [f"zk * {e} + p1e * {a} - f * {i} - ui", f"af * {i} + ui + pe * {a}", f"af1 * {i}"]
+    rows += [f"fl{j} - fl{j + 1} - dw{j}" for j in range(n - 1)]
+    rows.append(f"fl{n - 1} - dw{n - 1}" if to_exposed else f"fl{n - 1}")
+    return lines + [f"{o} = {r}" for o, r in zip(out, rows)]
+
+
+def _costate_rows(n: int, to_exposed: bool, pq, point, out) -> list[str]:
+    """Lines setting ``out`` to the costate derivative, minus the state gradient of the
+    Hamiltonian, at the names ``pq`` = [p1..p6, q1..qn] and ``point`` = (S, E, A, I, v, u)."""
+    (p1, p2, p3, p4, p5, p6), q, (s, e, a, i, v, u) = pq[:6], pq[6:], point
+    lines = [f"dp = {p1} - {p2}", *(f"gv{j} = g{j} * {v}" for j in range(n))]
+    rows = [f"beta * (eps * {e} + q1 * {i} + mu * {a}) * dp + gv0 * ({p1} - {q[0]}) - w1"]
+    rows += [f"be * {s} * dp + k * ({p2} - z1 * {p3} - z * {p4}) - w2"]
+    rows += [f"bm * {s} * dp + eta * {p3} - p1e * {p4} - w3"]
+    rows += [f"bq * {s} * dp + {u} * ({p4} - {p5}) + f * ({p4} - alpha * {p5}) - af1 * {p6} - w4"]
+    rows += ["0.0", "0.0", f"d0 * ({q[0]} - {p2}) + gv1 * ({q[0]} - {q[1]})"]
     for j in range(1, n - 1):
-        out.append(g[j] * v * vd[j - 1] - g[j + 1] * v * vd[j] - d[j] * vd[j])
-    last = g[n - 1] * v * vd[n - 2]
-    if pr.delta_n_to_exposed:
-        last -= d[n - 1] * vd[n - 1]
-    out.append(last)
-    return out
+        rows.append(f"-d{j} * {p2} + (gv{j + 1} + d{j}) * {q[j]}")
+        if to_exposed:
+            # the last costate is nonzero once its breakthrough flow exists, so the
+            # chain coupling it normally kills must be kept
+            rows[-1] += f" - gv{j + 1} * {q[j + 1]}"
+    rows.append(f"d{n - 1} * ({q[n - 1]} - {p2})" if to_exposed else "0.0")
+    return lines + [f"{o} = {r}" for o, r in zip(out, rows)]
 
 
-def _costate_deriv(pq, y, v: float, u: float, pr: ModelParams, omega) -> list[float]:
-    """Costate derivative [p1..p6, q1..qn], minus the state gradient of the Hamiltonian
-    with running-cost weights ``omega``; on floats, like ``_deriv``."""
-    w1, w2, w3, w4 = omega
-    g, d = pr.gamma, pr.delta
-    n = len(g)
-    p1, p2, p3, p4, p5, p6 = pq[:6]
-    qd = pq[6:]
-    s = y[S]
-    dp = p1 - p2
-    out = [
-        pr.beta * (pr.epsilon * y[E] + (1.0 - pr.q) * y[I] + pr.mu * y[A]) * dp
-        + g[0] * v * (p1 - qd[0])
-        - w1,
-        pr.beta * pr.epsilon * s * dp + pr.k * (p2 - (1.0 - pr.z) * p3 - pr.z * p4) - w2,
-        pr.beta * pr.mu * s * dp + pr.eta * p3 - (1.0 - pr.p) * pr.eta * p4 - w3,
-        pr.beta * (1.0 - pr.q) * s * dp + u * (p4 - p5) + pr.f * (p4 - pr.alpha * p5)
-        - (1.0 - pr.alpha) * pr.f * p6 - w4,
-        0.0,
-        0.0,
-        d[0] * (qd[0] - p2) + g[1] * v * (qd[0] - qd[1]),
-    ]
-    for j in range(1, n - 1):
-        x = -d[j] * p2 + (g[j + 1] * v + d[j]) * qd[j]
-        if pr.delta_n_to_exposed:
-            # the last costate is nonzero once its breakthrough flow exists,
-            # so the chain coupling it normally kills must be kept
-            x -= g[j + 1] * v * qd[j + 1]
-        out.append(x)
-    out.append(d[n - 1] * (qd[n - 1] - p2) if pr.delta_n_to_exposed else 0.0)
-    return out
+def _kernel_lines(rows, dim: int, arity: int) -> list[str]:
+    """Source lines of the field ``field(y, a)`` of ``rows`` and its RK4 step
+    ``step(y, h, a0, a1, a2)``.  Each ``a`` is a tuple of the field's ``arity``
+    arguments besides y; the step's are taken at its start, midpoint and end.  A negative h
+    steps backward in time, exactly: it only flips the sign of each stage's increment."""
+    y, x, s, k = ([f"{name}{c}" for c in range(dim)] for name in "yxsk")
+    a0, a1, a2 = ([f"a{j}_{c}" for c in range(arity)] for j in range(3))
+    reads = set(re.findall(r"\w+", " ".join(rows(x, a1, k))))
+
+    def stage(size, ks):  # the next stage's state, where its field reads it
+        return [f"{xc} = {yc} + {size} * {kc}" for xc, yc, kc in zip(x, y, ks) if xc in reads]
+
+    # s sums the stage derivatives k1 + 2.0*k2 + 2.0*k3 + k4 left to right as they come,
+    # so that a batch holds one stage's arrays at a time
+    total = [f"{sc} = {sc} + 2.0 * {kc}" for sc, kc in zip(s, k)]
+    unpack = f"{', '.join(y)}, = y"
+    once = [unpack, f"{', '.join(a0)}, = a", *rows(y, a0, k), f"return [{', '.join(k)}]"]
+    step = [unpack, *(f"{', '.join(a)}, = a{j}" for j, a in enumerate((a0, a1, a2)))]
+    step += ["half = 0.5 * h", "sixth = h / 6.0", *rows(y, a0, s), *stage("half", s)]
+    step += [*rows(x, a1, k), *stage("half", k), *total, *rows(x, a1, k), *stage("h", k), *total]
+    new = [f"{yc} + sixth * ({sc} + {kc})" for yc, sc, kc in zip(y, s, k)]
+    step += [*rows(x, a2, k), f"return [{', '.join(new)}]"]
+    once = ["def field(y, a):", *(f"    {line}" for line in once)]
+    return once + ["def step(y, h, a0, a1, a2):", *(f"    {line}" for line in step)]
 
 
-def _rk4_step(f, y, h: float, a0, am, a1) -> list:
-    """One RK4 step of ``f(y, *a)``, the arguments ``a`` taken at the step's start (a0),
-    midpoint (am) and end (a1).  A negative h steps backward in time, exactly: it only
-    flips the sign of each stage's increment."""
-    half, sixth = 0.5 * h, h / 6.0
-    k1 = f(y, *a0)
-    k2 = f([x + half * k for x, k in zip(y, k1)], *am)
-    k3 = f([x + half * k for x, k in zip(y, k2)], *am)
-    k4 = f([x + h * k for x, k in zip(y, k3)], *a1)
-    return [x + sixth * (a + 2.0 * b + 2.0 * c + d) for x, a, b, c, d in zip(y, k1, k2, k3, k4)]
+@functools.cache
+def _binder(n: int, to_exposed: bool, costate: bool):
+    """``bind(pr, omega)`` for n doses, compiled once, which binds the rates of ``pr`` (and
+    for the costates the weights ``omega``) as values and returns the field and its step.
+    The source depends only on n, ``to_exposed`` and ``costate``."""
+    rows = functools.partial(_costate_rows if costate else _state_rows, n, to_exposed)
+    lines = ["w1, w2, w3, w4 = omega"] if costate else []
+    lines += [*_kernel_lines(rows, n + 6, 6 if costate else 2), "return field, step"]
+    names = {key: ", ".join(f"{key}{j}" for j in range(n)) for key in ("g", "d")}
+    source = _BIND.format(**names) + "".join(f"    {line}\n" for line in lines)
+    namespace: dict = {}
+    exec(compile(source, f"<epictrl kernels {n} {to_exposed} {costate}>", "exec"), namespace)
+    return namespace["bind"]
+
+
+def _state_kernels(pr: ModelParams):
+    """The generated state field ``field(y, (v, u))`` and its RK4 step ``step(y, h, a0, a1, a2)``
+    bound to ``pr``, on the canonical layout: floats for one run, or (M,) arrays for M runs.
+    Only unpacking and arithmetic are used, so a batch column equals its float run bitwise,
+    and input with zero imaginary part gives the float results as real parts."""
+    return _binder(pr.n, pr.delta_n_to_exposed, False)(pr, None)
+
+
+def _costate_kernels(pr: ModelParams, omega):
+    """The generated costate derivative ``field(pq, (S, E, A, I, v, u))`` and its RK4 step,
+    bound to ``pr`` and the running-cost weights ``omega``; like ``_state_kernels``."""
+    return _binder(pr.n, pr.delta_n_to_exposed, True)(pr, omega)
 
 
 def _too_coarse(lowest: float, t: float) -> StabilityError:
@@ -432,7 +457,7 @@ def vector_field(state: StateVector, v: float, u: float, params: ModelParams) ->
         raise ValueError("treatment control outside [0, 1]")
     if not 0.0 <= v <= params.v_max:
         raise ValueError(f"vaccination control outside [0, {params.v_max}]")
-    return np.array(_deriv(state.as_array().tolist(), v, u, params))
+    return np.array(_state_kernels(params)[0](state.as_array().tolist(), (v, u)))
 
 
 def _apply_impulse(y, lam) -> list[float]:

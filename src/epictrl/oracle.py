@@ -3,8 +3,8 @@
 ``brute_force_optimum`` exhaustively enumerates piecewise-constant control
 pairs on a coarse segment grid, giving a search-free reference optimum.  It
 marches each shared control prefix once, depth-first in chunks of at most
-``_CHUNK`` candidates, through the sweep's own ``_rk4_step`` and ``_deriv``
-on a compartment-major batch (one row of candidates each).
+``_CHUNK`` candidates, through the sweep's own RK4 state step
+(``model._state_kernels``) on a compartment-major batch (one row each).
 ``finite_difference_gradient`` probes the cost functional directly with
 central differences, to be compared against the costate-based gradient.
 """
@@ -29,8 +29,7 @@ from .model import (
     ControlSignal,
     ModelParams,
     StateVector,
-    _deriv,
-    _rk4_step,
+    _state_kernels,
     _too_coarse,
 )
 
@@ -82,7 +81,7 @@ def _leaf_costs(
     candidate costs in tree order (the level pairs as digits, first segment
     most significant); ``first`` is the tree index of ``costs[0]``.
 
-    Each row runs ``_rk4_step`` as ``integrate_forward`` runs a float state:
+    Each row runs the RK4 step that ``integrate_forward`` runs on a float state:
     a step that leaves a compartment below the negative tolerance raises
     StabilityError; smaller negatives are roundoff and are clamped to zero.
     """
@@ -94,6 +93,7 @@ def _leaf_costs(
     h = seg_len / steps
     tol = _NEGATIVE_TOL * float(y0.sum() - y0[D])
     terminal = weights.terminal.value(config.horizon)
+    _, step = _state_kernels(params)
 
     def march(y, cost, first, seg):
         if seg == config.segments:
@@ -104,10 +104,10 @@ def _leaf_costs(
             parent, pair = np.divmod(np.arange(lo, min(lo + _CHUNK, children)), n_pairs)
             u, v = u_pair[pair], v_pair[pair]
             yc, c = [x[parent] for x in y], cost[parent]
-            vu = (v, u, params)
+            vu = (v, u)
             g_left = _running_cost_arrays(yc, u, v, weights, params)
             for k in range(steps):
-                yc = _rk4_step(_deriv, yc, h, vu, vu, vu)
+                yc = step(yc, h, vu, vu, vu)
                 for x in yc:
                     lowest = x.min()
                     if lowest < 0.0:

@@ -9,11 +9,10 @@ rejected so typos cannot silently change a run.
 from __future__ import annotations
 
 import json
-import math
 import sys
 from dataclasses import dataclass
 
-from .control import CostWeights, SweepOptions, TerminalCost
+from .control import CostWeights, SweepOptions, TerminalCost, _running_cost_fault
 from .errors import ParseError, UnknownPresetError
 from .integrator import TimeGrid, _impulse_nodes
 from .model import ImpulseEvent, ImpulseSchedule, ModelParams, StateVector, _field_values
@@ -234,18 +233,12 @@ def _cross_violations(config: RunConfig) -> list[str]:
         if k != n
     ]
     if counts["weights.sigma"] == n:
-        w, tau, v_max = config.weights, config.grid.tau, config.params.v_max
-        gain = w.vaccination_gain(config.params)
-        if gain <= 0:
+        if config.weights.vaccination_gain(config.params) <= 0:
             out.append("weights.sigma: vaccination gain sum must be positive")
-        # the rows of the vector field sum to zero, so only arrivals grow the
-        # population (D included); u <= 1 and v <= v_max bound the effort terms
-        events = config.schedule.events if config.schedule is not None else ()
-        people = sum(config.initial.as_array().tolist())
-        people *= math.prod(1.0 + max(ev.lam) for ev in events)
-        g_max = sum(w.omega) * people + 0.5 * w.sigma0 + 0.5 * gain * v_max * v_max
-        if not math.isfinite(tau * g_max):
-            out.append(f"weights: the running-cost bound over tau = {tau:.6g} is not finite")
+        fault = _running_cost_fault(
+            config.initial, config.params, config.weights, config.grid.tau, config.schedule
+        )
+        out += [fault] if fault else []
     out += [f"schedule: {fault}" for fault in _impulse_nodes(config.schedule, config.grid)[1]]
     fault = config.weights.terminal.horizon_fault(config.grid.tau)
     return out + _prefixed("weights.terminal", [fault] if fault else [])

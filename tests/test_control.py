@@ -410,6 +410,18 @@ class TestFbsmSolve:
         assert not sol.converged
         assert sol.iterations == 2
 
+    def test_running_cost_bound_checked_before_the_first_pass(self, covid19, monkeypatch):
+        # the bound load_config enforces holds for library callers too: these
+        # weights once gave cost=inf with converged=True after 14 iterations
+        params, initial = covid19
+        weights = ec.CostWeights(omega=(1e306, 1.0, 1.0, 1.0))
+        monkeypatch.setattr(ec.control, "integrate_forward", None)  # no pass may run
+        line = "weights: the running-cost bound over tau = 5 is not finite"
+        with pytest.raises(RangeError, match=line):
+            fbsm_solve(initial, params, weights, TimeGrid(5.0, 0.05))
+        with pytest.raises(RangeError, match=line):
+            ec.optimize_terminal_time(initial, params, weights, None, (5.0, 6.0), h=0.05)
+
     def test_default_run_regression(self, default_solution):
         assert default_solution.converged
         assert default_solution.iterations <= 500

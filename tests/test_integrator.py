@@ -4,7 +4,7 @@ import pytest
 import epictrl as ec
 from epictrl.control import CostWeights, _hamiltonian, _running_cost_arrays
 from epictrl.integrator import _impulse_map, _sampled_controls
-from epictrl.model import A, D, E, I, R, S, V0, ModelParams
+from epictrl.model import A, D, E, I, R, S, V0, ModelParams, _costate_kernels, _state_kernels
 
 
 def zero_controls(grid, params):
@@ -489,7 +489,7 @@ def _assert_both_passes_match(params, initial, weights, grid, controls, schedule
 
 class TestSeedEquivalence:
     @pytest.mark.parametrize("delta_n_to_exposed", [False, True])
-    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_passes_bitwise_equal_to_numpy_reference(self, n, delta_n_to_exposed):
         rng = np.random.default_rng(1000 * n + delta_n_to_exposed)
         for impulses in range(4):
@@ -546,7 +546,7 @@ class TestSeedEquivalence:
             assert _bitwise_equal(got_t, times)
             assert _bitwise_equal(got_rows, rows)
 
-    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_single_calls_exact(self, n):
         rng = np.random.default_rng(n)
         for dn in (False, True):
@@ -565,3 +565,40 @@ class TestSeedEquivalence:
                 _running_cost_arrays(y, u, v, weights, params) + pq @ _ref_deriv(y, v, u, params)
             )
             assert _bitwise_equal(_hamiltonian(state, adjoint, u, v, params, weights), ham)
+
+    def test_rates_bound_per_model(self):
+        # two models with the same dose count and flag share one compiled step;
+        # marched alternately, each must still run on its own rates
+        rng = np.random.default_rng(4242)
+        draws = [_random_draw(rng, 3, True, 2) for _ in range(2)]
+        assert draws[0][0] != draws[1][0]
+        for _ in range(2):
+            for draw in draws:
+                _assert_both_passes_match(*draw)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_generated_kernels_are_complex_safe(self, n):
+        # complex-step differentiation needs the fields and steps to be
+        # arithmetic only: a zero imaginary part must leave the real parts
+        # bitwise the float results
+        rng = np.random.default_rng(50 + n)
+        for dn in (False, True):
+            params, _, weights, _, _, _ = _random_draw(rng, n, dn, 0)
+            state, state_step = _state_kernels(params)
+            costate, costate_step = _costate_kernels(params, weights.omega)
+            y = rng.uniform(0.0, 5000.0, size=n + 6)
+            pq = rng.normal(0.0, 10.0, size=n + 6)
+            vu = [(float(v), float(u)) for v, u in rng.uniform(0.0, [params.v_max, 1.0], size=(3, 2))]
+            points = [(*rng.uniform(0.0, 5000.0, size=4).tolist(), v, u) for v, u in vu]
+            c = lambda a: tuple(x + 0j for x in a)  # noqa: E731
+            yc, pqc = (y + 0j).tolist(), (pq + 0j).tolist()
+            for real, cplx in (
+                (state(y.tolist(), vu[0]), state(yc, c(vu[0]))),
+                (state_step(y.tolist(), 0.01, *vu), state_step(yc, 0.01, *map(c, vu))),
+                (costate(pq.tolist(), points[0]), costate(pqc, c(points[0]))),
+                (
+                    costate_step(pq.tolist(), -0.01, *points),
+                    costate_step(pqc, -0.01, *map(c, points)),
+                ),
+            ):
+                assert _bitwise_equal(np.real(np.array(cplx)), real)

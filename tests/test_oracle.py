@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 import epictrl as ec
 from epictrl import oracle
 from epictrl.control import _running_cost_arrays
-from epictrl.model import D, _NEGATIVE_TOL, A, E, I, S, V0, _deriv, _rk4_step, _too_coarse
+from epictrl.model import D, _NEGATIVE_TOL, A, E, I, S, V0, _state_kernels, _too_coarse
 
 
 class TestOracleConfig:
@@ -60,19 +61,18 @@ class TestSharedBatchPath:
         y = rng.uniform(0.0, 5000.0, size=(n + 6, m))
         v0, vm, v1 = rng.uniform(0.0, params.v_max, size=(3, m))
         u0, um, u1 = rng.uniform(0.0, 1.0, size=(3, m))
-        deriv = np.array(_deriv(list(y), v0, u0, params))
-        step = np.array(
-            _rk4_step(_deriv, list(y), 0.05, (v0, u0, params), (vm, um, params), (v1, u1, params))
-        )
+        field, rk4 = _state_kernels(params)
+        deriv = np.array(field(list(y), (v0, u0)))
+        step = np.array(rk4(list(y), 0.05, (v0, u0), (vm, um), (v1, u1)))
         for j in range(m):
             col = y[:, j].tolist()
             c = [float(x[j]) for x in (v0, u0, vm, um, v1, u1)]
-            assert _bitwise_equal(deriv[:, j], _deriv(col, c[0], c[1], params))
-            args = [(c[0], c[1], params), (c[2], c[3], params), (c[4], c[5], params)]
-            assert _bitwise_equal(step[:, j], _rk4_step(_deriv, col, 0.05, *args))
+            assert _bitwise_equal(deriv[:, j], field(col, (c[0], c[1])))
+            args = [(c[0], c[1]), (c[2], c[3]), (c[4], c[5])]
+            assert _bitwise_equal(step[:, j], rk4(col, 0.05, *args))
 
 
-# The oracle's marcher before it shared ``_rk4_step``, verbatim: its own
+# The oracle's marcher before it shared the sweep's RK4 step, verbatim: its own
 # vector field on an (M, n+6) batch and its own inline RK4.
 def _ref_batch_deriv(y: np.ndarray, v: np.ndarray, u: np.ndarray, pr: ec.ModelParams) -> np.ndarray:
     g, d = pr.gamma, pr.delta
@@ -137,8 +137,8 @@ def _ref_integrate_batch_cost(y0, u_seg, v_seg, params, weights, config):
 # The oracle's marcher before it shared control prefixes, verbatim: every
 # candidate marched in lockstep through every segment.
 def _integrate_batch_cost(y0, u_seg, v_seg, params, weights, config):
-    """Cost of every candidate, marching all of them in lockstep with
-    ``_rk4_step`` on one row of M candidates per compartment.
+    """Cost of every candidate, marching all of them in lockstep with the
+    generated RK4 step on one row of M candidates per compartment.
 
     As in ``integrate_forward``, a step that leaves a compartment below the
     negative tolerance raises StabilityError; smaller negatives are roundoff
@@ -150,13 +150,14 @@ def _integrate_batch_cost(y0, u_seg, v_seg, params, weights, config):
     h = seg_len / steps
     tol = _NEGATIVE_TOL * float(y0.sum() - y0[D])
     y = list(np.tile(y0[:, None], (1, m)))
+    _, step = _state_kernels(params)
     cost = np.zeros(m)
     for seg in range(config.segments):
         u = u_seg[:, seg]
         v = v_seg[:, seg]
         for k in range(steps):
             g_left = _running_cost_arrays(y, u, v, weights, params)
-            y = _rk4_step(_deriv, y, h, (v, u, params), (v, u, params), (v, u, params))
+            y = step(y, h, (v, u), (v, u), (v, u))
             for x in y:
                 lowest = x.min()
                 if lowest < 0.0:
@@ -288,6 +289,27 @@ class TestPrefixTreeMatchesFlatMarch:
         assert best_j == 1.0
         assert list(u_best) == [0.0, 0.0]
         assert list(v_best) == [level * params.v_max for level in v_levels]
+
+
+class TestRatesBoundPerModel:
+    """Models with the same dose count and breakthrough flag share one compiled step,
+    but each oracle search binds the rates of its own model (the sweep passes:
+    ``test_integrator.TestSeedEquivalence::test_rates_bound_per_model``)."""
+
+    def test_alternating_models_match_their_references(self):
+        params, initial, weights = _THREE_DOSES
+        other = dataclasses.replace(params, beta=3e-4, k=0.35, f=0.2, delta=(0.02, 0.01, 0.0))
+        models = (params, other)
+        cfg = ec.OracleConfig(horizon=1.0, segments=2, u_levels=2, v_levels=2, h=0.05)
+        y0 = initial.as_array()
+        for _ in range(2):
+            for params in models:
+                u_seg, v_seg = _flat_candidates(params, cfg)
+                flat = _integrate_batch_cost(y0, u_seg, v_seg, params, weights, cfg)
+                assert _bitwise_equal(_tree_costs(initial, params, weights, cfg), flat)
+                # the flat march shares the generated step; this reference does not
+                ref = _ref_integrate_batch_cost(y0, u_seg, v_seg, params, weights, cfg)
+                np.testing.assert_allclose(flat, ref, rtol=1e-12, atol=0.0)
 
 
 class TestBruteForceOptimum:
