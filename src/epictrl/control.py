@@ -35,11 +35,10 @@ from .model import (
     ModelParams,
     StateVector,
     Trajectory,
-    _costate_kernels,
     _entry_faults,
     _number_faults,
+    _kernels,
     _raise_faults,
-    _state_kernels,
 )
 
 log = logging.getLogger("epictrl")
@@ -225,7 +224,7 @@ def adjoint_rhs(
     """Time derivative of the costates, in the layout [p1..p6, q1..qn]."""
     if len(adjoint.q) != params.n or state.n != params.n:
         raise ValueError("costate/state dose counts must match the parameters")
-    field, _ = _costate_kernels(params, weights.omega)
+    field, _ = _kernels(params, weights.omega)
     return np.array(field(adjoint.as_array().tolist(), (state.S, state.E, state.A, state.I, v, u)))
 
 
@@ -242,7 +241,7 @@ def _hamiltonian(
     pq = adjoint.as_array()
     return float(
         _running_cost_arrays(y, float(u), float(v), weights, params)
-        + pq @ np.array(_state_kernels(params)[0](y.tolist(), (float(v), float(u))))
+        + pq @ np.array(_kernels(params)[0](y.tolist(), (float(v), float(u))))
     )
 
 

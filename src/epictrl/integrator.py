@@ -6,12 +6,12 @@ costate system from its zero terminal condition, applying the matching
 adjoint jumps.  Both record pre-jump and post-jump values at impulse nodes so
 trajectories represent the discontinuities losslessly.
 
-Both step loops run on plain Python floats: numpy's per-call cost on vectors
-of n + 6 elements would otherwise dominate.  Each node is one call of a
-straight-line RK4 step that ``model`` generates for the dose count
-and binds to the rates once per pass: the forward pass takes the state step,
-which the brute-force oracle also runs on a compartment-major batch of
-candidates, and the backward pass the costate step with step -h.  Every
+Both passes run on plain Python floats: numpy's per-call cost on vectors of
+n + 6 elements would otherwise dominate.  ``model`` generates each pass
+whole for the dose count: a ``march`` whose loop holds the value in local
+names and inlines the RK4 stages, called once per run of steps between
+impulse nodes.  The costate march steps with -h, forms each node's
+point-only terms once and skips the costates that stay zero.  Every
 floating-point operation keeps the order of the numpy formulation, and the
 tests hold both passes bitwise equal to a numpy reference implementation.
 Each pass writes one array row per node and copies it to the other side of
@@ -20,8 +20,8 @@ the jumps, patched at the impulse nodes.
 
 from __future__ import annotations
 
+import logging
 import math
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,13 +36,14 @@ from .model import (
     Trajectory,
     _NEGATIVE_TOL,
     _apply_impulse,
-    _costate_kernels,
+    _kernels,
     _number_faults,
     _raise_faults,
     _row_view,
-    _state_kernels,
     _too_coarse,
 )
+
+log = logging.getLogger("epictrl")
 
 
 @dataclass(frozen=True)
@@ -196,9 +197,9 @@ def integrate_forward(
 
     At every impulse node the pre-jump state is recorded, the arrival jump is
     applied, and the post-jump state is recorded before marching continues.
-    Compartments driven negative by roundoff are clamped to zero when their
-    magnitude is at most 1e-9 times the initial living population; anything
-    larger raises StabilityError (the step size is too coarse).
+    Compartments driven negative by roundoff are clamped to zero (logged at
+    DEBUG) when their magnitude is at most 1e-9 times the initial living
+    population; anything larger raises StabilityError (the step is too coarse).
 
     The step loop runs on Python floats and is bitwise equal to the same RK4
     written with numpy vectors.
@@ -218,24 +219,28 @@ def integrate_forward(
     tol = _NEGATIVE_TOL * n0
     pre = np.empty((steps + 1, dim))
     pre[0] = y0
-    put, row = struct.Struct(f"{dim}d").pack_into, 8 * dim  # 3x faster than pre[i] = y
     jumped = {}
     y = y0.tolist()
-    _, step = _state_kernels(params)
-    end = (v_n[0], u_n[0])
+    clamped: list[float] = []
 
-    for i in range(steps):
-        start, end = end, (v_n[i + 1], u_n[i + 1])
-        y = step(y, h, start, (v_m[i], u_m[i]), end)
+    def clamp(y, node):  # a step left some compartment below zero
         lowest = min(y)
+        if lowest < -tol:
+            raise _too_coarse(lowest, times[node])
         if lowest < 0.0:
-            if lowest < -tol:
-                raise _too_coarse(lowest, times[i + 1])
+            clamped.append(lowest)
             y = [0.0 if x < 0.0 else x for x in y]  # keeps -0.0, like np.maximum
-        put(pre, (i + 1) * row, *y)
-        lam = imap.get(i + 1)
+        return y
+
+    march = _kernels(params, march=True)
+    cuts = [0, *sorted(imap), steps]
+    for i0, i1 in zip(cuts, cuts[1:]):
+        y = march(y, (v_n[i0], u_n[i0]), h, i0, i1, pre, v_n, u_n, v_m, u_m, clamp)
+        lam = imap.get(i1)
         if lam is not None:
-            y = jumped[i + 1] = _apply_impulse(y, lam)
+            y = jumped[i1] = _apply_impulse(y, lam)
+    if clamped:
+        log.debug("forward pass: %d steps clamped to zero, lowest %.3e", len(clamped), min(clamped))
 
     return Trajectory(
         node_times=times,
@@ -260,9 +265,9 @@ def integrate_adjoint_backward(
     ``omega`` enter.  States at interior RK stages are linearly interpolated
     between the segment endpoints.
 
-    Each step is the generated costate step with step -h on Python floats,
-    bitwise equal to the same RK4 written with numpy vectors; it reads only
-    the S, E, A and I states, one node at a time.
+    The generated costate march steps with -h on Python floats, bitwise
+    equal to the same RK4 written with numpy vectors; it reads only the S,
+    E, A and I states.
 
     At impulse nodes the costates of the jumped compartments are multiplied
     by (1 + lam_l), the transpose of the diagonal arrival jump.
@@ -277,31 +282,22 @@ def integrate_adjoint_backward(
         raise GridMismatchError("schedule impulse nodes do not match the trajectory's")
 
     v_n, u_n, v_m, u_m = (memoryview(x) for x in _sampled_controls(controls, grid))
-    h = grid.h
     steps = grid.n_steps
-    _, step = _costate_kernels(params, weights.omega)
-    x_pre, x_post = traj.states_pre[:, :4], traj.states_post[:, :4]
+    march = _kernels(params, weights.omega, march=True)
+    columns = [memoryview(x) for x in traj.states_post[:, :4].T.copy()]
     dim = 6 + params.n
     post = np.empty((steps + 1, dim))
-    put, row = struct.Struct(f"{dim}d").pack_into, 8 * dim
     jumped = {}
     pq = [0.0] * dim
     post[steps] = pq
-    left = (*x_pre[steps].tolist(), v_n[steps], u_n[steps])
-
-    for i in range(steps - 1, -1, -1):
-        # step i runs from node i + 1 (right) back to node i (left); the states
-        # either side of node i + 1 differ only if it is an impulse node
-        right = left if i + 1 not in imap else (*x_pre[i + 1].tolist(), v_n[i + 1], u_n[i + 1])
-        left = (*x_post[i].tolist(), v_n[i], u_n[i])
-        s0, e0, a0, i0, _, _ = left
-        s1, e1, a1, i1, _, _ = right
-        mid = (0.5 * (s0 + s1), 0.5 * (e0 + e1), 0.5 * (a0 + a1), 0.5 * (i0 + i1), v_m[i], u_m[i])
-        pq = step(pq, -h, right, mid, left)
-        put(post, i * row, *pq)
-        lam = imap.get(i)
+    cuts = [0, *sorted(imap), steps]
+    for i0, i1 in reversed(list(zip(cuts, cuts[1:]))):
+        # the states either side of node i1 differ if it is an impulse node
+        right = (*traj.states_pre[i1, :4].tolist(), v_n[i1], u_n[i1])
+        pq = march(pq, right, -grid.h, i0, i1, post, v_n, u_n, v_m, u_m, *columns)
+        lam = imap.get(i0)
         if lam is not None:
-            pq = jumped[i] = _apply_impulse(pq, lam)
+            pq = jumped[i0] = _apply_impulse(pq, lam)
 
     return AdjointTrajectory(
         node_times=times,

@@ -19,6 +19,7 @@ from __future__ import annotations
 import functools
 import math
 import re
+import struct
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -335,24 +336,25 @@ class Trajectory:
         return arr.sum(axis=1) - arr[:, D]
 
 
-# The state and costate fields, each stated once as source lines over variable names, so
-# that one RK4 step of each runs as straight-line code.  The lines keep the operation order
-# of the numpy formulation; a product of rates is one bound constant only where Python's
-# left-to-right evaluation already formed it, and a term two rows share is computed once.
-_BIND = """\
-def bind(pr, omega):
-    beta, eps, mu, k, z, eta, f, alpha = pr.beta, pr.epsilon, pr.mu, pr.k, pr.z, pr.eta, pr.f, pr.alpha
-    q1, z1, p1e = 1.0 - pr.q, 1.0 - z, (1.0 - pr.p) * eta
-    z1k, zk, pe, af, af1 = z1 * k, z * k, pr.p * eta, alpha * f, (1.0 - alpha) * f
-    be, bm, bq = beta * eps, beta * mu, beta * q1
-    {g}, = pr.gamma
-    {d}, = pr.delta
+# The state and costate fields, each stated once as source lines over variable names, from
+# which their RK4 steps and sweep passes are generated as straight-line code.  The lines keep
+# the operation order of the numpy formulation; a product of rates is one bound constant only
+# where Python's left-to-right evaluation already formed it, and a term two rows share is
+# computed once.  A field is taken at a point, a prefix ``pt`` of the names of its values
+# (v, u, and for the costates S, E, A, I) and of the terms that the point alone determines.
+_RATES = """\
+beta, eps, mu, k, z, eta, f, alpha = pr.beta, pr.epsilon, pr.mu, pr.k, pr.z, pr.eta, pr.f, pr.alpha
+q1, z1, p1e = 1.0 - pr.q, 1.0 - z, (1.0 - pr.p) * eta
+z1k, zk, pe, af, af1 = z1 * k, z * k, pr.p * eta, alpha * f, (1.0 - alpha) * f
+be, bm, bq = beta * eps, beta * mu, beta * q1
+{g}, = pr.gamma
+{d}, = pr.delta
 """
 
 
-def _state_rows(n: int, to_exposed: bool, y, point, out) -> list[str]:
-    """Lines setting ``out`` to the state derivative at the names ``y``, ``point`` = (v, u)."""
-    (s, e, a, i), w, (v, u) = y[:4], y[V0:], point
+def _state_rows(n: int, to_exposed: bool, y, pt, out) -> list[str]:
+    """Lines setting ``out`` to the state derivative at the names ``y`` and the point ``pt``."""
+    (s, e, a, i), w, v, u = y[:4], y[V0:], pt + "v", pt + "u"
     leaks = range(n if to_exposed else n - 1)
     lines = [f"infect = beta * (eps * {e} + q1 * {i} + mu * {a}) * {s}", f"ui = {u} * {i}"]
     lines += [f"fl{j} = g{j} * {v} * {([s] + w)[j]}" for j in range(n)]  # into dose j + 1
@@ -365,79 +367,121 @@ def _state_rows(n: int, to_exposed: bool, y, point, out) -> list[str]:
     return lines + [f"{o} = {r}" for o, r in zip(out, rows)]
 
 
-def _costate_rows(n: int, to_exposed: bool, pq, point, out) -> list[str]:
+def _costate_rows(n: int, to_exposed: bool, pq, pt, out) -> list[str]:
     """Lines setting ``out`` to the costate derivative, minus the state gradient of the
-    Hamiltonian, at the names ``pq`` = [p1..p6, q1..qn] and ``point`` = (S, E, A, I, v, u)."""
-    (p1, p2, p3, p4, p5, p6), q, (s, e, a, i, v, u) = pq[:6], pq[6:], point
-    lines = [f"dp = {p1} - {p2}", *(f"gv{j} = g{j} * {v}" for j in range(n))]
-    rows = [f"beta * (eps * {e} + q1 * {i} + mu * {a}) * dp + gv0 * ({p1} - {q[0]}) - w1"]
-    rows += [f"be * {s} * dp + k * ({p2} - z1 * {p3} - z * {p4}) - w2"]
-    rows += [f"bm * {s} * dp + eta * {p3} - p1e * {p4} - w3"]
-    rows += [f"bq * {s} * dp + {u} * ({p4} - {p5}) + f * ({p4} - alpha * {p5}) - af1 * {p6} - w4"]
-    rows += ["0.0", "0.0", f"d0 * ({q[0]} - {p2}) + gv1 * ({q[0]} - {q[1]})"]
+    Hamiltonian, at the names ``pq`` = [p1..p6, q1..qn] and the point ``pt``."""
+    (p1, p2, p3, p4, p5, p6), q, (s, e, a, i, v, u) = pq[:6], pq[6:], (pt + c for c in "SEAIvu")
+    fo, be, bm, bq, gv = (pt + c for c in ("fo", "be", "bm", "bq", "gv"))
+    lines = [f"{fo} = beta * (eps * {e} + q1 * {i} + mu * {a})", f"{be} = be * {s}"]
+    lines += [f"{bm} = bm * {s}", f"{bq} = bq * {s}", *(f"{gv}{j} = g{j} * {v}" for j in range(n))]
+    rows = [f"{fo} * dp + {gv}0 * ({p1} - {q[0]}) - w1"]
+    rows += [f"{be} * dp + k * ({p2} - z1 * {p3} - z * {p4}) - w2"]
+    rows += [f"{bm} * dp + eta * {p3} - p1e * {p4} - w3"]
+    rows += [f"{bq} * dp + {u} * ({p4} - {p5}) + f * ({p4} - alpha * {p5}) - af1 * {p6} - w4"]
+    rows += ["0.0", "0.0", f"d0 * ({q[0]} - {p2}) + {gv}1 * ({q[0]} - {q[1]})"]
     for j in range(1, n - 1):
-        rows.append(f"-d{j} * {p2} + (gv{j + 1} + d{j}) * {q[j]}")
+        rows.append(f"-d{j} * {p2} + ({gv}{j + 1} + d{j}) * {q[j]}")
         if to_exposed:
             # the last costate is nonzero once its breakthrough flow exists, so the
             # chain coupling it normally kills must be kept
-            rows[-1] += f" - gv{j + 1} * {q[j + 1]}"
+            rows[-1] += f" - {gv}{j + 1} * {q[j + 1]}"
     rows.append(f"d{n - 1} * ({q[n - 1]} - {p2})" if to_exposed else "0.0")
-    return lines + [f"{o} = {r}" for o, r in zip(out, rows)]
+    return lines + [f"dp = {p1} - {p2}"] + [f"{o} = {r}" for o, r in zip(out, rows)]
 
 
-def _kernel_lines(rows, dim: int, arity: int) -> list[str]:
-    """Source lines of the field ``field(y, a)`` of ``rows`` and its RK4 step
-    ``step(y, h, a0, a1, a2)``.  Each ``a`` is a tuple of the field's ``arity``
-    arguments besides y; the step's are taken at its start, midpoint and end.  A negative h
-    steps backward in time, exactly: it only flips the sign of each stage's increment."""
+def _block(header: str, lines) -> list[str]:
+    return [header, *(f"    {line}" for line in lines)]
+
+
+def _rk4_lines(rows, dim: int) -> list[str]:
+    """Lines advancing y0.. in place by one RK4 step of ``rows`` from the point a0_ over a1_ to
+    a2_, all bound with their terms, with h, half and sixth: a negative h steps back exactly.
+    A row that is the literal 0.0 gets no lines: for h < 0 its increments are -0.0, which keep y."""
     y, x, s, k = ([f"{name}{c}" for c in range(dim)] for name in "yxsk")
-    a0, a1, a2 = ([f"a{j}_{c}" for c in range(arity)] for j in range(3))
-    reads = set(re.findall(r"\w+", " ".join(rows(x, a1, k))))
+    zero = {c for c in range(dim) if f"{k[c]} = 0.0" in rows(y, "a0_", k)}
+    live = [c for c in range(dim) if c not in zero]
+    x = [y[c] if c in zero else x[c] for c in range(dim)]
+    reads = set(re.findall(r"\w+", " ".join(rows(x, "a1_", k))))
+
+    def field(ins, pt, out):  # less the point's own lines and the zero rows
+        return [ln for ln in rows(ins, pt, out) if not (ln.startswith(pt) or ln.endswith(" = 0.0"))]
 
     def stage(size, ks):  # the next stage's state, where its field reads it
-        return [f"{xc} = {yc} + {size} * {kc}" for xc, yc, kc in zip(x, y, ks) if xc in reads]
+        return [f"{x[c]} = {y[c]} + {size} * {ks[c]}" for c in live if x[c] in reads]
 
     # s sums the stage derivatives k1 + 2.0*k2 + 2.0*k3 + k4 left to right as they come,
     # so that a batch holds one stage's arrays at a time
-    total = [f"{sc} = {sc} + 2.0 * {kc}" for sc, kc in zip(s, k)]
-    unpack = f"{', '.join(y)}, = y"
-    once = [unpack, f"{', '.join(a0)}, = a", *rows(y, a0, k), f"return [{', '.join(k)}]"]
-    step = [unpack, *(f"{', '.join(a)}, = a{j}" for j, a in enumerate((a0, a1, a2)))]
-    step += ["half = 0.5 * h", "sixth = h / 6.0", *rows(y, a0, s), *stage("half", s)]
-    step += [*rows(x, a1, k), *stage("half", k), *total, *rows(x, a1, k), *stage("h", k), *total]
-    new = [f"{yc} + sixth * ({sc} + {kc})" for yc, sc, kc in zip(y, s, k)]
-    step += [*rows(x, a2, k), f"return [{', '.join(new)}]"]
-    once = ["def field(y, a):", *(f"    {line}" for line in once)]
-    return once + ["def step(y, h, a0, a1, a2):", *(f"    {line}" for line in step)]
+    total = [f"{s[c]} = {s[c]} + 2.0 * {k[c]}" for c in live]
+    lines = [*field(y, "a0_", s), *stage("half", s), *field(x, "a1_", k), *stage("half", k)]
+    lines += [*total, *field(x, "a1_", k), *stage("h", k), *total, *field(x, "a2_", k)]
+    return lines + [f"{y[c]} = {y[c]} + sixth * ({s[c]} + {k[c]})" for c in live]
+
+
+def _kernel_lines(head, rows, cols, dim: int) -> list[str]:
+    """Source lines of ``bind(pr, omega)``, which runs ``head`` and returns the field
+    ``field(y, a0)`` of ``rows`` and, for the states, its RK4 step ``step(y, h, a0, a1, a2)``
+    (the costates step only in their march).  Each ``a`` holds a point's ``cols`` and v, u."""
+    y, k = [f"y{c}" for c in range(dim)], [f"k{c}" for c in range(dim)]
+    at = [f"{', '.join(f'a{j}_{r}' for r in (*cols, 'v', 'u'))}, = a{j}" for j in range(3)]
+    field = [f"{', '.join(y)}, = y", at[0], *rows(y, "a0_", k), f"return [{', '.join(k)}]"]
+    lines = [*head, *_block("def field(y, a0):", field)]
+    if cols:
+        return _block("def bind(pr, omega):", [*lines, "return field, None"])
+    step = [*field[:1], *at, "half = 0.5 * h", "sixth = h / 6.0", *_rk4_lines(rows, dim)]
+    lines += _block("def step(y, h, a0, a1, a2):", [*step, f"return [{', '.join(y)}]"])
+    return _block("def bind(pr, omega):", [*lines, "return field, step"])
+
+
+def _march_lines(head, rows, cols, dim: int) -> list[str]:
+    """Source lines of ``march(pr, omega, y, a, h, i0, i1, out, vn, un, vm, um, *last)``, which
+    runs ``head`` and steps ``rows`` from the value ``y`` at the point ``a`` (as in ``bind``)
+    to each node between i0 and i1, writing the value there to that row of ``out``; ``vn``,
+    ``un`` and ``vm``, ``um`` sample the controls at the nodes and midpoints.  The states step
+    forward and pass a value below zero anywhere through ``clamp(value, node)``, ``last`` =
+    (clamp,); the costates step back with a negative h over ``last``, node columns of ``cols``."""
+    ys, j = ", ".join(f"y{c}" for c in range(dim)), "i" if cols else "j"
+
+    def terms(pt):  # the lines that set the terms of the point pt
+        return [line for line in rows([""] * dim, pt, [""] * dim) if line.startswith(pt)]
+
+    body = [*(f"a2_{r} = {r}[{j}]" for r in cols), f"a2_v = vn[{j}]", f"a2_u = un[{j}]"]
+    body += [*terms("a2_"), *(f"a1_{r} = 0.5 * (a2_{r} + a0_{r})" for r in cols)]
+    body += ["a1_v = vm[i]", "a1_u = um[i]", *terms("a1_"), *_rk4_lines(rows, dim)]
+    carry = [f"{a} = a2_{a[3:]}" for a in sorted(set(re.findall(r"\ba0_\w+", " ".join(body))))]
+    if not cols:
+        body.append(f"if {' or '.join(f'y{c} < 0.0' for c in range(dim))}:")
+        body.append(f"    {ys}, = clamp([{ys}], j)")
+    loop = "for i in range(i1 - 1, i0 - 1, -1):" if cols else "for i in range(i0, i1):"
+    step = [*([] if cols else ["j = i + 1"]), *carry, *body, f"put(out, {8 * dim} * {j}, {ys})"]
+    lines = [*head, f"put = Struct('{dim}d').pack_into", f"{ys}, = y"]
+    lines += [f"{', '.join(f'a2_{r}' for r in (*cols, 'v', 'u'))}, = a", *terms("a2_")]
+    lines += ["half = 0.5 * h", "sixth = h / 6.0", *_block(loop, step), f"return [{ys}]"]
+    last = ", ".join(cols) if cols else "clamp"
+    return _block(f"def march(pr, omega, y, a, h, i0, i1, out, vn, un, vm, um, {last}):", lines)
 
 
 @functools.cache
-def _binder(n: int, to_exposed: bool, costate: bool):
-    """``bind(pr, omega)`` for n doses, compiled once, which binds the rates of ``pr`` (and
-    for the costates the weights ``omega``) as values and returns the field and its step.
-    The source depends only on n, ``to_exposed`` and ``costate``."""
+def _binder(n: int, to_exposed: bool, costate: bool, march: bool):
+    """For n doses, compiled once: ``bind`` of ``_kernel_lines`` or, with ``march``, ``march``
+    of ``_march_lines``, which binds the rates (and ``omega``) to its locals on each call."""
     rows = functools.partial(_costate_rows if costate else _state_rows, n, to_exposed)
-    lines = ["w1, w2, w3, w4 = omega"] if costate else []
-    lines += [*_kernel_lines(rows, n + 6, 6 if costate else 2), "return field, step"]
     names = {key: ", ".join(f"{key}{j}" for j in range(n)) for key in ("g", "d")}
-    source = _BIND.format(**names) + "".join(f"    {line}\n" for line in lines)
-    namespace: dict = {}
-    exec(compile(source, f"<epictrl kernels {n} {to_exposed} {costate}>", "exec"), namespace)
-    return namespace["bind"]
+    head = _RATES.format(**names).splitlines() + (["w1, w2, w3, w4 = omega"] if costate else [])
+    kind = _march_lines if march else _kernel_lines
+    source = "\n".join(kind(head, rows, "SEAI" if costate else "", n + 6))
+    namespace: dict = {"Struct": struct.Struct}
+    exec(compile(source, f"<epictrl {n} {to_exposed} {costate} {march}>", "exec"), namespace)
+    return namespace["march" if march else "bind"]
 
 
-def _state_kernels(pr: ModelParams):
-    """The generated state field ``field(y, (v, u))`` and its RK4 step ``step(y, h, a0, a1, a2)``
-    bound to ``pr``, on the canonical layout: floats for one run, or (M,) arrays for M runs.
-    Only unpacking and arithmetic are used, so a batch column equals its float run bitwise,
-    and input with zero imaginary part gives the float results as real parts."""
-    return _binder(pr.n, pr.delta_n_to_exposed, False)(pr, None)
-
-
-def _costate_kernels(pr: ModelParams, omega):
-    """The generated costate derivative ``field(pq, (S, E, A, I, v, u))`` and its RK4 step,
-    bound to ``pr`` and the running-cost weights ``omega``; like ``_state_kernels``."""
-    return _binder(pr.n, pr.delta_n_to_exposed, True)(pr, omega)
+def _kernels(pr: ModelParams, omega=None, march: bool = False):
+    """The state field ``field(y, (v, u))`` and RK4 step ``step(y, h, a0, a1, a2)`` bound to
+    ``pr``, or given the weights ``omega`` the costate field ``field(pq, (S, E, A, I, v, u))``
+    and None; with ``march``, their ``_march_lines`` pass.  Field and step take floats, or (M,)
+    arrays for M runs: as they only unpack and do arithmetic, a batch column equals its float
+    run bitwise, and input with zero imaginary part gives the float results as real parts."""
+    bound = _binder(pr.n, pr.delta_n_to_exposed, omega is not None, march)
+    return functools.partial(bound, pr, omega) if march else bound(pr, omega)
 
 
 def _too_coarse(lowest: float, t: float) -> StabilityError:
@@ -457,7 +501,7 @@ def vector_field(state: StateVector, v: float, u: float, params: ModelParams) ->
         raise ValueError("treatment control outside [0, 1]")
     if not 0.0 <= v <= params.v_max:
         raise ValueError(f"vaccination control outside [0, {params.v_max}]")
-    return np.array(_state_kernels(params)[0](state.as_array().tolist(), (v, u)))
+    return np.array(_kernels(params)[0](state.as_array().tolist(), (v, u)))
 
 
 def _apply_impulse(y, lam) -> list[float]:

@@ -3,8 +3,8 @@
 ``brute_force_optimum`` exhaustively enumerates piecewise-constant control
 pairs on a coarse segment grid, giving a search-free reference optimum.  It
 marches each shared control prefix once, depth-first in chunks of at most
-``_CHUNK`` candidates, through the sweep's own RK4 state step
-(``model._state_kernels``) on a compartment-major batch (one row each).
+``_CHUNK`` candidates, through the generated RK4 state ``step``
+(``model._kernels``) on a compartment-major batch (one row each).
 ``finite_difference_gradient`` probes the cost functional directly with
 central differences, to be compared against the costate-based gradient.
 """
@@ -29,7 +29,7 @@ from .model import (
     ControlSignal,
     ModelParams,
     StateVector,
-    _state_kernels,
+    _kernels,
     _too_coarse,
 )
 
@@ -93,7 +93,7 @@ def _leaf_costs(
     h = seg_len / steps
     tol = _NEGATIVE_TOL * float(y0.sum() - y0[D])
     terminal = weights.terminal.value(config.horizon)
-    _, step = _state_kernels(params)
+    _, step = _kernels(params)
 
     def march(y, cost, first, seg):
         if seg == config.segments:

@@ -73,7 +73,8 @@ class TestSimulate:
 
     def test_non_finite_config_exits_nonzero(self, tmp_path):
         _, cfg = small_config(tmp_path)
-        raw = json.loads(open(cfg).read())
+        with open(cfg) as fh:
+            raw = json.load(fh)
         raw["params"]["epsilon"] = float("nan")
         with open(cfg, "w") as fh:
             json.dump(raw, fh)

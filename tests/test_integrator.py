@@ -1,10 +1,12 @@
+import logging
+
 import numpy as np
 import pytest
 
 import epictrl as ec
 from epictrl.control import CostWeights, _hamiltonian, _running_cost_arrays
 from epictrl.integrator import _impulse_map, _sampled_controls
-from epictrl.model import A, D, E, I, R, S, V0, ModelParams, _costate_kernels, _state_kernels
+from epictrl.model import A, D, E, I, R, S, V0, ModelParams, _NEGATIVE_TOL, _kernels
 
 
 def zero_controls(grid, params):
@@ -193,8 +195,19 @@ class TestIntegrateAdjointBackward:
             assert adj.values_post[node, 3] == pytest.approx(exact[node], abs=1e-6)
 
     def test_recovered_and_deceased_costates_stay_zero(self, default_solution):
-        values = default_solution.adjoint_traj.values_post
-        assert np.max(np.abs(values[:, 4:6])) == 0.0
+        # exactly +0.0 (bytes, which -0.0 fails), as is q_n without its breakthrough
+        # flow: the backward pass does no arithmetic on these rows at all
+        adj = default_solution.adjoint_traj
+        rng = np.random.default_rng(95)
+        cases = [(adj, [4, 5])]
+        for n in (2, 3, 4, 5):
+            params, initial, weights, grid, controls, schedule = _random_draw(rng, n, False, 2)
+            traj = ec.integrate_forward(initial, controls, params, grid, schedule)
+            adj = ec.integrate_adjoint_backward(traj, controls, params, weights, grid, schedule)
+            cases.append((adj, [4, 5, n + 5]))
+        for adj, zero in cases:
+            for values in (adj.values_pre, adj.values_post):
+                assert values[:, zero].tobytes() == np.zeros((len(values), len(zero))).tobytes()
 
     def test_terminal_condition_exact(self, default_solution):
         assert np.all(default_solution.adjoint_traj.values_post[-1] == 0.0)
@@ -427,7 +440,8 @@ def _ref_rows(node_times, pre, post, impulse_nodes):
 
 
 def _random_draw(rng, n, delta_n_to_exposed, impulses, tau=4.0, h=0.01):
-    """Admissible model, state, weights and piecewise-linear controls."""
+    """Admissible model, state, weights and piecewise-linear controls, with impulses on a
+    number of random interior nodes or on the given ones."""
     gamma = np.sort(rng.uniform(0.1, 1.0, size=n))[::-1]
     delta = np.minimum(np.sort(rng.uniform(0.0, 0.05, size=n))[::-1], gamma)
     params = ec.ModelParams(
@@ -459,11 +473,12 @@ def _random_draw(rng, n, delta_n_to_exposed, impulses, tau=4.0, h=0.01):
     )
     schedule = None
     if impulses:
-        nodes = np.sort(rng.choice(np.arange(1, grid.n_steps), size=impulses, replace=False))
+        if isinstance(impulses, int):
+            impulses = np.sort(rng.choice(np.arange(1, grid.n_steps), size=impulses, replace=False))
         schedule = ec.ImpulseSchedule(
             tuple(
                 ec.ImpulseEvent(float(node * grid.h), tuple(rng.uniform(0.0, 0.5, size=4)))
-                for node in nodes
+                for node in impulses
             )
         )
     return params, initial, weights, grid, controls, schedule
@@ -495,6 +510,10 @@ class TestSeedEquivalence:
         for impulses in range(4):
             draw = _random_draw(rng, n, delta_n_to_exposed, impulses)
             _assert_both_passes_match(*draw)
+        if n == 3:
+            # one-step runs between impulses at either end of the 400-step grid
+            for nodes in ((1, 399), (1, 2), (398, 399)):
+                _assert_both_passes_match(*_random_draw(rng, n, delta_n_to_exposed, nodes))
 
     def test_default_scenario_with_adjacent_impulses(self, covid19, default_weights):
         # the full 3500-step covid19 grid, with impulses on two adjacent
@@ -510,7 +529,7 @@ class TestSeedEquivalence:
         )
         _assert_both_passes_match(params, initial, default_weights, grid, controls, sched)
 
-    def test_positivity_clamp_matches(self, covid19, default_weights):
+    def test_positivity_clamp_matches(self, covid19, default_weights, caplog):
         # a huge inert recovered pool widens the clamp tolerance, so the
         # coarse step's overshoot of E below zero is clamped, not fatal
         params, _ = covid19
@@ -518,20 +537,32 @@ class TestSeedEquivalence:
         initial = ec.StateVector(50.0, 100.0, 100.0, 400.0, 1e12, 0.0, (0.0, 0.0))
         grid = ec.TimeGrid(10.0, 0.5)
         controls = zero_controls(grid, fast)
-        traj, _ = _assert_both_passes_match(fast, initial, default_weights, grid, controls, None)
+        with caplog.at_level(logging.DEBUG, logger="epictrl"):
+            traj, _ = _assert_both_passes_match(fast, initial, default_weights, grid, controls, None)
         x = traj.states_pre
-        assert np.any((x[:-1, E] > 0.0) & (x[1:, E] == 0.0))
+        clamped = np.flatnonzero((x[:-1, E] > 0.0) & (x[1:, E] == 0.0))
+        assert clamped.size
+        # the forward pass reports its clamps once, with their count and the lowest value
+        (record,) = [r for r in caplog.records if "clamped" in r.getMessage()]
+        count, lowest = record.args
+        assert record.levelno == logging.DEBUG and count >= clamped.size
+        assert -_NEGATIVE_TOL * (initial.as_array().sum() - initial.D) <= lowest < 0.0
 
     def test_coarse_step_still_raises(self, covid19):
         params, initial = covid19
-        stiff = ec.ModelParams(**{**params.__dict__, "beta": 0.01})
         grid = ec.TimeGrid(35.0, 1.0)
-        controls = zero_controls(grid, stiff)
-        with pytest.raises(ec.StabilityError) as ref:
-            _ref_forward(initial, controls, stiff, grid)
-        with pytest.raises(ec.StabilityError) as new:
-            ec.integrate_forward(initial, controls, stiff, grid)
-        assert str(new.value) == str(ref.value)
+        doubled = ec.ImpulseSchedule(tuple(ec.ImpulseEvent(t, (1.0,) * 4) for t in (2.0, 20.0)))
+        # at h=1 a stiff beta fails the first step; the preset's fails only after the
+        # arrivals at t=2 double S, E, A and I: in the second run of steps, at t=3
+        for beta, schedule, t in ((0.01, None, "t=1;"), (params.beta, doubled, "t=3;")):
+            stiff = ec.ModelParams(**{**params.__dict__, "beta": beta})
+            controls = zero_controls(grid, stiff)
+            with pytest.raises(ec.StabilityError) as ref:
+                _ref_forward(initial, controls, stiff, grid, schedule)
+            with pytest.raises(ec.StabilityError) as new:
+                ec.integrate_forward(initial, controls, stiff, grid, schedule)
+            assert str(new.value) == str(ref.value)
+            assert t in str(new.value)
 
     def test_row_views_match_loops(self):
         params, initial, weights, grid, controls, schedule = _random_draw(
@@ -584,21 +615,17 @@ class TestSeedEquivalence:
         rng = np.random.default_rng(50 + n)
         for dn in (False, True):
             params, _, weights, _, _, _ = _random_draw(rng, n, dn, 0)
-            state, state_step = _state_kernels(params)
-            costate, costate_step = _costate_kernels(params, weights.omega)
+            state, state_step = _kernels(params)
+            costate, _ = _kernels(params, weights.omega)
             y = rng.uniform(0.0, 5000.0, size=n + 6)
             pq = rng.normal(0.0, 10.0, size=n + 6)
             vu = [(float(v), float(u)) for v, u in rng.uniform(0.0, [params.v_max, 1.0], size=(3, 2))]
-            points = [(*rng.uniform(0.0, 5000.0, size=4).tolist(), v, u) for v, u in vu]
+            point = (*rng.uniform(0.0, 5000.0, size=4).tolist(), *vu[0])
             c = lambda a: tuple(x + 0j for x in a)  # noqa: E731
             yc, pqc = (y + 0j).tolist(), (pq + 0j).tolist()
             for real, cplx in (
                 (state(y.tolist(), vu[0]), state(yc, c(vu[0]))),
                 (state_step(y.tolist(), 0.01, *vu), state_step(yc, 0.01, *map(c, vu))),
-                (costate(pq.tolist(), points[0]), costate(pqc, c(points[0]))),
-                (
-                    costate_step(pq.tolist(), -0.01, *points),
-                    costate_step(pqc, -0.01, *map(c, points)),
-                ),
+                (costate(pq.tolist(), point), costate(pqc, c(point))),
             ):
                 assert _bitwise_equal(np.real(np.array(cplx)), real)

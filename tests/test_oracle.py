@@ -7,7 +7,7 @@ import pytest
 import epictrl as ec
 from epictrl import oracle
 from epictrl.control import _running_cost_arrays
-from epictrl.model import D, _NEGATIVE_TOL, A, E, I, S, V0, _state_kernels, _too_coarse
+from epictrl.model import D, _NEGATIVE_TOL, A, E, I, S, V0, _kernels, _too_coarse
 
 
 class TestOracleConfig:
@@ -61,7 +61,7 @@ class TestSharedBatchPath:
         y = rng.uniform(0.0, 5000.0, size=(n + 6, m))
         v0, vm, v1 = rng.uniform(0.0, params.v_max, size=(3, m))
         u0, um, u1 = rng.uniform(0.0, 1.0, size=(3, m))
-        field, rk4 = _state_kernels(params)
+        field, rk4 = _kernels(params)
         deriv = np.array(field(list(y), (v0, u0)))
         step = np.array(rk4(list(y), 0.05, (v0, u0), (vm, um), (v1, u1)))
         for j in range(m):
@@ -150,7 +150,7 @@ def _integrate_batch_cost(y0, u_seg, v_seg, params, weights, config):
     h = seg_len / steps
     tol = _NEGATIVE_TOL * float(y0.sum() - y0[D])
     y = list(np.tile(y0[:, None], (1, m)))
-    _, step = _state_kernels(params)
+    _, step = _kernels(params)
     cost = np.zeros(m)
     for seg in range(config.segments):
         u = u_seg[:, seg]
