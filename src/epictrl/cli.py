@@ -59,10 +59,11 @@ def _first_crossing(times: np.ndarray, values: np.ndarray, threshold: float) -> 
 
 
 def _csv_lines(*columns):
-    """CSV rows of side-by-side columns (vectors or tables), each value formatted once, as
-    they are consumed."""
+    """CSV rows of side-by-side columns (vectors or tables), each value formatted once with
+    "%.12g", as they are consumed; a row is one ``%`` of a template with a field per column."""
     table = np.column_stack(columns)
-    return (",".join([format(x, ".12g") for x in row.tolist()]) for row in table)
+    template = ",".join(["%.12g"] * table.shape[1])
+    return (template % tuple(row.tolist()) for row in table)
 
 
 def summarize(

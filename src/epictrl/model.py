@@ -354,10 +354,11 @@ be, bm, bq = beta * eps, beta * mu, beta * q1
 
 def _state_rows(n: int, to_exposed: bool, y, pt, out) -> list[str]:
     """Lines setting ``out`` to the state derivative at the names ``y`` and the point ``pt``."""
-    (s, e, a, i), w, v, u = y[:4], y[V0:], pt + "v", pt + "u"
+    (s, e, a, i), w, v, u, gv = y[:4], y[V0:], pt + "v", pt + "u", pt + "gv"
     leaks = range(n if to_exposed else n - 1)
     lines = [f"infect = beta * (eps * {e} + q1 * {i} + mu * {a}) * {s}", f"ui = {u} * {i}"]
-    lines += [f"fl{j} = g{j} * {v} * {([s] + w)[j]}" for j in range(n)]  # into dose j + 1
+    lines += [f"{gv}{j} = g{j} * {v}" for j in range(n)]
+    lines += [f"fl{j} = {gv}{j} * {([s] + w)[j]}" for j in range(n)]  # into dose j + 1
     lines += [f"dw{j} = d{j} * {w[j]}" for j in leaks]  # breakthrough out of dose j + 1
     leak = " + ".join(["0.0"] + [f"dw{j}" for j in leaks])
     rows = ["-infect - fl0", f"infect - k * {e} + ({leak})", f"z1k * {e} - eta * {a}"]
@@ -417,6 +418,11 @@ def _rk4_lines(rows, dim: int) -> list[str]:
     return lines + [f"{y[c]} = {y[c]} + sixth * ({s[c]} + {k[c]})" for c in live]
 
 
+def _point_lines(rows, dim: int, pt: str) -> list[str]:
+    """The lines of ``rows`` that set the terms of the point ``pt``."""
+    return [line for line in rows([""] * dim, pt, [""] * dim) if line.startswith(pt)]
+
+
 def _kernel_lines(head, rows, cols, dim: int) -> list[str]:
     """Source lines of ``bind(pr, omega)``, which runs ``head`` and returns the field
     ``field(y, a0)`` of ``rows`` and, for the states, its RK4 step ``step(y, h, a0, a1, a2)``
@@ -427,7 +433,8 @@ def _kernel_lines(head, rows, cols, dim: int) -> list[str]:
     lines = [*head, *_block("def field(y, a0):", field)]
     if cols:
         return _block("def bind(pr, omega):", [*lines, "return field, None"])
-    step = [*field[:1], *at, "half = 0.5 * h", "sixth = h / 6.0", *_rk4_lines(rows, dim)]
+    points = [line for pt in ("a0_", "a1_", "a2_") for line in _point_lines(rows, dim, pt)]
+    step = [*field[:1], *at, *points, "half = 0.5 * h", "sixth = h / 6.0", *_rk4_lines(rows, dim)]
     lines += _block("def step(y, h, a0, a1, a2):", [*step, f"return [{', '.join(y)}]"])
     return _block("def bind(pr, omega):", [*lines, "return field, step"])
 
@@ -440,10 +447,7 @@ def _march_lines(head, rows, cols, dim: int) -> list[str]:
     forward and pass a value below zero anywhere through ``clamp(value, node)``, ``last`` =
     (clamp,); the costates step back with a negative h over ``last``, node columns of ``cols``."""
     ys, j = ", ".join(f"y{c}" for c in range(dim)), "i" if cols else "j"
-
-    def terms(pt):  # the lines that set the terms of the point pt
-        return [line for line in rows([""] * dim, pt, [""] * dim) if line.startswith(pt)]
-
+    terms = functools.partial(_point_lines, rows, dim)
     body = [*(f"a2_{r} = {r}[{j}]" for r in cols), f"a2_v = vn[{j}]", f"a2_u = un[{j}]"]
     body += [*terms("a2_"), *(f"a1_{r} = 0.5 * (a2_{r} + a0_{r})" for r in cols)]
     body += ["a1_v = vm[i]", "a1_u = um[i]", *terms("a1_"), *_rk4_lines(rows, dim)]

@@ -1,16 +1,17 @@
 """Independent validators for the sweep solver.
 
-``brute_force_optimum`` exhaustively enumerates piecewise-constant control
-pairs on a coarse segment grid, giving a search-free reference optimum.  It
-marches each shared control prefix once, depth-first in chunks of at most
-``_CHUNK`` candidates, through the generated RK4 state ``step``
-(``model._kernels``) on a compartment-major batch (one row each).
+``brute_force_optimum`` is an exact search over piecewise-constant control
+pairs on a coarse segment grid.  It marches each shared control prefix once,
+depth-first in chunks of at most ``_CHUNK`` candidates, through the generated
+RK4 state ``step`` (``model._kernels``) on a compartment-major batch (one row
+each), and skips every subtree proved costlier than the best leaf found.
 ``finite_difference_gradient`` probes the cost functional directly with
 central differences, to be compared against the costate-based gradient.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,10 +19,11 @@ import numpy as np
 from .control import (
     CostWeights,
     _running_cost_arrays,
+    _running_cost_fault,
     _switching_arrays,
     total_cost,
 )
-from .errors import BoxViolationError, ExplosionGuardError
+from .errors import BoxViolationError, ExplosionGuardError, RangeError
 from .integrator import TimeGrid, integrate_adjoint_backward, integrate_forward
 from .model import (
     D,
@@ -33,6 +35,7 @@ from .model import (
     _too_coarse,
 )
 
+log = logging.getLogger("epictrl")
 _CANDIDATE_GUARD = 10_000_000
 _CHUNK = 8192
 
@@ -63,6 +66,13 @@ class OracleConfig:
         return self.u_levels**self.segments * self.v_levels**self.segments
 
 
+def _widen(x: np.ndarray, live: np.ndarray) -> np.ndarray:
+    """``x`` placed at the True entries of ``live``, +inf elsewhere."""
+    out = np.full(live.shape, np.inf)
+    out[live] = x
+    return out
+
+
 def _leaf_costs(
     y0: np.ndarray,
     u_choices: np.ndarray,
@@ -70,6 +80,7 @@ def _leaf_costs(
     params: ModelParams,
     weights: CostWeights,
     config: OracleConfig,
+    incumbent,
 ):
     """Yield ``(first, costs)`` per leaf chunk of the prefix tree, depth-first.
 
@@ -81,9 +92,17 @@ def _leaf_costs(
     candidate costs in tree order (the level pairs as digits, first segment
     most significant); ``first`` is the tree index of ``costs[0]``.
 
+    Branch and bound: a child whose parent's prefix cost plus the terminal
+    cost exceeds ``incumbent()`` (the best leaf cost so far, never rising) is
+    dropped: not marched, its leaves yielded as +inf; an emptied chunk is
+    skipped.  Cost increments are >= 0 (omega, sigma, states >= 0) and rounded
+    addition is monotone, so a dropped subtree holds neither the minimum nor a
+    tie.  A level's chunks go in ascending order of their cheapest parent.
+
     Each row runs the RK4 step that ``integrate_forward`` runs on a float state:
     a step that leaves a compartment below the negative tolerance raises
-    StabilityError; smaller negatives are roundoff and are clamped to zero.
+    StabilityError (only marched rows step, so a dropped subtree never
+    raises); smaller negatives are roundoff and are clamped to zero.
     """
     n_pairs = config.u_levels * config.v_levels
     u_pair = np.repeat(u_choices, config.v_levels)
@@ -94,14 +113,23 @@ def _leaf_costs(
     tol = _NEGATIVE_TOL * float(y0.sum() - y0[D])
     terminal = weights.terminal.value(config.horizon)
     _, step = _kernels(params)
+    marched = 0
 
     def march(y, cost, first, seg):
+        nonlocal marched
         if seg == config.segments:
             yield first, cost + terminal
             return
         children = len(cost) * n_pairs
-        for lo in range(0, children, _CHUNK):
+        los = range(0, children, _CHUNK)
+        cheapest = [cost[lo // n_pairs : (lo + _CHUNK - 1) // n_pairs + 1].min() for lo in los]
+        for _, lo in sorted(zip(cheapest, los)):
             parent, pair = np.divmod(np.arange(lo, min(lo + _CHUNK, children)), n_pairs)
+            live = cost[parent] + terminal <= incumbent()
+            if not live.any():
+                continue
+            marched += int(np.count_nonzero(live))
+            parent, pair = parent[live], pair[live]
             u, v = u_pair[pair], v_pair[pair]
             yc, c = [x[parent] for x in y], cost[parent]
             vu = (v, u)
@@ -117,9 +145,13 @@ def _leaf_costs(
                 g_right = _running_cost_arrays(yc, u, v, weights, params)
                 c += (0.5 * h) * (g_left + g_right)
                 g_left = g_right
+            if not live.all():  # the dropped rows hold +inf, so their children are dropped
+                yc, c = [_widen(x, live) for x in yc], _widen(c, live)
             yield from march(yc, c, first * n_pairs + lo, seg + 1)
 
     yield from march(list(y0[:, None]), np.zeros(1), 0, 0)
+    rows = sum(n_pairs**s for s in range(1, config.segments + 1))
+    log.debug("oracle: marched %d of %d prefix-tree rows", marched, rows)
 
 
 def brute_force_optimum(
@@ -128,23 +160,31 @@ def brute_force_optimum(
     weights: CostWeights,
     config: OracleConfig,
 ) -> tuple[float, tuple[np.ndarray, np.ndarray]]:
-    """Exhaustive minimum over piecewise-constant control pairs.
+    """Exact minimum over piecewise-constant control pairs, skipping every
+    subtree proved costlier than the best leaf found (``_leaf_costs``).
 
-    Returns the best cost and the winning per-segment (u, v) levels.  A tie
-    goes to the first candidate in u-sequence-major order: the u level
-    numbers of all segments, then the v level numbers, first segment most
-    significant.  The candidate count is bounded at construction of the
-    config; ``_leaf_costs`` holds at most ``_CHUNK`` rows per segment and
-    only a running best is kept, so memory stays flat.
+    Returns the best cost and the winning per-segment (u, v) levels, bitwise
+    those of marching every candidate.  A tie goes to the first candidate in
+    u-sequence-major order: the u level numbers of all segments, then the v
+    level numbers, first segment most significant.  The candidate count is
+    bounded at construction of the config; ``_leaf_costs`` holds at most
+    ``_CHUNK`` rows per segment and only a running best is kept, so memory
+    stays flat.  As in ``fbsm_solve``, weights whose running cost has no
+    finite bound over the horizon raise RangeError.
     """
     if initial.n != params.n:
         raise ValueError("state and parameter dose counts must match")
+    if fault := _running_cost_fault(initial, params, weights, config.horizon, None):
+        raise RangeError(fault)
     u_choices = np.linspace(0.0, 1.0, config.u_levels)
     v_choices = np.linspace(0.0, params.v_max, config.v_levels)
     tree_shape = (config.u_levels, config.v_levels) * config.segments
     flat_shape = tree_shape[0::2] + tree_shape[1::2]
     best = (np.inf, -1)
-    for first, costs in _leaf_costs(initial.as_array(), u_choices, v_choices, params, weights, config):
+    leaves = _leaf_costs(
+        initial.as_array(), u_choices, v_choices, params, weights, config, lambda: best[0]
+    )
+    for first, costs in leaves:
         j = costs.min()
         if j <= best[0]:
             digits = np.unravel_index(first + np.flatnonzero(costs == j), tree_shape)

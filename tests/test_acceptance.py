@@ -160,7 +160,7 @@ def test_c04_brute_force_dominance(covid19, default_weights):
     report(
         4,
         ok,
-        f"sweep J={sol.cost:.1f} vs exhaustive J={best_j:.1f} "
+        f"sweep J={sol.cost:.1f} vs brute-force optimum J={best_j:.1f} "
         f"(ratio {sol.cost / best_j:.4f} <= 1.05), {elapsed:.1f}s (< 120s)",
     )
     assert sol.converged

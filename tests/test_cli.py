@@ -31,6 +31,14 @@ def read_trajectory(path):
     return header, rows
 
 
+def test_csv_row_template_formats_like_each_value():
+    values = [-0.0, 5e-324, 1e16, 123456789012.5, np.inf, -np.inf, np.nan, 1.0 / 3.0]
+    rows = list(cli._csv_lines(np.array(values), -np.array(values)))
+    assert rows == [f"{format(x, '.12g')},{format(-x, '.12g')}" for x in values]
+    (row,) = cli._csv_lines(np.array([values]))
+    assert row == ",".join(format(x, ".12g") for x in values)
+
+
 class TestSimulate:
     def test_zero_initial_state(self, tmp_path):
         zero = ec.StateVector(0, 0, 0, 0, 0, 0, (0, 0))

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import logging
 
 import numpy as np
 import pytest
@@ -187,7 +188,10 @@ def _tree_costs(initial, params, weights, config):
     flat_shape = tree_shape[0::2] + tree_shape[1::2]
     costs = np.full(config.candidates, np.nan)
     seen = np.zeros(config.candidates, dtype=int)
-    leaves = oracle._leaf_costs(initial.as_array(), u_choices, v_choices, params, weights, config)
+    # an incumbent of +inf drops nothing, so every candidate is marched
+    leaves = oracle._leaf_costs(
+        initial.as_array(), u_choices, v_choices, params, weights, config, lambda: np.inf
+    )
     for first, chunk in leaves:
         assert len(chunk) <= oracle._CHUNK
         digits = np.unravel_index(first + np.arange(len(chunk)), tree_shape)
@@ -291,6 +295,90 @@ class TestPrefixTreeMatchesFlatMarch:
         assert list(v_best) == [level * params.v_max for level in v_levels]
 
 
+def _marched_rows(caplog) -> tuple[int, int]:
+    """(marched, total) of the one prefix-tree record among the captured logs."""
+    (record,) = [r for r in caplog.records if "prefix-tree rows" in r.getMessage()]
+    assert record.levelno == logging.DEBUG
+    assert record.getMessage() == "oracle: marched %d of %d prefix-tree rows" % record.args
+    return record.args
+
+
+class TestBranchAndBound:
+    """The search skips subtrees proved costlier than its best leaf, and still returns the
+    exhaustive search's optimum bitwise."""
+
+    @pytest.mark.parametrize("ties", [False, True], ids=["plain", "forced-ties"])
+    def test_matches_the_exhaustive_argmin_on_random_searches(self, ties, monkeypatch, caplog):
+        rng = np.random.default_rng(20240817 + ties)
+        marched = total = 0
+        combos = itertools.product((2, 3), (False, True), ("linear", "quadratic", "exponential"))
+        for n, to_exposed, kind in combos:
+            params = _params(n, to_exposed)
+            if ties:
+                # no susceptibles or vaccinees and no dose gains: v moves nobody and costs
+                # nothing, so candidates that differ only in v levels cost the same bitwise
+                initial = ec.StateVector(0.0, 800.0, 400.0, 300.0, 100.0, 0.0, (0.0,) * n)
+                sigma = (0.0,) * n
+            else:
+                initial = ec.StateVector(6000.0, 800.0, 400.0, 300.0, 100.0, 0.0, (200.0,) * n)
+                sigma = tuple(rng.uniform(1.0, 100.0, n))
+            omega = rng.uniform(0.0, 2.0, 4) * (rng.random(4) < 0.6)  # some entries zero
+            terminal = ec.TerminalCost(kind, float(rng.uniform(0.0, 50.0)), float(rng.uniform(0.1, 1.0)))
+            weights = ec.CostWeights(tuple(omega), float(rng.uniform(1.0, 100.0)), sigma, terminal)
+            cfg = ec.OracleConfig(
+                horizon=float(rng.uniform(0.5, 1.5)), segments=int(rng.integers(2, 4)),
+                u_levels=int(rng.integers(2, 4)), v_levels=int(rng.integers(2, 4)), h=0.1,
+            )
+            # small chunks split every level, so that some chunks are dropped whole
+            monkeypatch.setattr(oracle, "_CHUNK", int(rng.integers(3, 30)))
+            ref = _tree_costs(initial, params, weights, cfg)
+            k = int(np.argmin(ref))
+            if ties:
+                assert np.count_nonzero(ref == ref[k]) >= cfg.v_levels**cfg.segments
+            caplog.clear()
+            with caplog.at_level(logging.DEBUG, logger="epictrl"):
+                best_j, (u_best, v_best) = ec.brute_force_optimum(initial, params, weights, cfg)
+            u_seg, v_seg = _flat_candidates(params, cfg)
+            assert _bitwise_equal(best_j, ref[k])
+            assert _bitwise_equal(u_best, u_seg[k]) and _bitwise_equal(v_best, v_seg[k])
+            rows, of = _marched_rows(caplog)
+            marched, total = marched + rows, total + of
+        assert marched < total  # the draws do prune
+
+    def test_ties_with_the_incumbent_are_kept(self, covid19, default_weights):
+        # with zero state weights and dose gains a candidate costs its u effort plus the
+        # terminal cost, so every all-zero-u candidate costs exactly the terminal cost, as
+        # do its prefixes plus the terminal cost: an incumbent equal to it drops none of
+        # them, but drops every child of a first segment at u = 1
+        params, initial = covid19
+        terminal = ec.TerminalCost("linear", 3.0)
+        weights = ec.CostWeights((0.0,) * 4, 50.0, (0.0, 0.0), terminal)
+        cfg = ec.OracleConfig(horizon=2.0, segments=2, u_levels=2, v_levels=3)
+        u_choices, v_choices = np.linspace(0.0, 1.0, 2), np.linspace(0.0, params.v_max, 3)
+        y0, j = initial.as_array(), terminal.value(2.0)
+        leaves = oracle._leaf_costs(y0, u_choices, v_choices, params, weights, cfg, lambda: j)
+        costs = np.full(cfg.candidates, np.nan)
+        for first, chunk in leaves:
+            costs[first : first + len(chunk)] = chunk
+        u_digits = np.unravel_index(np.arange(cfg.candidates), (2, 3, 2, 3))[0::2]
+        assert np.all(costs[(u_digits[0] == 0) & (u_digits[1] == 0)] == j)
+        marched = costs[(u_digits[0] == 0) & (u_digits[1] == 1)]
+        assert np.all(np.isfinite(marched) & (marched > j))
+        assert np.all(costs[u_digits[0] == 1] == np.inf)
+
+    def test_c04_marches_at_most_40_percent_of_the_tree(self, covid19, default_weights, caplog):
+        params, initial = covid19
+        cfg = ec.OracleConfig(horizon=5.0, segments=5, u_levels=3, v_levels=3)
+        with caplog.at_level(logging.DEBUG, logger="epictrl"):
+            best_j, (u_best, v_best) = ec.brute_force_optimum(initial, params, default_weights, cfg)
+        marched, total = _marched_rows(caplog)
+        assert total == sum(9**s for s in range(1, 6)) == 66_429
+        assert marched <= 0.4 * total
+        assert best_j == 20794.074592123383
+        assert list(u_best) == [1.0] * 5
+        assert list(v_best) == [level * params.v_max for level in (1.0, 1.0, 1.0, 0.5, 0.0)]
+
+
 class TestRatesBoundPerModel:
     """Models with the same dose count and breakthrough flag share one compiled step,
     but each oracle search binds the rates of its own model (the sweep passes:
@@ -363,6 +451,17 @@ class TestBruteForceOptimum:
         j_two, _ = ec.brute_force_optimum(initial, params, default_weights, two)
         assert j_two <= j_one + 1e-9
 
+    def test_unbounded_running_cost_is_a_range_error(self, covid19):
+        # as in fbsm_solve: the search refuses weights whose running cost overflows,
+        # instead of returning (inf, None) after numpy overflow warnings
+        params, initial = covid19
+        weights = ec.CostWeights(omega=(1e306, 1.0, 1.0, 1.0))
+        cfg = ec.OracleConfig(horizon=5.0, segments=2, u_levels=2, v_levels=2)
+        with pytest.raises(ec.RangeError, match="running-cost bound over tau = 5 is not finite"):
+            ec.brute_force_optimum(initial, params, weights, cfg)
+        with pytest.raises(ec.RangeError, match="running-cost bound over tau = 5 is not finite"):
+            ec.fbsm_solve(initial, params, weights, ec.TimeGrid(5.0, 0.05))
+
     def test_coarse_step_raises_like_the_forward_pass(self, covid19, default_weights):
         # one 2-day step at full vaccination drives S far below zero: the
         # oracle refuses it, as integrate_forward does, instead of clamping
@@ -387,7 +486,7 @@ class TestBruteForceOptimum:
         levels = list(itertools.product((0.0, 1.0), (0.0, 0.5 * fast.v_max)))
         leaves = oracle._leaf_costs(
             initial.as_array(), np.array([0.0, 1.0]), np.array([0.0, 0.5 * fast.v_max]),
-            fast, default_weights, cfg,
+            fast, default_weights, cfg, lambda: np.inf,
         )
         costs = np.concatenate([chunk for _, chunk in leaves])
         grid = ec.TimeGrid(10.0, 0.5)
