@@ -21,6 +21,7 @@ from .integrator import (
     AdjointTrajectory,
     AdjointVector,
     TimeGrid,
+    _forward,
     integrate_adjoint_backward,
     integrate_forward,
 )
@@ -189,6 +190,13 @@ def _running_cost_fault(initial: StateVector, params: ModelParams, weights: Cost
     return f"weights: the running-cost bound over tau = {tau:.6g} is not finite"
 
 
+def _cost_fault(initial: StateVector, params: ModelParams, weights: CostWeights, tau, schedule):
+    """The running-cost fault, else the terminal cost's at tau as "weights.terminal.field: ..."."""
+    fault = weights.terminal.horizon_fault(tau)
+    fault = fault and f"weights.terminal.{fault}"
+    return _running_cost_fault(initial, params, weights, tau, schedule) or fault
+
+
 def total_cost(
     traj: Trajectory,
     controls: ControlSignal,
@@ -290,9 +298,11 @@ def fbsm_solve(
     control change, measured relative to each control's box width, drops
     below the tolerance.  Non-convergence is reported through the
     ``converged`` flag, never as an exception; weights whose running cost has no
-    finite bound over the horizon raise RangeError before the first pass.
+    finite bound over the horizon, or whose terminal cost overflows there, raise
+    RangeError before the first pass.  Only the last pass, whose trajectory is
+    returned, marches the state rows that nothing else reads (``_forward``).
     """
-    fault = _running_cost_fault(initial, params, weights, grid.tau, schedule)
+    fault = _cost_fault(initial, params, weights, grid.tau, schedule)
     if fault:
         raise RangeError(fault)
     opts = options or SweepOptions()
@@ -305,11 +315,15 @@ def fbsm_solve(
 
     # pass `it` evaluates the controls after `it` updates; no update follows the last pass
     for it in range(opts.max_iterations + 1):
+        last = converged or it == opts.max_iterations
         controls = ControlSignal(times, v, u, v_max)
-        traj = integrate_forward(initial, controls, params, grid, schedule)
+        if last:
+            traj = integrate_forward(initial, controls, params, grid, schedule)
+        else:
+            traj = _forward(initial, controls, params, grid, schedule, every=False)
         adj = integrate_adjoint_backward(traj, controls, params, weights, grid, schedule)
         history.append(total_cost(traj, controls, weights, params))
-        if converged or it == opts.max_iterations:
+        if last:
             break
         u_star, v_star = _clamped_controls(traj.states_post, adj.values_post, params, weights)
         u_new = np.clip(opts.theta * u_star + (1.0 - opts.theta) * u, 0.0, 1.0)
@@ -380,9 +394,6 @@ def optimize_terminal_time(
     if not 0.0 < tau_min < tau_max:
         raise RangeError(f"need 0 < tau_min < tau_max, got ({tau_min}, {tau_max})")
     grid = TimeGrid(tau_min, h)
-    fault = weights.terminal.horizon_fault(grid.tau)
-    if fault:
-        raise RangeError(f"at tau_min = {grid.tau:.6g}, weights.terminal.{fault}")
     best = fbsm_solve(
         initial, params, weights, grid, _truncated_schedule(schedule, grid.tau, h), options
     )

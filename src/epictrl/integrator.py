@@ -11,11 +11,12 @@ n + 6 elements would otherwise dominate.  ``model`` generates each pass
 whole for the dose count: a ``march`` whose loop holds the value in local
 names and inlines the RK4 stages, called once per run of steps between
 impulse nodes.  The costate march steps with -h, forms each node's
-point-only terms once and skips the costates that stay zero.  Every
-floating-point operation keeps the order of the numpy formulation, and the
-tests hold both passes bitwise equal to a numpy reference implementation.
-Each pass writes one array row per node and copies it to the other side of
-the jumps, patched at the impulse nodes.
+point-only terms once and does no arithmetic on the costates that stay
+zero, not even in the other rows.  Every floating-point operation keeps the
+order of the numpy formulation, and the tests hold both passes bitwise
+equal to a numpy reference implementation.  Each pass writes one array row
+per node and copies it to the other side of the jumps, patched at the
+impulse nodes.
 """
 
 from __future__ import annotations
@@ -201,9 +202,15 @@ def integrate_forward(
     DEBUG) when their magnitude is at most 1e-9 times the initial living
     population; anything larger raises StabilityError (the step is too coarse).
 
-    The step loop runs on Python floats and is bitwise equal to the same RK4
-    written with numpy vectors.
+    The step loop runs on Python floats, bitwise equal to the same RK4 with
+    numpy vectors, over every compartment (the sweep's ``_forward`` need not).
     """
+    return _forward(initial, controls, params, grid, schedule, every=True)
+
+
+def _forward(initial, controls, params, grid, schedule, every: bool) -> Trajectory:
+    """``integrate_forward``, which without ``every`` leaves R, D and, unless V_n leaks into E,
+    V_n at their initial values, unchecked: nothing else reads them."""
     if initial.n != params.n:
         raise ValueError(f"state has {initial.n} dose compartments, params expect {params.n}")
     imap = _impulse_map(schedule, grid)
@@ -232,7 +239,7 @@ def integrate_forward(
             y = [0.0 if x < 0.0 else x for x in y]  # keeps -0.0, like np.maximum
         return y
 
-    march = _kernels(params, march=True)
+    march = _kernels(params, march=True, every=every)
     cuts = [0, *sorted(imap), steps]
     for i0, i1 in zip(cuts, cuts[1:]):
         y = march(y, (v_n[i0], u_n[i0]), h, i0, i1, pre, v_n, u_n, v_m, u_m, clamp)

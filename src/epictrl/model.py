@@ -387,6 +387,8 @@ def _costate_rows(n: int, to_exposed: bool, pq, pt, out) -> list[str]:
             # chain coupling it normally kills must be kept
             rows[-1] += f" - {gv}{j + 1} * {q[j + 1]}"
     rows.append(f"d{n - 1} * ({q[n - 1]} - {p2})" if to_exposed else "0.0")
+    # a costate named 0.0 holds +0.0, so its terms go: x - c*(+0.0) = x for finite c >= 0
+    rows = [re.sub(r" - (\w+ \* )?0\.0\b", "", row) for row in rows]
     return lines + [f"dp = {p1} - {p2}"] + [f"{o} = {r}" for o, r in zip(out, rows)]
 
 
@@ -394,18 +396,20 @@ def _block(header: str, lines) -> list[str]:
     return [header, *(f"    {line}" for line in lines)]
 
 
-def _rk4_lines(rows, dim: int) -> list[str]:
+def _rk4_lines(rows, dim: int, every: bool) -> tuple[list[str], list[int]]:
     """Lines advancing y0.. in place by one RK4 step of ``rows`` from the point a0_ over a1_ to
-    a2_, all bound with their terms, with h, half and sixth: a negative h steps back exactly.
-    A row that is the literal 0.0 gets no lines: for h < 0 its increments are -0.0, which keep y."""
+    a2_, all bound with their terms, with h, half and sixth (a negative h steps back exactly),
+    and the rows they march: not one that is the literal 0.0, which holds +0.0 (the costates
+    start there) and reads as 0.0, nor without ``every`` one no row reads, which keeps its value."""
     y, x, s, k = ([f"{name}{c}" for c in range(dim)] for name in "yxsk")
     zero = {c for c in range(dim) if f"{k[c]} = 0.0" in rows(y, "a0_", k)}
-    live = [c for c in range(dim) if c not in zero]
-    x = [y[c] if c in zero else x[c] for c in range(dim)]
+    y, x = (["0.0" if c in zero else names[c] for c in range(dim)] for names in (y, x))
     reads = set(re.findall(r"\w+", " ".join(rows(x, "a1_", k))))
+    live = [c for c in range(dim) if c not in zero and (every or x[c] in reads)]
 
-    def field(ins, pt, out):  # less the point's own lines and the zero rows
-        return [ln for ln in rows(ins, pt, out) if not (ln.startswith(pt) or ln.endswith(" = 0.0"))]
+    def field(ins, pt, out):  # less the point's own lines and the rows not marched
+        out = [o if c in live else "_" for c, o in enumerate(out)]
+        return [ln for ln in rows(ins, pt, out) if not ln.startswith((pt, "_ = "))]
 
     def stage(size, ks):  # the next stage's state, where its field reads it
         return [f"{x[c]} = {y[c]} + {size} * {ks[c]}" for c in live if x[c] in reads]
@@ -415,7 +419,7 @@ def _rk4_lines(rows, dim: int) -> list[str]:
     total = [f"{s[c]} = {s[c]} + 2.0 * {k[c]}" for c in live]
     lines = [*field(y, "a0_", s), *stage("half", s), *field(x, "a1_", k), *stage("half", k)]
     lines += [*total, *field(x, "a1_", k), *stage("h", k), *total, *field(x, "a2_", k)]
-    return lines + [f"{y[c]} = {y[c]} + sixth * ({s[c]} + {k[c]})" for c in live]
+    return lines + [f"{y[c]} = {y[c]} + sixth * ({s[c]} + {k[c]})" for c in live], live
 
 
 def _point_lines(rows, dim: int, pt: str) -> list[str]:
@@ -426,7 +430,8 @@ def _point_lines(rows, dim: int, pt: str) -> list[str]:
 def _kernel_lines(head, rows, cols, dim: int) -> list[str]:
     """Source lines of ``bind(pr, omega)``, which runs ``head`` and returns the field
     ``field(y, a0)`` of ``rows`` and, for the states, its RK4 step ``step(y, h, a0, a1, a2)``
-    (the costates step only in their march).  Each ``a`` holds a point's ``cols`` and v, u."""
+    (the costates step only in their march), which marches the rows ``step.rows`` of y that
+    some row reads.  Each ``a`` holds a point's ``cols`` and v, u."""
     y, k = [f"y{c}" for c in range(dim)], [f"k{c}" for c in range(dim)]
     at = [f"{', '.join(f'a{j}_{r}' for r in (*cols, 'v', 'u'))}, = a{j}" for j in range(3)]
     field = [f"{', '.join(y)}, = y", at[0], *rows(y, "a0_", k), f"return [{', '.join(k)}]"]
@@ -434,27 +439,32 @@ def _kernel_lines(head, rows, cols, dim: int) -> list[str]:
     if cols:
         return _block("def bind(pr, omega):", [*lines, "return field, None"])
     points = [line for pt in ("a0_", "a1_", "a2_") for line in _point_lines(rows, dim, pt)]
-    step = [*field[:1], *at, *points, "half = 0.5 * h", "sixth = h / 6.0", *_rk4_lines(rows, dim)]
-    lines += _block("def step(y, h, a0, a1, a2):", [*step, f"return [{', '.join(y)}]"])
+    rk4, live = _rk4_lines(rows, dim, every=False)
+    ys = ", ".join(y[c] for c in live)
+    step = [f"{ys}, = y", *at, *points, "half = 0.5 * h", "sixth = h / 6.0", *rk4, f"return [{ys}]"]
+    lines += [*_block("def step(y, h, a0, a1, a2):", step), f"step.rows = {live}"]
     return _block("def bind(pr, omega):", [*lines, "return field, step"])
 
 
-def _march_lines(head, rows, cols, dim: int) -> list[str]:
+def _march_lines(head, rows, cols, dim: int, every: bool) -> list[str]:
     """Source lines of ``march(pr, omega, y, a, h, i0, i1, out, vn, un, vm, um, *last)``, which
     runs ``head`` and steps ``rows`` from the value ``y`` at the point ``a`` (as in ``bind``)
     to each node between i0 and i1, writing the value there to that row of ``out``; ``vn``,
     ``un`` and ``vm``, ``um`` sample the controls at the nodes and midpoints.  The states step
-    forward and pass a value below zero anywhere through ``clamp(value, node)``, ``last`` =
-    (clamp,); the costates step back with a negative h over ``last``, node columns of ``cols``."""
+    forward and pass the marched rows through ``clamp(rows, node)`` where one is below zero,
+    ``last`` = (clamp,); the costates step back with a negative h over ``last``, node columns
+    of ``cols``.  Without ``every``, a row that no row reads keeps its value (``_rk4_lines``)."""
     ys, j = ", ".join(f"y{c}" for c in range(dim)), "i" if cols else "j"
     terms = functools.partial(_point_lines, rows, dim)
+    rk4, live = _rk4_lines(rows, dim, every)
     body = [*(f"a2_{r} = {r}[{j}]" for r in cols), f"a2_v = vn[{j}]", f"a2_u = un[{j}]"]
     body += [*terms("a2_"), *(f"a1_{r} = 0.5 * (a2_{r} + a0_{r})" for r in cols)]
-    body += ["a1_v = vm[i]", "a1_u = um[i]", *terms("a1_"), *_rk4_lines(rows, dim)]
+    body += ["a1_v = vm[i]", "a1_u = um[i]", *terms("a1_"), *rk4]
     carry = [f"{a} = a2_{a[3:]}" for a in sorted(set(re.findall(r"\ba0_\w+", " ".join(body))))]
     if not cols:
-        body.append(f"if {' or '.join(f'y{c} < 0.0' for c in range(dim))}:")
-        body.append(f"    {ys}, = clamp([{ys}], j)")
+        marched = ", ".join(f"y{c}" for c in live)
+        body.append(f"if {' or '.join(f'y{c} < 0.0' for c in live)}:")
+        body.append(f"    {marched}, = clamp([{marched}], j)")
     loop = "for i in range(i1 - 1, i0 - 1, -1):" if cols else "for i in range(i0, i1):"
     step = [*([] if cols else ["j = i + 1"]), *carry, *body, f"put(out, {8 * dim} * {j}, {ys})"]
     lines = [*head, f"put = Struct('{dim}d').pack_into", f"{ys}, = y"]
@@ -465,26 +475,27 @@ def _march_lines(head, rows, cols, dim: int) -> list[str]:
 
 
 @functools.cache
-def _binder(n: int, to_exposed: bool, costate: bool, march: bool):
+def _binder(n: int, to_exposed: bool, costate: bool, march: bool, every: bool):
     """For n doses, compiled once: ``bind`` of ``_kernel_lines`` or, with ``march``, ``march``
     of ``_march_lines``, which binds the rates (and ``omega``) to its locals on each call."""
     rows = functools.partial(_costate_rows if costate else _state_rows, n, to_exposed)
     names = {key: ", ".join(f"{key}{j}" for j in range(n)) for key in ("g", "d")}
     head = _RATES.format(**names).splitlines() + (["w1, w2, w3, w4 = omega"] if costate else [])
-    kind = _march_lines if march else _kernel_lines
-    source = "\n".join(kind(head, rows, "SEAI" if costate else "", n + 6))
+    args = (head, rows, "SEAI" if costate else "", n + 6)
+    source = "\n".join(_march_lines(*args, every) if march else _kernel_lines(*args))
     namespace: dict = {"Struct": struct.Struct}
-    exec(compile(source, f"<epictrl {n} {to_exposed} {costate} {march}>", "exec"), namespace)
+    exec(compile(source, f"<epictrl {n} {to_exposed} {costate} {march} {every}>", "exec"), namespace)
     return namespace["march" if march else "bind"]
 
 
-def _kernels(pr: ModelParams, omega=None, march: bool = False):
-    """The state field ``field(y, (v, u))`` and RK4 step ``step(y, h, a0, a1, a2)`` bound to
-    ``pr``, or given the weights ``omega`` the costate field ``field(pq, (S, E, A, I, v, u))``
-    and None; with ``march``, their ``_march_lines`` pass.  Field and step take floats, or (M,)
-    arrays for M runs: as they only unpack and do arithmetic, a batch column equals its float
-    run bitwise, and input with zero imaginary part gives the float results as real parts."""
-    bound = _binder(pr.n, pr.delta_n_to_exposed, omega is not None, march)
+def _kernels(pr: ModelParams, omega=None, march: bool = False, every: bool = True):
+    """The state field ``field(y, (v, u))`` and RK4 step ``step(y, h, a0, a1, a2)`` of the rows
+    ``step.rows`` bound to ``pr``, or given the weights ``omega`` the costate field
+    ``field(pq, (S, E, A, I, v, u))`` and None; with ``march``, their ``_march_lines`` pass.
+    Field and step take floats, or (M,) arrays for M runs: as they only unpack and do
+    arithmetic, a batch column equals its float run bitwise, and input with zero imaginary
+    part gives the float results as real parts."""
+    bound = _binder(pr.n, pr.delta_n_to_exposed, omega is not None, march, every)
     return functools.partial(bound, pr, omega) if march else bound(pr, omega)
 
 

@@ -4,7 +4,8 @@
 pairs on a coarse segment grid.  It marches each shared control prefix once,
 depth-first in chunks of at most ``_CHUNK`` candidates, through the generated
 RK4 state ``step`` (``model._kernels``) on a compartment-major batch (one row
-each), and skips every subtree proved costlier than the best leaf found.
+per compartment the cost reads), and drops a candidate before a chunk or after
+any step once it is proved costlier than the best leaf found.
 ``finite_difference_gradient`` probes the cost functional directly with
 central differences, to be compared against the costate-based gradient.
 """
@@ -18,8 +19,8 @@ import numpy as np
 
 from .control import (
     CostWeights,
+    _cost_fault,
     _running_cost_arrays,
-    _running_cost_fault,
     _switching_arrays,
     total_cost,
 )
@@ -66,10 +67,10 @@ class OracleConfig:
         return self.u_levels**self.segments * self.v_levels**self.segments
 
 
-def _widen(x: np.ndarray, live: np.ndarray) -> np.ndarray:
-    """``x`` placed at the True entries of ``live``, +inf elsewhere."""
-    out = np.full(live.shape, np.inf)
-    out[live] = x
+def _widen(x: np.ndarray, at: np.ndarray, size: int) -> np.ndarray:
+    """``x`` placed at the indices ``at`` of ``size`` entries, +inf elsewhere."""
+    out = np.full(size, np.inf)
+    out[at] = x
     return out
 
 
@@ -92,17 +93,19 @@ def _leaf_costs(
     candidate costs in tree order (the level pairs as digits, first segment
     most significant); ``first`` is the tree index of ``costs[0]``.
 
-    Branch and bound: a child whose parent's prefix cost plus the terminal
-    cost exceeds ``incumbent()`` (the best leaf cost so far, never rising) is
-    dropped: not marched, its leaves yielded as +inf; an emptied chunk is
+    Branch and bound: a row whose prefix cost plus the terminal cost exceeds
+    ``incumbent()`` (the best leaf cost so far, never rising), tested before a
+    chunk is marched and after every RK4 step, is dropped at once and never
+    marched again; its leaves are yielded as +inf, and an emptied chunk is
     skipped.  Cost increments are >= 0 (omega, sigma, states >= 0) and rounded
-    addition is monotone, so a dropped subtree holds neither the minimum nor a
+    addition is monotone, so a dropped row leads to neither the minimum nor a
     tie.  A level's chunks go in ascending order of their cheapest parent.
 
-    Each row runs the RK4 step that ``integrate_forward`` runs on a float state:
-    a step that leaves a compartment below the negative tolerance raises
-    StabilityError (only marched rows step, so a dropped subtree never
-    raises); smaller negatives are roundoff and are clamped to zero.
+    Each row runs the RK4 step that ``integrate_forward`` runs on a float
+    state, less the compartments no row reads (``step.rows``): a step that
+    leaves one below the negative tolerance raises StabilityError (only
+    marched rows step, so a dropped row never raises); smaller negatives are
+    roundoff and are clamped to zero.
     """
     n_pairs = config.u_levels * config.v_levels
     u_pair = np.repeat(u_choices, config.v_levels)
@@ -113,10 +116,10 @@ def _leaf_costs(
     tol = _NEGATIVE_TOL * float(y0.sum() - y0[D])
     terminal = weights.terminal.value(config.horizon)
     _, step = _kernels(params)
-    marched = 0
+    marched = row_steps = 0
 
     def march(y, cost, first, seg):
-        nonlocal marched
+        nonlocal marched, row_steps
         if seg == config.segments:
             yield first, cost + terminal
             return
@@ -125,16 +128,16 @@ def _leaf_costs(
         cheapest = [cost[lo // n_pairs : (lo + _CHUNK - 1) // n_pairs + 1].min() for lo in los]
         for _, lo in sorted(zip(cheapest, los)):
             parent, pair = np.divmod(np.arange(lo, min(lo + _CHUNK, children)), n_pairs)
-            live = cost[parent] + terminal <= incumbent()
-            if not live.any():
-                continue
-            marched += int(np.count_nonzero(live))
-            parent, pair = parent[live], pair[live]
-            u, v = u_pair[pair], v_pair[pair]
-            yc, c = [x[parent] for x in y], cost[parent]
+            keep = np.flatnonzero(cost[parent] + terminal <= incumbent())
+            marched += len(keep)
+            yc, c = [x[parent[keep]] for x in y], cost[parent[keep]]
+            u, v = u_pair[pair[keep]], v_pair[pair[keep]]
             vu = (v, u)
             g_left = _running_cost_arrays(yc, u, v, weights, params)
             for k in range(steps):
+                if not len(keep):
+                    break
+                row_steps += len(keep)
                 yc = step(yc, h, vu, vu, vu)
                 for x in yc:
                     lowest = x.min()
@@ -145,13 +148,20 @@ def _leaf_costs(
                 g_right = _running_cost_arrays(yc, u, v, weights, params)
                 c += (0.5 * h) * (g_left + g_right)
                 g_left = g_right
-            if not live.all():  # the dropped rows hold +inf, so their children are dropped
-                yc, c = [_widen(x, live) for x in yc], _widen(c, live)
+                live = c + terminal <= incumbent()
+                if not live.all():
+                    keep, c, g_left, u, v = keep[live], c[live], g_left[live], u[live], v[live]
+                    yc, vu = [x[live] for x in yc], (v, u)
+            if not len(keep):
+                continue
+            if len(keep) < len(pair):  # the dropped rows hold +inf, so their children drop
+                yc, c = [_widen(x, keep, len(pair)) for x in yc], _widen(c, keep, len(pair))
             yield from march(yc, c, first * n_pairs + lo, seg + 1)
 
-    yield from march(list(y0[:, None]), np.zeros(1), 0, 0)
+    yield from march(list(y0[step.rows, None]), np.zeros(1), 0, 0)
     rows = sum(n_pairs**s for s in range(1, config.segments + 1))
-    log.debug("oracle: marched %d of %d prefix-tree rows", marched, rows)
+    counts = (marched, rows, row_steps, rows * steps)
+    log.debug("oracle: marched %d of %d prefix-tree rows, %d of %d row-steps", *counts)
 
 
 def brute_force_optimum(
@@ -170,11 +180,12 @@ def brute_force_optimum(
     bounded at construction of the config; ``_leaf_costs`` holds at most
     ``_CHUNK`` rows per segment and only a running best is kept, so memory
     stays flat.  As in ``fbsm_solve``, weights whose running cost has no
-    finite bound over the horizon raise RangeError.
+    finite bound over the horizon, or whose terminal cost overflows there,
+    raise RangeError.
     """
     if initial.n != params.n:
         raise ValueError("state and parameter dose counts must match")
-    if fault := _running_cost_fault(initial, params, weights, config.horizon, None):
+    if fault := _cost_fault(initial, params, weights, config.horizon, None):
         raise RangeError(fault)
     u_choices = np.linspace(0.0, 1.0, config.u_levels)
     v_choices = np.linspace(0.0, params.v_max, config.v_levels)

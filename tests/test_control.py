@@ -17,6 +17,7 @@ from epictrl.control import (
 )
 from epictrl.errors import RangeError
 from epictrl.integrator import TimeGrid
+from test_integrator import _random_draw
 
 
 def zero_controls(grid, params):
@@ -415,12 +416,24 @@ class TestFbsmSolve:
         # weights once gave cost=inf with converged=True after 14 iterations
         params, initial = covid19
         weights = ec.CostWeights(omega=(1e306, 1.0, 1.0, 1.0))
-        monkeypatch.setattr(ec.control, "integrate_forward", None)  # no pass may run
+        for name in ("integrate_forward", "_forward"):
+            monkeypatch.setattr(ec.control, name, None)  # no pass may run
         line = "weights: the running-cost bound over tau = 5 is not finite"
         with pytest.raises(RangeError, match=line):
             fbsm_solve(initial, params, weights, TimeGrid(5.0, 0.05))
         with pytest.raises(RangeError, match=line):
             ec.optimize_terminal_time(initial, params, weights, None, (5.0, 6.0), h=0.05)
+
+    def test_overflowing_terminal_cost_checked_before_the_first_pass(self, covid19, monkeypatch):
+        # exp(200 * 5) overflows: a RangeError naming the field, as load_config gives,
+        # not math's OverflowError from the cost of the first pass
+        params, initial = covid19
+        weights = ec.CostWeights(terminal=ec.TerminalCost("exponential", 1.0, 200.0))
+        for name in ("integrate_forward", "_forward"):
+            monkeypatch.setattr(ec.control, name, None, raising=False)  # no pass may run
+        line = r"^weights\.terminal\.rate: rate\*tau = 1000 overflows exp \(limit 709\.783\)$"
+        with pytest.raises(RangeError, match=line):
+            fbsm_solve(initial, params, weights, TimeGrid(5.0, 0.05))
 
     def test_default_run_regression(self, default_solution):
         assert default_solution.converged
@@ -697,3 +710,78 @@ class TestHorizonSeedEquivalence:
         expected = g_end + default_weights.terminal.slope(tau_star)
         assert sol.transversality_residual == pytest.approx(expected, rel=1e-12)
         assert sol.transversality_residual >= 0.0
+
+
+def _ref_fbsm_solve(initial, params, weights, grid, schedule, options):
+    """The sweep as it was before its intermediate passes left out the rows nothing reads,
+    verbatim but for the running-cost check: every pass marches every row."""
+    opts = options
+    times = grid.times
+    v_max = params.v_max
+    u = np.zeros_like(times)
+    v = np.zeros_like(times)
+    history = []
+    converged = False
+    for it in range(opts.max_iterations + 1):
+        controls = ec.ControlSignal(times, v, u, v_max)
+        traj = ec.integrate_forward(initial, controls, params, grid, schedule)
+        adj = ec.integrate_adjoint_backward(traj, controls, params, weights, grid, schedule)
+        history.append(ec.total_cost(traj, controls, weights, params))
+        if converged or it == opts.max_iterations:
+            break
+        u_star, v_star = _clamped_controls(traj.states_post, adj.values_post, params, weights)
+        u_new = np.clip(opts.theta * u_star + (1.0 - opts.theta) * u, 0.0, 1.0)
+        v_new = np.clip(opts.theta * v_star + (1.0 - opts.theta) * v, 0.0, v_max)
+        change = float(np.max(np.abs(u_new - u) + np.abs(v_new - v) / v_max))
+        u, v = u_new, v_new
+        converged = change < opts.tolerance
+    return OptimalSolution(
+        controls=controls,
+        state_traj=traj,
+        adjoint_traj=adj,
+        cost=history[-1],
+        iterations=it,
+        converged=converged,
+        cost_history=tuple(history),
+    )
+
+
+class TestSweepProperties:
+    """Seeded draws of admissible problems: the sweep ends converged or says it did not,
+    with finite outputs no costlier than doing nothing, bitwise those of a sweep that
+    marches every row in every pass."""
+
+    def test_random_problems(self):
+        rng = np.random.default_rng(2026)
+        ended = set()
+        for draw in range(20):
+            n, impulses, to_exposed = int(rng.integers(2, 6)), int(rng.integers(0, 4)), draw % 2 == 1
+            # every draw converges in 16 or 17 iterations; a fifth are stopped before that
+            options = ec.SweepOptions(max_iterations=12 if draw % 5 == 0 else 60)
+            params, initial, weights, grid, _, schedule = _random_draw(
+                rng, n, to_exposed, impulses, h=0.05
+            )
+            sol = fbsm_solve(initial, params, weights, grid, schedule, options)
+            ref = _ref_fbsm_solve(initial, params, weights, grid, schedule, options)
+            arrays = (
+                (sol.controls.grid, ref.controls.grid),
+                (sol.controls.u, ref.controls.u),
+                (sol.controls.v, ref.controls.v),
+                (sol.state_traj.node_times, ref.state_traj.node_times),
+                (sol.state_traj.states_pre, ref.state_traj.states_pre),
+                (sol.state_traj.states_post, ref.state_traj.states_post),
+                (sol.adjoint_traj.node_times, ref.adjoint_traj.node_times),
+                (sol.adjoint_traj.values_pre, ref.adjoint_traj.values_pre),
+                (sol.adjoint_traj.values_post, ref.adjoint_traj.values_post),
+                (sol.cost_history, ref.cost_history),
+            )
+            for got, want in arrays:
+                assert _bitwise_equal(got, want)
+                assert np.all(np.isfinite(got))
+            assert sol.cost == ref.cost == sol.cost_history[-1]
+            assert (sol.iterations, sol.converged) == (ref.iterations, ref.converged)
+            assert sol.converged or sol.iterations == options.max_iterations
+            assert sol.state_traj.impulse_nodes == ref.state_traj.impulse_nodes
+            assert sol.cost <= sol.cost_history[0]  # the first pass runs the zero controls
+            ended.add(sol.converged)
+        assert ended == {True, False}

@@ -1,4 +1,6 @@
+import functools
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ import pytest
 import epictrl as ec
 from epictrl.control import CostWeights, _hamiltonian, _running_cost_arrays
 from epictrl.integrator import _impulse_map, _sampled_controls
+from epictrl import model
 from epictrl.model import A, D, E, I, R, S, V0, ModelParams, _NEGATIVE_TOL, _kernels
 
 
@@ -623,9 +626,52 @@ class TestSeedEquivalence:
             point = (*rng.uniform(0.0, 5000.0, size=4).tolist(), *vu[0])
             c = lambda a: tuple(x + 0j for x in a)  # noqa: E731
             yc, pqc = (y + 0j).tolist(), (pq + 0j).tolist()
+            rows, rowsc = y[state_step.rows].tolist(), (y[state_step.rows] + 0j).tolist()
             for real, cplx in (
                 (state(y.tolist(), vu[0]), state(yc, c(vu[0]))),
-                (state_step(y.tolist(), 0.01, *vu), state_step(yc, 0.01, *map(c, vu))),
+                (state_step(rows, 0.01, *vu), state_step(rowsc, 0.01, *map(c, vu))),
                 (costate(pq.tolist(), point), costate(pqc, c(point))),
             ):
                 assert _bitwise_equal(np.real(np.array(cplx)), real)
+
+
+def _naming(source: str, name: str) -> list[str]:
+    """The stripped lines of ``source`` that name ``name``."""
+    return [line.strip() for line in source.splitlines() if re.search(rf"\b{name}\b", line)]
+
+
+def _only_carried(source: str, name: str) -> bool:
+    """``name`` is only unpacked from y, written to a node row and returned: no arithmetic
+    reads it and nothing but the unpacking assigns it."""
+    return all(
+        line.endswith(", = y") or line.startswith(("put(out", "return ["))
+        for line in _naming(source, name)
+    )
+
+
+class TestGeneratedRows:
+    """Each generated march and step computes only what its caller reads: a structural
+    guard, so that losing it shows without a timer."""
+
+    @pytest.mark.parametrize("to_exposed", [False, True])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_marches_leave_out_rows_nothing_reads(self, n, to_exposed):
+        state = functools.partial(model._state_rows, n, to_exposed)
+        costate = functools.partial(model._costate_rows, n, to_exposed)
+        costate_march = "\n".join(model._march_lines([], costate, "SEAI", n + 6, every=True))
+        live_march = "\n".join(model._march_lines([], state, "", n + 6, every=False))
+        full_march = "\n".join(model._march_lines([], state, "", n + 6, every=True))
+        step = "\n".join(model._kernel_lines([], state, "", n + 6)).split("def step")[1]
+        # no other row, the cost or the control update reads R, D or V_n, and their
+        # costates stay +0.0, unless V_n leaks into E
+        unread = {R, D} | (set() if to_exposed else {V0 + n - 1})
+        assert not re.search(r"\b0\.0\b", costate_march)  # not as x - 0.0 or c * 0.0 either
+        for c in range(V0 + n):
+            name, update = f"y{c}", f"y{c} = y{c} + sixth * (s{c} + k{c})"
+            assert update in _naming(full_march, name)  # the returned pass marches every row
+            if c in unread:
+                assert _only_carried(costate_march, name) and _only_carried(live_march, name)
+                assert not _naming(step, name)
+            else:
+                for source in (costate_march, live_march, step):
+                    assert update in _naming(source, name)

@@ -64,13 +64,13 @@ class TestSharedBatchPath:
         u0, um, u1 = rng.uniform(0.0, 1.0, size=(3, m))
         field, rk4 = _kernels(params)
         deriv = np.array(field(list(y), (v0, u0)))
-        step = np.array(rk4(list(y), 0.05, (v0, u0), (vm, um), (v1, u1)))
+        step = np.array(rk4(list(y[rk4.rows]), 0.05, (v0, u0), (vm, um), (v1, u1)))
         for j in range(m):
             col = y[:, j].tolist()
             c = [float(x[j]) for x in (v0, u0, vm, um, v1, u1)]
             assert _bitwise_equal(deriv[:, j], field(col, (c[0], c[1])))
             args = [(c[0], c[1]), (c[2], c[3]), (c[4], c[5])]
-            assert _bitwise_equal(step[:, j], rk4(col, 0.05, *args))
+            assert _bitwise_equal(step[:, j], rk4(y[rk4.rows, j].tolist(), 0.05, *args))
 
 
 # The oracle's marcher before it shared the sweep's RK4 step, verbatim: its own
@@ -150,8 +150,8 @@ def _integrate_batch_cost(y0, u_seg, v_seg, params, weights, config):
     steps = max(1, int(round(seg_len / config.h)))
     h = seg_len / steps
     tol = _NEGATIVE_TOL * float(y0.sum() - y0[D])
-    y = list(np.tile(y0[:, None], (1, m)))
     _, step = _kernels(params)
+    y = list(np.tile(y0[step.rows, None], (1, m)))  # the compartments the step marches
     cost = np.zeros(m)
     for seg in range(config.segments):
         u = u_seg[:, seg]
@@ -295,11 +295,13 @@ class TestPrefixTreeMatchesFlatMarch:
         assert list(v_best) == [level * params.v_max for level in v_levels]
 
 
-def _marched_rows(caplog) -> tuple[int, int]:
-    """(marched, total) of the one prefix-tree record among the captured logs."""
+def _marched_rows(caplog) -> tuple[int, int, int, int]:
+    """(rows marched, rows in the tree, row-steps marched, row-steps in the tree) of the one
+    prefix-tree record among the captured logs."""
     (record,) = [r for r in caplog.records if "prefix-tree rows" in r.getMessage()]
     assert record.levelno == logging.DEBUG
-    assert record.getMessage() == "oracle: marched %d of %d prefix-tree rows" % record.args
+    line = "oracle: marched %d of %d prefix-tree rows, %d of %d row-steps"
+    assert record.getMessage() == line % record.args
     return record.args
 
 
@@ -310,7 +312,7 @@ class TestBranchAndBound:
     @pytest.mark.parametrize("ties", [False, True], ids=["plain", "forced-ties"])
     def test_matches_the_exhaustive_argmin_on_random_searches(self, ties, monkeypatch, caplog):
         rng = np.random.default_rng(20240817 + ties)
-        marched = total = 0
+        marched = total = mid_segment = 0
         combos = itertools.product((2, 3), (False, True), ("linear", "quadratic", "exponential"))
         for n, to_exposed, kind in combos:
             params = _params(n, to_exposed)
@@ -341,39 +343,49 @@ class TestBranchAndBound:
             u_seg, v_seg = _flat_candidates(params, cfg)
             assert _bitwise_equal(best_j, ref[k])
             assert _bitwise_equal(u_best, u_seg[k]) and _bitwise_equal(v_best, v_seg[k])
-            rows, of = _marched_rows(caplog)
+            rows, of, row_steps, steps_of = _marched_rows(caplog)
             marched, total = marched + rows, total + of
+            # a row dropped inside a segment marches fewer than that segment's steps
+            mid_segment += row_steps < rows * (steps_of // of)
         assert marched < total  # the draws do prune
+        assert mid_segment >= 1
 
-    def test_ties_with_the_incumbent_are_kept(self, covid19, default_weights):
+    def test_ties_with_the_incumbent_are_kept(self, covid19, default_weights, caplog):
         # with zero state weights and dose gains a candidate costs its u effort plus the
         # terminal cost, so every all-zero-u candidate costs exactly the terminal cost, as
-        # do its prefixes plus the terminal cost: an incumbent equal to it drops none of
-        # them, but drops every child of a first segment at u = 1
+        # does each of its partial costs plus the terminal cost: an incumbent equal to it
+        # drops none of them, at a chunk or after a step, but drops every row at u = 1
+        # after its first step
         params, initial = covid19
         terminal = ec.TerminalCost("linear", 3.0)
         weights = ec.CostWeights((0.0,) * 4, 50.0, (0.0, 0.0), terminal)
         cfg = ec.OracleConfig(horizon=2.0, segments=2, u_levels=2, v_levels=3)
         u_choices, v_choices = np.linspace(0.0, 1.0, 2), np.linspace(0.0, params.v_max, 3)
         y0, j = initial.as_array(), terminal.value(2.0)
-        leaves = oracle._leaf_costs(y0, u_choices, v_choices, params, weights, cfg, lambda: j)
         costs = np.full(cfg.candidates, np.nan)
-        for first, chunk in leaves:
-            costs[first : first + len(chunk)] = chunk
+        with caplog.at_level(logging.DEBUG, logger="epictrl"):
+            for first, chunk in oracle._leaf_costs(
+                y0, u_choices, v_choices, params, weights, cfg, lambda: j
+            ):
+                costs[first : first + len(chunk)] = chunk
         u_digits = np.unravel_index(np.arange(cfg.candidates), (2, 3, 2, 3))[0::2]
-        assert np.all(costs[(u_digits[0] == 0) & (u_digits[1] == 0)] == j)
-        marched = costs[(u_digits[0] == 0) & (u_digits[1] == 1)]
-        assert np.all(np.isfinite(marched) & (marched > j))
-        assert np.all(costs[u_digits[0] == 1] == np.inf)
+        zero_u = (u_digits[0] == 0) & (u_digits[1] == 0)
+        assert np.all(costs[zero_u] == j)
+        assert np.all(costs[~zero_u] == np.inf)
+        # 20 steps a segment: 6 rows, of which 3 at u = 1 step once, then the 18 children of
+        # the other 3, of which 9 at u = 1 step once
+        assert _marched_rows(caplog) == (6 + 18, 6 + 36, 3 * 20 + 3 + 9 * 20 + 9, (6 + 36) * 20)
 
     def test_c04_marches_at_most_40_percent_of_the_tree(self, covid19, default_weights, caplog):
         params, initial = covid19
         cfg = ec.OracleConfig(horizon=5.0, segments=5, u_levels=3, v_levels=3)
         with caplog.at_level(logging.DEBUG, logger="epictrl"):
             best_j, (u_best, v_best) = ec.brute_force_optimum(initial, params, default_weights, cfg)
-        marched, total = _marched_rows(caplog)
+        marched, total, row_steps, steps_total = _marched_rows(caplog)
         assert total == sum(9**s for s in range(1, 6)) == 66_429
         assert marched <= 0.4 * total
+        # rows dropped inside a segment: at most a quarter of the tree's row-steps
+        assert steps_total == 20 * total and row_steps <= 0.25 * steps_total
         assert best_j == 20794.074592123383
         assert list(u_best) == [1.0] * 5
         assert list(v_best) == [level * params.v_max for level in (1.0, 1.0, 1.0, 0.5, 0.0)]
@@ -461,6 +473,17 @@ class TestBruteForceOptimum:
             ec.brute_force_optimum(initial, params, weights, cfg)
         with pytest.raises(ec.RangeError, match="running-cost bound over tau = 5 is not finite"):
             ec.fbsm_solve(initial, params, weights, ec.TimeGrid(5.0, 0.05))
+
+    def test_overflowing_terminal_cost_is_a_range_error(self, covid19, monkeypatch):
+        # exp(200 * 5) overflows: the search refuses it before it marches anything,
+        # instead of raising math's OverflowError
+        params, initial = covid19
+        weights = ec.CostWeights(terminal=ec.TerminalCost("exponential", 1.0, 200.0))
+        cfg = ec.OracleConfig(horizon=5.0, segments=2, u_levels=2, v_levels=2)
+        monkeypatch.setattr(oracle, "_leaf_costs", None)
+        line = r"^weights\.terminal\.rate: rate\*tau = 1000 overflows exp \(limit 709\.783\)$"
+        with pytest.raises(ec.RangeError, match=line):
+            ec.brute_force_optimum(initial, params, weights, cfg)
 
     def test_coarse_step_raises_like_the_forward_pass(self, covid19, default_weights):
         # one 2-day step at full vaccination drives S far below zero: the
