@@ -394,6 +394,9 @@ def optimize_terminal_time(
     if not 0.0 < tau_min < tau_max:
         raise RangeError(f"need 0 < tau_min < tau_max, got ({tau_min}, {tau_max})")
     grid = TimeGrid(tau_min, h)
+    fault = weights.terminal.horizon_fault(grid.tau)
+    if fault:
+        raise RangeError(f"at tau_min = {grid.tau:.6g}, weights.terminal.{fault}")
     best = fbsm_solve(
         initial, params, weights, grid, _truncated_schedule(schedule, grid.tau, h), options
     )

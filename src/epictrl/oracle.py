@@ -67,13 +67,6 @@ class OracleConfig:
         return self.u_levels**self.segments * self.v_levels**self.segments
 
 
-def _widen(x: np.ndarray, at: np.ndarray, size: int) -> np.ndarray:
-    """``x`` placed at the indices ``at`` of ``size`` entries, +inf elsewhere."""
-    out = np.full(size, np.inf)
-    out[at] = x
-    return out
-
-
 def _leaf_costs(
     y0: np.ndarray,
     u_choices: np.ndarray,
@@ -155,7 +148,9 @@ def _leaf_costs(
             if not len(keep):
                 continue
             if len(keep) < len(pair):  # the dropped rows hold +inf, so their children drop
-                yc, c = [_widen(x, keep, len(pair)) for x in yc], _widen(c, keep, len(pair))
+                wide = np.full((len(yc) + 1, len(pair)), np.inf)
+                wide[:, keep] = [*yc, c]
+                *yc, c = wide
             yield from march(yc, c, first * n_pairs + lo, seg + 1)
 
     yield from march(list(y0[step.rows, None]), np.zeros(1), 0, 0)

@@ -713,8 +713,8 @@ class TestHorizonSeedEquivalence:
 
 
 def _ref_fbsm_solve(initial, params, weights, grid, schedule, options):
-    """The sweep as it was before its intermediate passes left out the rows nothing reads,
-    verbatim but for the running-cost check: every pass marches every row."""
+    """The sweep before its intermediate passes left out the rows nothing reads, less its
+    fault checks and log: every pass marches every row."""
     opts = options
     times = grid.times
     v_max = params.v_max
@@ -756,7 +756,7 @@ class TestSweepProperties:
         ended = set()
         for draw in range(20):
             n, impulses, to_exposed = int(rng.integers(2, 6)), int(rng.integers(0, 4)), draw % 2 == 1
-            # every draw converges in 16 or 17 iterations; a fifth are stopped before that
+            # every draw converges in 15 to 17 iterations; a fifth are stopped before that
             options = ec.SweepOptions(max_iterations=12 if draw % 5 == 0 else 60)
             params, initial, weights, grid, _, schedule = _random_draw(
                 rng, n, to_exposed, impulses, h=0.05
