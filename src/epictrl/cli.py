@@ -130,8 +130,7 @@ def _write_summary(path: str, summary: RunSummary) -> None:
 def _read_controls_file(path: str, v_max: float) -> ControlSignal:
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        if [c.strip() for c in header] != ["t", "u", "v"]:
+        if [c.strip() for c in next(reader, [])] != ["t", "u", "v"]:
             raise EpictrlError(f"{path}: expected header 't,u,v'")
         rows = [(float(t), float(u), float(v)) for t, u, v in reader]
     if not rows:
@@ -300,8 +299,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "r0":
             return cmd_r0(config)
         raise EpictrlError(f"unknown command {args.command!r}")
-    except (EpictrlError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (EpictrlError, ValueError, OSError) as exc:
+        reason = f"{exc.filename}: {exc.strerror}" if isinstance(exc, OSError) else exc
+        print(f"error: {reason}", file=sys.stderr)
         return 1
 
 

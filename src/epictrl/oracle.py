@@ -5,13 +5,16 @@ pairs on a coarse segment grid.  It marches each shared control prefix once,
 depth-first in chunks of at most ``_CHUNK`` candidates, through the generated
 RK4 state ``step`` (``model._kernels``) on a compartment-major batch (one row
 per compartment the cost reads), and drops a candidate before a chunk or after
-any step once it is proved costlier than the best leaf found.
+any step once a proved lower bound on its cost exceeds the best leaf found or,
+at first, the cheapest constant control pair's cost.
 ``finite_difference_gradient`` probes the cost functional directly with
 central differences, to be compared against the costate-based gradient.
 """
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import logging
 from dataclasses import dataclass
 
@@ -20,14 +23,17 @@ import numpy as np
 from .control import (
     CostWeights,
     _cost_fault,
-    _running_cost_arrays,
     _switching_arrays,
     total_cost,
 )
-from .errors import BoxViolationError, ExplosionGuardError, RangeError
+from .errors import BoxViolationError, ExplosionGuardError, RangeError, StabilityError
 from .integrator import TimeGrid, integrate_adjoint_backward, integrate_forward
 from .model import (
+    A,
     D,
+    E,
+    I,
+    S,
     _NEGATIVE_TOL,
     ControlSignal,
     ModelParams,
@@ -39,6 +45,7 @@ from .model import (
 log = logging.getLogger("epictrl")
 _CANDIDATE_GUARD = 10_000_000
 _CHUNK = 8192
+_MARGIN = 1e-6  # relative slack of the cost-to-go bound and the first incumbent, for rounding
 
 
 @dataclass(frozen=True)
@@ -67,6 +74,43 @@ class OracleConfig:
         return self.u_levels**self.segments * self.v_levels**self.segments
 
 
+def _segment_steps(config: OracleConfig) -> tuple[int, float]:
+    """RK4 steps per segment and their length."""
+    steps = max(1, int(round(config.horizon / config.segments / config.h)))
+    return steps, config.horizon / config.segments / steps
+
+
+def _cost_to_go(y0, params: ModelParams, weights: CostWeights, h: float, total: int, rows):
+    """``(lb, state)``: lb[c][r] * y_c bounds from below the running cost that pool c of E, A
+    and I, if weighted, adds over the last r of ``total`` RK4 steps of length h; or lb is {}
+    and ``state`` says why the bound is off.  For u <= 1, v <= v_max and a living population
+    N <= N0 (y0's), the marched ``rows`` leave at most at a = beta*max(eps, 1-q, mu)*N0 +
+    gamma1*v_max (S), k (E), eta (A), f + 1 (I), gamma_(j+1)*v_max + delta_j (V_j; V_n: delta_n).
+    Proof, for 2t = h*max(a) <= 3/8 (else off) and m = (1-t)^2 - t.  Each pool obeys
+    y' = P(y) - a(y)*y: the inflow P >= 0 is monotone, with P(l*y) >= l*l*P(y) for l <= 1
+    (degree <= 2, coefficients >= 0), and 0 <= a(y) <= a while the stages are >= 0, as
+    N' = -(1-alpha)*f*I <= 0 then.  So Y2, Y3 >= (1-t)y, Y3 >= m*Y2, Y4 >= (1-2t)y +
+    h*P(Y2)*(m*m - t) >= 0, y+ >= (1 - 2t + 2t*t/3)y >= 0 (clamps fix only roundoff).  E, A
+    and I keep a(y) on a segment: y+ = R(-z)y + h*sum_j b_j*P(Y_j), z = h*a(y) <= 1, with
+    6b = (1 - z + z^2/2 - z^3/4, 2 - z + z^2/2, 2 - z, 1) >= 0 and R(-z) = 1 - z + z^2/2 -
+    z^3/6 + z^4/24 falling, so y+ >= rho*y, rho = R(-h*a).  The trapezoid terms of the last
+    r steps sum to omega_c*y_c*sum_(k<r) (rho^k + rho^(k+1))*h/2 or more; lb keeps 1 - _MARGIN.
+    """
+    g, d, v_max = params.gamma, params.delta, params.v_max
+    force = params.beta * max(params.epsilon, 1.0 - params.q, params.mu) * float(y0.sum() - y0[D])
+    rates = [force + g[0] * v_max, params.k, params.eta, params.f + 1.0, 0.0, 0.0]
+    rates += [gj * v_max + dj for gj, dj in zip((*g[1:], 0.0), d)]  # V_n is marched if it leaks
+    worst = max(rows, key=rates.__getitem__)
+    if h * rates[worst] > 0.375:
+        name = "SEAIRD"[worst] if worst <= D else f"V{worst - D}"
+        return {}, f"off: h*{rates[worst]:.6g} > 0.375 for {name}"
+    rho = np.polyval([1.0 / 24.0, -1.0 / 6.0, 0.5, -1.0, 1.0], h * np.array(rates[E : I + 1]))
+    first = np.array(weights.omega[E : I + 1]) * (1.0 + rho) * (0.5 * h * (1.0 - _MARGIN))
+    table = np.cumsum(np.c_[np.zeros(3), first[:, None] * rho[:, None] ** np.arange(total)], axis=1)
+    lb = {c: table[c - E].tolist() for c in (E, A, I) if weights.omega[c] > 0.0}
+    return lb, "on" if lb else "off: no weight on E, A or I"
+
+
 def _leaf_costs(
     y0: np.ndarray,
     u_choices: np.ndarray,
@@ -87,64 +131,72 @@ def _leaf_costs(
     most significant); ``first`` is the tree index of ``costs[0]``.
 
     Branch and bound: a row whose prefix cost plus the terminal cost exceeds
-    ``incumbent()`` (the best leaf cost so far, never rising), tested before a
+    ``incumbent()`` (at least the best leaf cost, never rising), tested before a
     chunk is marched and after every RK4 step, is dropped at once and never
     marched again; its leaves are yielded as +inf, and an emptied chunk is
     skipped.  Cost increments are >= 0 (omega, sigma, states >= 0) and rounded
     addition is monotone, so a dropped row leads to neither the minimum nor a
-    tie.  A level's chunks go in ascending order of their cheapest parent.
+    tie.  With ``_cost_to_go``'s bound on, the test adds the bound for the
+    row's steps left, against incumbent()*(1 + _MARGIN) (A*'s admissible
+    bound).  A level's chunks go in ascending order of their cheapest parent.
 
     Each row runs the RK4 step that ``integrate_forward`` runs on a float
     state, less the compartments no row reads (``step.rows``): a step that
     leaves one below the negative tolerance raises StabilityError (only
     marched rows step, so a dropped row never raises); smaller negatives are
-    roundoff and are clamped to zero.
+    roundoff and are clamped to zero.  A chunk forms its effort terms once.
     """
     n_pairs = config.u_levels * config.v_levels
     u_pair = np.repeat(u_choices, config.v_levels)
     v_pair = np.tile(v_choices, config.u_levels)
-    seg_len = config.horizon / config.segments
-    steps = max(1, int(round(seg_len / config.h)))
-    h = seg_len / steps
+    steps, h = _segment_steps(config)
     tol = _NEGATIVE_TOL * float(y0.sum() - y0[D])
     terminal = weights.terminal.value(config.horizon)
     _, step = _kernels(params)
-    marched = row_steps = 0
+    lb, state = _cost_to_go(y0, params, weights, h, config.segments * steps, step.rows)
+    (w1, w2, w3, w4), gain = weights.omega, weights.vaccination_gain(params)
+    marched, row_steps, start = 0, 0, incumbent()
+    slack, shift = (1.0 + _MARGIN, terminal) if lb else (1.0, 0.0)
+
+    def bound(c, y, r):  # to compare with incumbent() * slack - shift
+        return sum((lb_j[r] * y[j] for j, lb_j in lb.items()), c) if lb else c + terminal
 
     def march(y, cost, first, seg):
         nonlocal marched, row_steps
         if seg == config.segments:
             yield first, cost + terminal
             return
+        parent_bound = bound(cost, y, left := (config.segments - seg) * steps)
         children = len(cost) * n_pairs
         los = range(0, children, _CHUNK)
         cheapest = [cost[lo // n_pairs : (lo + _CHUNK - 1) // n_pairs + 1].min() for lo in los]
         for _, lo in sorted(zip(cheapest, los)):
             parent, pair = np.divmod(np.arange(lo, min(lo + _CHUNK, children)), n_pairs)
-            keep = np.flatnonzero(cost[parent] + terminal <= incumbent())
+            keep = np.flatnonzero(parent_bound[parent] <= incumbent() * slack - shift)
             marched += len(keep)
             yc, c = [x[parent[keep]] for x in y], cost[parent[keep]]
             u, v = u_pair[pair[keep]], v_pair[pair[keep]]
-            vu = (v, u)
-            g_left = _running_cost_arrays(yc, u, v, weights, params)
+            effort = (0.5 * weights.sigma0 * u * u, 0.5 * gain * v * v)
+            g_left = w1 * yc[S] + w2 * yc[E] + w3 * yc[A] + w4 * yc[I] + effort[0] + effort[1]
             for k in range(steps):
                 if not len(keep):
                     break
                 row_steps += len(keep)
-                yc = step(yc, h, vu, vu, vu)
+                yc = step(yc, h, (v, u), (v, u), (v, u))
                 for x in yc:
                     lowest = x.min()
                     if lowest < 0.0:
                         if lowest < -tol:
                             raise _too_coarse(lowest, (seg * steps + k + 1) * h)
                         np.maximum(x, 0.0, out=x)
-                g_right = _running_cost_arrays(yc, u, v, weights, params)
+                g_right = w1 * yc[S] + w2 * yc[E] + w3 * yc[A] + w4 * yc[I] + effort[0] + effort[1]
                 c += (0.5 * h) * (g_left + g_right)
                 g_left = g_right
-                live = c + terminal <= incumbent()
-                if not live.all():
+                row_bound, limit = bound(c, yc, left - k - 1), incumbent() * slack - shift
+                if row_bound.max() > limit:
+                    live = row_bound <= limit
                     keep, c, g_left, u, v = keep[live], c[live], g_left[live], u[live], v[live]
-                    yc, vu = [x[live] for x in yc], (v, u)
+                    yc, effort = [x[live] for x in yc], [x[live] for x in effort]
             if not len(keep):
                 continue
             if len(keep) < len(pair):  # the dropped rows hold +inf, so their children drop
@@ -155,8 +207,9 @@ def _leaf_costs(
 
     yield from march(list(y0[step.rows, None]), np.zeros(1), 0, 0)
     rows = sum(n_pairs**s for s in range(1, config.segments + 1))
-    counts = (marched, rows, row_steps, rows * steps)
-    log.debug("oracle: marched %d of %d prefix-tree rows, %d of %d row-steps", *counts)
+    counts = (marched, rows, row_steps, rows * steps, start, state)
+    line = "oracle: marched %d of %d prefix-tree rows, %d of %d row-steps; incumbent %.17g"
+    log.debug(line + " at the start; cost-to-go bound %s", *counts)
 
 
 def brute_force_optimum(
@@ -165,8 +218,9 @@ def brute_force_optimum(
     weights: CostWeights,
     config: OracleConfig,
 ) -> tuple[float, tuple[np.ndarray, np.ndarray]]:
-    """Exact minimum over piecewise-constant control pairs, skipping every
-    subtree proved costlier than the best leaf found (``_leaf_costs``).
+    """Exact minimum over piecewise-constant control pairs, skipping every subtree proved
+    costlier than the best leaf found or, at first, than the cheapest constant pair's cost
+    (by ``integrate_forward``; +inf on StabilityError) times 1 + ``_MARGIN`` (``_leaf_costs``).
 
     Returns the best cost and the winning per-segment (u, v) levels, bitwise
     those of marching every candidate.  A tie goes to the first candidate in
@@ -184,11 +238,17 @@ def brute_force_optimum(
         raise RangeError(fault)
     u_choices = np.linspace(0.0, 1.0, config.u_levels)
     v_choices = np.linspace(0.0, params.v_max, config.v_levels)
+    grid, seed = TimeGrid(config.horizon, _segment_steps(config)[1]), np.inf
+    for u, v in itertools.product(u_choices, v_choices):
+        controls = ControlSignal.constant(grid.times, v, u, params.v_max)
+        with contextlib.suppress(StabilityError):
+            traj = integrate_forward(initial, controls, params, grid)
+            seed = min(seed, total_cost(traj, controls, weights, params) * (1.0 + _MARGIN))
     tree_shape = (config.u_levels, config.v_levels) * config.segments
     flat_shape = tree_shape[0::2] + tree_shape[1::2]
     best = (np.inf, -1)
     leaves = _leaf_costs(
-        initial.as_array(), u_choices, v_choices, params, weights, config, lambda: best[0]
+        initial.as_array(), u_choices, v_choices, params, weights, config, lambda: min(best[0], seed)
     )
     for first, costs in leaves:
         j = costs.min()

@@ -90,6 +90,32 @@ class TestSimulate:
         assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 1
         assert not (out / "summary.json").exists()
 
+    @pytest.mark.parametrize(
+        "command, fault, reason",
+        [
+            ("simulate", "missing-controls", "No such file or directory"),
+            ("simulate", "empty-controls", "expected header 't,u,v'"),
+            ("simulate", "out-is-a-file", "File exists"),
+            ("optimize", "out-is-a-file", "File exists"),
+        ],
+    )
+    def test_file_faults_are_error_lines(self, tmp_path, capsys, command, fault, reason):
+        # a missing or empty controls file, or an --out naming a file, ends the run with
+        # one "error: <path>: ..." line and status 1, not a traceback
+        _, cfg = small_config(tmp_path)
+        controls, out = tmp_path / "controls.csv", tmp_path / "out"
+        argv = [command, "--config", cfg, "--out", str(out)]
+        if fault == "out-is-a-file":
+            out.write_text("")
+        else:
+            argv += ["--controls", "file", "--controls-file", str(controls)]
+        if fault == "empty-controls":
+            controls.write_text("")
+        capsys.readouterr()
+        assert cli.main(argv) == 1
+        path = out if fault == "out-is-a-file" else controls
+        assert capsys.readouterr().err == f"error: {path}: {reason}\n"
+
     def test_controls_from_file_reproduces_optimized_run(self, tmp_path):
         # controls.csv rounds to 12 significant digits, so replaying it
         # reproduces the optimized trajectory to that precision

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -30,8 +31,8 @@ class TestOracleConfig:
 
 
 def _params(n: int, delta_n_to_exposed: bool) -> ec.ModelParams:
-    gamma = (1.0, 0.7, 0.4)[:n]
-    delta = (0.01, 0.005, 0.002)[:n]
+    gamma = (1.0, 0.7, 0.4, 0.2)[:n]
+    delta = (0.01, 0.005, 0.002, 0.001)[:n]
     return ec.ModelParams(
         beta=2e-4, epsilon=0.1, q=0.4, mu=0.8, k=0.5, z=0.3, p=0.2, eta=0.25,
         alpha=0.9, f=0.3, gamma=gamma, delta=delta, delta_n_to_exposed=delta_n_to_exposed,
@@ -295,14 +296,22 @@ class TestPrefixTreeMatchesFlatMarch:
         assert list(v_best) == [level * params.v_max for level in v_levels]
 
 
-def _marched_rows(caplog) -> tuple[int, int, int, int]:
-    """(rows marched, rows in the tree, row-steps marched, row-steps in the tree) of the one
-    prefix-tree record among the captured logs."""
+def _search_record(caplog) -> tuple:
+    """(rows marched, rows in the tree, row-steps marched, row-steps in the tree, starting
+    incumbent, cost-to-go bound state) of the one prefix-tree record among the captured logs."""
     (record,) = [r for r in caplog.records if "prefix-tree rows" in r.getMessage()]
     assert record.levelno == logging.DEBUG
-    line = "oracle: marched %d of %d prefix-tree rows, %d of %d row-steps"
+    line = (
+        "oracle: marched %d of %d prefix-tree rows, %d of %d row-steps; "
+        "incumbent %.17g at the start; cost-to-go bound %s"
+    )
     assert record.getMessage() == line % record.args
     return record.args
+
+
+def _marched_rows(caplog) -> tuple[int, int, int, int]:
+    """The four counts of the one prefix-tree record among the captured logs."""
+    return _search_record(caplog)[:4]
 
 
 class TestBranchAndBound:
@@ -376,19 +385,120 @@ class TestBranchAndBound:
         # the other 3, of which 9 at u = 1 step once
         assert _marched_rows(caplog) == (6 + 18, 6 + 36, 3 * 20 + 3 + 9 * 20 + 9, (6 + 36) * 20)
 
-    def test_c04_marches_at_most_40_percent_of_the_tree(self, covid19, default_weights, caplog):
+    def test_c04_marches_at_most_5_percent_of_the_tree(self, covid19, default_weights, caplog):
         params, initial = covid19
         cfg = ec.OracleConfig(horizon=5.0, segments=5, u_levels=3, v_levels=3)
         with caplog.at_level(logging.DEBUG, logger="epictrl"):
             best_j, (u_best, v_best) = ec.brute_force_optimum(initial, params, default_weights, cfg)
-        marched, total, row_steps, steps_total = _marched_rows(caplog)
+        marched, total, row_steps, steps_total, start, state = _search_record(caplog)
         assert total == sum(9**s for s in range(1, 6)) == 66_429
-        assert marched <= 0.4 * total
-        # rows dropped inside a segment: at most a quarter of the tree's row-steps
-        assert steps_total == 20 * total and row_steps <= 0.25 * steps_total
+        # 1,422 rows and 13,000 row-steps with the cost-to-go bound and the starting incumbent;
+        # 21,222 and 269,371 with neither
+        assert marched <= 0.05 * total
+        assert steps_total == 20 * total and row_steps <= 0.02 * steps_total
+        assert state == "on"
+        # the search starts from the cheapest constant control pair's cost, with its margin
+        grid = ec.TimeGrid(5.0, 0.05)
+        constant = []
+        for u, v in itertools.product((0.0, 0.5, 1.0), (0.0, 0.5 * params.v_max, params.v_max)):
+            controls = ec.ControlSignal.constant(grid.times, v, u, params.v_max)
+            traj = ec.integrate_forward(initial, controls, params, grid)
+            constant.append(ec.total_cost(traj, controls, default_weights, params))
+        assert start == min(constant) * (1.0 + oracle._MARGIN) > best_j
         assert best_j == 20794.074592123383
         assert list(u_best) == [1.0] * 5
         assert list(v_best) == [level * params.v_max for level in (1.0, 1.0, 1.0, 0.5, 0.0)]
+
+
+def _flat_history(y0, u_seg, v_seg, params, weights, config):
+    """Steps per segment, their length, and every candidate's cost so far and marched rows at
+    the start and after each step of the flat lockstep march (``_integrate_batch_cost``)."""
+    steps = max(1, int(round(config.horizon / config.segments / config.h)))
+    h = config.horizon / config.segments / steps
+    _, step = _kernels(params)
+    y = list(np.tile(y0[step.rows, None], (1, u_seg.shape[0])))
+    history = [(np.zeros(u_seg.shape[0]), y)]
+    for seg in range(config.segments):
+        u, v = u_seg[:, seg], v_seg[:, seg]
+        for _ in range(steps):
+            g_left = _running_cost_arrays(y, u, v, weights, params)
+            y = [np.maximum(x, 0.0) for x in step(y, h, (v, u), (v, u), (v, u))]
+            g_right = _running_cost_arrays(y, u, v, weights, params)
+            history.append((history[-1][0] + (0.5 * h) * (g_left + g_right), y))
+    return steps, h, history
+
+
+def _exit_rates(params, initial) -> dict:
+    """Each marched compartment's exit-rate bound, by name, for u <= 1 and v <= v_max."""
+    g, d, n0 = params.gamma, params.delta, ec.total_population(initial)
+    force = params.beta * max(params.epsilon, 1.0 - params.q, params.mu) * n0
+    rates = {"S": force + g[0] * params.v_max, "E": params.k, "A": params.eta, "I": params.f + 1.0}
+    rates |= {f"V{j + 1}": g[j + 1] * params.v_max + d[j] for j in range(params.n - 1)}
+    if params.delta_n_to_exposed:
+        rates[f"V{params.n}"] = d[-1]
+    return rates
+
+
+class TestCostToGoBound:
+    """The cost-to-go bound never exceeds what a row must still pay, so the search with it
+    keeps the exhaustive optimum; where a step is too long for its proof, it is off."""
+
+    def test_admissible_on_small_trees_and_off_for_long_steps(self, caplog):
+        rng = np.random.default_rng(20261019)
+        seen = {"on": 0, "off": 0}
+        for n, to_exposed, empty in itertools.product((2, 3, 4), (False, True), (False, True)):
+            params = _params(n, to_exposed)
+            # with no susceptibles or vaccinees nothing enters E, which decays at exactly its
+            # exit-rate bound, so the bound is tight on E when u and v cost nothing
+            s0, v0 = (0.0, 0.0) if empty else (6000.0, 200.0)
+            initial = ec.StateVector(s0, 800.0, 400.0, 300.0, 100.0, 0.0, (v0,) * n)
+            omega = rng.uniform(0.0, 2.0, 4) * (rng.random(4) < 0.6)  # some entries zero
+            terminal = ec.TerminalCost("linear", float(rng.uniform(0.0, 50.0)))
+            sigma = tuple(rng.uniform(0.0, 100.0, n))
+            weights = ec.CostWeights(tuple(omega), float(rng.uniform(1.0, 100.0)), sigma, terminal)
+            # h = 0.1 keeps every h * exit-rate bound under 0.375; h = 0.3 does not
+            cfg = ec.OracleConfig(
+                horizon=float(rng.uniform(0.9, 1.5)), segments=int(rng.integers(2, 4)),
+                u_levels=int(rng.integers(2, 4)), v_levels=int(rng.integers(2, 4)),
+                h=float(rng.choice([0.1, 0.3])),
+            )
+            y0 = initial.as_array()
+            u_seg, v_seg = _flat_candidates(params, cfg)
+            leaf = _tree_costs(initial, params, weights, cfg)
+            steps, h, history = _flat_history(y0, u_seg, v_seg, params, weights, cfg)
+            total = cfg.segments * steps
+            lb, state = oracle._cost_to_go(y0, params, weights, h, total, _kernels(params)[1].rows)
+            rates = _exit_rates(params, initial)
+            worst = max(rates, key=rates.get)
+            if h * rates[worst] > 0.375:
+                assert lb == {} and re.fullmatch(rf"off: h\*\S+ > 0\.375 for {worst}", state)
+            elif not omega[1:].any():
+                assert lb == {} and state == "off: no weight on E, A or I"
+            else:
+                assert sorted(lb) == [c for c in (E, A, I) if omega[c] > 0.0] and state == "on"
+            seen[state[:3].strip(":")] += 1
+            # at every node, the cost so far plus the terminal cost and the bound on the steps
+            # left is at most the cost of the cheapest leaf under it
+            u_index, v_index = np.divmod(np.arange(cfg.candidates), cfg.v_levels**cfg.segments)
+            for taken, (cost, y) in enumerate(history):
+                depth = 0 if taken == 0 else (taken - 1) // steps + 1
+                key = u_index // cfg.u_levels ** (cfg.segments - depth) * cfg.v_levels**depth
+                key += v_index // cfg.v_levels ** (cfg.segments - depth)
+                cheapest = np.full(key.max() + 1, np.inf)
+                np.minimum.at(cheapest, key, leaf)
+                bound = cost + terminal.value(cfg.horizon)
+                for c, lb_c in lb.items():
+                    bound = bound + lb_c[total - taken] * y[c]
+                assert np.all(bound <= cheapest[key])
+            caplog.clear()
+            with caplog.at_level(logging.DEBUG, logger="epictrl"):
+                best_j, (u_best, v_best) = ec.brute_force_optimum(initial, params, weights, cfg)
+            k = int(np.argmin(leaf))
+            assert _bitwise_equal(best_j, leaf[k])
+            assert _bitwise_equal(u_best, u_seg[k]) and _bitwise_equal(v_best, v_seg[k])
+            start, logged = _search_record(caplog)[4:]
+            assert logged == state and start >= best_j
+        assert seen["on"] >= 3 and seen["off"] >= 3
 
 
 class TestRatesBoundPerModel:
