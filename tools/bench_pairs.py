@@ -140,7 +140,9 @@ def main(argv: list[str] | None = None) -> int:
                     }
                     for s in SIDES
                 }
-    report["machine"] = {**(report["machine"] or {}), "platform": platform.platform()}
+    per_run = ("git_commit", "loadavg_start", "loadavg_end", "busy_loop_rep_ms")
+    machine = {k: v for k, v in (report["machine"] or {}).items() if k not in per_run}
+    report["machine"] = {**machine, "platform": platform.platform()}
     path = os.path.join(ROOT, f"BENCH_{report['label']}.json")
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
