@@ -300,7 +300,7 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_r0(config)
         raise EpictrlError(f"unknown command {args.command!r}")
     except (EpictrlError, ValueError, OSError) as exc:
-        reason = f"{exc.filename}: {exc.strerror}" if isinstance(exc, OSError) else exc
+        reason = f"{exc.filename}: {exc.strerror}" if getattr(exc, "filename", None) else exc
         print(f"error: {reason}", file=sys.stderr)
         return 1
 

@@ -130,15 +130,15 @@ def _leaf_costs(
     candidate costs in tree order (the level pairs as digits, first segment
     most significant); ``first`` is the tree index of ``costs[0]``.
 
-    Branch and bound: a row whose prefix cost plus the terminal cost exceeds
-    ``incumbent()`` (at least the best leaf cost, never rising), tested before a
-    chunk is marched and after every RK4 step, is dropped at once and never
-    marched again; its leaves are yielded as +inf, and an emptied chunk is
-    skipped.  Cost increments are >= 0 (omega, sigma, states >= 0) and rounded
-    addition is monotone, so a dropped row leads to neither the minimum nor a
-    tie.  With ``_cost_to_go``'s bound on, the test adds the bound for the
-    row's steps left, against incumbent()*(1 + _MARGIN) (A*'s admissible
-    bound).  A level's chunks go in ascending order of their cheapest parent.
+    Branch and bound: a row whose prefix cost plus the terminal cost exceeds ``incumbent()``
+    (at least the best leaf cost, never rising), tested before a chunk is marched and after
+    every RK4 step, is dropped at once and never marched again; its leaves are yielded as
+    +inf, and an emptied chunk is skipped.  Cost increments are >= 0 (omega, sigma, states
+    >= 0) and rounded addition is monotone, so a dropped row leads to neither the minimum
+    nor a tie.  Where h times every marched exit-rate bound is <= 3/8 and E, A or I weighs,
+    the test adds ``_cost_to_go``'s lower bound on the cost of the row's steps left (A*'s
+    admissible bound) and compares with incumbent()*(1 + _MARGIN).  A level's chunks go in
+    ascending order of their cheapest parent.
 
     Each row runs the RK4 step that ``integrate_forward`` runs on a float
     state, less the compartments no row reads (``step.rows``): a step that
@@ -218,9 +218,9 @@ def brute_force_optimum(
     weights: CostWeights,
     config: OracleConfig,
 ) -> tuple[float, tuple[np.ndarray, np.ndarray]]:
-    """Exact minimum over piecewise-constant control pairs, skipping every subtree proved
-    costlier than the best leaf found or, at first, than the cheapest constant pair's cost
-    (by ``integrate_forward``; +inf on StabilityError) times 1 + ``_MARGIN`` (``_leaf_costs``).
+    """Exact minimum over piecewise-constant control pairs, skipping every subtree whose cost
+    bound (``_leaf_costs``) exceeds the best leaf found or, at first, the cheapest constant
+    pair's cost (``integrate_forward``; +inf on StabilityError) times 1 + ``_MARGIN``.
 
     Returns the best cost and the winning per-segment (u, v) levels, bitwise
     those of marching every candidate.  A tie goes to the first candidate in
