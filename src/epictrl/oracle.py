@@ -130,15 +130,15 @@ def _leaf_costs(
     candidate costs in tree order (the level pairs as digits, first segment
     most significant); ``first`` is the tree index of ``costs[0]``.
 
-    Branch and bound: a row whose prefix cost plus the terminal cost exceeds ``incumbent()``
-    (at least the best leaf cost, never rising), tested before a chunk is marched and after
-    every RK4 step, is dropped at once and never marched again; its leaves are yielded as
-    +inf, and an emptied chunk is skipped.  Cost increments are >= 0 (omega, sigma, states
-    >= 0) and rounded addition is monotone, so a dropped row leads to neither the minimum
-    nor a tie.  Where h times every marched exit-rate bound is <= 3/8 and E, A or I weighs,
-    the test adds ``_cost_to_go``'s lower bound on the cost of the row's steps left (A*'s
-    admissible bound) and compares with incumbent()*(1 + _MARGIN).  A level's chunks go in
-    ascending order of their cheapest parent.
+    Branch and bound: a row whose prefix cost, plus the terminal cost, plus ``_cost_to_go``'s
+    lower bound on the cost of the row's steps left (A*'s admissible bound; 0 where h times
+    some marched exit-rate bound exceeds 3/8 or E, A and I weigh nothing), exceeds
+    ``incumbent()`` (at least the best leaf cost, never rising) times 1 + ``_MARGIN``, tested
+    before a chunk is marched and after every RK4 step, is dropped at once and never marched
+    again; its leaves are yielded as +inf, and an emptied chunk is skipped.  Cost increments
+    are >= 0 (omega, sigma, states >= 0), rounded addition is monotone and ``_MARGIN`` far
+    exceeds the test's rounding, so a dropped row leads to neither the minimum nor a tie.
+    A level's chunks go in ascending order of their cheapest parent.
 
     Each row runs the RK4 step that ``integrate_forward`` runs on a float
     state, less the compartments no row reads (``step.rows``): a step that
@@ -155,11 +155,10 @@ def _leaf_costs(
     _, step = _kernels(params)
     lb, state = _cost_to_go(y0, params, weights, h, config.segments * steps, step.rows)
     (w1, w2, w3, w4), gain = weights.omega, weights.vaccination_gain(params)
-    marched, row_steps, start = 0, 0, incumbent()
-    slack, shift = (1.0 + _MARGIN, terminal) if lb else (1.0, 0.0)
+    marched, row_steps, start, slack = 0, 0, incumbent(), 1.0 + _MARGIN
 
-    def bound(c, y, r):  # to compare with incumbent() * slack - shift
-        return sum((lb_j[r] * y[j] for j, lb_j in lb.items()), c) if lb else c + terminal
+    def bound(c, y, r):  # to compare with incumbent() * slack - terminal
+        return sum((lb_j[r] * y[j] for j, lb_j in lb.items()), c)
 
     def march(y, cost, first, seg):
         nonlocal marched, row_steps
@@ -172,7 +171,7 @@ def _leaf_costs(
         cheapest = [cost[lo // n_pairs : (lo + _CHUNK - 1) // n_pairs + 1].min() for lo in los]
         for _, lo in sorted(zip(cheapest, los)):
             parent, pair = np.divmod(np.arange(lo, min(lo + _CHUNK, children)), n_pairs)
-            keep = np.flatnonzero(parent_bound[parent] <= incumbent() * slack - shift)
+            keep = np.flatnonzero(parent_bound[parent] <= incumbent() * slack - terminal)
             marched += len(keep)
             yc, c = [x[parent[keep]] for x in y], cost[parent[keep]]
             u, v = u_pair[pair[keep]], v_pair[pair[keep]]
@@ -192,7 +191,7 @@ def _leaf_costs(
                 g_right = w1 * yc[S] + w2 * yc[E] + w3 * yc[A] + w4 * yc[I] + effort[0] + effort[1]
                 c += (0.5 * h) * (g_left + g_right)
                 g_left = g_right
-                row_bound, limit = bound(c, yc, left - k - 1), incumbent() * slack - shift
+                row_bound, limit = bound(c, yc, left - k - 1), incumbent() * slack - terminal
                 if row_bound.max() > limit:
                     live = row_bound <= limit
                     keep, c, g_left, u, v = keep[live], c[live], g_left[live], u[live], v[live]

@@ -413,8 +413,7 @@ class TestBranchAndBound:
 def _flat_history(y0, u_seg, v_seg, params, weights, config):
     """Steps per segment, their length, and every candidate's cost so far and marched rows at
     the start and after each step of the flat lockstep march (``_integrate_batch_cost``)."""
-    steps = max(1, int(round(config.horizon / config.segments / config.h)))
-    h = config.horizon / config.segments / steps
+    steps, h = oracle._segment_steps(config)
     _, step = _kernels(params)
     y = list(np.tile(y0[step.rows, None], (1, u_seg.shape[0])))
     history = [(np.zeros(u_seg.shape[0]), y)]

@@ -5,7 +5,7 @@
 Clones this repository twice into a temporary directory (``TMPDIR`` chooses
 where), checks out PARENT in one clone and CHANGE in the other, and runs
 
-    python3 benchmarks/bench.py --workload W --seed N --seconds S --trace 0
+    python3 benchmarks/bench.py --workload W --seed N --seconds 50 --trace 0
 
 in each, one pair per seed (N, N + 1, ...), alternating which side runs first.
 Seeds are taken in order across the workloads given, so no two runs share one.
@@ -29,6 +29,7 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIDES = ("parent", "change")
+COMMAND = "python3 benchmarks/bench.py --workload W --seed N --seconds 50 --trace 0"
 
 
 def git(*args: str, cwd: str = ROOT) -> str:
@@ -36,10 +37,10 @@ def git(*args: str, cwd: str = ROOT) -> str:
     return proc.stdout.strip()
 
 
-def run_side(checkout: str, workload: str, seed: int, seconds: float) -> dict:
+def run_side(checkout: str, workload: str, seed: int) -> dict:
     """One benchmark run: its exit status, result line and machine description."""
     command = ["benchmarks/bench.py", "--workload", workload, "--seed", str(seed)]
-    command += ["--seconds", str(seconds), "--trace", "0"]
+    command += ["--seconds", "50", "--trace", "0"]  # as COMMAND
     proc = subprocess.run([sys.executable, *command], cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.splitlines()
     machine = [json.loads(line[len("machine ") :]) for line in lines if line.startswith("machine ")]
@@ -89,7 +90,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--workload", action="append", required=True, help="repeat for several")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, required=True, help="first seed; one per pair")
-    parser.add_argument("--seconds", type=float, default=50.0)
     args = parser.parse_args(argv)
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         metrics = json.load(fh)["end_to_end"]
@@ -98,8 +98,7 @@ def main(argv: list[str] | None = None) -> int:
     report = {
         "label": commits["change"][:7],
         "commits": commits,
-        "command": "python3 benchmarks/bench.py --workload W --seed N "
-        f"--seconds {args.seconds:g} --trace 0",
+        "command": COMMAND,
         "method": (
             f"{args.pairs} pairs per workload; each side runs from its own git clone; pairs "
             "alternate which side runs first, the parent first in pair 0; one fresh seed per pair"
@@ -121,7 +120,7 @@ def main(argv: list[str] | None = None) -> int:
                 order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
                 pair = {"seed": seed, "first": order[0]}
                 for side in order:
-                    pair[side] = run_side(checkouts[side], workload, seed, args.seconds)
+                    pair[side] = run_side(checkouts[side], workload, seed)
                     report["machine"] = report["machine"] or pair[side]["machine"]
                     metrics_got = (pair[side]["result"] or {}).get("metrics", {})
                     wall = metrics_got.get("wall_s", {}).get("value")
