@@ -132,7 +132,10 @@ def _read_controls_file(path: str, v_max: float) -> ControlSignal:
         reader = csv.reader(fh)
         if [c.strip() for c in next(reader, [])] != ["t", "u", "v"]:
             raise EpictrlError(f"{path}: expected header 't,u,v'")
-        rows = [(float(t), float(u), float(v)) for t, u, v in reader]
+        try:
+            rows = [(float(t), float(u), float(v)) for t, u, v in reader]
+        except ValueError as exc:  # names the row being read
+            raise EpictrlError(f"{path}:{reader.line_num}: {exc}") from None
     if not rows:
         raise EpictrlError(f"{path}: no control samples")
     t, u, v = (np.array(col) for col in zip(*rows))

@@ -6,7 +6,8 @@ depth-first in chunks of at most ``_CHUNK`` candidates, through the generated
 RK4 state ``step`` (``model._kernels``) on a compartment-major batch (one row
 per compartment the cost reads), and drops a candidate before a chunk or after
 any step once a proved lower bound on its cost exceeds the best leaf found or,
-at first, the cheapest constant control pair's cost.
+at first, the cheapest constant control pair's cost.  Each row carries its flat
+candidate number, by which the argmin of the marched leaves breaks ties.
 ``finite_difference_gradient`` probes the cost functional directly with
 central differences, to be compared against the costate-based gradient.
 """
@@ -27,7 +28,7 @@ from .control import (
     total_cost,
 )
 from .errors import BoxViolationError, ExplosionGuardError, RangeError, StabilityError
-from .integrator import TimeGrid, integrate_adjoint_backward, integrate_forward
+from .integrator import TimeGrid, _forward, integrate_adjoint_backward, integrate_forward
 from .model import (
     A,
     D,
@@ -120,25 +121,25 @@ def _leaf_costs(
     config: OracleConfig,
     incumbent,
 ):
-    """Yield ``(first, costs)`` per leaf chunk of the prefix tree, depth-first.
+    """Yield ``(index, costs)`` per chunk of marched leaves of the prefix tree, depth-first.
 
     Candidates sharing their first s segments share one trajectory through
     them.  From one row holding ``y0``, each segment repeats every live
     prefix into its u_levels*v_levels children, with level pair p = (u level
     p // v_levels, v level p % v_levels), ``_CHUNK`` children at a time,
     each chunk marched to the leaves before the next.  ``costs`` are whole
-    candidate costs in tree order (the level pairs as digits, first segment
-    most significant); ``first`` is the tree index of ``costs[0]``.
+    candidate costs and ``index`` their flat candidate numbers: the u level
+    numbers of all segments, then the v level numbers, first segment most
+    significant (a child's is its parent's plus its level pair's ``offset``).
 
     Branch and bound: a row whose prefix cost, plus the terminal cost, plus ``_cost_to_go``'s
     lower bound on the cost of the row's steps left (A*'s admissible bound; 0 where h times
     some marched exit-rate bound exceeds 3/8 or E, A and I weigh nothing), exceeds
     ``incumbent()`` (at least the best leaf cost, never rising) times 1 + ``_MARGIN``, tested
-    before a chunk is marched and after every RK4 step, is dropped at once and never marched
-    again; its leaves are yielded as +inf, and an emptied chunk is skipped.  Cost increments
-    are >= 0 (omega, sigma, states >= 0), rounded addition is monotone and ``_MARGIN`` far
-    exceeds the test's rounding, so a dropped row leads to neither the minimum nor a tie.
-    A level's chunks go in ascending order of their cheapest parent.
+    before a chunk is marched and after every RK4 step, is dropped at once: neither it nor
+    any of its leaves is marched or yielded again.  Cost increments are >= 0 (omega, sigma,
+    states >= 0), rounded addition is monotone and ``_MARGIN`` far exceeds the test's
+    rounding, so a dropped row leads to neither the minimum nor a tie.
 
     Each row runs the RK4 step that ``integrate_forward`` runs on a float
     state, less the compartments no row reads (``step.rows``): a step that
@@ -147,8 +148,11 @@ def _leaf_costs(
     roundoff and are clamped to zero.  A chunk forms its effort terms once.
     """
     n_pairs = config.u_levels * config.v_levels
-    u_pair = np.repeat(u_choices, config.v_levels)
-    v_pair = np.tile(v_choices, config.u_levels)
+    u_digit, v_digit = np.divmod(np.arange(n_pairs), config.v_levels)
+    u_pair, v_pair = u_choices[u_digit], v_choices[v_digit]
+    rest = np.arange(config.segments)[::-1, None]  # the segments after each one
+    u_place = config.u_levels**rest * config.v_levels**config.segments
+    offset = u_digit * u_place + v_digit * config.v_levels**rest  # [segment, level pair]
     steps, h = _segment_steps(config)
     tol = _NEGATIVE_TOL * float(y0.sum() - y0[D])
     terminal = weights.terminal.value(config.horizon)
@@ -160,27 +164,26 @@ def _leaf_costs(
     def bound(c, y, r):  # to compare with incumbent() * slack - terminal
         return sum((lb_j[r] * y[j] for j, lb_j in lb.items()), c)
 
-    def march(y, cost, first, seg):
+    def march(y, cost, index, seg):
         nonlocal marched, row_steps
         if seg == config.segments:
-            yield first, cost + terminal
+            yield index, cost + terminal
             return
         parent_bound = bound(cost, y, left := (config.segments - seg) * steps)
         children = len(cost) * n_pairs
-        los = range(0, children, _CHUNK)
-        cheapest = [cost[lo // n_pairs : (lo + _CHUNK - 1) // n_pairs + 1].min() for lo in los]
-        for _, lo in sorted(zip(cheapest, los)):
+        for lo in range(0, children, _CHUNK):
             parent, pair = np.divmod(np.arange(lo, min(lo + _CHUNK, children)), n_pairs)
-            keep = np.flatnonzero(parent_bound[parent] <= incumbent() * slack - terminal)
-            marched += len(keep)
-            yc, c = [x[parent[keep]] for x in y], cost[parent[keep]]
-            u, v = u_pair[pair[keep]], v_pair[pair[keep]]
+            keep = parent_bound[parent] <= incumbent() * slack - terminal
+            parent, pair = parent[keep], pair[keep]
+            marched += len(parent)
+            yc, c, i = [x[parent] for x in y], cost[parent], index[parent] + offset[seg, pair]
+            u, v = u_pair[pair], v_pair[pair]
             effort = (0.5 * weights.sigma0 * u * u, 0.5 * gain * v * v)
             g_left = w1 * yc[S] + w2 * yc[E] + w3 * yc[A] + w4 * yc[I] + effort[0] + effort[1]
             for k in range(steps):
-                if not len(keep):
+                if not len(c):
                     break
-                row_steps += len(keep)
+                row_steps += len(c)
                 yc = step(yc, h, (v, u), (v, u), (v, u))
                 for x in yc:
                     lowest = x.min()
@@ -194,17 +197,12 @@ def _leaf_costs(
                 row_bound, limit = bound(c, yc, left - k - 1), incumbent() * slack - terminal
                 if row_bound.max() > limit:
                     live = row_bound <= limit
-                    keep, c, g_left, u, v = keep[live], c[live], g_left[live], u[live], v[live]
+                    c, i, g_left, u, v = c[live], i[live], g_left[live], u[live], v[live]
                     yc, effort = [x[live] for x in yc], [x[live] for x in effort]
-            if not len(keep):
-                continue
-            if len(keep) < len(pair):  # the dropped rows hold +inf, so their children drop
-                wide = np.full((len(yc) + 1, len(pair)), np.inf)
-                wide[:, keep] = [*yc, c]
-                *yc, c = wide
-            yield from march(yc, c, first * n_pairs + lo, seg + 1)
+            if len(c):
+                yield from march(yc, c, i, seg + 1)
 
-    yield from march(list(y0[step.rows, None]), np.zeros(1), 0, 0)
+    yield from march(list(y0[step.rows, None]), np.zeros(1), np.zeros(1, dtype=np.int64), 0)
     rows = sum(n_pairs**s for s in range(1, config.segments + 1))
     counts = (marched, rows, row_steps, rows * steps, start, state)
     line = "oracle: marched %d of %d prefix-tree rows, %d of %d row-steps; incumbent %.17g"
@@ -219,17 +217,17 @@ def brute_force_optimum(
 ) -> tuple[float, tuple[np.ndarray, np.ndarray]]:
     """Exact minimum over piecewise-constant control pairs, skipping every subtree whose cost
     bound (``_leaf_costs``) exceeds the best leaf found or, at first, the cheapest constant
-    pair's cost (``integrate_forward``; +inf on StabilityError) times 1 + ``_MARGIN``.
+    pair's cost (the sweep's forward pass; +inf on StabilityError) times 1 + ``_MARGIN``.
 
     Returns the best cost and the winning per-segment (u, v) levels, bitwise
-    those of marching every candidate.  A tie goes to the first candidate in
-    u-sequence-major order: the u level numbers of all segments, then the v
-    level numbers, first segment most significant.  The candidate count is
-    bounded at construction of the config; ``_leaf_costs`` holds at most
-    ``_CHUNK`` rows per segment and only a running best is kept, so memory
-    stays flat.  As in ``fbsm_solve``, weights whose running cost has no
-    finite bound over the horizon, or whose terminal cost overflows there,
-    raise RangeError.
+    those of marching every candidate.  A tie goes to the lowest flat
+    candidate number that ``_leaf_costs`` yields: the u level numbers of all
+    segments, then the v level numbers, first segment most significant.  The
+    candidate count is bounded at construction of the config; ``_leaf_costs``
+    holds at most ``_CHUNK`` rows per segment and only a running best is
+    kept, so memory stays flat.  As in ``fbsm_solve``, weights whose running
+    cost has no finite bound over the horizon, or whose terminal cost
+    overflows there, raise RangeError.
     """
     if initial.n != params.n:
         raise ValueError("state and parameter dose counts must match")
@@ -241,23 +239,20 @@ def brute_force_optimum(
     for u, v in itertools.product(u_choices, v_choices):
         controls = ControlSignal.constant(grid.times, v, u, params.v_max)
         with contextlib.suppress(StabilityError):
-            traj = integrate_forward(initial, controls, params, grid)
+            traj = _forward(initial, controls, params, grid, None, every=False)
             seed = min(seed, total_cost(traj, controls, weights, params) * (1.0 + _MARGIN))
-    tree_shape = (config.u_levels, config.v_levels) * config.segments
-    flat_shape = tree_shape[0::2] + tree_shape[1::2]
     best = (np.inf, -1)
     leaves = _leaf_costs(
         initial.as_array(), u_choices, v_choices, params, weights, config, lambda: min(best[0], seed)
     )
-    for first, costs in leaves:
+    for index, costs in leaves:
         j = costs.min()
         if j <= best[0]:
-            digits = np.unravel_index(first + np.flatnonzero(costs == j), tree_shape)
-            index = np.ravel_multi_index(digits[0::2] + digits[1::2], flat_shape)
-            best = min(best, (float(j), int(index.min())))
+            best = min(best, (float(j), int(index[costs == j].min())))
     if best[1] < 0:
         return best[0], None
-    digits = list(np.unravel_index(best[1], flat_shape))
+    shape = (config.u_levels,) * config.segments + (config.v_levels,) * config.segments
+    digits = list(np.unravel_index(best[1], shape))
     return best[0], (u_choices[digits[: config.segments]], v_choices[digits[config.segments :]])
 
 

@@ -97,24 +97,34 @@ class TestSimulate:
             ("simulate", "empty-controls", "expected header 't,u,v'"),
             ("simulate", "out-is-a-file", "File exists"),
             ("optimize", "out-is-a-file", "File exists"),
+            ("simulate", "no-rows", "no control samples"),
+            ("simulate", "short-row", "not enough values to unpack (expected 3, got 2)"),
+            ("simulate", "not-a-number", "could not convert string to float: 'x'"),
+            ("simulate", "no-controls-file", "--controls file requires --controls-file PATH"),
         ],
     )
     def test_file_faults_are_error_lines(self, tmp_path, capsys, command, fault, reason):
-        # a missing or empty controls file, or an --out naming a file, ends the run with
-        # one "error: <path>: ..." line and status 1, not a traceback
+        # a missing, empty or malformed controls file, a missing --controls-file, or an
+        # --out naming a file, ends the run with one "error: <path>[:<line>]: ..." line
+        # and status 1, not a traceback
         _, cfg = small_config(tmp_path)
         controls, out = tmp_path / "controls.csv", tmp_path / "out"
         argv = [command, "--config", cfg, "--out", str(out)]
+        text = {"empty-controls": "", "no-rows": "t,u,v\n", "short-row": "t,u,v\n0,0.5\n"}
+        text["not-a-number"] = "t,u,v\n0,0.5,x\n"
+        where = {"out-is-a-file": f"{out}: ", "no-controls-file": ""}
+        where |= {"short-row": f"{controls}:2: ", "not-a-number": f"{controls}:2: "}
         if fault == "out-is-a-file":
             out.write_text("")
+        elif fault == "no-controls-file":
+            argv += ["--controls", "file"]
         else:
             argv += ["--controls", "file", "--controls-file", str(controls)]
-        if fault == "empty-controls":
-            controls.write_text("")
+        if fault in text:
+            controls.write_text(text[fault])
         capsys.readouterr()
         assert cli.main(argv) == 1
-        path = out if fault == "out-is-a-file" else controls
-        assert capsys.readouterr().err == f"error: {path}: {reason}\n"
+        assert capsys.readouterr().err == f"error: {where.get(fault, f'{controls}: ')}{reason}\n"
 
     def test_controls_from_file_reproduces_optimized_run(self, tmp_path):
         # controls.csv rounds to 12 significant digits, so replaying it

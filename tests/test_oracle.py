@@ -182,23 +182,19 @@ def _flat_candidates(params, config):
 
 
 def _tree_costs(initial, params, weights, config):
-    """Every candidate's cost from the prefix-tree march, placed in the flat order."""
+    """Every candidate's cost from the prefix-tree march, placed at its flat candidate number."""
     u_choices = np.linspace(0.0, 1.0, config.u_levels)
     v_choices = np.linspace(0.0, params.v_max, config.v_levels)
-    tree_shape = (config.u_levels, config.v_levels) * config.segments
-    flat_shape = tree_shape[0::2] + tree_shape[1::2]
     costs = np.full(config.candidates, np.nan)
     seen = np.zeros(config.candidates, dtype=int)
     # an incumbent of +inf drops nothing, so every candidate is marched
     leaves = oracle._leaf_costs(
         initial.as_array(), u_choices, v_choices, params, weights, config, lambda: np.inf
     )
-    for first, chunk in leaves:
+    for index, chunk in leaves:
         assert len(chunk) <= oracle._CHUNK
-        digits = np.unravel_index(first + np.arange(len(chunk)), tree_shape)
-        idx = np.ravel_multi_index(digits[0::2] + digits[1::2], flat_shape)
-        costs[idx] = chunk
-        seen[idx] += 1
+        costs[index] = chunk
+        np.add.at(seen, index, 1)
     assert np.all(seen == 1)
     return costs
 
@@ -275,20 +271,22 @@ class TestPrefixTreeMatchesFlatMarch:
 
     @pytest.mark.parametrize(
         "ties, split, v_levels",
-        [([2, 4], None, (1.0, 0.0)), ([2, 4], 3, (1.0, 0.0)), ([1, 4], 3, (0.0, 1.0))],
+        [([4, 2], None, (1.0, 0.0)), ([4, 2], 3, (1.0, 0.0)), ([1, 2], 3, (0.0, 1.0))],
         ids=["one-chunk", "later-chunk-wins", "earlier-chunk-wins"],
     )
     def test_tie_goes_to_the_first_candidate_in_flat_order(
         self, ties, split, v_levels, covid19, default_weights, monkeypatch
     ):
-        # 2 segments of 2 x 2 levels, so u stays 0 on every tied candidate.
-        # Tree index 1 has pairs (0,0),(0,1): flat index 1; tree index 2 has
-        # (0,0),(1,0): flat index 4; tree index 4 has (0,1),(0,0): flat index 2.
+        # 2 segments of 2 x 2 levels, so u stays 0 on every tied candidate: flat index 1 has
+        # v levels (0,1), 2 has (1,0) and 4 has u levels (0,1).  The chunks come in the
+        # prefix tree's order, so flat indices 4 and 5 come before 2 and 3.
         params, initial = covid19
         cfg = ec.OracleConfig(horizon=2.0, segments=2, u_levels=2, v_levels=2)
         costs = np.full(16, 5.0)
         costs[ties] = 1.0
-        chunks = [(0, costs)] if split is None else [(0, costs[:split]), (split, costs[split:])]
+        order = np.array([0, 1, 4, 5, 2, 3, 6, 7, 8, 9, 12, 13, 10, 11, 14, 15])
+        parts = [order] if split is None else [order[:split], order[split:]]
+        chunks = [(index, costs[index]) for index in parts]
         monkeypatch.setattr(oracle, "_leaf_costs", lambda *args: iter(chunks))
         best_j, (u_best, v_best) = ec.brute_force_optimum(initial, params, default_weights, cfg)
         assert best_j == 1.0
@@ -364,35 +362,48 @@ class TestBranchAndBound:
         # terminal cost, so every all-zero-u candidate costs exactly the terminal cost, as
         # does each of its partial costs plus the terminal cost: an incumbent equal to it
         # drops none of them, at a chunk or after a step, but drops every row at u = 1
-        # after its first step
+        # after its first step, and yields none of their leaves
         params, initial = covid19
         terminal = ec.TerminalCost("linear", 3.0)
         weights = ec.CostWeights((0.0,) * 4, 50.0, (0.0, 0.0), terminal)
         cfg = ec.OracleConfig(horizon=2.0, segments=2, u_levels=2, v_levels=3)
         u_choices, v_choices = np.linspace(0.0, 1.0, 2), np.linspace(0.0, params.v_max, 3)
         y0, j = initial.as_array(), terminal.value(2.0)
-        costs = np.full(cfg.candidates, np.nan)
         with caplog.at_level(logging.DEBUG, logger="epictrl"):
-            for first, chunk in oracle._leaf_costs(
-                y0, u_choices, v_choices, params, weights, cfg, lambda: j
-            ):
-                costs[first : first + len(chunk)] = chunk
-        u_digits = np.unravel_index(np.arange(cfg.candidates), (2, 3, 2, 3))[0::2]
-        zero_u = (u_digits[0] == 0) & (u_digits[1] == 0)
-        assert np.all(costs[zero_u] == j)
-        assert np.all(costs[~zero_u] == np.inf)
+            leaves = list(oracle._leaf_costs(y0, u_choices, v_choices, params, weights, cfg, lambda: j))
+        index = np.concatenate([index for index, _ in leaves])
+        costs = np.concatenate([chunk for _, chunk in leaves])
+        # the all-zero-u candidates are the first 3**2 in flat order
+        assert sorted(index) == list(range(9))
+        assert np.all(costs == j)
         # 20 steps a segment: 6 rows, of which 3 at u = 1 step once, then the 18 children of
         # the other 3, of which 9 at u = 1 step once
         assert _marched_rows(caplog) == (6 + 18, 6 + 36, 3 * 20 + 3 + 9 * 20 + 9, (6 + 36) * 20)
 
-    def test_c04_marches_at_most_5_percent_of_the_tree(self, covid19, default_weights, caplog):
+    def test_c04_marches_at_most_5_percent_of_the_tree(
+        self, covid19, default_weights, caplog, monkeypatch
+    ):
         params, initial = covid19
         cfg = ec.OracleConfig(horizon=5.0, segments=5, u_levels=3, v_levels=3)
+        yielded = []
+        leaf_costs = oracle._leaf_costs
+
+        def recorded(*args):
+            for index, costs in leaf_costs(*args):
+                yielded.append((index, costs))
+                yield index, costs
+
+        monkeypatch.setattr(oracle, "_leaf_costs", recorded)
         with caplog.at_level(logging.DEBUG, logger="epictrl"):
             best_j, (u_best, v_best) = ec.brute_force_optimum(initial, params, default_weights, cfg)
         marched, total, row_steps, steps_total, start, state = _search_record(caplog)
         assert total == sum(9**s for s in range(1, 6)) == 66_429
-        # 1,422 rows and 13,000 row-steps with the cost-to-go bound and the starting incumbent;
+        # under the search's own incumbent only marched leaves are yielded: finite costs at
+        # distinct flat candidate numbers
+        index = np.concatenate([index for index, _ in yielded])
+        assert np.all(np.isfinite(np.concatenate([costs for _, costs in yielded])))
+        assert len(np.unique(index)) == len(index) and 0 <= index.min() <= index.max() < cfg.candidates
+        # 1,485 rows and 13,287 row-steps with the cost-to-go bound and the starting incumbent;
         # 21,222 and 269,371 with neither
         assert marched <= 0.05 * total
         assert steps_total == 20 * total and row_steps <= 0.02 * steps_total
@@ -614,13 +625,15 @@ class TestBruteForceOptimum:
         fast = ec.ModelParams(**{**params.__dict__, "beta": 0.02})
         initial = ec.StateVector(50.0, 100.0, 100.0, 400.0, 1e12, 0.0, (0.0, 0.0))
         cfg = ec.OracleConfig(horizon=10.0, segments=1, u_levels=2, v_levels=2, h=0.5)
-        # one segment of 2 x 2 levels: the tree order is the product order
+        # one segment of 2 x 2 levels: the flat order is the product order
         levels = list(itertools.product((0.0, 1.0), (0.0, 0.5 * fast.v_max)))
         leaves = oracle._leaf_costs(
             initial.as_array(), np.array([0.0, 1.0]), np.array([0.0, 0.5 * fast.v_max]),
             fast, default_weights, cfg, lambda: np.inf,
         )
-        costs = np.concatenate([chunk for _, chunk in leaves])
+        costs = np.full(4, np.nan)
+        for index, chunk in leaves:
+            costs[index] = chunk
         grid = ec.TimeGrid(10.0, 0.5)
         clamped = False
         for (u, v), cost in zip(levels, costs):

@@ -12,8 +12,15 @@ Seeds are taken in order across the workloads given, so no two runs share one.
 Writes ``BENCH_<change>.json`` at the root of this checkout: every run, and for
 each workload and end-to-end metric of ``BENCHMARK.json`` each side's median
 and quartiles, the pairs each side won (ties count for neither), the parent's
-interquartile range, and whether the change's gain would count as a claim (it
-wins at least 9 pairs in 10 and the medians differ by more than that range).
+interquartile range, whether the change's gain would count as a claim (it
+wins at least 9 pairs in 10 and the medians differ by more than that range),
+and the no-regression verdict against the metric's relative ``bound``:
+
+- ``unresolved`` when the parent's interquartile range exceeds ``bound`` times
+  its median, unless every change run beats every parent run;
+- else ``ok`` when the change's median is worse than the parent's by at most
+  ``bound`` times the parent's median;
+- else ``regressed``.
 """
 
 from __future__ import annotations
@@ -59,7 +66,7 @@ def quartiles(values: list[float]) -> dict:
 
 
 def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
-    """Per end-to-end metric: each side's quartiles, wins and the claim rule."""
+    """Per end-to-end metric: each side's quartiles, wins, the claim rule and the verdict."""
     out = {}
     for metric in metrics:
         name, lower = metric["name"], metric["better"] == "lower"
@@ -67,8 +74,11 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
         parent, change = quartiles(before), quartiles(after)
         wins = [(c < p) if lower else (c > p) for p, c in zip(before, after)]
         losses = [(c > p) if lower else (c < p) for p, c in zip(before, after)]
-        gain = (parent["median"] - change["median"]) * (1 if lower else -1)
-        iqr = parent["q3"] - parent["q1"]
+        sign = 1 if lower else -1
+        gain = (parent["median"] - change["median"]) * sign
+        iqr, bound = parent["q3"] - parent["q1"], metric["bound"] * parent["median"]
+        beats_all = max(sign * c for c in after) < min(sign * p for p in before)
+        verdict = "ok" if -gain <= bound else "regressed"
         out[name] = {
             "parent": parent,
             "change": change,
@@ -79,6 +89,8 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
             "median_change_frac": (change["median"] - parent["median"]) / parent["median"],
             "parent_iqr": iqr,
             "gain_claim_holds": sum(wins) >= 0.9 * len(pairs) and gain > iqr,
+            "bound": metric["bound"],
+            "verdict": "unresolved" if iqr > bound and not beats_all else verdict,
         }
     return out
 
@@ -153,7 +165,8 @@ def main(argv: list[str] | None = None) -> int:
             print(
                 f"{workload} {name}: parent {s['parent']['median']:.6g} "
                 f"change {s['change']['median']:.6g} change wins {s['change_wins']}/{s['pairs']} "
-                f"parent IQR {s['parent_iqr']:.3g} gain claim holds: {s['gain_claim_holds']}"
+                f"parent IQR {s['parent_iqr']:.3g} gain claim holds: {s['gain_claim_holds']} "
+                f"verdict at bound {s['bound']:g}: {s['verdict']}"
             )
     return 0
 
