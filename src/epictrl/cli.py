@@ -255,7 +255,6 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="epictrl",
         description="Simulate and optimally control a multi-dose vaccination epidemic model.",
     )
-    parser.add_argument("--seed", type=int, default=None, help="reserved; the solver is deterministic")
     sub = parser.add_subparsers(dest="command", required=True)
 
     sim = sub.add_parser("simulate", help="integrate the model under fixed controls")

@@ -6,17 +6,17 @@ costate system from its zero terminal condition, applying the matching
 adjoint jumps.  Both record pre-jump and post-jump values at impulse nodes so
 trajectories represent the discontinuities losslessly.
 
-Both passes run on plain Python floats: numpy's per-call cost on vectors of
-n + 6 elements would otherwise dominate.  ``model`` generates each pass
-whole for the dose count: a ``march`` whose loop holds the value in local
-names and inlines the RK4 stages, called once per run of steps between
-impulse nodes.  The costate march steps with -h, forms each node's
-point-only terms once and does no arithmetic on the costates that stay
-zero, not even in the other rows.  Every floating-point operation keeps the
-order of the numpy formulation, and the tests hold both passes bitwise
-equal to a numpy reference implementation.  Each pass writes one array row
-per node and copies it to the other side of the jumps, patched at the
-impulse nodes.
+Both passes run scalar code: numpy's per-call cost on vectors of n + 6
+elements would otherwise dominate.  ``model`` generates each pass whole for
+the dose count, and compiles it to C where a C compiler is found: a
+``march`` whose loop holds the value in local names and inlines the RK4
+stages, called once per run of steps between impulse nodes.  The costate
+march steps with -h, forms each node's point-only terms once and does no
+arithmetic on the costates that stay zero, not even in the other rows.
+Every floating-point operation keeps the order of the numpy formulation, and
+the tests hold both passes, C or Python, bitwise equal to a numpy reference
+implementation.  Each pass writes one array row per node and copies it to
+the other side of the jumps, patched at the impulse nodes.
 """
 
 from __future__ import annotations
@@ -202,8 +202,8 @@ def integrate_forward(
     DEBUG) when their magnitude is at most 1e-9 times the initial living
     population; anything larger raises StabilityError (the step is too coarse).
 
-    The step loop runs on Python floats, bitwise equal to the same RK4 with
-    numpy vectors, over every compartment (the sweep's ``_forward`` need not).
+    The step loop, C or Python (``model._kernels``), is bitwise equal to the same
+    RK4 with numpy vectors, over every compartment (``_forward`` need not).
     """
     return _forward(initial, controls, params, grid, schedule, every=True)
 
@@ -272,9 +272,9 @@ def integrate_adjoint_backward(
     ``omega`` enter.  States at interior RK stages are linearly interpolated
     between the segment endpoints.
 
-    The generated costate march steps with -h on Python floats, bitwise
-    equal to the same RK4 written with numpy vectors; it reads only the S,
-    E, A and I states.
+    The generated costate march, C or Python (``model._kernels``), steps with
+    -h, bitwise equal to the same RK4 written with numpy vectors; it reads
+    only the S, E, A and I states.
 
     At impulse nodes the costates of the jumped compartments are multiplied
     by (1 + lam_l), the transpose of the diagonal arrival jump.

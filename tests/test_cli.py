@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import epictrl as ec
-from epictrl import cli
+from epictrl import cli, model
 from epictrl.scenarios import default_config, save_config
 
 
@@ -37,6 +37,15 @@ def test_csv_row_template_formats_like_each_value():
     assert rows == [f"{format(x, '.12g')},{format(-x, '.12g')}" for x in values]
     (row,) = cli._csv_lines(np.array([values]))
     assert row == ",".join(format(x, ".12g") for x in values)
+
+
+def test_global_seed_option_is_rejected(capsys):
+    # the solver is deterministic, and nothing read the former --seed
+    for argv in (["--seed=1", "r0", "--config", "cfg.json"], ["r0", "--config", "cfg.json", "--seed", "1"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed" in capsys.readouterr().err
 
 
 class TestSimulate:
@@ -192,6 +201,14 @@ class TestOptimize:
         assert summary["cost"] == pytest.approx(j, rel=1e-9)
         assert summary["converged"] is True
         assert summary["iterations"] >= 1
+
+    def test_native_and_python_marches_write_the_same_bytes(self, tmp_path, monkeypatch):
+        _, cfg = small_config(tmp_path, tau=35.0, h=0.05, impulsive=True)
+        assert cli.main(["optimize", "--config", cfg, "--out", str(tmp_path / "native")]) == 0
+        monkeypatch.setattr(model, "_c_marches", lambda n, to_exposed: None)
+        assert cli.main(["optimize", "--config", cfg, "--out", str(tmp_path / "python")]) == 0
+        for name in ("trajectory.csv", "controls.csv", "adjoints.csv", "summary.json"):
+            assert (tmp_path / "native" / name).read_bytes() == (tmp_path / "python" / name).read_bytes()
 
     def test_nonconvergence_exits_two_but_writes(self, tmp_path):
         _, cfg = small_config(tmp_path, solver=ec.SweepOptions(max_iterations=1))

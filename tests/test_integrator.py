@@ -1,6 +1,7 @@
 import functools
 import logging
 import re
+import shutil
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import epictrl as ec
 from epictrl.control import CostWeights, _hamiltonian, _running_cost_arrays
 from epictrl.integrator import _impulse_map, _sampled_controls
 from epictrl import model
+from epictrl.integrator import _forward
 from epictrl.model import A, D, E, I, R, S, V0, ModelParams, _NEGATIVE_TOL, _kernels
 
 
@@ -633,6 +635,117 @@ class TestSeedEquivalence:
                 (costate(pq.tolist(), point), costate(pqc, c(point))),
             ):
                 assert _bitwise_equal(np.real(np.array(cplx)), real)
+
+
+class TestSeedEquivalencePythonMarch(TestSeedEquivalence):
+    """The seed-equivalence checks on the Python march, the fallback where no C compiler is
+    found; ``TestSeedEquivalence`` runs the native march wherever one is."""
+
+    @pytest.fixture(autouse=True)
+    def python_march(self, monkeypatch):
+        monkeypatch.setattr(model, "_c_marches", lambda n, to_exposed: None)
+
+
+needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+
+
+def _march_both(monkeypatch, run):
+    """``run()`` on the native march, then on the Python march."""
+    native_result = run()
+    with monkeypatch.context() as patch:
+        patch.setattr(model, "_c_marches", lambda n, to_exposed: None)
+        return native_result, run()
+
+
+def _runs_c(march) -> bool:
+    """Whether a march of ``model._kernels`` runs its C loop."""
+    return march.func is model._run_c
+
+
+class TestNativeMarch:
+    """The compiled marches against the Python march they are translated from."""
+
+    @needs_cc
+    @pytest.mark.parametrize("to_exposed", [False, True])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_built_for_every_dose_count(self, n, to_exposed):
+        assert set(model._c_marches(n, to_exposed)) == set(model._C_KINDS)
+
+    @needs_cc
+    def test_clamped_rows_equal_python_march(self, covid19, monkeypatch, caplog):
+        # test_positivity_clamp_matches's scenario at a coarser step, which clamps twice: at
+        # each clamp the C loop returns the node to Python, which clamps and writes that
+        # row, then resumes the loop there
+        params, _ = covid19
+        fast = ec.ModelParams(**{**params.__dict__, "beta": 0.02})
+        initial = ec.StateVector(50.0, 100.0, 100.0, 400.0, 1e12, 0.0, (0.0, 0.0))
+        grid = ec.TimeGrid(10.0, 0.7)
+        controls = zero_controls(grid, fast)
+        assert _runs_c(_kernels(fast, march=True))
+        for every in (True, False):
+            with caplog.at_level(logging.DEBUG, logger="epictrl"):
+                ours, theirs = _march_both(
+                    monkeypatch, lambda: _forward(initial, controls, fast, grid, None, every)
+                )
+            assert _bitwise_equal(ours.states_pre, theirs.states_pre)
+            assert _bitwise_equal(ours.states_post, theirs.states_post)
+            clamps = [r.args for r in caplog.records if "clamped" in r.getMessage()]
+            assert len(clamps) == 2 and clamps[0] == clamps[1] and clamps[0][0] >= 2
+            caplog.clear()
+
+    @needs_cc
+    def test_too_coarse_step_raises_like_python_march(self, covid19, monkeypatch):
+        params, initial = covid19
+        grid = ec.TimeGrid(35.0, 1.0)
+        doubled = ec.ImpulseSchedule(tuple(ec.ImpulseEvent(t, (1.0,) * 4) for t in (2.0, 20.0)))
+        for beta, schedule, t in ((0.01, None, "t=1;"), (params.beta, doubled, "t=3;")):
+            stiff = ec.ModelParams(**{**params.__dict__, "beta": beta})
+            controls = zero_controls(grid, stiff)
+
+            def run():
+                with pytest.raises(ec.StabilityError) as caught:
+                    ec.integrate_forward(initial, controls, stiff, grid, schedule)
+                return str(caught.value)
+
+            ours, theirs = _march_both(monkeypatch, run)
+            assert ours == theirs and t in ours
+
+    @needs_cc
+    def test_short_buffers_are_refused(self, covid19):
+        params, initial = covid19
+        march = _kernels(params, march=True)
+        assert _runs_c(march)
+        y, nodes = initial.as_array().tolist(), memoryview(np.zeros(11))
+        with pytest.raises(IndexError):
+            march(y, (0.0, 0.0), 0.1, 0, 10, np.empty((5, 8)), nodes, nodes, nodes, nodes, None)
+
+    @pytest.mark.parametrize(
+        "line",
+        ["x0 = y0 / 6.0", "x0 = abs(y0)", "x0 = y0 ** 2", "x0, x1 = y0, y1", "if y0 < 0.0:", "pass"],
+    )
+    def test_translation_rejects_a_foreign_line(self, line):
+        lines = model._source(2, False, False, True, True)
+        at = lines.index("        x0 = y0 + half * s0")
+        model._c_march("march", lines, 8)  # the generated lines translate
+        with pytest.raises(ValueError, match="no C translation"):
+            model._c_march("march", [*lines[:at], f"        {line}", *lines[at:]], 8)
+
+    @pytest.mark.parametrize("fault", ["no compiler", "compile error", None])
+    def test_logs_once_which_march_runs(self, fault, covid19, monkeypatch, caplog, tmp_path):
+        if fault is None and shutil.which("cc") is None:
+            pytest.skip("no C compiler")
+        if fault == "no compiler":
+            monkeypatch.setenv("PATH", str(tmp_path))
+        elif fault == "compile error":
+            monkeypatch.setattr(model, "_C_HEADER", "#error refused")
+        monkeypatch.setattr(model, "_c_marches", functools.cache(model._c_marches.__wrapped__))
+        params, _ = covid19
+        with caplog.at_level(logging.DEBUG, logger="epictrl"):
+            built = [_kernels(params, march=True, every=every) for every in (True, False)]
+            built.append(_kernels(params, (1.0,) * 4, march=True))
+        (record,) = [r for r in caplog.records if "marches" in r.getMessage()]
+        assert [_runs_c(march) for march in built] == [fault is None] * 3
+        assert ("C marches, compiled in" if fault is None else "Python marches (") in record.getMessage()
 
 
 def _naming(source: str, name: str) -> list[str]:
