@@ -17,19 +17,14 @@ so a state vector has n + 6 components.
 from __future__ import annotations
 
 import functools
-import logging
 import math
-import os
 import re
 import struct
-import time
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .errors import DegenerateParameterError, StabilityError
-
-log = logging.getLogger("epictrl")
 
 # Indices into the canonical state layout.
 S, E, A, I, R, D = 0, 1, 2, 3, 4, 5
@@ -480,8 +475,7 @@ def _march_lines(head, rows, cols, dim: int, every: bool) -> list[str]:
 
 
 def _source(n: int, to_exposed: bool, costate: bool, march: bool, every: bool) -> list[str]:
-    """For n doses, the lines of ``bind`` (``_kernel_lines``) or, with ``march``, of ``march``
-    (``_march_lines``), which binds the rates (and ``omega``) to its locals on each call."""
+    """For n doses, the lines of ``_kernel_lines``'s ``bind`` or, with ``march``, ``_march_lines``'s."""
     rows = functools.partial(_costate_rows if costate else _state_rows, n, to_exposed)
     names = {key: ", ".join(f"{key}{j}" for j in range(n)) for key in ("g", "d")}
     head = _RATES.format(**names).splitlines() + (["w1, w2, w3, w4 = omega"] if costate else [])
@@ -498,123 +492,17 @@ def _binder(n: int, to_exposed: bool, costate: bool, march: bool, every: bool):
     return namespace["march" if march else "bind"]
 
 
-# Each march compiled to C.  ``_c_march`` writes the loop of a ``_march_lines`` march as C line
-# for line, and its prologue, which binds the rates and the first point's terms, stays Python.
-# Compiled with ``_C_FLAGS`` (no fused multiply-add, no reordering) behind an ``#error`` where
-# doubles would be evaluated wider, a C march equals its Python march bitwise.
-_C_FLAGS = ("-O2", "-std=c99", "-ffp-contract=off", "-shared", "-fPIC")
-_C_HEADER = "#include <float.h>\n#if FLT_EVAL_METHOD != 0\n#error doubles evaluated wider\n#endif"
-_C_KINDS = ((False, False), (False, True), (True, True))  # (costate, every) of the sweep's marches
-_C_LOOPS = {"for i in range(i0, i1):": "for (i = i0; i < i1; i++) {",
-            "for i in range(i1 - 1, i0 - 1, -1):": "for (i = i1 - 1; i > i0 - 1; i--) {"}
-# names, numbers, subscripts, +, - and *; no division (C's truncates integers), power or call
-_C_TOKEN = r"\d+\.\d+\b|\d+\b|[A-Za-z_]\w*\b(?!\s*\()|\[\w+\]|[-+*() ]"
-_C_ASSIGN = re.compile(rf"([A-Za-z_]\w*) = (?!.*\*\*)(?:{_C_TOKEN})+")
-
-
-def _c_march(name: str, lines: list[str], dim: int):
-    """C function ``name`` running the loop of the march ``lines``; ``enter(pr, omega, y, a, h)``,
-    which runs their prologue and returns the values the loop starts from, y0.. first; their
-    count; the rows that a clamp is passed.  ValueError for a loop line other than
-    ``name = expr``, the clamp ``if`` and the row store."""
-    lines = [line[4:] for line in lines[1:-1]]  # less the def and the return
-    at = next(k for k, line in enumerate(lines) if line.startswith("for "))
-    if lines[at] not in _C_LOOPS:
-        raise ValueError(f"no C translation for the generated loop {lines[at]!r}")
-    prologue = [line for line in lines[:at] if not line.startswith("put = ")]
-    ys = [f"y{c}" for c in range(dim)]
-    save, row = (" ".join(f"{to}[{c}] = {y};" for c, y in enumerate(ys)) for to in ("inout_", "row_"))
-    stores = {f"put(out, {8 * dim} * {j}, {', '.join(ys)})": j for j in "ij"}
-    bound = {"h", *(x for line in prologue for x in re.findall(r"\w+", line.split(" = ")[0]))}
-    body, marched, declared = [], [], bound | {"i", "j"}
-    rest = iter(line[4:] for line in lines[at + 1 :])
-    for line in rest:
-        names = re.findall(r"\b(y\d+) < 0\.0", line)
-        test, clamp = " or ".join(f"{y} < 0.0" for y in names), ", ".join(names)
-        if match := _C_ASSIGN.fullmatch(line):  # a name the prologue does not bind is step-local
-            body.append(("" if match[1] in declared else "double ") + f"{line};")
-            declared.add(match[1])
-        elif names and line == f"if {test}:" and next(rest, "") == f"    {clamp}, = clamp([{clamp}], j)":
-            body.append(f"if ({test.replace(' or ', ' || ')}) {{ {save} return j; }}")
-            marched = [ys.index(y) for y in names]
-        elif line in stores:
-            body.append(f"double *row_ = out + {dim} * {stores[line]}; {row}")
-        else:
-            raise ValueError(f"no C translation for the generated line {line!r}")
-    inputs = ys + sorted(bound & set(re.findall(r"\w+", "\n".join(body))) - set(ys))
-    arrays = ", ".join(f"const double *{x}" for x in ("vn", "un", "vm", "um", "S", "E", "A", "I"))
-    c = [f"long {name}(double *inout_, long i0, long i1, double *out, {arrays}) {{", "long i, j;"]
-    c += [f"double {x} = inout_[{k}];" for k, x in enumerate(inputs)]
-    c += [_C_LOOPS[lines[at]], *body, "}", save, "return 0;", "}"]
-    enter = ["def enter(pr, omega, y, a, h):", *(f"    {line}" for line in prologue)]
-    exec("\n".join([*enter, f"    return [{', '.join(inputs)}]"]), namespace := {})
-    return "\n".join(c), namespace["enter"], len(inputs), marched
-
-
-def _run_c(fn, enter, size, marched, pr, omega, y, a, h, i0, i1, out, vn, un, vm, um, *last):
-    """``march`` of ``_march_lines`` on its C loop ``fn``: at a clamp the loop returns the node,
-    whose row is clamped and written here before the loop resumes there."""
-    import ctypes
-
-    views = [memoryview(x) for x in (out, vn, un, vm, um, *([] if marched else last))]
-    need = (len(y) * (i1 + 1), i1 + 1, i1 + 1, *(i1,) * 6)  # doubles the loop may index
-    if i0 < 0 or any(v.format != "d" or not v.c_contiguous or v.nbytes < 8 * k
-                     for v, k in zip(views, need)):
-        raise IndexError(f"march from node {i0} to {i1} out of its buffers")
-    args = [ctypes.c_double.from_buffer(v) for v in views] + [None] * (9 - len(views))
-    while True:
-        inout = (ctypes.c_double * size)(*enter(pr, omega, y, a, h))
-        node = fn(inout, i0, i1, *args)
-        y = inout[: len(y)]
-        if not node:
-            return y
-        for c, x in zip(marched, last[0]([y[c] for c in marched], node)):
-            y[c] = x
-        out[node] = y
-        a, i0 = (vn[node], un[node]), node
-
-
-@functools.cache
-def _c_marches(n: int, to_exposed: bool) -> dict | None:
-    """The C marches of n doses by (costate, every), built once in one shared object that is
-    compiled in a temporary directory, removed once it is loaded; None where no compiler is
-    found, or compiling or loading fails.  Logs which marches run, with the time or the reason."""
-    import ctypes
-    import subprocess
-    import tempfile
-
-    marches = [_c_march(f"march{k}", _source(n, to_exposed, costate, True, every), n + 6)
-               for k, (costate, every) in enumerate(_C_KINDS)]
-    started = time.perf_counter()
-    try:
-        with tempfile.TemporaryDirectory() as tmp:
-            cmd = ["cc", *_C_FLAGS, "-x", "c", "-", "-o", os.path.join(tmp, "march.so")]
-            source = "\n".join([_C_HEADER, *(c for c, *_ in marches)])
-            subprocess.run(cmd, input=source, text=True, check=True, capture_output=True, timeout=60)
-            lib = ctypes.CDLL(cmd[-1])
-    except (OSError, subprocess.SubprocessError) as exc:
-        log.debug("n=%d, delta_n_to_exposed=%s: Python marches (%s)", n, to_exposed, exc)
-        return None
-    took = time.perf_counter() - started
-    log.debug("n=%d, delta_n_to_exposed=%s: C marches, compiled in %.3f s", n, to_exposed, took)
-    double, out = ctypes.POINTER(ctypes.c_double), {}
-    for k, (kind, (_, *rest)) in enumerate(zip(_C_KINDS, marches)):
-        fn = lib[f"march{k}"]  # a new function object on each lookup
-        fn.argtypes, fn.restype = [double, ctypes.c_long, ctypes.c_long, *[double] * 9], ctypes.c_long
-        out[kind] = functools.partial(_run_c, fn, *rest)
-    return out
-
-
 def _kernels(pr: ModelParams, omega=None, march: bool = False, every: bool = True):
     """The state field ``field(y, (v, u))`` and RK4 step ``step(y, h, a0, a1, a2)`` of the rows
     ``step.rows`` bound to ``pr``, or given the weights ``omega`` the costate field
-    ``field(pq, (S, E, A, I, v, u))`` and None; with ``march``, their ``_march_lines`` pass,
-    compiled to C (``_c_marches``) where it can be and otherwise Python, bitwise equal either
-    way.  Field and step take floats, or (M,) arrays for M runs: as they only unpack and do
-    arithmetic, a batch column equals its float run bitwise, and input with zero imaginary
-    part gives the float results as real parts."""
-    native = march and _c_marches(pr.n, pr.delta_n_to_exposed)
-    bound = native[omega is not None, every] if native else _binder(
+    ``field(pq, (S, E, A, I, v, u))`` and None; with ``march``, their ``_march_lines`` pass, in C
+    where ``native`` can build it.  Field and step take floats, or (M,) arrays for M runs: as
+    they only unpack and do arithmetic, a batch column equals its float run bitwise, and input
+    with zero imaginary part gives the float results as real parts."""
+    if march:
+        from . import native  # imported on the first march, for it compiles and loads C
+    compiled = march and native.c_marches(pr.n, pr.delta_n_to_exposed)
+    bound = compiled[omega is not None, every] if compiled else _binder(
         pr.n, pr.delta_n_to_exposed, omega is not None, march, every
     )
     return functools.partial(bound, pr, omega) if march else bound(pr, omega)

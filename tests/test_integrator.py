@@ -9,7 +9,7 @@ import pytest
 import epictrl as ec
 from epictrl.control import CostWeights, _hamiltonian, _running_cost_arrays
 from epictrl.integrator import _impulse_map, _sampled_controls
-from epictrl import model
+from epictrl import model, native
 from epictrl.integrator import _forward
 from epictrl.model import A, D, E, I, R, S, V0, ModelParams, _NEGATIVE_TOL, _kernels
 
@@ -643,7 +643,7 @@ class TestSeedEquivalencePythonMarch(TestSeedEquivalence):
 
     @pytest.fixture(autouse=True)
     def python_march(self, monkeypatch):
-        monkeypatch.setattr(model, "_c_marches", lambda n, to_exposed: None)
+        monkeypatch.setattr(native, "c_marches", lambda n, to_exposed: None)
 
 
 needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
@@ -653,13 +653,13 @@ def _march_both(monkeypatch, run):
     """``run()`` on the native march, then on the Python march."""
     native_result = run()
     with monkeypatch.context() as patch:
-        patch.setattr(model, "_c_marches", lambda n, to_exposed: None)
+        patch.setattr(native, "c_marches", lambda n, to_exposed: None)
         return native_result, run()
 
 
 def _runs_c(march) -> bool:
     """Whether a march of ``model._kernels`` runs its C loop."""
-    return march.func is model._run_c
+    return march.func is native._run
 
 
 class TestNativeMarch:
@@ -669,7 +669,7 @@ class TestNativeMarch:
     @pytest.mark.parametrize("to_exposed", [False, True])
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_built_for_every_dose_count(self, n, to_exposed):
-        assert set(model._c_marches(n, to_exposed)) == set(model._C_KINDS)
+        assert set(native.c_marches(n, to_exposed)) == set(native._KINDS)
 
     @needs_cc
     def test_clamped_rows_equal_python_march(self, covid19, monkeypatch, caplog):
@@ -726,9 +726,9 @@ class TestNativeMarch:
     def test_translation_rejects_a_foreign_line(self, line):
         lines = model._source(2, False, False, True, True)
         at = lines.index("        x0 = y0 + half * s0")
-        model._c_march("march", lines, 8)  # the generated lines translate
+        native._translate("march", lines, 8)  # the generated lines translate
         with pytest.raises(ValueError, match="no C translation"):
-            model._c_march("march", [*lines[:at], f"        {line}", *lines[at:]], 8)
+            native._translate("march", [*lines[:at], f"        {line}", *lines[at:]], 8)
 
     @pytest.mark.parametrize("fault", ["no compiler", "compile error", None])
     def test_logs_once_which_march_runs(self, fault, covid19, monkeypatch, caplog, tmp_path):
@@ -737,8 +737,8 @@ class TestNativeMarch:
         if fault == "no compiler":
             monkeypatch.setenv("PATH", str(tmp_path))
         elif fault == "compile error":
-            monkeypatch.setattr(model, "_C_HEADER", "#error refused")
-        monkeypatch.setattr(model, "_c_marches", functools.cache(model._c_marches.__wrapped__))
+            monkeypatch.setattr(native, "_HEADER", "#error refused")
+        monkeypatch.setattr(native, "c_marches", functools.cache(native.c_marches.__wrapped__))
         params, _ = covid19
         with caplog.at_level(logging.DEBUG, logger="epictrl"):
             built = [_kernels(params, march=True, every=every) for every in (True, False)]
