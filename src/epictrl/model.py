@@ -24,6 +24,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from . import native
 from .errors import DegenerateParameterError, StabilityError
 
 # Indices into the canonical state layout.
@@ -499,9 +500,7 @@ def _kernels(pr: ModelParams, omega=None, march: bool = False, every: bool = Tru
     where ``native`` can build it.  Field and step take floats, or (M,) arrays for M runs: as
     they only unpack and do arithmetic, a batch column equals its float run bitwise, and input
     with zero imaginary part gives the float results as real parts."""
-    if march:
-        from . import native  # imported on the first march, for it compiles and loads C
-    compiled = march and native.c_marches(pr.n, pr.delta_n_to_exposed)
+    compiled = march and native._library(pr.n, pr.delta_n_to_exposed)
     bound = compiled[omega is not None, every] if compiled else _binder(
         pr.n, pr.delta_n_to_exposed, omega is not None, march, every
     )

@@ -1,4 +1,4 @@
-"""The sweep's marches compiled to C; imported with the first march, not with the package.
+"""The sweep's marches compiled to C on the first march, not with the package.
 
 ``_translate`` writes the loop of a ``model._march_lines`` march as C line for line, and its
 prologue, which binds the rates and the first point's terms, stays Python.  Compiled with
@@ -6,16 +6,11 @@ prologue, which binds the rates and the first point's terms, stays Python.  Comp
 evaluated wider, a C march equals its Python march bitwise.
 """
 
-import ctypes
 import functools
 import logging
 import os
 import re
-import subprocess
-import tempfile
 import time
-
-from .model import _source
 
 log = logging.getLogger("epictrl")
 
@@ -26,14 +21,13 @@ _LOOPS = {"for i in range(i0, i1):": "for (i = i0; i < i1; i++) {",
           "for i in range(i1 - 1, i0 - 1, -1):": "for (i = i1 - 1; i > i0 - 1; i--) {"}
 # names, numbers, subscripts, +, - and *; no division (C's truncates integers), power or call
 _TOKEN = r"\d+\.\d+\b|\d+\b|[A-Za-z_]\w*\b(?!\s*\()|\[\w+\]|[-+*() ]"
-_ASSIGN = re.compile(rf"([A-Za-z_]\w*) = (?!.*\*\*)(?:{_TOKEN})+")
+_ASSIGN = rf"([A-Za-z_]\w*) = (?!.*\*\*)(?:{_TOKEN})+"
 
 
 def _translate(name: str, lines: list[str], dim: int):
     """C function ``name`` running the loop of the march ``lines``; ``enter(pr, omega, y, a, h)``,
-    which runs their prologue and returns the values the loop starts from, y0.. first; their
-    count; the rows that a clamp is passed.  ValueError for a loop line other than
-    ``name = expr``, the clamp ``if`` and the row store."""
+    which runs their prologue and returns the values the loop starts from, y0.. first; their count;
+    the rows a clamp is passed.  ValueError for a loop line but ``x = expr``, a clamp, a row store."""
     lines = [line[4:] for line in lines[1:-1]]  # less the def and the return
     at = next(k for k, line in enumerate(lines) if line.startswith("for "))
     if lines[at] not in _LOOPS:
@@ -48,7 +42,7 @@ def _translate(name: str, lines: list[str], dim: int):
     for line in rest:
         names = re.findall(r"\b(y\d+) < 0\.0", line)
         test, clamp = " or ".join(f"{y} < 0.0" for y in names), ", ".join(names)
-        if match := _ASSIGN.fullmatch(line):  # a name the prologue does not bind is step-local
+        if match := re.fullmatch(_ASSIGN, line):  # a name the prologue does not bind is step-local
             body.append(("" if match[1] in declared else "double ") + f"{line};")
             declared.add(match[1])
         elif names and line == f"if {test}:" and next(rest, "") == f"    {clamp}, = clamp([{clamp}], j)":
@@ -71,6 +65,7 @@ def _translate(name: str, lines: list[str], dim: int):
 def _run(fn, enter, size, marched, pr, omega, y, a, h, i0, i1, out, vn, un, vm, um, *last):
     """``march`` of ``model._march_lines`` on its C loop ``fn``: at a clamp the loop returns the
     node, whose row is clamped and written here before the loop resumes there."""
+    import ctypes  # with the first march, not with the package
     views = [memoryview(x) for x in (out, vn, un, vm, um, *([] if marched else last))]
     need = (len(y) * (i1 + 1), i1 + 1, i1 + 1, *(i1,) * 6)  # doubles the loop may index
     if i0 < 0 or any(v.format != "d" or not v.c_contiguous or v.nbytes < 8 * k for v, k in zip(views, need)):
@@ -89,9 +84,15 @@ def _run(fn, enter, size, marched, pr, omega, y, a, h, i0, i1, out, vn, un, vm, 
 
 
 @functools.cache
-def c_marches(n: int, to_exposed: bool) -> dict | None:
+def _library(n: int, to_exposed: bool) -> dict | None:
     """The C marches of n doses by (costate, every), from one shared object compiled in a temporary
     directory, or None where that fails; logs which marches run, with the time or the reason."""
+    import ctypes
+    import subprocess
+    import tempfile
+
+    from .model import _source  # which imports this module
+
     marches = [_translate(f"march{k}", _source(n, to_exposed, costate, True, every), n + 6)
                for k, (costate, every) in enumerate(_KINDS)]
     started = time.perf_counter()

@@ -205,9 +205,9 @@ class TestOptimize:
 
     def test_native_and_python_marches_write_the_same_bytes(self, tmp_path, monkeypatch):
         _, cfg = small_config(tmp_path, tau=35.0, h=0.05, impulsive=True)
-        assert (native.c_marches(2, False) is None) == (shutil.which("cc") is None)
+        assert (native._library(2, False) is None) == (shutil.which("cc") is None)
         assert cli.main(["optimize", "--config", cfg, "--out", str(tmp_path / "native")]) == 0
-        monkeypatch.setattr(native, "c_marches", lambda n, to_exposed: None)
+        monkeypatch.setattr(native, "_library", lambda n, to_exposed: None)
         assert cli.main(["optimize", "--config", cfg, "--out", str(tmp_path / "python")]) == 0
         for name in ("trajectory.csv", "controls.csv", "adjoints.csv", "summary.json"):
             assert (tmp_path / "native" / name).read_bytes() == (tmp_path / "python" / name).read_bytes()

@@ -643,7 +643,7 @@ class TestSeedEquivalencePythonMarch(TestSeedEquivalence):
 
     @pytest.fixture(autouse=True)
     def python_march(self, monkeypatch):
-        monkeypatch.setattr(native, "c_marches", lambda n, to_exposed: None)
+        monkeypatch.setattr(native, "_library", lambda n, to_exposed: None)
 
 
 needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
@@ -653,7 +653,7 @@ def _march_both(monkeypatch, run):
     """``run()`` on the native march, then on the Python march."""
     native_result = run()
     with monkeypatch.context() as patch:
-        patch.setattr(native, "c_marches", lambda n, to_exposed: None)
+        patch.setattr(native, "_library", lambda n, to_exposed: None)
         return native_result, run()
 
 
@@ -669,7 +669,7 @@ class TestNativeMarch:
     @pytest.mark.parametrize("to_exposed", [False, True])
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_built_for_every_dose_count(self, n, to_exposed):
-        assert set(native.c_marches(n, to_exposed)) == set(native._KINDS)
+        assert set(native._library(n, to_exposed)) == set(native._KINDS)
 
     @needs_cc
     def test_clamped_rows_equal_python_march(self, covid19, monkeypatch, caplog):
@@ -738,7 +738,7 @@ class TestNativeMarch:
             monkeypatch.setenv("PATH", str(tmp_path))
         elif fault == "compile error":
             monkeypatch.setattr(native, "_HEADER", "#error refused")
-        monkeypatch.setattr(native, "c_marches", functools.cache(native.c_marches.__wrapped__))
+        monkeypatch.setattr(native, "_library", functools.cache(native._library.__wrapped__))
         params, _ = covid19
         with caplog.at_level(logging.DEBUG, logger="epictrl"):
             built = [_kernels(params, march=True, every=every) for every in (True, False)]
