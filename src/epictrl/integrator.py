@@ -8,7 +8,7 @@ trajectories represent the discontinuities losslessly.
 
 Both passes run scalar code: numpy's per-call cost on vectors of n + 6
 elements would otherwise dominate.  ``model`` generates each pass whole for
-the dose count, and compiles it to C where a C compiler is found: a
+the dose count, which ``native`` compiles to C where ``cc`` is found: a
 ``march`` whose loop holds the value in local names and inlines the RK4
 stages, called once per run of steps between impulse nodes.  The costate
 march steps with -h, forms each node's point-only terms once and does no
