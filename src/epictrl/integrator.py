@@ -8,15 +8,16 @@ trajectories represent the discontinuities losslessly.
 
 Both passes run scalar code: numpy's per-call cost on vectors of n + 6
 elements would otherwise dominate.  ``model`` generates each pass whole for
-the dose count, which ``native`` compiles to C where ``cc`` is found: a
-``march`` whose loop holds the value in local names and inlines the RK4
-stages, called once per run of steps between impulse nodes.  The costate
-march steps with -h, forms each node's point-only terms once and does no
-arithmetic on the costates that stay zero, not even in the other rows.
-Every floating-point operation keeps the order of the numpy formulation, and
-the tests hold both passes, C or Python, bitwise equal to a numpy reference
-implementation.  Each pass writes one array row per node and copies it to
-the other side of the jumps, patched at the impulse nodes.
+the dose count: a ``march`` whose loop holds the value in local names and
+inlines the RK4 stages, called once per run of steps between impulse nodes,
+which ``native`` compiles to C, where ``cc`` is found, once a process has
+marched enough steps to pay for the compile.  The costate march steps with
+-h, forms each node's point-only terms once and does no arithmetic on the
+costates that stay zero, not even in the other rows.  Every floating-point
+operation keeps the order of the numpy formulation, and the tests hold both
+passes, C or Python, bitwise equal to a numpy reference implementation.
+Each pass writes one array row per node and copies it to the other side of
+the jumps, patched at the impulse nodes.
 """
 
 from __future__ import annotations
@@ -167,9 +168,7 @@ def _impulse_map(schedule: ImpulseSchedule | None, grid: TimeGrid) -> dict[int, 
 def _sampled_controls(controls: ControlSignal, grid: TimeGrid):
     """Control values at grid nodes and step midpoints."""
     if controls.tau < grid.tau - 1e-9 * max(1.0, grid.tau):
-        raise GridMismatchError(
-            f"controls end at t={controls.tau} but the grid runs to t={grid.tau}"
-        )
+        raise GridMismatchError(f"controls end at t={controls.tau} but the grid runs to t={grid.tau}")
     times = grid.times
     mid_times = 0.5 * (times[:-1] + times[1:])
     v_n = np.interp(times, controls.grid, controls.v)
@@ -239,7 +238,7 @@ def _forward(initial, controls, params, grid, schedule, every: bool) -> Trajecto
             y = [0.0 if x < 0.0 else x for x in y]  # keeps -0.0, like np.maximum
         return y
 
-    march = _kernels(params, march=True, every=every)
+    march = _kernels(params, march=True, every=every, steps=steps)
     cuts = [0, *sorted(imap), steps]
     for i0, i1 in zip(cuts, cuts[1:]):
         y = march(y, (v_n[i0], u_n[i0]), h, i0, i1, pre, v_n, u_n, v_m, u_m, clamp)
@@ -290,7 +289,7 @@ def integrate_adjoint_backward(
 
     v_n, u_n, v_m, u_m = (memoryview(x) for x in _sampled_controls(controls, grid))
     steps = grid.n_steps
-    march = _kernels(params, weights.omega, march=True)
+    march = _kernels(params, weights.omega, march=True, steps=steps)
     columns = [memoryview(x) for x in traj.states_post[:, :4].T.copy()]
     dim = 6 + params.n
     post = np.empty((steps + 1, dim))

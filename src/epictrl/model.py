@@ -493,17 +493,16 @@ def _binder(n: int, to_exposed: bool, costate: bool, march: bool, every: bool):
     return namespace["march" if march else "bind"]
 
 
-def _kernels(pr: ModelParams, omega=None, march: bool = False, every: bool = True):
+def _kernels(pr: ModelParams, omega=None, march: bool = False, every: bool = True, steps: int = 0):
     """The state field ``field(y, (v, u))`` and RK4 step ``step(y, h, a0, a1, a2)`` of the rows
     ``step.rows`` bound to ``pr``, or given the weights ``omega`` the costate field
-    ``field(pq, (S, E, A, I, v, u))`` and None; with ``march``, their ``_march_lines`` pass, in C
-    where ``native`` can build it.  Field and step take floats, or (M,) arrays for M runs: as
-    they only unpack and do arithmetic, a batch column equals its float run bitwise, and input
-    with zero imaginary part gives the float results as real parts."""
-    compiled = march and native._library(pr.n, pr.delta_n_to_exposed)
-    bound = compiled[omega is not None, every] if compiled else _binder(
-        pr.n, pr.delta_n_to_exposed, omega is not None, march, every
-    )
+    ``field(pq, (S, E, A, I, v, u))`` and None; with ``march``, their ``_march_lines`` pass of
+    ``steps`` steps, in C once ``native._marches`` finds that pays.  Field and step take floats,
+    or (M,) arrays for M runs: as they only unpack and do arithmetic, a batch column equals its
+    float run bitwise, and input with zero imaginary part gives the float results as real parts."""
+    kind = pr.n, pr.delta_n_to_exposed
+    compiled = march and native._marches(*kind, steps)
+    bound = compiled[omega is not None, every] if compiled else _binder(*kind, omega is not None, march, every)
     return functools.partial(bound, pr, omega) if march else bound(pr, omega)
 
 

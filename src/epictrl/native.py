@@ -1,14 +1,8 @@
-"""The sweep's marches compiled to C on the first march, not with the package.
-
-``_translate`` writes the loop of a ``model._march_lines`` march as C line for line, and its
-prologue, which binds the rates and the first point's terms, stays Python.  Compiled with
-``_FLAGS`` (no fused multiply-add, no reordering) behind an ``#error`` where doubles would be
-evaluated wider, a C march equals its Python march bitwise.
-"""
+"""The sweep's marches as C translated from their generated lines, bitwise equal to the Python
+marches under ``_FLAGS`` and ``_HEADER``, once a process has marched enough steps to pay for it."""
 
 import functools
 import logging
-import os
 import re
 import time
 
@@ -22,6 +16,8 @@ _LOOPS = {"for i in range(i0, i1):": "for (i = i0; i < i1; i++) {",
 # names, numbers, subscripts, +, - and *; no division (C's truncates integers), power or call
 _TOKEN = r"\d+\.\d+\b|\d+\b|[A-Za-z_]\w*\b(?!\s*\()|\[\w+\]|[-+*() ]"
 _ASSIGN = rf"([A-Za-z_]\w*) = (?!.*\*\*)(?:{_TOKEN})+"
+_PAYBACK = 60_000  # Python march steps that take as long as a compile: 52,000-70,000 at n = 2..5
+_STEPS: dict = {}  # (n, delta_n_to_exposed) -> steps this process has marched or is about to
 
 
 def _translate(name: str, lines: list[str], dim: int):
@@ -83,6 +79,12 @@ def _run(fn, enter, size, marched, pr, omega, y, a, h, i0, i1, out, vn, un, vm, 
         a, i0 = (vn[node], un[node]), node
 
 
+def _marches(n: int, to_exposed: bool, steps: int) -> dict | None:
+    """``_library(n, to_exposed)`` once its marches, these ``steps`` included, reach ``_PAYBACK``."""
+    _STEPS[n, to_exposed] = steps = _STEPS.get((n, to_exposed), 0) + steps
+    return _library(n, to_exposed) if steps >= _PAYBACK else None
+
+
 @functools.cache
 def _library(n: int, to_exposed: bool) -> dict | None:
     """The C marches of n doses by (costate, every), from one shared object compiled in a temporary
@@ -98,15 +100,15 @@ def _library(n: int, to_exposed: bool) -> dict | None:
     started = time.perf_counter()
     try:
         with tempfile.TemporaryDirectory() as tmp:
-            cmd = ["cc", *_FLAGS, "-x", "c", "-", "-o", os.path.join(tmp, "march.so")]
+            cmd = ["cc", *_FLAGS, "-x", "c", "-", "-o", f"{tmp}/march.so"]
             source = "\n".join([_HEADER, *(c for c, *_ in marches)])
             subprocess.run(cmd, input=source, text=True, check=True, capture_output=True, timeout=60)
             lib = ctypes.CDLL(cmd[-1])
     except (OSError, subprocess.SubprocessError) as exc:
         log.debug("n=%d, delta_n_to_exposed=%s: Python marches (%s)", n, to_exposed, exc)
         return None
-    took = time.perf_counter() - started
-    log.debug("n=%d, delta_n_to_exposed=%s: C marches, compiled in %.3f s", n, to_exposed, took)
+    log.debug("n=%d, delta_n_to_exposed=%s: C marches from step %d, compiled in %.3f s", n, to_exposed,
+              _STEPS.get((n, to_exposed), 0), time.perf_counter() - started)
     double = ctypes.POINTER(ctypes.c_double)
     proto = ctypes.CFUNCTYPE(ctypes.c_long, double, ctypes.c_long, ctypes.c_long, *[double] * 9)
     return {kind: functools.partial(_run, proto((f"march{k}", lib)), *rest)

@@ -50,6 +50,14 @@ def test_global_seed_option_is_rejected(capsys):
 
 
 class TestSimulate:
+    def test_one_run_compiles_nothing(self, tmp_path, monkeypatch):
+        # its one pass of 3500 steps costs less in the Python march than a compile
+        _, cfg = small_config(tmp_path, tau=35.0, h=0.01)
+        monkeypatch.setattr(native, "_STEPS", {})
+        monkeypatch.setattr(native, "_library", lambda n, to_exposed: pytest.fail("compiled"))
+        assert cli.main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        assert native._STEPS == {(2, False): 3500}
+
     def test_zero_initial_state(self, tmp_path):
         zero = ec.StateVector(0, 0, 0, 0, 0, 0, (0, 0))
         _, cfg = small_config(tmp_path, initial=zero)
@@ -204,13 +212,22 @@ class TestOptimize:
         assert summary["iterations"] >= 1
 
     def test_native_and_python_marches_write_the_same_bytes(self, tmp_path, monkeypatch):
+        # C marches from the first step, from a step mid-sweep on, and never
         _, cfg = small_config(tmp_path, tau=35.0, h=0.05, impulsive=True)
         assert (native._library(2, False) is None) == (shutil.which("cc") is None)
+        monkeypatch.setattr(native, "_PAYBACK", 0)
         assert cli.main(["optimize", "--config", cfg, "--out", str(tmp_path / "native")]) == 0
+        library, asked = native._library, []
+        monkeypatch.setattr(native, "_PAYBACK", 5000)
+        monkeypatch.setattr(native, "_STEPS", {})
+        monkeypatch.setattr(native, "_library", lambda *kind: asked.append(native._STEPS[kind]) or library(*kind))
+        assert cli.main(["optimize", "--config", cfg, "--out", str(tmp_path / "switched")]) == 0
+        assert 5000 <= asked[0] < 5700 < native._STEPS[2, False]  # 700 steps a pass
         monkeypatch.setattr(native, "_library", lambda n, to_exposed: None)
         assert cli.main(["optimize", "--config", cfg, "--out", str(tmp_path / "python")]) == 0
         for name in ("trajectory.csv", "controls.csv", "adjoints.csv", "summary.json"):
-            assert (tmp_path / "native" / name).read_bytes() == (tmp_path / "python" / name).read_bytes()
+            written = {(tmp_path / side / name).read_bytes() for side in ("native", "switched", "python")}
+            assert len(written) == 1
 
     def test_nonconvergence_exits_two_but_writes(self, tmp_path):
         _, cfg = small_config(tmp_path, solver=ec.SweepOptions(max_iterations=1))

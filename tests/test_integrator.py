@@ -508,6 +508,11 @@ def _assert_both_passes_match(params, initial, weights, grid, controls, schedule
 
 
 class TestSeedEquivalence:
+    @pytest.fixture(autouse=True)
+    def march(self, monkeypatch):
+        # the native march from the first step, wherever a C compiler is found
+        monkeypatch.setattr(native, "_PAYBACK", 0)
+
     @pytest.mark.parametrize("delta_n_to_exposed", [False, True])
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_passes_bitwise_equal_to_numpy_reference(self, n, delta_n_to_exposed):
@@ -642,7 +647,7 @@ class TestSeedEquivalencePythonMarch(TestSeedEquivalence):
     found; ``TestSeedEquivalence`` runs the native march wherever one is."""
 
     @pytest.fixture(autouse=True)
-    def python_march(self, monkeypatch):
+    def march(self, monkeypatch):
         monkeypatch.setattr(native, "_library", lambda n, to_exposed: None)
 
 
@@ -664,6 +669,10 @@ def _runs_c(march) -> bool:
 
 class TestNativeMarch:
     """The compiled marches against the Python march they are translated from."""
+
+    @pytest.fixture(autouse=True)
+    def from_the_first_step(self, monkeypatch):
+        monkeypatch.setattr(native, "_PAYBACK", 0)
 
     @needs_cc
     @pytest.mark.parametrize("to_exposed", [False, True])
@@ -739,13 +748,61 @@ class TestNativeMarch:
         elif fault == "compile error":
             monkeypatch.setattr(native, "_HEADER", "#error refused")
         monkeypatch.setattr(native, "_library", functools.cache(native._library.__wrapped__))
+        monkeypatch.setattr(native, "_STEPS", {})
         params, _ = covid19
         with caplog.at_level(logging.DEBUG, logger="epictrl"):
             built = [_kernels(params, march=True, every=every) for every in (True, False)]
             built.append(_kernels(params, (1.0,) * 4, march=True))
         (record,) = [r for r in caplog.records if "marches" in r.getMessage()]
         assert [_runs_c(march) for march in built] == [fault is None] * 3
-        assert ("C marches, compiled in" if fault is None else "Python marches (") in record.getMessage()
+        assert ("C marches from step 0, compiled in" if fault is None else "Python marches (") in record.getMessage()
+
+
+class TestNativePayback:
+    """A process runs the Python marches of a dose count until they, with the pass about to
+    run, reach ``native._PAYBACK`` steps, about what a compile costs, and compiles then."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """The steps counted at each call of a stand-in for the compile, and its march."""
+        asked = []
+
+        def fake(*args):
+            raise AssertionError("a stand-in march does not run")
+
+        def library(n, to_exposed):
+            asked.append(native._STEPS[n, to_exposed])
+            return dict.fromkeys(native._KINDS, fake)
+
+        monkeypatch.setattr(native, "_STEPS", {})
+        monkeypatch.setattr(native, "_PAYBACK", 1000)
+        monkeypatch.setattr(native, "_library", library)
+        return asked, fake
+
+    def test_compiles_once_the_steps_pay(self, built, covid19):
+        built, fake = built
+        params, _ = covid19
+        assert _kernels(params, march=True, steps=600).func is not fake
+        assert _kernels(params, (1.0,) * 4, march=True, steps=399).func is not fake
+        assert _kernels(params, march=True, every=False, steps=1).func is fake  # 1000 steps
+        assert _kernels(params, (1.0,) * 4, march=True, steps=600).func is fake
+        assert built == [1000, 1600]
+
+    def test_counts_each_dose_count_and_flag_apart(self, built, covid19):
+        built, fake = built
+        params, _ = covid19
+        other = ec.ModelParams(**{**params.__dict__, "delta_n_to_exposed": True})
+        assert _kernels(params, march=True, steps=999).func is not fake
+        assert _kernels(other, march=True, steps=999).func is not fake
+        assert _kernels(other, march=True, steps=1000).func is fake  # one pass that pays alone
+        assert built == [1999] and native._STEPS == {(2, False): 999, (2, True): 1999}
+
+    def test_field_and_step_count_nothing(self, built, covid19):
+        built, _ = built
+        params, _ = covid19
+        _kernels(params)
+        _kernels(params, (1.0,) * 4)
+        assert built == [] and native._STEPS == {}
 
 
 def _naming(source: str, name: str) -> list[str]:
