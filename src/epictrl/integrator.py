@@ -168,7 +168,9 @@ def _impulse_map(schedule: ImpulseSchedule | None, grid: TimeGrid) -> dict[int, 
 def _sampled_controls(controls: ControlSignal, grid: TimeGrid):
     """Control values at grid nodes and step midpoints."""
     if controls.tau < grid.tau - 1e-9 * max(1.0, grid.tau):
-        raise GridMismatchError(f"controls end at t={controls.tau} but the grid runs to t={grid.tau}")
+        raise GridMismatchError(
+            f"controls end at t={controls.tau} but the grid runs to t={grid.tau}"
+        )
     times = grid.times
     mid_times = 0.5 * (times[:-1] + times[1:])
     v_n = np.interp(times, controls.grid, controls.v)

@@ -61,7 +61,7 @@ def _translate(name: str, lines: list[str], dim: int):
 def _run(fn, enter, size, marched, pr, omega, y, a, h, i0, i1, out, vn, un, vm, um, *last):
     """``march`` of ``model._march_lines`` on its C loop ``fn``: at a clamp the loop returns the
     node, whose row is clamped and written here before the loop resumes there."""
-    import ctypes  # with the first march, not with the package
+    import ctypes  # with the first compile, not with the package
     views = [memoryview(x) for x in (out, vn, un, vm, um, *([] if marched else last))]
     need = (len(y) * (i1 + 1), i1 + 1, i1 + 1, *(i1,) * 6)  # doubles the loop may index
     if i0 < 0 or any(v.format != "d" or not v.c_contiguous or v.nbytes < 8 * k for v, k in zip(views, need)):

@@ -1,0 +1,98 @@
+"""Alternating cold one-shot CLI runs of two commits.
+
+    python3 tools/cold_pairs.py PARENT CHANGE --pairs 10
+
+Clones this repository twice into a temporary directory (``TMPDIR`` chooses
+where), checks out PARENT in one clone and CHANGE in the other, and times
+each of
+
+    python3 -m epictrl.cli simulate --config configs/covid19.json --out DIR
+    python3 -m epictrl.cli optimize --config configs/covid19.json --out DIR
+    python3 -m epictrl.cli compare --out DIR
+
+as a whole new process with one BLAS thread, from start to exit, in each
+clone: one pair per command and round, alternating which side runs first.
+A first round is run and not kept, so that both sides start from warm file
+caches.  This is what one command at a shell costs, import and any one-time
+work included, which the per-operation medians of ``benchmarks/bench.py``
+leave out.  Prints each side's median and quartiles and the pairs each side
+won, per command; ``--json PATH`` also writes every time.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SIDES = ("parent", "change")
+COMMANDS = {
+    "simulate": ["simulate", "--config", "configs/covid19.json"],
+    "optimize": ["optimize", "--config", "configs/covid19.json"],
+    "compare": ["compare"],
+}
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def git(*args: str, cwd: str = ROOT) -> str:
+    proc = subprocess.run(["git", *args], cwd=cwd, check=True, capture_output=True, text=True)
+    return proc.stdout.strip()
+
+
+def run_once(checkout: str, argv: list[str], tmp: str) -> float:
+    """Seconds from start to exit of one CLI command in ``checkout``."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(checkout, "src"), **dict.fromkeys(BLAS_VARS, "1"))
+    with tempfile.TemporaryDirectory(dir=tmp) as out:
+        started = time.perf_counter()
+        subprocess.run(
+            [sys.executable, "-m", "epictrl.cli", *argv, "--out", out],
+            cwd=checkout, env=env, check=True, capture_output=True, timeout=600,
+        )
+        return time.perf_counter() - started
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent", help="commit the change is measured against")
+    parser.add_argument("change", help="commit under test")
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--json", default=None, help="also write every time here")
+    args = parser.parse_args(argv)
+    if args.pairs < 2:
+        parser.error("--pairs must be at least 2 for quartiles")
+    commits = {side: git("rev-parse", f"{ref}^{{commit}}") for side, ref in zip(SIDES, (args.parent, args.change))}
+    times = {name: {side: [] for side in SIDES} for name in COMMANDS}
+    with tempfile.TemporaryDirectory(prefix="cold-pairs-") as tmp:
+        checkouts = {side: os.path.join(tmp, side) for side in SIDES}
+        for side, sha in commits.items():
+            git("clone", "-q", ROOT, checkouts[side], cwd=tmp)
+            git("checkout", "-q", sha, cwd=checkouts[side])
+        for i in range(args.pairs + 1):
+            for name, command in COMMANDS.items():
+                for side in SIDES if i % 2 == 0 else SIDES[::-1]:
+                    took = run_once(checkouts[side], command, tmp)
+                    if i:
+                        times[name][side].append(took)
+    for name, sides in times.items():
+        q = {s: statistics.quantiles(sides[s], n=4, method="inclusive") for s in SIDES}
+        wins = sum(c < p for p, c in zip(sides["parent"], sides["change"]))
+        print(
+            f"{name}: parent {q['parent'][1]:.3f} s ({q['parent'][0]:.3f}/{q['parent'][2]:.3f}) "
+            f"change {q['change'][1]:.3f} s ({q['change'][0]:.3f}/{q['change'][2]:.3f}) "
+            f"change wins {wins}/{args.pairs}"
+        )
+    if args.json:
+        with open(args.json, "w", encoding="utf-8") as fh:
+            json.dump({"commits": commits, "commands": COMMANDS, "seconds": times}, fh, indent=2)
+            fh.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
