@@ -21,7 +21,6 @@ from .integrator import (
     AdjointTrajectory,
     AdjointVector,
     TimeGrid,
-    _forward,
     integrate_adjoint_backward,
     integrate_forward,
 )
@@ -212,8 +211,7 @@ def total_cost(
     times = traj.node_times
     if controls.tau < times[-1] - 1e-9 * max(1.0, times[-1]):
         raise GridMismatchError("controls do not cover the trajectory horizon")
-    v_n = np.interp(times, controls.grid, controls.v)
-    u_n = np.interp(times, controls.grid, controls.u)
+    v_n, u_n = controls.at(times)
     g_left = _running_cost_arrays(traj.states_post[:-1].T, u_n[:-1], v_n[:-1], weights, params)
     g_right = _running_cost_arrays(traj.states_pre[1:].T, u_n[1:], v_n[1:], weights, params)
     steps = np.diff(times)
@@ -299,8 +297,8 @@ def fbsm_solve(
     below the tolerance.  Non-convergence is reported through the
     ``converged`` flag, never as an exception; weights whose running cost has no
     finite bound over the horizon, or whose terminal cost overflows there, raise
-    RangeError before the first pass.  Only the last pass, whose trajectory is
-    returned, marches the state rows that nothing else reads (``_forward``).
+    RangeError before the first pass.  Every pass is one ``integrate_forward``,
+    which marches every compartment, and one ``integrate_adjoint_backward``.
     """
     fault = _cost_fault(initial, params, weights, grid.tau, schedule)
     if fault:
@@ -315,15 +313,11 @@ def fbsm_solve(
 
     # pass `it` evaluates the controls after `it` updates; no update follows the last pass
     for it in range(opts.max_iterations + 1):
-        last = converged or it == opts.max_iterations
         controls = ControlSignal(times, v, u, v_max)
-        if last:
-            traj = integrate_forward(initial, controls, params, grid, schedule)
-        else:
-            traj = _forward(initial, controls, params, grid, schedule, every=False)
+        traj = integrate_forward(initial, controls, params, grid, schedule)
         adj = integrate_adjoint_backward(traj, controls, params, weights, grid, schedule)
         history.append(total_cost(traj, controls, weights, params))
-        if last:
+        if converged or it == opts.max_iterations:
             break
         u_star, v_star = _clamped_controls(traj.states_post, adj.values_post, params, weights)
         u_new = np.clip(opts.theta * u_star + (1.0 - opts.theta) * u, 0.0, 1.0)

@@ -11,9 +11,10 @@ elements would otherwise dominate.  ``model`` generates each pass whole for
 the dose count: a ``march`` whose loop holds the value in local names and
 inlines the RK4 stages, called once per run of steps between impulse nodes,
 which ``native`` compiles to C, where ``cc`` is found, once a process has
-marched enough steps to pay for the compile.  The costate march steps with
--h, forms each node's point-only terms once and does no arithmetic on the
-costates that stay zero, not even in the other rows.  Every floating-point
+marched enough steps to pay for the compile.  The state march steps every
+compartment in every pass.  The costate march steps with -h, forms each
+node's point-only terms once and does no arithmetic on the costates that
+stay zero, not even in the other rows.  Every floating-point
 operation keeps the order of the numpy formulation, and the tests hold both
 passes, C or Python, bitwise equal to a numpy reference implementation.
 Each pass writes one array row per node and copies it to the other side of
@@ -172,12 +173,7 @@ def _sampled_controls(controls: ControlSignal, grid: TimeGrid):
             f"controls end at t={controls.tau} but the grid runs to t={grid.tau}"
         )
     times = grid.times
-    mid_times = 0.5 * (times[:-1] + times[1:])
-    v_n = np.interp(times, controls.grid, controls.v)
-    u_n = np.interp(times, controls.grid, controls.u)
-    v_m = np.interp(mid_times, controls.grid, controls.v)
-    u_m = np.interp(mid_times, controls.grid, controls.u)
-    return v_n, u_n, v_m, u_m
+    return (*controls.at(times), *controls.at(0.5 * (times[:-1] + times[1:])))
 
 
 def _patched(rows: np.ndarray, jumped: dict[int, list]) -> np.ndarray:
@@ -204,14 +200,8 @@ def integrate_forward(
     population; anything larger raises StabilityError (the step is too coarse).
 
     The step loop, C or Python (``model._kernels``), is bitwise equal to the same
-    RK4 with numpy vectors, over every compartment (``_forward`` need not).
+    RK4 with numpy vectors, over every compartment.
     """
-    return _forward(initial, controls, params, grid, schedule, every=True)
-
-
-def _forward(initial, controls, params, grid, schedule, every: bool) -> Trajectory:
-    """``integrate_forward``, which without ``every`` leaves R, D and, unless V_n leaks into E,
-    V_n at their initial values, unchecked: nothing else reads them."""
     if initial.n != params.n:
         raise ValueError(f"state has {initial.n} dose compartments, params expect {params.n}")
     imap = _impulse_map(schedule, grid)
@@ -240,7 +230,7 @@ def _forward(initial, controls, params, grid, schedule, every: bool) -> Trajecto
             y = [0.0 if x < 0.0 else x for x in y]  # keeps -0.0, like np.maximum
         return y
 
-    march = _kernels(params, march=True, every=every, steps=steps)
+    march = _kernels(params, march=True, steps=steps)
     cuts = [0, *sorted(imap), steps]
     for i0, i1 in zip(cuts, cuts[1:]):
         y = march(y, (v_n[i0], u_n[i0]), h, i0, i1, pre, v_n, u_n, v_m, u_m, clamp)

@@ -430,34 +430,34 @@ def _point_lines(rows, dim: int, pt: str) -> list[str]:
 
 def _kernel_lines(head, rows, cols, dim: int) -> list[str]:
     """Source lines of ``bind(pr, omega)``, which runs ``head`` and returns the field
-    ``field(y, a0)`` of ``rows`` and, for the states, its RK4 step ``step(y, h, a0, a1, a2)``
-    (the costates step only in their march), which marches the rows ``step.rows`` of y that
-    some row reads.  Each ``a`` holds a point's ``cols`` and v, u."""
+    ``field(y, a0)`` of ``rows`` and, for the states, its RK4 step ``step(y, h, a0)`` with the
+    point a0 held over the step (the costates step only in their march), which marches the
+    rows ``step.rows`` of y that some row reads.  ``a0`` holds a point's ``cols`` and v, u."""
     y, k = [f"y{c}" for c in range(dim)], [f"k{c}" for c in range(dim)]
-    at = [f"{', '.join(f'a{j}_{r}' for r in (*cols, 'v', 'u'))}, = a{j}" for j in range(3)]
-    field = [f"{', '.join(y)}, = y", at[0], *rows(y, "a0_", k), f"return [{', '.join(k)}]"]
+    at = f"{', '.join(f'a0_{r}' for r in (*cols, 'v', 'u'))}, = a0"
+    field = [f"{', '.join(y)}, = y", at, *rows(y, "a0_", k), f"return [{', '.join(k)}]"]
     lines = [*head, *_block("def field(y, a0):", field)]
     if cols:
         return _block("def bind(pr, omega):", [*lines, "return field, None"])
-    points = [line for pt in ("a0_", "a1_", "a2_") for line in _point_lines(rows, dim, pt)]
     rk4, live = _rk4_lines(rows, dim, every=False)
+    rk4 = [re.sub(r"\ba[12]_", "a0_", line) for line in rk4]  # each stage at the one point
     ys = ", ".join(y[c] for c in live)
-    step = [f"{ys}, = y", *at, *points, "half = 0.5 * h", "sixth = h / 6.0", *rk4, f"return [{ys}]"]
-    lines += [*_block("def step(y, h, a0, a1, a2):", step), f"step.rows = {live}"]
+    step = [f"{ys}, = y", at, *_point_lines(rows, dim, "a0_"), "half = 0.5 * h", "sixth = h / 6.0"]
+    lines += [*_block("def step(y, h, a0):", [*step, *rk4, f"return [{ys}]"]), f"step.rows = {live}"]
     return _block("def bind(pr, omega):", [*lines, "return field, step"])
 
 
-def _march_lines(head, rows, cols, dim: int, every: bool) -> list[str]:
+def _march_lines(head, rows, cols, dim: int) -> list[str]:
     """Source lines of ``march(pr, omega, y, a, h, i0, i1, out, vn, un, vm, um, *last)``, which
     runs ``head`` and steps ``rows`` from the value ``y`` at the point ``a`` (as in ``bind``)
     to each node between i0 and i1, writing the value there to that row of ``out``; ``vn``,
     ``un`` and ``vm``, ``um`` sample the controls at the nodes and midpoints.  The states step
     forward and pass the marched rows through ``clamp(rows, node)`` where one is below zero,
     ``last`` = (clamp,); the costates step back with a negative h over ``last``, node columns
-    of ``cols``.  Without ``every``, a row that no row reads keeps its value (``_rk4_lines``)."""
+    of ``cols``.  Every row but a literal 0.0 is marched (``_rk4_lines``)."""
     ys, j = ", ".join(f"y{c}" for c in range(dim)), "i" if cols else "j"
     terms = functools.partial(_point_lines, rows, dim)
-    rk4, live = _rk4_lines(rows, dim, every)
+    rk4, live = _rk4_lines(rows, dim, every=True)
     body = [*(f"a2_{r} = {r}[{j}]" for r in cols), f"a2_v = vn[{j}]", f"a2_u = un[{j}]"]
     body += [*terms("a2_"), *(f"a1_{r} = 0.5 * (a2_{r} + a0_{r})" for r in cols)]
     body += ["a1_v = vm[i]", "a1_u = um[i]", *terms("a1_"), *rk4]
@@ -475,26 +475,26 @@ def _march_lines(head, rows, cols, dim: int, every: bool) -> list[str]:
     return _block(f"def march(pr, omega, y, a, h, i0, i1, out, vn, un, vm, um, {last}):", lines)
 
 
-def _source(n: int, to_exposed: bool, costate: bool, march: bool, every: bool) -> list[str]:
+def _source(n: int, to_exposed: bool, costate: bool, march: bool) -> list[str]:
     """For n doses, the lines of ``_kernel_lines``'s ``bind`` or, with ``march``, ``_march_lines``'s."""
     rows = functools.partial(_costate_rows if costate else _state_rows, n, to_exposed)
     names = {key: ", ".join(f"{key}{j}" for j in range(n)) for key in ("g", "d")}
     head = _RATES.format(**names).splitlines() + (["w1, w2, w3, w4 = omega"] if costate else [])
     args = (head, rows, "SEAI" if costate else "", n + 6)
-    return _march_lines(*args, every) if march else _kernel_lines(*args)
+    return (_march_lines if march else _kernel_lines)(*args)
 
 
 @functools.cache
-def _binder(n: int, to_exposed: bool, costate: bool, march: bool, every: bool):
+def _binder(n: int, to_exposed: bool, costate: bool, march: bool):
     """``_source``'s function, compiled once."""
-    source = "\n".join(_source(n, to_exposed, costate, march, every))
+    source = "\n".join(_source(n, to_exposed, costate, march))
     namespace: dict = {"Struct": struct.Struct}
-    exec(compile(source, f"<epictrl {n} {to_exposed} {costate} {march} {every}>", "exec"), namespace)
+    exec(compile(source, f"<epictrl {n} {to_exposed} {costate} {march}>", "exec"), namespace)
     return namespace["march" if march else "bind"]
 
 
-def _kernels(pr: ModelParams, omega=None, march: bool = False, every: bool = True, steps: int = 0):
-    """The state field ``field(y, (v, u))`` and RK4 step ``step(y, h, a0, a1, a2)`` of the rows
+def _kernels(pr: ModelParams, omega=None, march: bool = False, steps: int = 0):
+    """The state field ``field(y, (v, u))`` and RK4 step ``step(y, h, (v, u))`` of the rows
     ``step.rows`` bound to ``pr``, or given the weights ``omega`` the costate field
     ``field(pq, (S, E, A, I, v, u))`` and None; with ``march``, their ``_march_lines`` pass of
     ``steps`` steps, in C once ``native._marches`` finds that pays.  Field and step take floats,
@@ -502,7 +502,7 @@ def _kernels(pr: ModelParams, omega=None, march: bool = False, every: bool = Tru
     float run bitwise, and input with zero imaginary part gives the float results as real parts."""
     kind = pr.n, pr.delta_n_to_exposed
     compiled = march and native._marches(*kind, steps)
-    bound = compiled[omega is not None, every] if compiled else _binder(*kind, omega is not None, march, every)
+    bound = compiled[omega is not None] if compiled else _binder(*kind, omega is not None, march)
     return functools.partial(bound, pr, omega) if march else bound(pr, omega)
 
 

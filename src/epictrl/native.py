@@ -10,13 +10,13 @@ log = logging.getLogger("epictrl")
 
 _FLAGS = ("-O2", "-std=c99", "-ffp-contract=off", "-shared", "-fPIC")
 _HEADER = "#include <float.h>\n#if FLT_EVAL_METHOD != 0\n#error doubles evaluated wider\n#endif"
-_KINDS = ((False, False), (False, True), (True, True))  # (costate, every) of the sweep's marches
+_KINDS = (False, True)  # the costate flag of each of the sweep's marches
 _LOOPS = {"for i in range(i0, i1):": "for (i = i0; i < i1; i++) {",
           "for i in range(i1 - 1, i0 - 1, -1):": "for (i = i1 - 1; i > i0 - 1; i--) {"}
 # names, numbers, subscripts, +, - and *; no division (C's truncates integers), power or call
 _TOKEN = r"\d+\.\d+\b|\d+\b|[A-Za-z_]\w*\b(?!\s*\()|\[\w+\]|[-+*() ]"
 _ASSIGN = rf"([A-Za-z_]\w*) = (?!.*\*\*)(?:{_TOKEN})+"
-_PAYBACK = 60_000  # Python march steps that take as long as a compile: 52,000-70,000 at n = 2..5
+_PAYBACK = 40_000  # Python march steps that take as long as a compile: 29,000-55,000 at n = 2..5
 _STEPS: dict = {}  # (n, delta_n_to_exposed) -> steps this process has marched or is about to
 
 
@@ -87,7 +87,7 @@ def _marches(n: int, to_exposed: bool, steps: int) -> dict | None:
 
 @functools.cache
 def _library(n: int, to_exposed: bool) -> dict | None:
-    """The C marches of n doses by (costate, every), from one shared object compiled in a temporary
+    """The C marches of n doses by costate flag, from one shared object compiled in a temporary
     directory, or None where that fails; logs which marches run, with the time or the reason."""
     import ctypes
     import subprocess
@@ -95,8 +95,8 @@ def _library(n: int, to_exposed: bool) -> dict | None:
 
     from .model import _source  # which imports this module
 
-    marches = [_translate(f"march{k}", _source(n, to_exposed, costate, True, every), n + 6)
-               for k, (costate, every) in enumerate(_KINDS)]
+    marches = [_translate(f"march{k}", _source(n, to_exposed, costate, True), n + 6)
+               for k, costate in enumerate(_KINDS)]
     started = time.perf_counter()
     try:
         with tempfile.TemporaryDirectory() as tmp:

@@ -28,7 +28,7 @@ from .control import (
     total_cost,
 )
 from .errors import BoxViolationError, ExplosionGuardError, RangeError, StabilityError
-from .integrator import TimeGrid, _forward, integrate_adjoint_backward, integrate_forward
+from .integrator import TimeGrid, integrate_adjoint_backward, integrate_forward
 from .model import (
     A,
     D,
@@ -184,7 +184,7 @@ def _leaf_costs(
                 if not len(c):
                     break
                 row_steps += len(c)
-                yc = step(yc, h, (v, u), (v, u), (v, u))
+                yc = step(yc, h, (v, u))
                 for x in yc:
                     lowest = x.min()
                     if lowest < 0.0:
@@ -239,7 +239,7 @@ def brute_force_optimum(
     for u, v in itertools.product(u_choices, v_choices):
         controls = ControlSignal.constant(grid.times, v, u, params.v_max)
         with contextlib.suppress(StabilityError):
-            traj = _forward(initial, controls, params, grid, None, every=False)
+            traj = integrate_forward(initial, controls, params, grid)
             seed = min(seed, total_cost(traj, controls, weights, params) * (1.0 + _MARGIN))
     best = (np.inf, -1)
     leaves = _leaf_costs(
@@ -321,9 +321,7 @@ def adjoint_gradient(
     """
     traj = integrate_forward(initial, controls, params, grid, schedule)
     adj = integrate_adjoint_backward(traj, controls, params, weights, grid, schedule)
-    times = grid.times
-    v_n = np.interp(times, controls.grid, controls.v)
-    u_n = np.interp(times, controls.grid, controls.u)
+    v_n, u_n = controls.at(grid.times)
     u_raw, v_raw = _switching_arrays(traj.states_post, adj.values_post, params, weights)
     if which == "u":
         integrand = weights.sigma0 * (u_n - u_raw)

@@ -416,8 +416,7 @@ class TestFbsmSolve:
         # weights once gave cost=inf with converged=True after 14 iterations
         params, initial = covid19
         weights = ec.CostWeights(omega=(1e306, 1.0, 1.0, 1.0))
-        for name in ("integrate_forward", "_forward"):
-            monkeypatch.setattr(ec.control, name, None)  # no pass may run
+        monkeypatch.setattr(ec.control, "integrate_forward", None)  # no pass may run
         line = "weights: the running-cost bound over tau = 5 is not finite"
         with pytest.raises(RangeError, match=line):
             fbsm_solve(initial, params, weights, TimeGrid(5.0, 0.05))
@@ -429,11 +428,25 @@ class TestFbsmSolve:
         # not math's OverflowError from the cost of the first pass
         params, initial = covid19
         weights = ec.CostWeights(terminal=ec.TerminalCost("exponential", 1.0, 200.0))
-        for name in ("integrate_forward", "_forward"):
-            monkeypatch.setattr(ec.control, name, None, raising=False)  # no pass may run
+        monkeypatch.setattr(ec.control, "integrate_forward", None)  # no pass may run
         line = r"^weights\.terminal\.rate: rate\*tau = 1000 overflows exp \(limit 709\.783\)$"
         with pytest.raises(RangeError, match=line):
             fbsm_solve(initial, params, weights, TimeGrid(5.0, 0.05))
+
+    def test_every_pass_is_one_integrate_forward(self, covid19, default_weights, monkeypatch):
+        # the returned trajectory is the last of them, which marches every row like the rest
+        params, initial = covid19
+        passes = []
+
+        def forward(*args):
+            passes.append(ec.integrate_forward(*args))
+            return passes[-1]
+
+        monkeypatch.setattr(ec.control, "integrate_forward", forward)
+        for max_iterations in (3, 500):
+            sol = solve_small(params, initial, default_weights, max_iterations=max_iterations)
+            assert len(passes) == sol.iterations + 1 and passes[-1] is sol.state_traj
+            passes.clear()
 
     def test_default_run_regression(self, default_solution):
         assert default_solution.converged
@@ -713,8 +726,8 @@ class TestHorizonSeedEquivalence:
 
 
 def _ref_fbsm_solve(initial, params, weights, grid, schedule, options):
-    """The sweep before its intermediate passes left out the rows nothing reads, less its
-    fault checks and log: every pass marches every row."""
+    """``fbsm_solve`` less its fault checks and log, written out from the public passes:
+    each iteration one ``integrate_forward``, one ``integrate_adjoint_backward`` and one cost."""
     opts = options
     times = grid.times
     v_max = params.v_max
@@ -748,8 +761,7 @@ def _ref_fbsm_solve(initial, params, weights, grid, schedule, options):
 
 class TestSweepProperties:
     """Seeded draws of admissible problems: the sweep ends converged or says it did not,
-    with finite outputs no costlier than doing nothing, bitwise those of a sweep that
-    marches every row in every pass."""
+    with finite outputs no costlier than doing nothing, bitwise those of ``_ref_fbsm_solve``."""
 
     def test_random_problems(self):
         rng = np.random.default_rng(2026)

@@ -10,7 +10,6 @@ import epictrl as ec
 from epictrl.control import CostWeights, _hamiltonian, _running_cost_arrays
 from epictrl.integrator import _impulse_map, _sampled_controls
 from epictrl import model, native
-from epictrl.integrator import _forward
 from epictrl.model import A, D, E, I, R, S, V0, ModelParams, _NEGATIVE_TOL, _kernels
 
 
@@ -629,14 +628,14 @@ class TestSeedEquivalence:
             costate, _ = _kernels(params, weights.omega)
             y = rng.uniform(0.0, 5000.0, size=n + 6)
             pq = rng.normal(0.0, 10.0, size=n + 6)
-            vu = [(float(v), float(u)) for v, u in rng.uniform(0.0, [params.v_max, 1.0], size=(3, 2))]
-            point = (*rng.uniform(0.0, 5000.0, size=4).tolist(), *vu[0])
+            vu = tuple(rng.uniform(0.0, [params.v_max, 1.0]).tolist())
+            point = (*rng.uniform(0.0, 5000.0, size=4).tolist(), *vu)
             c = lambda a: tuple(x + 0j for x in a)  # noqa: E731
             yc, pqc = (y + 0j).tolist(), (pq + 0j).tolist()
             rows, rowsc = y[state_step.rows].tolist(), (y[state_step.rows] + 0j).tolist()
             for real, cplx in (
-                (state(y.tolist(), vu[0]), state(yc, c(vu[0]))),
-                (state_step(rows, 0.01, *vu), state_step(rowsc, 0.01, *map(c, vu))),
+                (state(y.tolist(), vu), state(yc, c(vu))),
+                (state_step(rows, 0.01, vu), state_step(rowsc, 0.01, c(vu))),
                 (costate(pq.tolist(), point), costate(pqc, c(point))),
             ):
                 assert _bitwise_equal(np.real(np.array(cplx)), real)
@@ -678,7 +677,7 @@ class TestNativeMarch:
     @pytest.mark.parametrize("to_exposed", [False, True])
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_built_for_every_dose_count(self, n, to_exposed):
-        assert set(native._library(n, to_exposed)) == set(native._KINDS)
+        assert set(native._library(n, to_exposed)) == {False, True}  # the state and costate marches
 
     @needs_cc
     def test_clamped_rows_equal_python_march(self, covid19, monkeypatch, caplog):
@@ -691,16 +690,14 @@ class TestNativeMarch:
         grid = ec.TimeGrid(10.0, 0.7)
         controls = zero_controls(grid, fast)
         assert _runs_c(_kernels(fast, march=True))
-        for every in (True, False):
-            with caplog.at_level(logging.DEBUG, logger="epictrl"):
-                ours, theirs = _march_both(
-                    monkeypatch, lambda: _forward(initial, controls, fast, grid, None, every)
-                )
-            assert _bitwise_equal(ours.states_pre, theirs.states_pre)
-            assert _bitwise_equal(ours.states_post, theirs.states_post)
-            clamps = [r.args for r in caplog.records if "clamped" in r.getMessage()]
-            assert len(clamps) == 2 and clamps[0] == clamps[1] and clamps[0][0] >= 2
-            caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="epictrl"):
+            ours, theirs = _march_both(
+                monkeypatch, lambda: ec.integrate_forward(initial, controls, fast, grid)
+            )
+        assert _bitwise_equal(ours.states_pre, theirs.states_pre)
+        assert _bitwise_equal(ours.states_post, theirs.states_post)
+        clamps = [r.args for r in caplog.records if "clamped" in r.getMessage()]
+        assert len(clamps) == 2 and clamps[0] == clamps[1] and clamps[0][0] >= 2
 
     @needs_cc
     def test_too_coarse_step_raises_like_python_march(self, covid19, monkeypatch):
@@ -733,7 +730,7 @@ class TestNativeMarch:
         ["x0 = y0 / 6.0", "x0 = abs(y0)", "x0 = y0 ** 2", "x0, x1 = y0, y1", "if y0 < 0.0:", "pass"],
     )
     def test_translation_rejects_a_foreign_line(self, line):
-        lines = model._source(2, False, False, True, True)
+        lines = model._source(2, False, False, True)
         at = lines.index("        x0 = y0 + half * s0")
         native._translate("march", lines, 8)  # the generated lines translate
         with pytest.raises(ValueError, match="no C translation"):
@@ -751,10 +748,9 @@ class TestNativeMarch:
         monkeypatch.setattr(native, "_STEPS", {})
         params, _ = covid19
         with caplog.at_level(logging.DEBUG, logger="epictrl"):
-            built = [_kernels(params, march=True, every=every) for every in (True, False)]
-            built.append(_kernels(params, (1.0,) * 4, march=True))
+            built = [_kernels(params, march=True), _kernels(params, (1.0,) * 4, march=True)]
         (record,) = [r for r in caplog.records if "marches" in r.getMessage()]
-        assert [_runs_c(march) for march in built] == [fault is None] * 3
+        assert [_runs_c(march) for march in built] == [fault is None] * 2
         assert ("C marches from step 0, compiled in" if fault is None else "Python marches (") in record.getMessage()
 
 
@@ -784,7 +780,7 @@ class TestNativePayback:
         params, _ = covid19
         assert _kernels(params, march=True, steps=600).func is not fake
         assert _kernels(params, (1.0,) * 4, march=True, steps=399).func is not fake
-        assert _kernels(params, march=True, every=False, steps=1).func is fake  # 1000 steps
+        assert _kernels(params, march=True, steps=1).func is fake  # 1000 steps
         assert _kernels(params, (1.0,) * 4, march=True, steps=600).func is fake
         assert built == [1000, 1600]
 
@@ -820,28 +816,29 @@ def _only_carried(source: str, name: str) -> bool:
 
 
 class TestGeneratedRows:
-    """Each generated march and step computes only what its caller reads: a structural
-    guard, so that losing it shows without a timer."""
+    """The state march marches every row; the costate march and the oracle's step compute
+    only what their callers read: a structural guard, so that losing it shows without a timer."""
 
     @pytest.mark.parametrize("to_exposed", [False, True])
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_marches_leave_out_rows_nothing_reads(self, n, to_exposed):
         state = functools.partial(model._state_rows, n, to_exposed)
         costate = functools.partial(model._costate_rows, n, to_exposed)
-        costate_march = "\n".join(model._march_lines([], costate, "SEAI", n + 6, every=True))
-        live_march = "\n".join(model._march_lines([], state, "", n + 6, every=False))
-        full_march = "\n".join(model._march_lines([], state, "", n + 6, every=True))
+        costate_march = "\n".join(model._march_lines([], costate, "SEAI", n + 6))
+        full_march = "\n".join(model._march_lines([], state, "", n + 6))
         step = "\n".join(model._kernel_lines([], state, "", n + 6)).split("def step")[1]
         # no other row, the cost or the control update reads R, D or V_n, and their
         # costates stay +0.0, unless V_n leaks into E
         unread = {R, D} | (set() if to_exposed else {V0 + n - 1})
         assert not re.search(r"\b0\.0\b", costate_march)  # not as x - 0.0 or c * 0.0 either
+        for j in range(n):  # the step holds one point, so forms g_j * v once
+            assert step.count(f"g{j} * ") == 1
         for c in range(V0 + n):
             name, update = f"y{c}", f"y{c} = y{c} + sixth * (s{c} + k{c})"
-            assert update in _naming(full_march, name)  # the returned pass marches every row
+            assert update in _naming(full_march, name)  # every pass marches every row
             if c in unread:
-                assert _only_carried(costate_march, name) and _only_carried(live_march, name)
+                assert _only_carried(costate_march, name)
                 assert not _naming(step, name)
             else:
-                for source in (costate_march, live_march, step):
+                for source in (costate_march, step):
                     assert update in _naming(source, name)

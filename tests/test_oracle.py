@@ -61,17 +61,15 @@ class TestSharedBatchPath:
         params = _params(n, delta_n_to_exposed)
         m = 40
         y = rng.uniform(0.0, 5000.0, size=(n + 6, m))
-        v0, vm, v1 = rng.uniform(0.0, params.v_max, size=(3, m))
-        u0, um, u1 = rng.uniform(0.0, 1.0, size=(3, m))
+        v = rng.uniform(0.0, params.v_max, size=m)
+        u = rng.uniform(0.0, 1.0, size=m)
         field, rk4 = _kernels(params)
-        deriv = np.array(field(list(y), (v0, u0)))
-        step = np.array(rk4(list(y[rk4.rows]), 0.05, (v0, u0), (vm, um), (v1, u1)))
+        deriv = np.array(field(list(y), (v, u)))
+        step = np.array(rk4(list(y[rk4.rows]), 0.05, (v, u)))
         for j in range(m):
-            col = y[:, j].tolist()
-            c = [float(x[j]) for x in (v0, u0, vm, um, v1, u1)]
-            assert _bitwise_equal(deriv[:, j], field(col, (c[0], c[1])))
-            args = [(c[0], c[1]), (c[2], c[3]), (c[4], c[5])]
-            assert _bitwise_equal(step[:, j], rk4(y[rk4.rows, j].tolist(), 0.05, *args))
+            col, point = y[:, j].tolist(), (float(v[j]), float(u[j]))
+            assert _bitwise_equal(deriv[:, j], field(col, point))
+            assert _bitwise_equal(step[:, j], rk4(y[rk4.rows, j].tolist(), 0.05, point))
 
 
 # The oracle's marcher before it shared the sweep's RK4 step, verbatim: its own
@@ -159,7 +157,7 @@ def _integrate_batch_cost(y0, u_seg, v_seg, params, weights, config):
         v = v_seg[:, seg]
         for k in range(steps):
             g_left = _running_cost_arrays(y, u, v, weights, params)
-            y = step(y, h, (v, u), (v, u), (v, u))
+            y = step(y, h, (v, u))
             for x in y:
                 lowest = x.min()
                 if lowest < 0.0:
@@ -432,7 +430,7 @@ def _flat_history(y0, u_seg, v_seg, params, weights, config):
         u, v = u_seg[:, seg], v_seg[:, seg]
         for _ in range(steps):
             g_left = _running_cost_arrays(y, u, v, weights, params)
-            y = [np.maximum(x, 0.0) for x in step(y, h, (v, u), (v, u), (v, u))]
+            y = [np.maximum(x, 0.0) for x in step(y, h, (v, u))]
             g_right = _running_cost_arrays(y, u, v, weights, params)
             history.append((history[-1][0] + (0.5 * h) * (g_left + g_right), y))
     return steps, h, history

@@ -95,6 +95,16 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
     return out
 
 
+def describe(label: str, s: dict) -> str:
+    """One line of a metric's ``summarize`` entry."""
+    return (
+        f"{label}: parent {s['parent']['median']:.6g} ({s['parent']['q1']:.6g}/{s['parent']['q3']:.6g}) "
+        f"change {s['change']['median']:.6g} ({s['change']['q1']:.6g}/{s['change']['q3']:.6g}) "
+        f"change wins {s['change_wins']}/{s['pairs']} parent IQR {s['parent_iqr']:.3g} "
+        f"gain claim holds: {s['gain_claim_holds']} verdict at bound {s['bound']:g}: {s['verdict']}"
+    )
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", help="commit the change is measured against")
@@ -161,13 +171,7 @@ def main(argv: list[str] | None = None) -> int:
     print(f"wrote {path}")
     for workload, summary in report["summary"].items():
         for name in (m["name"] for m in metrics):
-            s = summary[name]
-            print(
-                f"{workload} {name}: parent {s['parent']['median']:.6g} "
-                f"change {s['change']['median']:.6g} change wins {s['change_wins']}/{s['pairs']} "
-                f"parent IQR {s['parent_iqr']:.3g} gain claim holds: {s['gain_claim_holds']} "
-                f"verdict at bound {s['bound']:g}: {s['verdict']}"
-            )
+            print(describe(f"{workload} {name}", summary[name]))
     return 0
 
 

@@ -15,8 +15,10 @@ clone: one pair per command and round, alternating which side runs first.
 A first round is run and not kept, so that both sides start from warm file
 caches.  This is what one command at a shell costs, import and any one-time
 work included, which the per-operation medians of ``benchmarks/bench.py``
-leave out.  Prints each side's median and quartiles and the pairs each side
-won, per command; ``--json PATH`` also writes every time.
+leave out.  Prints, per command, the fields ``tools/bench_pairs.py`` gives an
+end-to-end metric (each side's quartiles, the pairs each side won, the
+parent's interquartile range and the verdict at a bound of ``BOUND``);
+``--json PATH`` also writes them and every time.
 """
 
 from __future__ import annotations
@@ -24,25 +26,20 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import statistics
 import subprocess
 import sys
 import tempfile
 import time
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-SIDES = ("parent", "change")
+from bench_pairs import ROOT, SIDES, describe, git, summarize
+
 COMMANDS = {
     "simulate": ["simulate", "--config", "configs/covid19.json"],
     "optimize": ["optimize", "--config", "configs/covid19.json"],
     "compare": ["compare"],
 }
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-
-
-def git(*args: str, cwd: str = ROOT) -> str:
-    proc = subprocess.run(["git", *args], cwd=cwd, check=True, capture_output=True, text=True)
-    return proc.stdout.strip()
+BOUND = 0.25  # that of wall_s in BENCHMARK.json
 
 
 def run_once(checkout: str, argv: list[str], tmp: str) -> float:
@@ -62,34 +59,32 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("parent", help="commit the change is measured against")
     parser.add_argument("change", help="commit under test")
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--json", default=None, help="also write every time here")
+    parser.add_argument("--json", default=None, help="also write the summary and every time here")
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be at least 2 for quartiles")
     commits = {side: git("rev-parse", f"{ref}^{{commit}}") for side, ref in zip(SIDES, (args.parent, args.change))}
-    times = {name: {side: [] for side in SIDES} for name in COMMANDS}
+    rounds = []  # per kept round, each side's seconds per command, shaped as bench_pairs' pairs
     with tempfile.TemporaryDirectory(prefix="cold-pairs-") as tmp:
         checkouts = {side: os.path.join(tmp, side) for side in SIDES}
         for side, sha in commits.items():
             git("clone", "-q", ROOT, checkouts[side], cwd=tmp)
             git("checkout", "-q", sha, cwd=checkouts[side])
         for i in range(args.pairs + 1):
+            took = {side: {} for side in SIDES}
             for name, command in COMMANDS.items():
                 for side in SIDES if i % 2 == 0 else SIDES[::-1]:
-                    took = run_once(checkouts[side], command, tmp)
-                    if i:
-                        times[name][side].append(took)
-    for name, sides in times.items():
-        q = {s: statistics.quantiles(sides[s], n=4, method="inclusive") for s in SIDES}
-        wins = sum(c < p for p, c in zip(sides["parent"], sides["change"]))
-        print(
-            f"{name}: parent {q['parent'][1]:.3f} s ({q['parent'][0]:.3f}/{q['parent'][2]:.3f}) "
-            f"change {q['change'][1]:.3f} s ({q['change'][0]:.3f}/{q['change'][2]:.3f}) "
-            f"change wins {wins}/{args.pairs}"
-        )
+                    took[side][name] = {"value": run_once(checkouts[side], command, tmp)}
+            if i:
+                rounds.append({side: {"result": {"metrics": took[side]}} for side in SIDES})
+    summary = summarize(rounds, [{"name": name, "better": "lower", "bound": BOUND} for name in COMMANDS])
+    for name, s in summary.items():
+        print(describe(name, s))
     if args.json:
+        seconds = {name: {s: [r[s]["result"]["metrics"][name]["value"] for r in rounds] for s in SIDES}
+                   for name in COMMANDS}
         with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump({"commits": commits, "commands": COMMANDS, "seconds": times}, fh, indent=2)
+            json.dump({"commits": commits, "commands": COMMANDS, "summary": summary, "seconds": seconds}, fh, indent=2)
             fh.write("\n")
     return 0
 
