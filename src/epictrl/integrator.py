@@ -10,15 +10,17 @@ Both passes run scalar code: numpy's per-call cost on vectors of n + 6
 elements would otherwise dominate.  ``model`` generates each pass whole for
 the dose count: a ``march`` whose loop holds the value in local names and
 inlines the RK4 stages, called once per run of steps between impulse nodes,
-which ``native`` compiles to C, where ``cc`` is found, once a process has
-marched enough steps to pay for the compile.  The state march steps every
-compartment in every pass.  The costate march steps with -h, forms each
-node's point-only terms once and does no arithmetic on the costates that
-stay zero, not even in the other rows.  Every floating-point
-operation keeps the order of the numpy formulation, and the tests hold both
-passes, C or Python, bitwise equal to a numpy reference implementation.
-Each pass writes one array row per node and copies it to the other side of
-the jumps, patched at the impulse nodes.
+which ``native`` builds in C from the same generated lines, where ``cc`` is
+found, once a process has marched enough steps to pay for the compile.  The
+state march steps every compartment in every pass and stops at the first
+node where one is below zero, which the forward pass clamps before it resumes
+the march there.  The costate march steps with -h, forms each node's
+point-only terms once and does no arithmetic on the costates that stay zero,
+not even in the other rows.  Every floating-point operation keeps the order
+of the numpy formulation, and the tests hold both passes, C or Python,
+bitwise equal to a numpy reference implementation.  Each pass writes one
+array row per node and copies it to the other side of the jumps, patched at
+the impulse nodes.
 """
 
 from __future__ import annotations
@@ -200,7 +202,8 @@ def integrate_forward(
     population; anything larger raises StabilityError (the step is too coarse).
 
     The step loop, C or Python (``model._kernels``), is bitwise equal to the same
-    RK4 with numpy vectors, over every compartment.
+    RK4 with numpy vectors, over every compartment; it stops at each node to
+    clamp, which this pass clamps and writes before it resumes the loop there.
     """
     if initial.n != params.n:
         raise ValueError(f"state has {initial.n} dose compartments, params expect {params.n}")
@@ -220,20 +223,17 @@ def integrate_forward(
     jumped = {}
     y = y0.tolist()
     clamped: list[float] = []
-
-    def clamp(y, node):  # a step left some compartment below zero
-        lowest = min(y)
-        if lowest < -tol:
-            raise _too_coarse(lowest, times[node])
-        if lowest < 0.0:
-            clamped.append(lowest)
-            y = [0.0 if x < 0.0 else x for x in y]  # keeps -0.0, like np.maximum
-        return y
-
     march = _kernels(params, march=True, steps=steps)
     cuts = [0, *sorted(imap), steps]
     for i0, i1 in zip(cuts, cuts[1:]):
-        y = march(y, (v_n[i0], u_n[i0]), h, i0, i1, pre, v_n, u_n, v_m, u_m, clamp)
+        node, y = march(y, (v_n[i0], u_n[i0]), h, i0, i1, pre, v_n, u_n, v_m, u_m)
+        while node:  # a step left some compartment below zero there
+            lowest = min(y)
+            if lowest < -tol:
+                raise _too_coarse(lowest, times[node])
+            clamped.append(lowest)
+            pre[node] = y = [0.0 if x < 0.0 else x for x in y]  # keeps -0.0, like np.maximum
+            node, y = march(y, (v_n[node], u_n[node]), h, node, i1, pre, v_n, u_n, v_m, u_m)
         lam = imap.get(i1)
         if lam is not None:
             y = jumped[i1] = _apply_impulse(y, lam)
@@ -292,7 +292,7 @@ def integrate_adjoint_backward(
     for i0, i1 in reversed(list(zip(cuts, cuts[1:]))):
         # the states either side of node i1 differ if it is an impulse node
         right = (*traj.states_pre[i1, :4].tolist(), v_n[i1], u_n[i1])
-        pq = march(pq, right, -grid.h, i0, i1, post, v_n, u_n, v_m, u_m, *columns)
+        _, pq = march(pq, right, -grid.h, i0, i1, post, v_n, u_n, v_m, u_m, *columns)
         lam = imap.get(i0)
         if lam is not None:
             pq = jumped[i0] = _apply_impulse(pq, lam)

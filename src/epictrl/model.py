@@ -382,11 +382,7 @@ def _costate_rows(n: int, to_exposed: bool, pq, pt, out) -> list[str]:
     rows += [f"{bq} * dp + {u} * ({p4} - {p5}) + f * ({p4} - alpha * {p5}) - af1 * {p6} - w4"]
     rows += ["0.0", "0.0", f"d0 * ({q[0]} - {p2}) + {gv}1 * ({q[0]} - {q[1]})"]
     for j in range(1, n - 1):
-        rows.append(f"-d{j} * {p2} + ({gv}{j + 1} + d{j}) * {q[j]}")
-        if to_exposed:
-            # the last costate is nonzero once its breakthrough flow exists, so the
-            # chain coupling it normally kills must be kept
-            rows[-1] += f" - {gv}{j + 1} * {q[j + 1]}"
+        rows.append(f"-d{j} * {p2} + ({gv}{j + 1} + d{j}) * {q[j]} - {gv}{j + 1} * {q[j + 1]}")
     rows.append(f"d{n - 1} * ({q[n - 1]} - {p2})" if to_exposed else "0.0")
     # a costate named 0.0 holds +0.0, so its terms go: x - c*(+0.0) = x for finite c >= 0
     rows = [re.sub(r" - (\w+ \* )?0\.0\b", "", row) for row in rows]
@@ -447,14 +443,16 @@ def _kernel_lines(head, rows, cols, dim: int) -> list[str]:
     return _block("def bind(pr, omega):", [*lines, "return field, step"])
 
 
-def _march_lines(head, rows, cols, dim: int) -> list[str]:
-    """Source lines of ``march(pr, omega, y, a, h, i0, i1, out, vn, un, vm, um, *last)``, which
-    runs ``head`` and steps ``rows`` from the value ``y`` at the point ``a`` (as in ``bind``)
-    to each node between i0 and i1, writing the value there to that row of ``out``; ``vn``,
-    ``un`` and ``vm``, ``um`` sample the controls at the nodes and midpoints.  The states step
-    forward and pass the marched rows through ``clamp(rows, node)`` where one is below zero,
-    ``last`` = (clamp,); the costates step back with a negative h over ``last``, node columns
-    of ``cols``.  Every row but a literal 0.0 is marched (``_rk4_lines``)."""
+def _march_lines(head, rows, cols, dim: int) -> tuple[list[str], list[str], list[str], list[int]]:
+    """Source lines of ``march(pr, omega, y, a, h, i0, i1, out, vn, un, vm, um, *cols)``, which
+    steps ``rows`` from the value ``y`` at the point ``a`` (as in ``bind``) to each node between
+    i0 and i1, writing the value there to that row of ``out``; ``vn``, ``un`` and ``vm``, ``um``
+    sample the controls at the nodes and midpoints.  The costates step back with a negative h over
+    ``cols``' node columns.  Every row but a literal 0.0 is marched (``_rk4_lines``).  It returns
+    (0, the last value) or, at the first node where a state row is below zero, (that node, its
+    value) with that row unwritten.  Then the parts the C loop shares (``native._translate``): the
+    prologue, which runs ``head`` and binds what the loop starts from, the loop's ``name = expr``
+    lines, and the rows tested for a stop."""
     ys, j = ", ".join(f"y{c}" for c in range(dim)), "i" if cols else "j"
     terms = functools.partial(_point_lines, rows, dim)
     rk4, live = _rk4_lines(rows, dim, every=True)
@@ -462,21 +460,22 @@ def _march_lines(head, rows, cols, dim: int) -> list[str]:
     body += [*terms("a2_"), *(f"a1_{r} = 0.5 * (a2_{r} + a0_{r})" for r in cols)]
     body += ["a1_v = vm[i]", "a1_u = um[i]", *terms("a1_"), *rk4]
     carry = [f"{a} = a2_{a[3:]}" for a in sorted(set(re.findall(r"\ba0_\w+", " ".join(body))))]
-    if not cols:
-        marched = ", ".join(f"y{c}" for c in live)
-        body.append(f"if {' or '.join(f'y{c} < 0.0' for c in live)}:")
-        body.append(f"    {marched}, = clamp([{marched}], j)")
-    loop = "for i in range(i1 - 1, i0 - 1, -1):" if cols else "for i in range(i0, i1):"
-    step = [*([] if cols else ["j = i + 1"]), *carry, *body, f"put(out, {8 * dim} * {j}, {ys})"]
-    lines = [*head, f"put = Struct('{dim}d').pack_into", f"{ys}, = y"]
-    lines += [f"{', '.join(f'a2_{r}' for r in (*cols, 'v', 'u'))}, = a", *terms("a2_")]
-    lines += ["half = 0.5 * h", "sixth = h / 6.0", *_block(loop, step), f"return [{ys}]"]
-    last = ", ".join(cols) if cols else "clamp"
-    return _block(f"def march(pr, omega, y, a, h, i0, i1, out, vn, un, vm, um, {last}):", lines)
+    loop = [*([] if cols else ["j = i + 1"]), *carry, *body]
+    prologue = [*head, f"{ys}, = y", f"{', '.join(f'a2_{r}' for r in (*cols, 'v', 'u'))}, = a"]
+    prologue += [*terms("a2_"), "half = 0.5 * h", "sixth = h / 6.0"]
+    marched = [] if cols else live
+    stop = _block(f"if {' or '.join(f'y{c} < 0.0' for c in marched)}:", [f"return j, [{ys}]"])
+    header = "for i in range(i1 - 1, i0 - 1, -1):" if cols else "for i in range(i0, i1):"
+    step = [*loop, *(stop if marched else []), f"put(out, {8 * dim} * {j}, {ys})"]
+    lines = [*prologue, f"put = Struct('{dim}d').pack_into", *_block(header, step), f"return 0, [{ys}]"]
+    last = "".join(f", {r}" for r in cols)
+    march = _block(f"def march(pr, omega, y, a, h, i0, i1, out, vn, un, vm, um{last}):", lines)
+    return march, prologue, loop, marched
 
 
-def _source(n: int, to_exposed: bool, costate: bool, march: bool) -> list[str]:
-    """For n doses, the lines of ``_kernel_lines``'s ``bind`` or, with ``march``, ``_march_lines``'s."""
+def _source(n: int, to_exposed: bool, costate: bool, march: bool):
+    """For n doses, the lines of ``_kernel_lines``'s ``bind`` or, with ``march``, what
+    ``_march_lines`` returns."""
     rows = functools.partial(_costate_rows if costate else _state_rows, n, to_exposed)
     names = {key: ", ".join(f"{key}{j}" for j in range(n)) for key in ("g", "d")}
     head = _RATES.format(**names).splitlines() + (["w1, w2, w3, w4 = omega"] if costate else [])
@@ -487,7 +486,8 @@ def _source(n: int, to_exposed: bool, costate: bool, march: bool) -> list[str]:
 @functools.cache
 def _binder(n: int, to_exposed: bool, costate: bool, march: bool):
     """``_source``'s function, compiled once."""
-    source = "\n".join(_source(n, to_exposed, costate, march))
+    lines = _source(n, to_exposed, costate, march)
+    source = "\n".join(lines[0] if march else lines)
     namespace: dict = {"Struct": struct.Struct}
     exec(compile(source, f"<epictrl {n} {to_exposed} {costate} {march}>", "exec"), namespace)
     return namespace["march" if march else "bind"]

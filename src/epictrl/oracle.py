@@ -17,7 +17,7 @@ from __future__ import annotations
 import contextlib
 import itertools
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -270,15 +270,7 @@ def _bump(controls: ControlSignal, cell_index: int, eps: float, which: str) -> t
     minus = base.copy()
     plus[cell_index] += eps
     minus[cell_index] -= eps
-    if which == "u":
-        return (
-            ControlSignal(controls.grid, controls.v, plus, controls.v_max),
-            ControlSignal(controls.grid, controls.v, minus, controls.v_max),
-        )
-    return (
-        ControlSignal(controls.grid, plus, controls.u, controls.v_max),
-        ControlSignal(controls.grid, minus, controls.u, controls.v_max),
-    )
+    return replace(controls, **{which: plus}), replace(controls, **{which: minus})
 
 
 def finite_difference_gradient(

@@ -209,7 +209,7 @@ class TestAdjointRhs:
             out = ec.adjoint_rhs(adj, state, u, v, params, w)
             expected = -params.delta[1] * adj.p[1] + (
                 params.gamma[2] * v + params.delta[1]
-            ) * adj.q[1]
+            ) * adj.q[1] - params.gamma[2] * v * adj.q[2]
             assert out[7] == pytest.approx(expected, abs=1e-12 * max(1.0, abs(expected)))
             assert out[8] == 0.0
 
@@ -472,6 +472,26 @@ class TestFbsmSolve:
                 )
                 ad = ec.adjoint_gradient(initial, params, w, controls, grid, cell, which)
                 assert fd == pytest.approx(ad, rel=1e-3)
+
+    @pytest.mark.parametrize("to_exposed", [False, True])
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_gradient_identity_on_long_dose_chains(self, covid19, n, to_exposed):
+        # the flow V_j -> V_j+1 couples each dose costate to the next with or without the
+        # last-dose breakthrough; from four doses on, an interior costate sees a nonzero next one
+        params, _ = covid19
+        chain = {"gamma": (1.0,) * n, "delta": (0.02,) * (n - 1) + (0.0,)}
+        params = ec.ModelParams(**{**params.__dict__, **chain, "delta_n_to_exposed": to_exposed})
+        initial = ec.StateVector(8000, 1000, 500, 500, 0, 0, (300.0,) * n)
+        w = ec.CostWeights(sigma=(50.0,) * n)
+        grid = ec.TimeGrid(10.0, 0.01)
+        controls = ec.ControlSignal.constant(grid.times, 0.5 * params.v_max, 0.5, params.v_max)
+        for which in ("u", "v"):
+            for cell in (50, 250, 450, 650, 850):
+                fd = ec.finite_difference_gradient(
+                    initial, params, w, controls, grid, cell, 1e-3, which
+                )
+                ad = ec.adjoint_gradient(initial, params, w, controls, grid, cell, which)
+                assert fd == pytest.approx(ad, rel=1e-3)  # C03's bound
 
     def test_four_dose_chain_solves(self):
         params = ec.ModelParams(

@@ -355,9 +355,7 @@ def _ref_adjoint_deriv(pq, y, v, u, pr: ModelParams, weights: CostWeights):
     out[5] = 0.0
     out[6] = d[0] * (qd[0] - p2) + g[1] * v * (qd[0] - qd[1])
     for j in range(1, n - 1):
-        out[6 + j] = -d[j] * p2 + (g[j + 1] * v + d[j]) * qd[j]
-        if pr.delta_n_to_exposed:
-            out[6 + j] -= g[j + 1] * v * qd[j + 1]
+        out[6 + j] = -d[j] * p2 + (g[j + 1] * v + d[j]) * qd[j] - g[j + 1] * v * qd[j + 1]
     out[6 + n - 1] = d[n - 1] * (qd[n - 1] - p2) if pr.delta_n_to_exposed else 0.0
     return out
 
@@ -679,16 +677,20 @@ class TestNativeMarch:
     def test_built_for_every_dose_count(self, n, to_exposed):
         assert set(native._library(n, to_exposed)) == {False, True}  # the state and costate marches
 
-    @needs_cc
-    def test_clamped_rows_equal_python_march(self, covid19, monkeypatch, caplog):
-        # test_positivity_clamp_matches's scenario at a coarser step, which clamps twice: at
-        # each clamp the C loop returns the node to Python, which clamps and writes that
-        # row, then resumes the loop there
+    @pytest.fixture
+    def clamping(self, covid19):
+        """test_positivity_clamp_matches's scenario at a coarser step, which clamps twice."""
         params, _ = covid19
         fast = ec.ModelParams(**{**params.__dict__, "beta": 0.02})
         initial = ec.StateVector(50.0, 100.0, 100.0, 400.0, 1e12, 0.0, (0.0, 0.0))
         grid = ec.TimeGrid(10.0, 0.7)
-        controls = zero_controls(grid, fast)
+        return fast, initial, grid, zero_controls(grid, fast)
+
+    @needs_cc
+    def test_clamped_rows_equal_python_march(self, clamping, monkeypatch, caplog):
+        # at each clamp the march returns the node to integrate_forward, which clamps and
+        # writes that row, then resumes the march there
+        fast, initial, grid, controls = clamping
         assert _runs_c(_kernels(fast, march=True))
         with caplog.at_level(logging.DEBUG, logger="epictrl"):
             ours, theirs = _march_both(
@@ -698,6 +700,22 @@ class TestNativeMarch:
         assert _bitwise_equal(ours.states_post, theirs.states_post)
         clamps = [r.args for r in caplog.records if "clamped" in r.getMessage()]
         assert len(clamps) == 2 and clamps[0] == clamps[1] and clamps[0][0] >= 2
+
+    @needs_cc
+    def test_both_marches_stop_at_the_first_negative_row(self, clamping, monkeypatch):
+        fast, initial, grid, controls = clamping
+        nodes = [memoryview(x) for x in _sampled_controls(controls, grid)]
+
+        def run():
+            march, out = _kernels(fast, march=True), np.full((grid.n_steps + 1, 8), np.nan)
+            y0, a0 = initial.as_array().tolist(), (nodes[0][0], nodes[1][0])
+            return _runs_c(march), *march(y0, a0, grid.h, 0, grid.n_steps, out, *nodes), out
+
+        (c, node, y, out), (python, *theirs) = _march_both(monkeypatch, run)
+        assert c and not python
+        assert node == theirs[0] and 0 < node < grid.n_steps and min(y) < 0.0
+        assert _bitwise_equal(y, theirs[1]) and out.tobytes() == theirs[2].tobytes()
+        assert np.isnan(out[node:]).all()
 
     @needs_cc
     def test_too_coarse_step_raises_like_python_march(self, covid19, monkeypatch):
@@ -723,18 +741,18 @@ class TestNativeMarch:
         assert _runs_c(march)
         y, nodes = initial.as_array().tolist(), memoryview(np.zeros(11))
         with pytest.raises(IndexError):
-            march(y, (0.0, 0.0), 0.1, 0, 10, np.empty((5, 8)), nodes, nodes, nodes, nodes, None)
+            march(y, (0.0, 0.0), 0.1, 0, 10, np.empty((5, 8)), nodes, nodes, nodes, nodes)
 
     @pytest.mark.parametrize(
         "line",
         ["x0 = y0 / 6.0", "x0 = abs(y0)", "x0 = y0 ** 2", "x0, x1 = y0, y1", "if y0 < 0.0:", "pass"],
     )
     def test_translation_rejects_a_foreign_line(self, line):
-        lines = model._source(2, False, False, True)
-        at = lines.index("        x0 = y0 + half * s0")
-        native._translate("march", lines, 8)  # the generated lines translate
+        _, prologue, loop, marched = model._source(2, False, False, True)
+        at = loop.index("x0 = y0 + half * s0")
+        native._translate("march", False, 8, prologue, loop, marched)  # the generated lines translate
         with pytest.raises(ValueError, match="no C translation"):
-            native._translate("march", [*lines[:at], f"        {line}", *lines[at:]], 8)
+            native._translate("march", False, 8, prologue, [*loop[:at], line, *loop[at:]], marched)
 
     @pytest.mark.parametrize("fault", ["no compiler", "compile error", None])
     def test_logs_once_which_march_runs(self, fault, covid19, monkeypatch, caplog, tmp_path):
@@ -810,7 +828,7 @@ def _only_carried(source: str, name: str) -> bool:
     """``name`` is only unpacked from y, written to a node row and returned: no arithmetic
     reads it and nothing but the unpacking assigns it."""
     return all(
-        line.endswith(", = y") or line.startswith(("put(out", "return ["))
+        line.endswith(", = y") or line.startswith(("put(out", "return 0, [", "return j, ["))
         for line in _naming(source, name)
     )
 
@@ -824,8 +842,8 @@ class TestGeneratedRows:
     def test_marches_leave_out_rows_nothing_reads(self, n, to_exposed):
         state = functools.partial(model._state_rows, n, to_exposed)
         costate = functools.partial(model._costate_rows, n, to_exposed)
-        costate_march = "\n".join(model._march_lines([], costate, "SEAI", n + 6))
-        full_march = "\n".join(model._march_lines([], state, "", n + 6))
+        costate_march = "\n".join(model._march_lines([], costate, "SEAI", n + 6)[0])
+        full_march = "\n".join(model._march_lines([], state, "", n + 6)[0])
         step = "\n".join(model._kernel_lines([], state, "", n + 6)).split("def step")[1]
         # no other row, the cost or the control update reads R, D or V_n, and their
         # costates stay +0.0, unless V_n leaks into E

@@ -17,8 +17,9 @@ caches.  This is what one command at a shell costs, import and any one-time
 work included, which the per-operation medians of ``benchmarks/bench.py``
 leave out.  Prints, per command, the fields ``tools/bench_pairs.py`` gives an
 end-to-end metric (each side's quartiles, the pairs each side won, the
-parent's interquartile range and the verdict at a bound of ``BOUND``);
-``--json PATH`` also writes them and every time.
+parent's interquartile range and the verdict at a bound of ``BOUND``), and
+the quartiles of each round's ratio change/parent, whose two sides ran back
+to back; ``--json PATH`` also writes them and every time.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import sys
 import tempfile
 import time
 
-from bench_pairs import ROOT, SIDES, describe, git, summarize
+from bench_pairs import ROOT, SIDES, describe, git, quartiles, summarize
 
 COMMANDS = {
     "simulate": ["simulate", "--config", "configs/covid19.json"],
@@ -78,11 +79,14 @@ def main(argv: list[str] | None = None) -> int:
             if i:
                 rounds.append({side: {"result": {"metrics": took[side]}} for side in SIDES})
     summary = summarize(rounds, [{"name": name, "better": "lower", "bound": BOUND} for name in COMMANDS])
+    seconds = {name: {s: [r[s]["result"]["metrics"][name]["value"] for r in rounds] for s in SIDES}
+               for name in COMMANDS}
     for name, s in summary.items():
+        ratio = s["ratio"] = quartiles([c / p for p, c in zip(*(seconds[name][side] for side in SIDES))])
         print(describe(name, s))
+        print(f"{name}: change/parent per round {ratio['median']:.4g} ({ratio['q1']:.4g}/{ratio['q3']:.4g}) "
+              f"IQR {ratio['q3'] - ratio['q1']:.3g}")
     if args.json:
-        seconds = {name: {s: [r[s]["result"]["metrics"][name]["value"] for r in rounds] for s in SIDES}
-                   for name in COMMANDS}
         with open(args.json, "w", encoding="utf-8") as fh:
             json.dump({"commits": commits, "commands": COMMANDS, "summary": summary, "seconds": seconds}, fh, indent=2)
             fh.write("\n")
