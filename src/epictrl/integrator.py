@@ -202,8 +202,8 @@ def integrate_forward(
     population; anything larger raises StabilityError (the step is too coarse).
 
     The step loop, C or Python (``model._kernels``), is bitwise equal to the same
-    RK4 with numpy vectors, over every compartment; it stops at each node to
-    clamp, which this pass clamps and writes before it resumes the loop there.
+    RK4 with numpy vectors, over every compartment; it stops at each node with a
+    compartment below zero, which this pass clamps, writes and resumes from.
     """
     if initial.n != params.n:
         raise ValueError(f"state has {initial.n} dose compartments, params expect {params.n}")
