@@ -2,8 +2,8 @@
 
 Every command reads a JSON run configuration (or a named disease preset for
 ``compare``), runs deterministically, and writes CSV time series plus a JSON
-summary.  Numbers are serialized with 12 significant digits and no
-timestamps, so identical inputs produce byte-identical outputs.
+summary.  Numbers are serialized as "%.12g" with no timestamps, so identical
+inputs produce byte-identical outputs, which C writes once the marches are compiled.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .errors import EpictrlError, UnknownPresetError
 from .integrator import integrate_forward
 from .model import A, D, E, I, R, S, ControlSignal
 from .scenarios import PRESET_NAMES, RunConfig, default_config, load_config
-from . import model
+from . import model, native
 
 log = logging.getLogger("epictrl")
 
@@ -66,15 +66,23 @@ def _csv_lines(*columns):
     return (template % tuple(row.tolist()) for row in table)
 
 
+def _csv(fmt, *columns, read_back: bool = False) -> tuple[bytes, np.ndarray | None]:
+    """``_csv_lines`` as text and, with ``read_back``, the table it reads back as; by ``fmt`` if given."""
+    if fmt:
+        return fmt(np.column_stack(columns))
+    lines = list(_csv_lines(*columns))
+    back = np.loadtxt(lines, delimiter=",", ndmin=2) if read_back else None
+    return "".join(line + "\r\n" for line in lines).encode(), back
+
+
 def summarize(
-    lines: list[str],
+    table: np.ndarray,
     cost: float,
     iterations: int | None = None,
     converged: bool | None = None,
     transversality_residual: float | None = None,
 ) -> RunSummary:
-    """Summary computed from the trajectory CSV lines, matching the CSV exactly."""
-    table = np.loadtxt(lines, delimiter=",", ndmin=2)
+    """Summary computed from the values the trajectory CSV reads back as, matching it exactly."""
     t = table[:, 0]
     y = table[:, 1:-2]
     living = y.sum(axis=1) - y[:, D]
@@ -97,28 +105,31 @@ def summarize(
     )
 
 
-def _write_lines(path: str, header: list[str], lines) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh).writerow(header)
-        # numbers need no quoting, and "\r\n" is the csv module's row terminator
-        fh.writelines(line + "\r\n" for line in lines)
+def _write_lines(path: str, header: list[str], body: bytes) -> None:
+    with open(path, "wb") as fh:
+        # names and numbers need no quoting, and "\r\n" is the csv module's row terminator
+        fh.writelines((",".join(header).encode() + b"\r\n", body))
 
 
-def _write_trajectory(path: str, lines: list[str]) -> None:
-    n = lines[0].count(",") - 8  # t, six pools, n doses, u, v
+def _write_trajectory(path: str, traj, controls: ControlSignal, fmt) -> tuple[bytes, np.ndarray]:
+    """Write ``traj`` under ``controls`` by ``_csv``; returns the rows and the table they read back as."""
+    v_rows, u_rows = controls.at(traj.times)
+    body, back = _csv(fmt, traj.times, traj.states, u_rows, v_rows, read_back=True)
+    n = back.shape[1] - 9  # t, six pools, n doses, u, v
     header = ["t", "S", "E", "A", "I", "R", "D"] + [f"V{i + 1}" for i in range(n)] + ["u", "v"]
-    _write_lines(path, header, lines)
+    _write_lines(path, header, body)
+    return body, back
 
 
-def _write_controls(path: str, controls: ControlSignal) -> None:
-    _write_lines(path, ["t", "u", "v"], _csv_lines(controls.grid, controls.u, controls.v))
+def _write_controls(path: str, controls: ControlSignal, fmt) -> None:
+    _write_lines(path, ["t", "u", "v"], _csv(fmt, controls.grid, controls.u, controls.v)[0])
 
 
-def _write_adjoints(path: str, adjoint_traj) -> None:
+def _write_adjoints(path: str, adjoint_traj, fmt) -> None:
     values = adjoint_traj.values
     n = values.shape[1] - 6
     header = ["t"] + [f"p{i + 1}" for i in range(6)] + [f"q{i + 1}" for i in range(n)]
-    _write_lines(path, header, _csv_lines(adjoint_traj.times, values))
+    _write_lines(path, header, _csv(fmt, adjoint_traj.times, values)[0])
 
 
 def _write_summary(path: str, summary: RunSummary) -> None:
@@ -162,33 +173,34 @@ def cmd_simulate(config: RunConfig, mode: str, controls_file: str | None, out_di
         config.initial, controls, config.params, config.grid, config.schedule
     )
     cost = total_cost(traj, controls, config.weights, config.params)
-    times = traj.times
-    v_rows, u_rows = controls.at(times)
-    lines = list(_csv_lines(times, traj.states, u_rows, v_rows))
     os.makedirs(out_dir, exist_ok=True)
-    _write_trajectory(os.path.join(out_dir, "trajectory.csv"), lines)
-    _write_summary(os.path.join(out_dir, "summary.json"), summarize(lines, cost))
+    _, table = _write_trajectory(os.path.join(out_dir, "trajectory.csv"), traj, controls, _formatter(config))
+    _write_summary(os.path.join(out_dir, "summary.json"), summarize(table, cost))
     return 0
 
 
-def _write_solution(out_dir: str, config: RunConfig, solution: OptimalSolution) -> list[str]:
-    """Write every output of a solved run; returns the trajectory CSV lines."""
-    times = solution.state_traj.times
-    v_rows, u_rows = solution.controls.at(times)
-    lines = list(_csv_lines(times, solution.state_traj.states, u_rows, v_rows))
+def _formatter(config: RunConfig):
+    """``native._format`` where this process has compiled the marches of ``config``, else None."""
+    library = native._marches(config.params.n, config.params.delta_n_to_exposed, 0)
+    return library and library["format"]
+
+
+def _write_solution(out_dir: str, config: RunConfig, solution: OptimalSolution) -> bytes:
+    """Write every output of a solved run; returns the trajectory CSV rows."""
+    fmt, path = _formatter(config), os.path.join(out_dir, "trajectory.csv")
     os.makedirs(out_dir, exist_ok=True)
-    _write_trajectory(os.path.join(out_dir, "trajectory.csv"), lines)
-    _write_controls(os.path.join(out_dir, "controls.csv"), solution.controls)
-    _write_adjoints(os.path.join(out_dir, "adjoints.csv"), solution.adjoint_traj)
+    body, back = _write_trajectory(path, solution.state_traj, solution.controls, fmt)
+    _write_controls(os.path.join(out_dir, "controls.csv"), solution.controls, fmt)
+    _write_adjoints(os.path.join(out_dir, "adjoints.csv"), solution.adjoint_traj, fmt)
     summary = summarize(
-        lines,
+        back,
         solution.cost,
         iterations=solution.iterations,
         converged=solution.converged,
         transversality_residual=solution.transversality_residual,
     )
     _write_summary(os.path.join(out_dir, "summary.json"), summary)
-    return lines
+    return body
 
 
 def cmd_optimize(config: RunConfig, free_tau: tuple[float, float] | None, out_dir: str) -> int:
@@ -227,14 +239,14 @@ def cmd_compare(diseases: list[str], impulsive: bool, out_dir: str) -> int:
             config.initial, config.params, config.weights, config.grid, config.schedule, config.solver
         )
         sub = os.path.join(out_dir, disease)
-        lines = _write_solution(sub, config, solution)
+        body = _write_solution(sub, config, solution)
         if not solution.converged:
             worst = 2
-        n = max(n, lines[0].count(",") - 8)
-        merged.extend(f"{disease},{line}" for line in lines)
+        n = max(n, config.params.n)
+        merged.extend(b"%s,%s\r\n" % (disease.encode(), line) for line in body.splitlines())
     header = ["disease", "t", "S", "E", "A", "I", "R", "D"] + [f"V{i + 1}" for i in range(n)] + ["u", "v"]
     os.makedirs(out_dir, exist_ok=True)
-    _write_lines(os.path.join(out_dir, "comparison.csv"), header, merged)
+    _write_lines(os.path.join(out_dir, "comparison.csv"), header, b"".join(merged))
     return worst
 
 

@@ -1,11 +1,13 @@
 """The sweep's marches as C loops built from the generated parts of the Python marches
 (``model._march_lines``), bitwise equal to them under ``_FLAGS`` and ``_HEADER``, once a process
-has marched enough steps to pay for it."""
+has marched enough steps to pay for it, and in the same library a "%.12g" CSV writer (_format)."""
 
 import functools
 import logging
 import re
 import time
+
+import numpy as np
 
 log = logging.getLogger("epictrl")
 
@@ -17,8 +19,43 @@ _LOOPS = {False: ("for (i = i0; i < i1; i++) {", "j"), True: ("for (i = i1 - 1; 
 # names, numbers, subscripts, +, - and *; no division (C's truncates integers), power or call
 _TOKEN = r"\d+\.\d+\b|\d+\b|[A-Za-z_]\w*\b(?!\s*\()|\[\w+\]|[-+*() ]"
 _ASSIGN = rf"([A-Za-z_]\w*) = (?!.*\*\*)(?:{_TOKEN})+"
-_PAYBACK = 40_000  # Python march steps that take as long as a compile: 29,000-55,000 at n = 2..5
+_PAYBACK = 50_000  # Python march steps that take as long as a compile: 37,000-73,000 at n = 2..5
 _STEPS: dict = {}  # (n, delta_n_to_exposed) -> steps this process has marched or is about to
+_FORMAT = "static const double P10[] = {%s};" % ", ".join(f"1e{k}" for k in range(23)) + r"""
+static double scaled(double a, int p) { return p < 0 ? a / P10[-p] : a * P10[p]; }
+long format12(const double *x, long i, long size, long cols, char *out, long long *at, double *back) {
+    char *o = out + *at, d[12];
+    for (; i < size; i++) {
+        union { double f; unsigned long long b; } u = {x[i]};
+        double a = x[i] < 0.0 ? -x[i] : x[i], m, f;
+        int e = ((int)(u.b >> 52 & 0x7ff) - 1023) * 78913 >> 18, j, nd = 12, p;  /* floor(log10 a) or 1 less */
+        long long q = 0;
+        if (a != 0.0) {  /* nan, inf and subnormals have e out of range */
+            if (e < -11 || e > 32) break;
+            if ((m = scaled(a, 11 - e)) >= 1e12) m = scaled(a, 11 - ++e);
+            if (!(m >= 1e11 && m < 1e12) || e > 32) break;
+            q = (long long)m;
+            if ((f = m - (double)q) > 0.5 - 1.0 / 4096 && f < 0.5 + 1.0 / 4096) break;  /* near a tie */
+            if (f > 0.5 && ++q == 1000000000000LL) q /= 10, e++;
+        } else e = 0;
+        back[i] = u.b >> 63 ? -scaled((double)q, e - 11) : scaled((double)q, e - 11);
+        for (j = 11; j >= 0; j--, q /= 10) d[j] = (char)('0' + q % 10);
+        while (nd > 1 && d[nd - 1] == '0') nd--;
+        if (u.b >> 63) *o++ = '-';
+        p = e < -4 || e > 11 ? 0 : e;  /* the digit before the point; d[j < 0] are leading zeros */
+        for (j = p < 0 ? p : 0; j < nd || j <= p; j++) {
+            if (j == p + 1) *o++ = '.';
+            *o++ = j < 0 ? '0' : d[j];
+        }
+        if (e < -4 || e > 11)
+            *o++ = 'e', *o++ = e < 0 ? '-' : '+', e = e < 0 ? -e : e,
+            *o++ = (char)('0' + e / 10), *o++ = (char)('0' + e % 10);
+        if ((i + 1) % cols) *o++ = ','; else *o++ = '\r', *o++ = '\n';
+    }
+    *at = o - out;
+    return i;
+}
+"""
 
 
 def _translate(name: str, backward: bool, dim: int, prologue: list[str], loop: list[str], marched):
@@ -62,6 +99,25 @@ def _run(fn, enter, size, pr, omega, y, a, h, i0, i1, out, vn, un, vm, um, *cols
     return fn(inout, i0, i1, *args), inout[: len(y)]
 
 
+def _format(fn, table: np.ndarray) -> tuple[bytes, np.ndarray]:
+    """The rows of the 2-D ``table`` as CSV text of "%.12g" fields, and the values those read back
+    as, bitwise Python's ``%`` and ``float``: ``fn`` (C's ``format12``) scales |x| by an exact
+    10^(11-e) into [1e11, 1e12) with one rounding, to m within 2^-14 of the exact product, so m
+    rounded is ``%``'s correctly rounded significand q (Gay 1990) unless m is within 2^-12 of a
+    tie; q·10^(e-11), one rounding of exact operands, is ``float`` (Clinger, PLDI 1990).  At a
+    value near a tie, outside [1e-11, 1e33), nan or inf, ``fn`` returns; it resumes past it."""
+    x = np.ascontiguousarray(table, dtype=float)
+    cols, flat, back = x.shape[1], x.reshape(-1), np.empty_like(x)
+    out, at, i = np.empty(24 * x.size, np.uint8), np.zeros(1, np.int64), 0  # 21 bytes a field at most
+    args = (x.size, cols, out.ctypes.data, at.ctypes.data, back.ctypes.data)
+    while (i := fn(x.ctypes.data, i, *args)) < x.size:
+        back.flat[i] = float(field := b"%.12g" % flat[i])
+        field += b"," if (i + 1) % cols else b"\r\n"
+        out[at[0] : at[0] + len(field)] = np.frombuffer(field, np.uint8)
+        at[0], i = at[0] + len(field), i + 1
+    return out[: at[0]].tobytes(), back
+
+
 def _marches(n: int, to_exposed: bool, steps: int) -> dict | None:
     """``_library(n, to_exposed)`` once its marches, these ``steps`` included, reach ``_PAYBACK``."""
     _STEPS[n, to_exposed] = steps = _STEPS.get((n, to_exposed), 0) + steps
@@ -70,8 +126,8 @@ def _marches(n: int, to_exposed: bool, steps: int) -> dict | None:
 
 @functools.cache
 def _library(n: int, to_exposed: bool) -> dict | None:
-    """The C marches of n doses by costate flag, from one shared object compiled in a temporary
-    directory, or None where that fails; logs which marches run, with the time or the reason."""
+    """The C marches of n doses by costate flag and, as "format", ``_format`` on its C, from one
+    shared object compiled in a temporary directory, or None where that fails; logs which."""
     import ctypes
     import subprocess
     import tempfile
@@ -84,7 +140,7 @@ def _library(n: int, to_exposed: bool) -> dict | None:
     try:
         with tempfile.TemporaryDirectory() as tmp:
             cmd = ["cc", *_FLAGS, "-x", "c", "-", "-o", f"{tmp}/march.so"]
-            source = "\n".join([_HEADER, *(c for c, *_ in marches)])
+            source = "\n".join([_HEADER, *(c for c, *_ in marches), _FORMAT])
             subprocess.run(cmd, input=source, text=True, check=True, capture_output=True, timeout=60)
             lib = ctypes.CDLL(cmd[-1])
     except (OSError, subprocess.SubprocessError) as exc:
@@ -94,5 +150,7 @@ def _library(n: int, to_exposed: bool) -> dict | None:
               _STEPS.get((n, to_exposed), 0), time.perf_counter() - started)
     double = ctypes.POINTER(ctypes.c_double)
     proto = ctypes.CFUNCTYPE(ctypes.c_long, double, ctypes.c_long, ctypes.c_long, *[double] * 9)
-    return {kind: functools.partial(_run, proto((f"march{k}", lib)), *rest)
-            for k, (kind, (_, *rest)) in enumerate(zip(_KINDS, marches))}
+    fmt = ctypes.CFUNCTYPE(ctypes.c_long, ctypes.c_void_p, *[ctypes.c_long] * 3, *[ctypes.c_void_p] * 3)
+    return {"format": functools.partial(_format, fmt(("format12", lib))),
+            **{kind: functools.partial(_run, proto((f"march{k}", lib)), *rest)
+               for k, (kind, (_, *rest)) in enumerate(zip(_KINDS, marches))}}

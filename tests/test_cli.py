@@ -40,6 +40,57 @@ def test_csv_row_template_formats_like_each_value():
     assert row == ",".join(format(x, ".12g") for x in values)
 
 
+@pytest.fixture()
+def format12():
+    """``format12`` of the compiled library, wrapped to count its calls."""
+    library = native._library(2, False)
+    if library is None:
+        pytest.skip("no C compiler")
+    fn, calls = library["format"].args[0], []
+    return lambda *args: calls.append(args[1]) or fn(*args), calls
+
+
+def python_csv(table):
+    fields = [["%.12g" % x for x in row] for row in table.tolist()]
+    back = np.array([[float(f) for f in row] for row in fields]).reshape(table.shape)
+    return "".join(",".join(row) + "\r\n" for row in fields).encode(), back
+
+
+def test_c_formatter_writes_python_bytes_and_reads_back_bitwise(format12):
+    # every exponent: raw bit patterns (subnormals, nan and inf among them), wide magnitudes,
+    # short decimals, ties and near-ties of the 12th digit, and both sides of each power of ten
+    rng = np.random.default_rng(20240817)
+    count = 10_000
+    powers = 10.0 ** np.arange(-13, 36)
+    values = np.concatenate([
+        rng.integers(0, 2**64, count, dtype=np.uint64).view(np.float64),
+        rng.integers(1, 2**52, count // 10, dtype=np.uint64).view(np.float64),  # subnormal
+        rng.standard_normal(3 * count) * 10.0 ** rng.uniform(-14, 36, 3 * count),
+        rng.integers(1, 10**12, count) / 10.0 ** rng.integers(0, 23, count),
+        (rng.integers(10**11, 10**12, count) + 0.5) * 10.0 ** rng.integers(-11, 12, count),
+        np.nextafter(powers, 0.0), powers, np.nextafter(powers, np.inf),
+        [0.0, -0.0, np.inf, -np.inf, np.nan, 1234567890.125, 999999999999.5, 99999999999.95, 1e22],
+    ])
+    table = np.concatenate([values, -values])[: values.size // 7 * 14].reshape(-1, 7)
+    fn, calls = format12
+    body, back = native._format(fn, table)
+    want_body, want_back = python_csv(table)
+    assert body == want_body
+    assert np.array_equal(back.view(np.uint64), want_back.view(np.uint64))
+    assert table.size > 10**5 and len(calls) < table.size // 2  # the C loop wrote most of them
+
+
+def test_c_formatter_resumes_within_a_row(format12):
+    # an exact tie and a nan stop the C loop twice in one row, which stays exact
+    table = np.array([[1.5, 1234567890.125, -2.5e-7, np.nan, 0.1, -0.0], [3.0, 4e30, 5e-9, 6.0, 7.0, 8.0]])
+    fn, calls = format12
+    body, back = native._format(fn, table)
+    want_body, want_back = python_csv(table)
+    assert calls == [0, 2, 4]
+    assert body == want_body
+    assert np.array_equal(back.view(np.uint64), want_back.view(np.uint64))
+
+
 def test_global_seed_option_is_rejected(capsys):
     # the solver is deterministic, and nothing read the former --seed
     for argv in (["--seed=1", "r0", "--config", "cfg.json"], ["r0", "--config", "cfg.json", "--seed", "1"]):
@@ -212,22 +263,31 @@ class TestOptimize:
         assert summary["iterations"] >= 1
 
     def test_native_and_python_marches_write_the_same_bytes(self, tmp_path, monkeypatch):
-        # C marches from the first step, from a step mid-sweep on, and never
+        # C marches and formatter from the first step, from a step mid-sweep on, and never
         _, cfg = small_config(tmp_path, tau=35.0, h=0.05, impulsive=True)
         assert (native._library(2, False) is None) == (shutil.which("cc") is None)
+        runs = {
+            "optimize": ["optimize", "--config", cfg],
+            "simulate": ["simulate", "--config", cfg, "--controls", "max"],
+            "compare": ["compare", "--impulsive"],
+        }
         monkeypatch.setattr(native, "_PAYBACK", 0)
-        assert cli.main(["optimize", "--config", cfg, "--out", str(tmp_path / "native")]) == 0
+        for name, argv in runs.items():
+            assert cli.main([*argv, "--out", str(tmp_path / "native" / name)]) == 0
         library, asked = native._library, []
         monkeypatch.setattr(native, "_PAYBACK", 5000)
         monkeypatch.setattr(native, "_STEPS", {})
         monkeypatch.setattr(native, "_library", lambda *kind: asked.append(native._STEPS[kind]) or library(*kind))
-        assert cli.main(["optimize", "--config", cfg, "--out", str(tmp_path / "switched")]) == 0
+        assert cli.main([*runs["optimize"], "--out", str(tmp_path / "switched" / "optimize")]) == 0
         assert 5000 <= asked[0] < 5700 < native._STEPS[2, False]  # 700 steps a pass
         monkeypatch.setattr(native, "_library", lambda n, to_exposed: None)
-        assert cli.main(["optimize", "--config", cfg, "--out", str(tmp_path / "python")]) == 0
-        for name in ("trajectory.csv", "controls.csv", "adjoints.csv", "summary.json"):
-            written = {(tmp_path / side / name).read_bytes() for side in ("native", "switched", "python")}
-            assert len(written) == 1
+        for name, argv in runs.items():
+            assert cli.main([*argv, "--out", str(tmp_path / "python" / name)]) == 0
+        files = sorted(p.relative_to(tmp_path / "python") for p in (tmp_path / "python").rglob("*.*"))
+        assert len(files) == 4 + 2 + 3 * 4 + 1
+        for name in files:
+            sides = ("native", "switched", "python") if name.parts[0] == "optimize" else ("native", "python")
+            assert len({(tmp_path / side / name).read_bytes() for side in sides}) == 1, name
 
     def test_nonconvergence_exits_two_but_writes(self, tmp_path):
         _, cfg = small_config(tmp_path, solver=ec.SweepOptions(max_iterations=1))

@@ -675,7 +675,8 @@ class TestNativeMarch:
     @pytest.mark.parametrize("to_exposed", [False, True])
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_built_for_every_dose_count(self, n, to_exposed):
-        assert set(native._library(n, to_exposed)) == {False, True}  # the state and costate marches
+        # the state and costate marches, and the CSV formatter
+        assert set(native._library(n, to_exposed)) == {False, True, "format"}
 
     @pytest.fixture
     def clamping(self, covid19):
