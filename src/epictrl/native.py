@@ -19,7 +19,7 @@ _LOOPS = {False: ("for (i = i0; i < i1; i++) {", "j"), True: ("for (i = i1 - 1; 
 # names, numbers, subscripts, +, - and *; no division (C's truncates integers), power or call
 _TOKEN = r"\d+\.\d+\b|\d+\b|[A-Za-z_]\w*\b(?!\s*\()|\[\w+\]|[-+*() ]"
 _ASSIGN = rf"([A-Za-z_]\w*) = (?!.*\*\*)(?:{_TOKEN})+"
-_PAYBACK = 50_000  # Python march steps that take as long as a compile: 37,000-73,000 at n = 2..5
+_PAYBACK = 40_000  # Python steps a compile costs, 37,000-73,000 at n = 2..5, less ~8,000 its CSV writer saves
 _STEPS: dict = {}  # (n, delta_n_to_exposed) -> steps this process has marched or is about to
 _FORMAT = "static const double P10[] = {%s};" % ", ".join(f"1e{k}" for k in range(23)) + r"""
 static double scaled(double a, int p) { return p < 0 ? a / P10[-p] : a * P10[p]; }
@@ -104,13 +104,12 @@ def _format(fn, table: np.ndarray) -> tuple[bytes, np.ndarray]:
     as, bitwise Python's ``%`` and ``float``: ``fn`` (C's ``format12``) scales |x| by an exact
     10^(11-e) into [1e11, 1e12) with one rounding, to m within 2^-14 of the exact product, so m
     rounded is ``%``'s correctly rounded significand q (Gay 1990) unless m is within 2^-12 of a
-    tie; q·10^(e-11), one rounding of exact operands, is ``float`` (Clinger, PLDI 1990).  At a
-    value near a tie, outside [1e-11, 1e33), nan or inf, ``fn`` returns; it resumes past it."""
+    tie; q·10^(e-11), one rounding of exact operands, is ``float`` (Clinger, PLDI 1990).  ``fn``
+    returns the index of a value near a tie, outside [1e-11, 1e33), nan or inf; Python writes it."""
     x = np.ascontiguousarray(table, dtype=float)
     cols, flat, back = x.shape[1], x.reshape(-1), np.empty_like(x)
-    out, at, i = np.empty(24 * x.size, np.uint8), np.zeros(1, np.int64), 0  # 21 bytes a field at most
-    args = (x.size, cols, out.ctypes.data, at.ctypes.data, back.ctypes.data)
-    while (i := fn(x.ctypes.data, i, *args)) < x.size:
+    out, at, i = np.empty(21 * x.size, np.uint8), np.zeros(1, np.int64), 0  # 21 bytes a field at most
+    while (i := fn(x.ctypes.data, i, x.size, cols, out.ctypes.data, at.ctypes.data, back.ctypes.data)) < x.size:
         back.flat[i] = float(field := b"%.12g" % flat[i])
         field += b"," if (i + 1) % cols else b"\r\n"
         out[at[0] : at[0] + len(field)] = np.frombuffer(field, np.uint8)
@@ -127,7 +126,8 @@ def _marches(n: int, to_exposed: bool, steps: int) -> dict | None:
 @functools.cache
 def _library(n: int, to_exposed: bool) -> dict | None:
     """The C marches of n doses by costate flag and, as "format", ``_format`` on its C, from one
-    shared object compiled in a temporary directory, or None where that fails; logs which."""
+    shared object compiled in a temporary directory, or None where that fails; logs which run, and
+    the time or the reason."""
     import ctypes
     import subprocess
     import tempfile
