@@ -113,8 +113,8 @@ def _write_lines(path: str, header: list[str], body: bytes) -> None:
 
 def _write_trajectory(path: str, traj, controls: ControlSignal, fmt) -> tuple[bytes, np.ndarray]:
     """Write ``traj`` under ``controls`` by ``_csv``; returns the rows and the table they read back as."""
-    v_rows, u_rows = controls.at(traj.times)
-    body, back = _csv(fmt, traj.times, traj.states, u_rows, v_rows, read_back=True)
+    v_rows, u_rows = controls.at(times := traj.times)  # each read of traj.times builds it anew
+    body, back = _csv(fmt, times, traj.states, u_rows, v_rows, read_back=True)
     n = back.shape[1] - 9  # t, six pools, n doses, u, v
     header = ["t", "S", "E", "A", "I", "R", "D"] + [f"V{i + 1}" for i in range(n)] + ["u", "v"]
     _write_lines(path, header, body)
