@@ -66,13 +66,14 @@ def _csv_lines(*columns):
     return (template % tuple(row.tolist()) for row in table)
 
 
-def _csv(fmt, *columns, read_back: bool = False) -> tuple[bytes, np.ndarray | None]:
-    """``_csv_lines`` as text and, with ``read_back``, the table it reads back as; by ``fmt`` if given."""
+def _csv(fmt, *columns, read_back: bool = False) -> tuple[list[bytes], np.ndarray | None]:
+    """``_csv_lines`` as blocks of whole rows of text and, with ``read_back``, the table they read
+    back as; by ``fmt`` if given."""
     if fmt:
         return fmt(np.column_stack(columns))
     lines = list(_csv_lines(*columns))
     back = np.loadtxt(lines, delimiter=",", ndmin=2) if read_back else None
-    return "".join(line + "\r\n" for line in lines).encode(), back
+    return ["".join(line + "\r\n" for line in lines).encode()], back
 
 
 def summarize(
@@ -105,13 +106,13 @@ def summarize(
     )
 
 
-def _write_lines(path: str, header: list[str], body: bytes) -> None:
+def _write_lines(path: str, header: list[str], body: list[bytes]) -> None:
     with open(path, "wb") as fh:
         # names and numbers need no quoting, and "\r\n" is the csv module's row terminator
-        fh.writelines((",".join(header).encode() + b"\r\n", body))
+        fh.writelines((",".join(header).encode() + b"\r\n", *body))
 
 
-def _write_trajectory(path: str, traj, controls: ControlSignal, fmt) -> tuple[bytes, np.ndarray]:
+def _write_trajectory(path: str, traj, controls: ControlSignal, fmt) -> tuple[list[bytes], np.ndarray]:
     """Write ``traj`` under ``controls`` by ``_csv``; returns the rows and the table they read back as."""
     v_rows, u_rows = controls.at(times := traj.times)  # each read of traj.times builds it anew
     body, back = _csv(fmt, times, traj.states, u_rows, v_rows, read_back=True)
@@ -185,8 +186,8 @@ def _formatter(config: RunConfig):
     return library and library["format"]
 
 
-def _write_solution(out_dir: str, config: RunConfig, solution: OptimalSolution) -> bytes:
-    """Write every output of a solved run; returns the trajectory CSV rows."""
+def _write_solution(out_dir: str, config: RunConfig, solution: OptimalSolution) -> list[bytes]:
+    """Write every output of a solved run; returns the trajectory CSV rows, in blocks."""
     fmt, path = _formatter(config), os.path.join(out_dir, "trajectory.csv")
     os.makedirs(out_dir, exist_ok=True)
     body, back = _write_trajectory(path, solution.state_traj, solution.controls, fmt)
@@ -243,10 +244,11 @@ def cmd_compare(diseases: list[str], impulsive: bool, out_dir: str) -> int:
         if not solution.converged:
             worst = 2
         n = max(n, config.params.n)
-        merged.extend(b"%s,%s\r\n" % (disease.encode(), line) for line in body.splitlines())
+        lines = (line for block in body for line in block.splitlines())
+        merged.extend(b"%s,%s\r\n" % (disease.encode(), line) for line in lines)
     header = ["disease", "t", "S", "E", "A", "I", "R", "D"] + [f"V{i + 1}" for i in range(n)] + ["u", "v"]
     os.makedirs(out_dir, exist_ok=True)
-    _write_lines(os.path.join(out_dir, "comparison.csv"), header, b"".join(merged))
+    _write_lines(os.path.join(out_dir, "comparison.csv"), header, merged)
     return worst
 
 

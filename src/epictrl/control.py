@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import DegenerateParameterError, GridMismatchError, RangeError
+from .errors import DegenerateParameterError, GridMismatchError, RangeError, StabilityError
 from .integrator import (
     AdjointTrajectory,
     AdjointVector,
@@ -206,17 +206,19 @@ def total_cost(
 
     Each grid cell uses the post-jump state at its left node and the pre-jump
     state at its right node, so impulse discontinuities never smear across a
-    cell.
+    cell; as the two differ only at impulse nodes, only their post rows are costed apart.
     """
     times = traj.node_times
     if controls.tau < times[-1] - 1e-9 * max(1.0, times[-1]):
         raise GridMismatchError("controls do not cover the trajectory horizon")
     v_n, u_n = controls.at(times)
-    g_left = _running_cost_arrays(traj.states_post[:-1].T, u_n[:-1], v_n[:-1], weights, params)
-    g_right = _running_cost_arrays(traj.states_pre[1:].T, u_n[1:], v_n[1:], weights, params)
+    g = _running_cost_arrays(traj.states_pre.T, u_n, v_n, weights, params)
+    g_left, jumps = g[:-1].copy(), list(traj.impulse_nodes)
+    if jumps:
+        g_left[jumps] = _running_cost_arrays(traj.states_post[jumps].T, u_n[jumps], v_n[jumps], weights, params)
     steps = np.diff(times)
     terminal = weights.terminal.value(float(times[-1]))
-    return float(np.sum(0.5 * steps * (g_left + g_right)) + terminal)
+    return float(np.sum(0.5 * steps * (g_left + g[1:])) + terminal)
 
 
 def adjoint_rhs(
@@ -297,8 +299,10 @@ def fbsm_solve(
     below the tolerance.  Non-convergence is reported through the
     ``converged`` flag, never as an exception; weights whose running cost has no
     finite bound over the horizon, or whose terminal cost overflows there, raise
-    RangeError before the first pass.  Every pass is one ``integrate_forward``,
-    which marches every compartment, and one ``integrate_adjoint_backward``.
+    RangeError before the first pass; a step too coarse raises StabilityError in
+    the first pass, and in a later one ends the sweep unconverged with the pass
+    before it.  Every pass is one ``integrate_forward``, which marches every
+    compartment, and one ``integrate_adjoint_backward``.
     """
     fault = _cost_fault(initial, params, weights, grid.tau, schedule)
     if fault:
@@ -313,8 +317,16 @@ def fbsm_solve(
 
     # pass `it` evaluates the controls after `it` updates; no update follows the last pass
     for it in range(opts.max_iterations + 1):
-        controls = ControlSignal(times, v, u, v_max)
-        traj = integrate_forward(initial, controls, params, grid, schedule)
+        signal = ControlSignal._unchecked(times, v, u, v_max)  # np.clip keeps u and v in the box
+        try:
+            traj = integrate_forward(initial, signal, params, grid, schedule)
+        except StabilityError:
+            if not it:
+                raise
+            log.warning("step too coarse at update %d; ending with the pass before it", it)
+            it, converged = it - 1, False
+            break
+        controls = signal
         adj = integrate_adjoint_backward(traj, controls, params, weights, grid, schedule)
         history.append(total_cost(traj, controls, weights, params))
         if converged or it == opts.max_iterations:

@@ -20,11 +20,16 @@ not even in the other rows.  Every floating-point operation keeps the order
 of the numpy formulation, and the tests hold both passes, C or Python,
 bitwise equal to a numpy reference implementation.  Each pass writes one
 array row per node and copies it to the other side of the jumps, patched at
-the impulse nodes.
+the impulse nodes.  A ``ControlSignal`` on the grid's own ``times`` (built once
+per grid) gives the passes its own node samples and its midpoint samples,
+interpolated once per signal and cached on it, so the two passes of a sweep
+iteration share them; the cached arrays are read-only, since every pass and
+cost shares them.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass, field
@@ -83,9 +88,12 @@ class TimeGrid:
                 out.append("h: too small to count the steps of tau")
         return out
 
-    @property
+    @functools.cached_property
     def times(self) -> np.ndarray:
-        return np.linspace(0.0, self.tau, self.n_steps + 1)
+        """The node times, built once and read-only."""
+        times = np.linspace(0.0, self.tau, self.n_steps + 1)
+        times.setflags(write=False)
+        return times
 
     def node_index(self, t: float) -> int:
         """Interior node of an impulse at t; ScheduleError if off the grid or outside (0, tau)."""
@@ -169,13 +177,14 @@ def _impulse_map(schedule: ImpulseSchedule | None, grid: TimeGrid) -> dict[int, 
 
 
 def _sampled_controls(controls: ControlSignal, grid: TimeGrid):
-    """Control values at grid nodes and step midpoints."""
+    """Control values at grid nodes and step midpoints, the controls' own if sampled on the grid."""
     if controls.tau < grid.tau - 1e-9 * max(1.0, grid.tau):
         raise GridMismatchError(
             f"controls end at t={controls.tau} but the grid runs to t={grid.tau}"
         )
     times = grid.times
-    return (*controls.at(times), *controls.at(0.5 * (times[:-1] + times[1:])))
+    mid = controls.midpoints if controls.grid is times else controls.at(0.5 * (times[:-1] + times[1:]))
+    return (*controls.at(times), *mid)
 
 
 def _patched(rows: np.ndarray, jumped: dict[int, list]) -> np.ndarray:

@@ -234,8 +234,25 @@ class ControlSignal:
         return float(self.grid[-1])
 
     def at(self, t):
-        """Linearly interpolated (v, u) at time(s) t."""
+        """Linearly interpolated (v, u) at time(s) t; the samples themselves at ``self.grid``."""
+        if t is self.grid:  # where np.interp returns them too: fp[j] at exactly xp[j]
+            return self.v, self.u
         return np.interp(t, self.grid, self.v), np.interp(t, self.grid, self.u)
+
+    @functools.cached_property
+    def midpoints(self) -> tuple[np.ndarray, np.ndarray]:
+        """(v, u) at the midpoint of each grid step, sampled once and read-only."""
+        samples = self.at(0.5 * (self.grid[:-1] + self.grid[1:]))
+        for x in samples:
+            x.setflags(write=False)
+        return samples
+
+    @classmethod
+    def _unchecked(cls, grid: np.ndarray, v: np.ndarray, u: np.ndarray, v_max: float) -> "ControlSignal":
+        """A signal on float arrays known to pass ``__post_init__``'s checks, which it skips."""
+        signal = object.__new__(cls)
+        signal.__dict__.update(grid=grid, v=v, u=u, v_max=v_max)
+        return signal
 
     @classmethod
     def constant(cls, grid: np.ndarray, v: float, u: float, v_max: float = 1.0) -> "ControlSignal":

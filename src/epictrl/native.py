@@ -21,6 +21,7 @@ _TOKEN = r"\d+\.\d+\b|\d+\b|[A-Za-z_]\w*\b(?!\s*\()|\[\w+\]|[-+*() ]"
 _ASSIGN = rf"([A-Za-z_]\w*) = (?!.*\*\*)(?:{_TOKEN})+"
 _PAYBACK = 40_000  # Python steps a compile costs, 37,000-73,000 at n = 2..5, less ~8,000 its CSV writer saves
 _STEPS: dict = {}  # (n, delta_n_to_exposed) -> steps this process has marched or is about to
+_BLOCK = 256  # rows _format writes at a time
 _FORMAT = "static const double P10[] = {%s};" % ", ".join(f"1e{k}" for k in range(23)) + r"""
 static double scaled(double a, int p) { return p < 0 ? a / P10[-p] : a * P10[p]; }
 long format12(const double *x, long i, long size, long cols, char *out, long long *at, double *back) {
@@ -92,29 +93,35 @@ def _run(fn, enter, size, pr, omega, y, a, h, i0, i1, out, vn, un, vm, um, *cols
     import ctypes  # with the first compile, not with the package
     views = [memoryview(x) for x in (out, vn, un, vm, um, *cols)]
     need = (len(y) * (i1 + 1), i1 + 1, i1 + 1, *(i1,) * 6)  # doubles the loop may index
-    if i0 < 0 or any(v.format != "d" or not v.c_contiguous or v.nbytes < 8 * k for v, k in zip(views, need)):
+    fits = all(v.format == "d" and v.c_contiguous and v.nbytes >= 8 * k for v, k in zip(views, need))
+    if i0 < 0 or views[0].readonly or not fits:
         raise IndexError(f"march from node {i0} to {i1} out of its buffers")
-    args = [ctypes.c_double.from_buffer(v) for v in views] + [None] * (9 - len(views))
+    # addresses, as from_buffer refuses the read-only samples; ``views`` keeps the buffers alive
+    args = [np.frombuffer(v).ctypes.data for v in views] + [None] * (9 - len(views))
     inout = (ctypes.c_double * size)(*enter(pr, omega, y, a, h))
     return fn(inout, i0, i1, *args), inout[: len(y)]
 
 
-def _format(fn, table: np.ndarray) -> tuple[bytes, np.ndarray]:
-    """The rows of the 2-D ``table`` as CSV text of "%.12g" fields, and the values those read back
-    as, bitwise Python's ``%`` and ``float``: ``fn`` (C's ``format12``) scales |x| by an exact
-    10^(11-e) into [1e11, 1e12) with one rounding, to m within 2^-14 of the exact product, so m
-    rounded is ``%``'s correctly rounded significand q (Gay 1990) unless m is within 2^-12 of a
-    tie; q·10^(e-11), one rounding of exact operands, is ``float`` (Clinger, PLDI 1990).  ``fn``
-    returns the index of a value near a tie, outside [1e-11, 1e33), nan or inf; Python writes it."""
+def _format(fn, table: np.ndarray) -> tuple[list[bytes], np.ndarray]:
+    """The rows of the 2-D ``table`` as CSV text of "%.12g" fields, in blocks of ``_BLOCK`` rows so
+    that no buffer but the text grows with the table, and the values those read back as, bitwise
+    Python's ``%`` and ``float``: ``fn`` (C's ``format12``) scales |x| by an exact 10^(11-e) into
+    [1e11, 1e12) with one rounding, to m within 2^-14 of the exact product, so m rounded is ``%``'s
+    correctly rounded significand q (Gay 1990) unless m is within 2^-12 of a tie; q·10^(e-11), one
+    rounding of exact operands, is ``float`` (Clinger, PLDI 1990).  ``fn`` returns the index of a
+    value near a tie, outside [1e-11, 1e33), nan or inf; Python writes it."""
     x = np.ascontiguousarray(table, dtype=float)
-    cols, flat, back = x.shape[1], x.reshape(-1), np.empty_like(x)
-    out, at, i = np.empty(21 * x.size, np.uint8), np.zeros(1, np.int64), 0  # 21 bytes a field at most
-    while (i := fn(x.ctypes.data, i, x.size, cols, out.ctypes.data, at.ctypes.data, back.ctypes.data)) < x.size:
-        back.flat[i] = float(field := b"%.12g" % flat[i])
-        field += b"," if (i + 1) % cols else b"\r\n"
-        out[at[0] : at[0] + len(field)] = np.frombuffer(field, np.uint8)
-        at[0], i = at[0] + len(field), i + 1
-    return out[: at[0]].tobytes(), back
+    cols, flat, back, blocks = x.shape[1], x.reshape(-1), np.empty_like(x), []
+    out, at = np.empty(21 * _BLOCK * cols, np.uint8), np.zeros(1, np.int64)  # 21 bytes a field at most
+    for i in range(0, x.size, _BLOCK * cols):
+        end, at[0] = min(i + _BLOCK * cols, x.size), 0
+        while (i := fn(x.ctypes.data, i, end, cols, out.ctypes.data, at.ctypes.data, back.ctypes.data)) < end:
+            back.flat[i] = float(field := b"%.12g" % flat[i])
+            field += b"," if (i + 1) % cols else b"\r\n"
+            out[at[0] : at[0] + len(field)] = np.frombuffer(field, np.uint8)
+            at[0], i = at[0] + len(field), i + 1
+        blocks.append(out[: at[0]].tobytes())
+    return blocks, back
 
 
 def _marches(n: int, to_exposed: bool, steps: int) -> dict | None:
@@ -149,7 +156,7 @@ def _library(n: int, to_exposed: bool) -> dict | None:
     log.debug("n=%d, delta_n_to_exposed=%s: C marches from step %d, compiled in %.3f s", n, to_exposed,
               _STEPS.get((n, to_exposed), 0), time.perf_counter() - started)
     double = ctypes.POINTER(ctypes.c_double)
-    proto = ctypes.CFUNCTYPE(ctypes.c_long, double, ctypes.c_long, ctypes.c_long, *[double] * 9)
+    proto = ctypes.CFUNCTYPE(ctypes.c_long, double, ctypes.c_long, ctypes.c_long, *[ctypes.c_void_p] * 9)
     fmt = ctypes.CFUNCTYPE(ctypes.c_long, ctypes.c_void_p, *[ctypes.c_long] * 3, *[ctypes.c_void_p] * 3)
     return {"format": functools.partial(_format, fmt(("format12", lib))),
             **{kind: functools.partial(_run, proto((f"march{k}", lib)), *rest)

@@ -73,9 +73,9 @@ def test_c_formatter_writes_python_bytes_and_reads_back_bitwise(format12):
     ])
     table = np.concatenate([values, -values])[: values.size // 7 * 14].reshape(-1, 7)
     fn, calls = format12
-    body, back = native._format(fn, table)
+    blocks, back = native._format(fn, table)
     want_body, want_back = python_csv(table)
-    assert body == want_body
+    assert b"".join(blocks) == want_body
     assert np.array_equal(back.view(np.uint64), want_back.view(np.uint64))
     assert table.size > 10**5 and len(calls) < table.size // 2  # the C loop wrote most of them
 
@@ -84,10 +84,23 @@ def test_c_formatter_resumes_within_a_row(format12):
     # an exact tie and a nan stop the C loop twice in one row, which stays exact
     table = np.array([[1.5, 1234567890.125, -2.5e-7, np.nan, 0.1, -0.0], [3.0, 4e30, 5e-9, 6.0, 7.0, 8.0]])
     fn, calls = format12
-    body, back = native._format(fn, table)
+    blocks, back = native._format(fn, table)
     want_body, want_back = python_csv(table)
     assert calls == [0, 2, 4]
-    assert body == want_body
+    assert b"".join(blocks) == want_body
+    assert np.array_equal(back.view(np.uint64), want_back.view(np.uint64))
+
+
+def test_c_formatter_hands_python_the_values_at_block_boundaries(format12, monkeypatch):
+    # blocks of two rows: a nan ends the first block and an exact tie starts the second
+    monkeypatch.setattr(native, "_BLOCK", 2)
+    table = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, np.nan], [1234567890.125, 6.0, 7.0], [8.0, 9.0, 0.1]])
+    fn, calls = format12
+    blocks, back = native._format(fn, table)
+    want_body, want_back = python_csv(table)
+    assert calls == [0, 6, 6, 7]  # block [0, 6) stops at 5, block [6, 12) at once at 6
+    assert [block.count(b"\r\n") for block in blocks] == [2, 2]
+    assert b"".join(blocks) == want_body
     assert np.array_equal(back.view(np.uint64), want_back.view(np.uint64))
 
 
@@ -296,6 +309,18 @@ class TestOptimize:
         with open(out / "summary.json") as fh:
             summary = json.load(fh)
         assert summary["converged"] is False
+
+    @pytest.mark.parametrize("h", [1.5, 1.75])
+    def test_step_too_coarse_after_the_first_pass_exits_two_but_writes(self, tmp_path, caplog, h):
+        # beta = 2e-4 marches under the zero controls, and a later update's controls do not
+        params = dataclasses.replace(default_config("covid19").params, beta=2e-4)
+        _, cfg = small_config(tmp_path, tau=35.0, h=h, params=params)
+        out = tmp_path / "out"
+        assert cli.main(["optimize", "--config", cfg, "--out", str(out)]) == 2
+        assert "step too coarse at update" in caplog.text
+        assert json.loads((out / "summary.json").read_text())["converged"] is False
+        for name in ("trajectory.csv", "controls.csv", "adjoints.csv"):
+            assert np.isfinite(np.loadtxt(out / name, delimiter=",", skiprows=1)).all()
 
     def test_impulse_rows_and_population_bookkeeping(self, tmp_path):
         _, cfg = small_config(tmp_path, tau=10.0, impulsive=True)

@@ -1,5 +1,7 @@
+import dataclasses
 import logging
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -15,13 +17,26 @@ from epictrl.control import (
     fbsm_solve,
     transversality_residual,
 )
+from epictrl import native
 from epictrl.errors import RangeError
 from epictrl.integrator import TimeGrid
-from test_integrator import _random_draw
+from test_integrator import _bitwise_equal, _random_draw
+
+CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
 
 def zero_controls(grid, params):
     return ec.ControlSignal.constant(grid.times, 0.0, 0.0, params.v_max)
+
+
+def _ref_total_cost(traj, controls, weights, params):
+    """``total_cost`` with the running cost evaluated on the post rows and again on the pre rows."""
+    times = traj.node_times
+    v_n, u_n = controls.at(times)
+    g_left = _running_cost_arrays(traj.states_post[:-1].T, u_n[:-1], v_n[:-1], weights, params)
+    g_right = _running_cost_arrays(traj.states_pre[1:].T, u_n[1:], v_n[1:], weights, params)
+    terminal = weights.terminal.value(float(times[-1]))
+    return float(np.sum(0.5 * np.diff(times) * (g_left + g_right)) + terminal)
 
 
 def solve_small(params, initial, weights, tau=5.0, h=0.01, schedule=None, **opts):
@@ -145,6 +160,22 @@ class TestTotalCost:
             traj = ec.integrate_forward(initial, controls, params, grid)
             costs[h] = ec.total_cost(traj, controls, default_weights, params)
         assert abs(costs[0.01] - costs[0.005]) / costs[0.005] < 1e-6
+
+    @pytest.mark.parametrize("path", ["C", "Python"])
+    def test_one_evaluation_equals_two_bitwise(self, path, monkeypatch):
+        # g(post) differs from g(pre) only at the impulse nodes, where it is evaluated again
+        config = ec.load_config(str(CONFIG_DIR / "covid19_impulsive.json"))
+        params, grid = config.params, config.grid
+        monkeypatch.setattr(native, "_PAYBACK", 0)
+        if path == "Python":
+            monkeypatch.setattr(native, "_library", lambda n, to_exposed: None)
+        rng = np.random.default_rng(11)
+        v, u = params.v_max * rng.random(grid.n_steps + 1), rng.random(grid.n_steps + 1)
+        for controls in (zero_controls(grid, params), ec.ControlSignal(grid.times, v, u, params.v_max)):
+            traj = ec.integrate_forward(config.initial, controls, params, grid, config.schedule)
+            assert len(traj.impulse_nodes) == 4
+            got = ec.total_cost(traj, controls, config.weights, params)
+            assert got.hex() == _ref_total_cost(traj, controls, config.weights, params).hex()
 
     def test_controls_must_cover_horizon(self, covid19, default_weights):
         params, initial = covid19
@@ -447,6 +478,50 @@ class TestFbsmSolve:
             sol = solve_small(params, initial, default_weights, max_iterations=max_iterations)
             assert len(passes) == sol.iterations + 1 and passes[-1] is sol.state_traj
             passes.clear()
+
+    @pytest.mark.parametrize("h, update", [(1.5, 5), (1.75, 3)])
+    def test_step_too_coarse_after_the_first_pass_ends_with_the_pass_before(self, h, update, caplog):
+        # beta = 2e-4 marches under the zero controls at these steps, but the controls of a later
+        # update drive a compartment below the roundoff tolerance
+        config = ec.load_config(str(CONFIG_DIR / "covid19.json"))
+        params = dataclasses.replace(config.params, beta=2e-4)
+        grid, weights = ec.TimeGrid(config.grid.tau, h), config.weights
+        with caplog.at_level(logging.WARNING, logger="epictrl"):
+            sol = fbsm_solve(config.initial, params, weights, grid, None, config.solver)
+        assert f"step too coarse at update {update};" in caplog.text
+        assert not sol.converged and sol.iterations == update - 1
+        options = ec.SweepOptions(max_iterations=update - 1)
+        before = fbsm_solve(config.initial, params, weights, grid, None, options)
+        for got, want in (
+            (sol.controls.u, before.controls.u),
+            (sol.controls.v, before.controls.v),
+            (sol.state_traj.states_post, before.state_traj.states_post),
+            (sol.adjoint_traj.values_post, before.adjoint_traj.values_post),
+            (sol.cost_history, before.cost_history),
+        ):
+            assert _bitwise_equal(got, want) and np.isfinite(got).all()
+        stiff = dataclasses.replace(params, beta=0.01)  # the zero controls' own step is too coarse
+        with pytest.raises(ec.StabilityError):
+            fbsm_solve(config.initial, stiff, weights, ec.TimeGrid(35.0, 1.0))
+
+    def test_samples_controls_once_a_pass_and_the_grid_once(self, covid19, default_weights, monkeypatch):
+        # the nodes are the controls' own samples, the midpoints are interpolated once per
+        # controls, which both passes share, and the grid's times are built once
+        params, initial = covid19
+        monkeypatch.setattr(native, "_PAYBACK", 0)
+        calls = {"interp": 0, "linspace": 0}
+        for name in calls:
+            def counted(*args, _fn=getattr(np, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(np, name, counted)
+        for max_iterations in (3, 500):
+            calls.update(interp=0, linspace=0)
+            options = ec.SweepOptions(max_iterations=max_iterations)
+            sol = fbsm_solve(initial, params, default_weights, ec.TimeGrid(35.0, 0.01), options=options)
+            assert calls["interp"] <= 2 * (sol.iterations + 1) and calls["linspace"] == 1
+        assert sol.converged and sol.iterations == 17
 
     def test_default_run_regression(self, default_solution):
         assert default_solution.converged

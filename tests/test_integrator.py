@@ -54,6 +54,37 @@ class TestTimeGrid:
             grid.node_index(11.0)
 
 
+class TestSampledControls:
+    """The passes read a signal's own node samples and its cached midpoints when it is sampled on
+    the grid they march; both are what interpolating it there gives."""
+
+    @pytest.fixture
+    def signal(self, rng):
+        grid = ec.TimeGrid(2.0, 0.1)
+        v, u = 3.0 * rng.random(21), rng.random(21)
+        v[[0, 5, 6]] = u[[0, 9, 20]] = -0.0  # in the box, and two -0.0 neighbours
+        return grid, ec.ControlSignal(grid.times, v, u, 3.0)
+
+    def test_samples_equal_interpolation_bitwise(self, signal):
+        grid, controls = signal
+        times = grid.times
+        shared = _sampled_controls(controls, grid)
+        assert shared[0] is controls.v and shared[1] is controls.u
+        assert shared[2:] == controls.midpoints
+        # a copy of the grid is not the grid: np.interp samples the controls there
+        interpolated = (*controls.at(times.copy()), *controls.at(0.5 * (times[:-1] + times[1:])))
+        for got, want in zip(shared, interpolated, strict=True):
+            assert _bitwise_equal(got, want)
+        assert np.signbit(shared[0][[0, 5, 6]]).all() and np.signbit(shared[1][[0, 9, 20]]).all()
+
+    def test_cached_arrays_are_read_only(self, signal):
+        grid, controls = signal
+        assert grid.times is grid.times and controls.midpoints is controls.midpoints
+        for cached in (grid.times, *controls.midpoints):
+            with pytest.raises(ValueError, match="read-only"):
+                cached[0] = 1.0
+
+
 class TestIntegrateForward:
     def test_zero_state_stays_zero(self, covid19):
         params, _ = covid19
@@ -743,6 +774,31 @@ class TestNativeMarch:
         y, nodes = initial.as_array().tolist(), memoryview(np.zeros(11))
         with pytest.raises(IndexError):
             march(y, (0.0, 0.0), 0.1, 0, 10, np.empty((5, 8)), nodes, nodes, nodes, nodes)
+        out = np.empty((11, 8))
+        out.setflags(write=False)
+        with pytest.raises(IndexError):
+            march(y, (0.0, 0.0), 0.1, 0, 10, out, nodes, nodes, nodes, nodes)
+
+    @needs_cc
+    def test_read_only_samples_march_like_writable_ones(self, covid19, default_weights, monkeypatch):
+        # the passes hand both marches a signal's read-only midpoints and the grid's read-only times
+        params, initial = covid19
+        grid = ec.TimeGrid(5.0, 0.05)
+        rng = np.random.default_rng(7)
+        v, u = params.v_max * rng.random(101), rng.random(101)
+        controls = ec.ControlSignal(grid.times, v, u, params.v_max)
+        assert not controls.midpoints[0].flags.writeable
+        copied = ec.ControlSignal(grid.times.copy(), controls.v, controls.u, params.v_max)
+
+        def run(signal):
+            traj = ec.integrate_forward(initial, signal, params, grid)
+            return traj, ec.integrate_adjoint_backward(traj, signal, params, default_weights, grid)
+
+        assert _runs_c(_kernels(params, march=True))
+        (traj, adj), *refs = *_march_both(monkeypatch, lambda: run(controls)), run(copied)
+        for ref_traj, ref_adj in refs:  # the Python march, and the C march on writable samples
+            assert _bitwise_equal(traj.states_pre, ref_traj.states_pre)
+            assert _bitwise_equal(adj.values_post, ref_adj.values_post)
 
     @pytest.mark.parametrize(
         "line",
