@@ -16,6 +16,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import native
 from .errors import DegenerateParameterError, GridMismatchError, RangeError, StabilityError
 from .integrator import (
     AdjointTrajectory,
@@ -44,6 +45,7 @@ from .model import (
 log = logging.getLogger("epictrl")
 # Largest x for which math.exp(x) is a finite float.
 _EXP_LIMIT = math.log(np.finfo(float).max)
+_NAN_UPDATE = "NaN encountered in control update"
 
 
 @dataclass(frozen=True)
@@ -253,13 +255,19 @@ def _hamiltonian(
     )
 
 
+def _update_gain(params: ModelParams, weights: CostWeights) -> float:
+    """sum sigma*gamma^2; DegenerateParameterError unless it and sigma0 are positive."""
+    gain = weights.vaccination_gain(params)
+    if weights.sigma0 <= 0.0 or gain <= 0.0:
+        raise DegenerateParameterError("control-update denominators must be positive")
+    return gain
+
+
 def _switching_arrays(states, adjoints, params: ModelParams, weights: CostWeights):
     """Raw stationary controls I*(p4-p5)/sigma0 and W/(sum sigma*gamma^2)."""
     g = params.gamma
     n = params.n
-    gain = weights.vaccination_gain(params)
-    if weights.sigma0 <= 0.0 or gain <= 0.0:
-        raise DegenerateParameterError("control-update denominators must be positive")
+    gain = _update_gain(params, weights)
     p1 = adjoints[..., 0]
     q1 = adjoints[..., 6]
     u_raw = states[..., I] * (adjoints[..., 3] - adjoints[..., 4]) / weights.sigma0
@@ -278,7 +286,7 @@ def _switching_arrays(states, adjoints, params: ModelParams, weights: CostWeight
 def _clamped_controls(states, adjoints, params, weights):
     u_raw, v_raw = _switching_arrays(states, adjoints, params, weights)
     if np.any(np.isnan(u_raw)) or np.any(np.isnan(v_raw)):
-        raise ValueError("NaN encountered in control update")
+        raise ValueError(_NAN_UPDATE)
     return np.clip(u_raw, 0.0, 1.0), np.clip(v_raw, 0.0, params.v_max)
 
 
@@ -302,7 +310,10 @@ def fbsm_solve(
     RangeError before the first pass; a step too coarse raises StabilityError in
     the first pass, and in a later one ends the sweep unconverged with the pass
     before it.  Every pass is one ``integrate_forward``, which marches every
-    compartment, and one ``integrate_adjoint_backward``.
+    compartment, and one ``integrate_adjoint_backward``.  Once the passes run
+    as C, one C call between them (``native._update``) forms the pass's cost
+    cells, the relaxed next controls, their change and the next signal's
+    midpoint samples, bitwise the numpy steps it replaces, which run until then.
     """
     fault = _cost_fault(initial, params, weights, grid.tau, schedule)
     if fault:
@@ -312,12 +323,14 @@ def fbsm_solve(
     v_max = params.v_max
     u = np.zeros_like(times)
     v = np.zeros_like(times)
+    midpoints = None
+    terminal = weights.terminal.value(float(times[-1]))
     history = []
     converged = False
 
     # pass `it` evaluates the controls after `it` updates; no update follows the last pass
     for it in range(opts.max_iterations + 1):
-        signal = ControlSignal._unchecked(times, v, u, v_max)  # np.clip keeps u and v in the box
+        signal = ControlSignal._unchecked(times, v, u, v_max, midpoints)  # u, v clipped into the box
         try:
             traj = integrate_forward(initial, signal, params, grid, schedule)
         except StabilityError:
@@ -328,13 +341,25 @@ def fbsm_solve(
             break
         controls = signal
         adj = integrate_adjoint_backward(traj, controls, params, weights, grid, schedule)
-        history.append(total_cost(traj, controls, weights, params))
+        compiled = native._marches(params.n, params.delta_n_to_exposed, 0)
+        if compiled:
+            gain = _update_gain(params, weights)
+            cells, u_new, v_new, midpoints, change = compiled["update"](
+                params, weights, gain, opts.theta, traj, adj, u, v
+            )
+            history.append(float(np.sum(cells) + terminal))
+        else:
+            history.append(total_cost(traj, controls, weights, params))
         if converged or it == opts.max_iterations:
             break
-        u_star, v_star = _clamped_controls(traj.states_post, adj.values_post, params, weights)
-        u_new = np.clip(opts.theta * u_star + (1.0 - opts.theta) * u, 0.0, 1.0)
-        v_new = np.clip(opts.theta * v_star + (1.0 - opts.theta) * v, 0.0, v_max)
-        change = float(np.max(np.abs(u_new - u) + np.abs(v_new - v) / v_max))
+        if not compiled:
+            u_star, v_star = _clamped_controls(traj.states_post, adj.values_post, params, weights)
+            u_new = np.clip(opts.theta * u_star + (1.0 - opts.theta) * u, 0.0, 1.0)
+            v_new = np.clip(opts.theta * v_star + (1.0 - opts.theta) * v, 0.0, v_max)
+            change = float(np.max(np.abs(u_new - u) + np.abs(v_new - v) / v_max))
+            midpoints = None
+        elif math.isnan(change):
+            raise ValueError(_NAN_UPDATE)
         u, v = u_new, v_new
         log.debug("sweep iteration %d: J=%.6g, control change %.3e", it + 1, history[-1], change)
         converged = change < opts.tolerance

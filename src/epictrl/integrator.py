@@ -19,12 +19,15 @@ point-only terms once and does no arithmetic on the costates that stay zero,
 not even in the other rows.  Every floating-point operation keeps the order
 of the numpy formulation, and the tests hold both passes, C or Python,
 bitwise equal to a numpy reference implementation.  Each pass writes one
-array row per node and copies it to the other side of the jumps, patched at
-the impulse nodes.  A ``ControlSignal`` on the grid's own ``times`` (built once
-per grid) gives the passes its own node samples and its midpoint samples,
-interpolated once per signal and cached on it, so the two passes of a sweep
-iteration share them; the cached arrays are read-only, since every pass and
-cost shares them.
+array row per node.  A pass with impulse nodes copies that table to the other
+side of the jumps and patches their rows; a pass without one hands the same
+table out as both sides, read-only.  The costate march reads the four state
+columns it needs in place from the forward pass's table.  A ``ControlSignal``
+on the grid's own ``times`` (built once per grid) gives the passes its own node
+samples and its midpoint samples, which both passes of a sweep iteration share:
+interpolated once per signal and cached on it, or formed by the sweep's C step
+along with the controls; they are read-only, since every pass and cost shares
+them.
 """
 
 from __future__ import annotations
@@ -188,7 +191,11 @@ def _sampled_controls(controls: ControlSignal, grid: TimeGrid):
 
 
 def _patched(rows: np.ndarray, jumped: dict[int, list]) -> np.ndarray:
-    """A copy of ``rows`` with the row of each impulse node replaced by its jumped value."""
+    """A copy of ``rows`` with the row of each impulse node replaced by its jumped value or,
+    with no impulse node, ``rows`` itself, read-only, as both sides of the pass share it."""
+    if not jumped:
+        rows.setflags(write=False)
+        return rows
     out = rows.copy()
     for node, row in jumped.items():
         out[node] = row
@@ -291,7 +298,7 @@ def integrate_adjoint_backward(
     v_n, u_n, v_m, u_m = (memoryview(x) for x in _sampled_controls(controls, grid))
     steps = grid.n_steps
     march = _kernels(params, weights.omega, march=True, steps=steps)
-    columns = [memoryview(x) for x in traj.states_post[:, :4].T.copy()]
+    columns = [memoryview(traj.states_post[:, c]) for c in range(4)]  # strided, not copied
     dim = 6 + params.n
     post = np.empty((steps + 1, dim))
     jumped = {}

@@ -248,10 +248,15 @@ class ControlSignal:
         return samples
 
     @classmethod
-    def _unchecked(cls, grid: np.ndarray, v: np.ndarray, u: np.ndarray, v_max: float) -> "ControlSignal":
-        """A signal on float arrays known to pass ``__post_init__``'s checks, which it skips."""
+    def _unchecked(
+        cls, grid: np.ndarray, v: np.ndarray, u: np.ndarray, v_max: float, midpoints=None
+    ) -> "ControlSignal":
+        """A signal on float arrays known to pass ``__post_init__``'s checks, which it skips, with
+        its read-only ``midpoints`` samples if given."""
         signal = object.__new__(cls)
         signal.__dict__.update(grid=grid, v=v, u=u, v_max=v_max)
+        if midpoints is not None:
+            signal.__dict__["midpoints"] = midpoints  # where the cached property keeps them
         return signal
 
     @classmethod

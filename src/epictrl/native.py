@@ -1,6 +1,7 @@
 """The sweep's marches as C loops built from the generated parts of the Python marches
 (``model._march_lines``), bitwise equal to them under ``_FLAGS`` and ``_HEADER``, once a process
-has marched enough steps to pay for it, and in the same library a "%.12g" CSV writer (_format)."""
+has marched enough steps to pay for it, and in the same library a "%.12g" CSV writer (_format)
+and the sweep's step between its passes (_update)."""
 
 import functools
 import logging
@@ -19,7 +20,9 @@ _LOOPS = {False: ("for (i = i0; i < i1; i++) {", "j"), True: ("for (i = i1 - 1; 
 # names, numbers, subscripts, +, - and *; no division (C's truncates integers), power or call
 _TOKEN = r"\d+\.\d+\b|\d+\b|[A-Za-z_]\w*\b(?!\s*\()|\[\w+\]|[-+*() ]"
 _ASSIGN = rf"([A-Za-z_]\w*) = (?!.*\*\*)(?:{_TOKEN})+"
-_PAYBACK = 40_000  # Python steps a compile costs, 37,000-73,000 at n = 2..5, less ~8,000 its CSV writer saves
+# Python steps a compile costs (rent or buy): 37,000-73,000 at n = 2..5 when set, less ~8,000 its CSV
+# writer saves; with the update, 0.21-0.35 s of cc (0.05-0.07 s the update) at 3.0-4.4 us a step
+_PAYBACK = 40_000
 _STEPS: dict = {}  # (n, delta_n_to_exposed) -> steps this process has marched or is about to
 _BLOCK = 256  # rows _format writes at a time
 _FORMAT = "static const double P10[] = {%s};" % ", ".join(f"1e{k}" for k in range(23)) + r"""
@@ -57,6 +60,48 @@ long format12(const double *x, long i, long size, long cols, char *out, long lon
     return i;
 }
 """
+# the sweep's step between its passes (_update); k holds omega, sigma0/2, gain/2, sigma0, gain, v_max,
+# theta, 1 - theta and gamma
+_UPDATE = r"""
+#include <math.h>
+static double clip(double x, double lo, double hi) { x = x < lo ? lo : x; return x > hi ? hi : x; }
+static double cost(const double *x, double u, double v, const double *k) {
+    return k[0] * x[0] + k[1] * x[1] + k[2] * x[2] + k[3] * x[3] + k[4] * u * u + k[5] * v * v;
+}
+static double interp(double x, const double *t, const double *y) {  /* np.interp on [t[0], t[1]] */
+    double s = (y[1] - y[0]) / (t[1] - t[0]), r;
+    if (x == t[0] || x == t[1]) return x == t[0] ? y[0] : y[1];
+    r = s * (x - t[0]) + y[0];
+    if (r != r) r = s * (x - t[1]) + y[1];  /* numpy's retry from the right end */
+    return r != r && y[0] == y[1] ? y[0] : r;
+}
+double update(long nodes, long n, long to_exposed, const double *k, const double *t, const double *pre,
+              const double *post, const double *adj, const double *u, const double *v,
+              double *u1, double *v1, double *vm, double *um, double *cells) {
+    const double *g = k + 11, *x, *p;
+    double most = 0.0, ur, vr, w, d;
+    long dim = n + 6, j, l, bad = 0;
+    for (j = 0; j < nodes; j++) {
+        x = post + dim * j, p = adj + dim * j;
+        ur = x[3] * (p[3] - p[4]) / k[6];
+        w = g[0] * x[0] * (p[0] - p[6]) + g[1] * p[6] * x[6];
+        for (l = 1; l < n - 1; l++) w = w + p[6 + l] * (g[l + 1] * x[6 + l] - g[l] * x[5 + l]);
+        if (to_exposed) w = w - g[n - 1] * p[5 + n] * x[4 + n];
+        vr = w / k[7];
+        bad |= ur != ur || vr != vr;
+        u1[j] = clip(k[9] * clip(ur, 0.0, 1.0) + k[10] * u[j], 0.0, 1.0);
+        v1[j] = clip(k[9] * clip(vr, 0.0, k[8]) + k[10] * v[j], 0.0, k[8]);
+        d = fabs(u1[j] - u[j]) + fabs(v1[j] - v[j]) / k[8];
+        most = j == 0 || d > most ? d : most;
+        if (j == 0) continue;
+        w = cost(post + dim * (j - 1), u[j - 1], v[j - 1], k) + cost(pre + dim * j, u[j], v[j], k);
+        cells[j - 1] = 0.5 * (t[j] - t[j - 1]) * w;
+        vm[j - 1] = interp(0.5 * (t[j - 1] + t[j]), t + j - 1, v1 + j - 1);
+        um[j - 1] = interp(0.5 * (t[j - 1] + t[j]), t + j - 1, u1 + j - 1);
+    }
+    return bad ? NAN : most;
+}
+"""
 
 
 def _translate(name: str, backward: bool, dim: int, prologue: list[str], loop: list[str], marched):
@@ -72,6 +117,7 @@ def _translate(name: str, backward: bool, dim: int, prologue: list[str], loop: l
     for line in loop:  # a name the prologue does not bind is step-local
         if not (match := re.fullmatch(_ASSIGN, line)):
             raise ValueError(f"no C translation for the generated line {line!r}")
+        line = re.sub(r"\b([SEAI])\[(\w+)\]", rf"\1[{dim} * \2]", line)  # columns of the state table
         body.append(("" if match[1] in declared else "double ") + f"{line};")
         declared.add(match[1])
     if marched:
@@ -93,11 +139,13 @@ def _run(fn, enter, size, pr, omega, y, a, h, i0, i1, out, vn, un, vm, um, *cols
     import ctypes  # with the first compile, not with the package
     views = [memoryview(x) for x in (out, vn, un, vm, um, *cols)]
     need = (len(y) * (i1 + 1), i1 + 1, i1 + 1, *(i1,) * 6)  # doubles the loop may index
-    fits = all(v.format == "d" and v.c_contiguous and v.nbytes >= 8 * k for v, k in zip(views, need))
+    apart = (1,) * 5 + (len(y),) * len(cols)  # doubles between them: state columns are table columns
+    fits = all(v.format == "d" and (v.c_contiguous if k == 1 else v.strides == (8 * k,)) and v.nbytes >= 8 * m
+               for v, m, k in zip(views, need, apart))
     if i0 < 0 or views[0].readonly or not fits:
         raise IndexError(f"march from node {i0} to {i1} out of its buffers")
     # addresses, as from_buffer refuses the read-only samples; ``views`` keeps the buffers alive
-    args = [np.frombuffer(v).ctypes.data for v in views] + [None] * (9 - len(views))
+    args = [np.asarray(v).ctypes.data for v in views] + [None] * (9 - len(views))
     inout = (ctypes.c_double * size)(*enter(pr, omega, y, a, h))
     return fn(inout, i0, i1, *args), inout[: len(y)]
 
@@ -124,6 +172,28 @@ def _format(fn, table: np.ndarray) -> tuple[list[bytes], np.ndarray]:
     return blocks, back
 
 
+def _update(fn, pr, weights, gain: float, theta: float, traj, adj, u: np.ndarray, v: np.ndarray):
+    """One sweep step by ``fn`` (C's ``update``) from the pass ``traj``, ``adj`` of the controls u
+    and v: the running-cost cells of ``control.total_cost``, the relaxed next u and v of
+    ``control.fbsm_solve``, their midpoint samples (v, u) as ``np.interp`` forms them, read-only,
+    and the largest scaled change, or NaN where a raw control is NaN; each bitwise numpy's.  A
+    cell's left node is costed on its post row, which equals the pre row off the impulse nodes."""
+    times, pre, post, adj = traj.node_times, traj.states_pre, traj.states_post, adj.values_post
+    nodes, dim = pre.shape
+    k = np.array([*weights.omega, 0.5 * weights.sigma0, 0.5 * gain, weights.sigma0, gain, pr.v_max,
+                  theta, 1.0 - theta, *pr.gamma])
+    ins, shapes = (times, pre, post, adj, u, v), ((nodes,), *[(nodes, dim)] * 3, (nodes,), (nodes,))
+    if len(k) != dim + 5 or any(x.shape != shape or x.dtype != float or not x.flags.c_contiguous
+                                for x, shape in zip(ins, shapes)):
+        raise IndexError("sweep step on tables of other shapes")
+    out = (np.empty(nodes), np.empty(nodes), np.empty(nodes - 1), np.empty(nodes - 1), np.empty(nodes - 1))
+    change = fn(nodes, dim - 6, pr.delta_n_to_exposed, *(x.ctypes.data for x in (k, *ins, *out)))
+    u1, v1, *mid, cells = out
+    for x in mid:
+        x.setflags(write=False)
+    return cells, u1, v1, tuple(mid), change
+
+
 def _marches(n: int, to_exposed: bool, steps: int) -> dict | None:
     """``_library(n, to_exposed)`` once its marches, these ``steps`` included, reach ``_PAYBACK``."""
     _STEPS[n, to_exposed] = steps = _STEPS.get((n, to_exposed), 0) + steps
@@ -132,9 +202,9 @@ def _marches(n: int, to_exposed: bool, steps: int) -> dict | None:
 
 @functools.cache
 def _library(n: int, to_exposed: bool) -> dict | None:
-    """The C marches of n doses by costate flag and, as "format", ``_format`` on its C, from one
-    shared object compiled in a temporary directory, or None where that fails; logs which run, and
-    the time or the reason."""
+    """The C marches of n doses by costate flag and, as "format" and "update", ``_format`` and
+    ``_update`` on their C, from one shared object compiled in a temporary directory, or None where
+    that fails; logs which run, and the time or the reason."""
     import ctypes
     import subprocess
     import tempfile
@@ -147,7 +217,7 @@ def _library(n: int, to_exposed: bool) -> dict | None:
     try:
         with tempfile.TemporaryDirectory() as tmp:
             cmd = ["cc", *_FLAGS, "-x", "c", "-", "-o", f"{tmp}/march.so"]
-            source = "\n".join([_HEADER, *(c for c, *_ in marches), _FORMAT])
+            source = "\n".join([_HEADER, *(c for c, *_ in marches), _FORMAT, _UPDATE])
             subprocess.run(cmd, input=source, text=True, check=True, capture_output=True, timeout=60)
             lib = ctypes.CDLL(cmd[-1])
     except (OSError, subprocess.SubprocessError) as exc:
@@ -158,6 +228,8 @@ def _library(n: int, to_exposed: bool) -> dict | None:
     double = ctypes.POINTER(ctypes.c_double)
     proto = ctypes.CFUNCTYPE(ctypes.c_long, double, ctypes.c_long, ctypes.c_long, *[ctypes.c_void_p] * 9)
     fmt = ctypes.CFUNCTYPE(ctypes.c_long, ctypes.c_void_p, *[ctypes.c_long] * 3, *[ctypes.c_void_p] * 3)
+    step = ctypes.CFUNCTYPE(ctypes.c_double, *[ctypes.c_long] * 3, *[ctypes.c_void_p] * 12)
     return {"format": functools.partial(_format, fmt(("format12", lib))),
+            "update": functools.partial(_update, step(("update", lib))),
             **{kind: functools.partial(_run, proto((f"march{k}", lib)), *rest)
                for k, (kind, (_, *rest)) in enumerate(zip(_KINDS, marches))}}

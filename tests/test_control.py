@@ -1,6 +1,7 @@
 import dataclasses
 import logging
 import math
+import operator
 import pathlib
 
 import numpy as np
@@ -17,10 +18,10 @@ from epictrl.control import (
     fbsm_solve,
     transversality_residual,
 )
-from epictrl import native
+from epictrl import control, native
 from epictrl.errors import RangeError
 from epictrl.integrator import TimeGrid
-from test_integrator import _bitwise_equal, _random_draw
+from test_integrator import _bitwise_equal, _random_draw, needs_cc
 
 CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
@@ -504,9 +505,11 @@ class TestFbsmSolve:
         with pytest.raises(ec.StabilityError):
             fbsm_solve(config.initial, stiff, weights, ec.TimeGrid(35.0, 1.0))
 
+    @needs_cc
     def test_samples_controls_once_a_pass_and_the_grid_once(self, covid19, default_weights, monkeypatch):
-        # the nodes are the controls' own samples, the midpoints are interpolated once per
-        # controls, which both passes share, and the grid's times are built once
+        # the nodes are the controls' own samples, and the grid's times are built once; the
+        # first controls' midpoints are interpolated once, which both passes share, and C's
+        # update forms every later signal's; a pass with no impulse node copies no whole table
         params, initial = covid19
         monkeypatch.setattr(native, "_PAYBACK", 0)
         calls = {"interp": 0, "linspace": 0}
@@ -516,12 +519,23 @@ class TestFbsmSolve:
                 return _fn(*args, **kwargs)
 
             monkeypatch.setattr(np, name, counted)
+        passes = []
+        for name in ("integrate_forward", "integrate_adjoint_backward"):
+            def kept(*args, _fn=getattr(control, name), **kwargs):
+                passes.append(_fn(*args, **kwargs))
+                return passes[-1]
+
+            monkeypatch.setattr(control, name, kept)
         for max_iterations in (3, 500):
             calls.update(interp=0, linspace=0)
             options = ec.SweepOptions(max_iterations=max_iterations)
             sol = fbsm_solve(initial, params, default_weights, ec.TimeGrid(35.0, 0.01), options=options)
-            assert calls["interp"] <= 2 * (sol.iterations + 1) and calls["linspace"] == 1
+            assert calls == {"interp": 2, "linspace": 1}
         assert sol.converged and sol.iterations == 17
+        assert len(passes) == 2 * (3 + 1 + 17 + 1)
+        for traj, adj in zip(passes[::2], passes[1::2]):
+            assert traj.states_post is traj.states_pre and adj.values_pre is adj.values_post
+            assert not (traj.states_pre.flags.writeable or adj.values_post.flags.writeable)
 
     def test_default_run_regression(self, default_solution):
         assert default_solution.converged
@@ -820,6 +834,95 @@ class TestHorizonSeedEquivalence:
         assert sol.transversality_residual >= 0.0
 
 
+class TestCompiledUpdate:
+    """C's ``update`` (``native._update``) against the numpy steps of ``fbsm_solve`` that it
+    replaces: the cost cells, the PMP controls, their relaxation and change, and the midpoints."""
+
+    @staticmethod
+    def _draw(rng, n, to_exposed):
+        """A forward pass with impulse nodes; costates whose raw controls fall below, inside and
+        above their boxes; controls in the box; and nodes where raw u and both controls are -0.0."""
+        params, initial, weights, grid, _, schedule = _random_draw(rng, n, to_exposed, 3, tau=2.0, h=0.02)
+        u, v = rng.uniform(0.0, 1.0, grid.n_steps + 1), rng.uniform(0.0, params.v_max, grid.n_steps + 1)
+        controls = ec.ControlSignal(grid.times, v, u, params.v_max)
+        traj = ec.integrate_forward(initial, controls, params, grid, schedule)
+        pre, post = traj.states_pre.copy(), traj.states_post.copy()
+        values = rng.normal(size=pre.shape) * 10.0 ** rng.uniform(-4.0, 1.0, pre.shape)
+        zero = [j for j in rng.choice(grid.n_steps, 8, replace=False) if j not in traj.impulse_nodes]
+        pre[zero] = post[zero] = 0.0  # I = 0 and p4 - p5 < 0: raw u is -0.0, and so is raw v
+        values[zero] = -np.abs(values[zero])  # without delta_n_to_exposed, as p1 - q1 < 0 too
+        values[zero, 3], values[zero, 0] = values[zero, 4] - 1.0, values[zero, 6] - 1.0
+        u[zero] = v[zero] = -0.0
+        traj = dataclasses.replace(traj, states_pre=pre, states_post=post)
+        adj = ec.AdjointTrajectory(grid.times, values, values, traj.impulse_nodes)
+        return params, weights, traj, adj, u, v, zero
+
+    @needs_cc
+    @pytest.mark.parametrize("to_exposed", [False, True])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_bitwise_equal_to_the_numpy_step(self, n, to_exposed):
+        rng = np.random.default_rng(10 * n + to_exposed)
+        params, weights, traj, adj, u, v, zero = self._draw(rng, n, to_exposed)
+        theta, v_max, times = float(rng.uniform(0.1, 1.0)), params.v_max, traj.node_times
+        u_raw, v_raw = _switching_arrays(traj.states_post, adj.values_post, params, weights)
+        for raw, box in ((u_raw, 1.0), (v_raw, v_max)):  # every branch of both clips
+            assert (raw < 0.0).any() and ((0.0 < raw) & (raw < box)).any() and (raw > box).any()
+        assert len(zero) > 3 and len(traj.impulse_nodes) == 3 and np.signbit(u_raw[zero]).all()
+        assert np.signbit(v_raw[zero]).all() != to_exposed
+        u_star, v_star = _clamped_controls(traj.states_post, adj.values_post, params, weights)
+        u_new = np.clip(theta * u_star + (1.0 - theta) * u, 0.0, 1.0)
+        v_new = np.clip(theta * v_star + (1.0 - theta) * v, 0.0, v_max)
+        change = float(np.max(np.abs(u_new - u) + np.abs(v_new - v) / v_max))
+        cost = ec.total_cost(traj, ec.ControlSignal(times, v, u, v_max), weights, params)
+        g = _running_cost_arrays(traj.states_pre.T, u, v, weights, params)
+        g_left, jumps = g[:-1].copy(), list(traj.impulse_nodes)
+        g_left[jumps] = _running_cost_arrays(traj.states_post[jumps].T, u[jumps], v[jumps], weights, params)
+        mid = 0.5 * (times[:-1] + times[1:])
+
+        step = native._library(n, to_exposed)["update"]
+        gain = weights.vaccination_gain(params)
+        cells, u1, v1, (vm, um), got = step(params, weights, gain, theta, traj, adj, u, v)
+        assert np.signbit(u1[zero]).all() and np.signbit(v1[zero]).all() != to_exposed
+        for ours, theirs in (
+            (u1, u_new),
+            (v1, v_new),
+            (vm, np.interp(mid, times, v_new)),
+            (um, np.interp(mid, times, u_new)),
+            (got, change),
+            (cells, 0.5 * np.diff(times) * (g_left + g[1:])),  # total_cost's cells
+        ):
+            assert _bitwise_equal(ours, theirs)
+        assert float(np.sum(cells) + weights.terminal.value(float(times[-1]))).hex() == cost.hex()
+        assert not (vm.flags.writeable or um.flags.writeable)
+        for column in (3, 6):  # a NaN in raw u, then in raw v
+            values = adj.values_post.copy()
+            values[5, column] = np.nan
+            with pytest.raises(ValueError, match="NaN encountered in control update"):
+                _clamped_controls(traj.states_post, values, params, weights)
+            poisoned = dataclasses.replace(adj, values_post=values)
+            assert math.isnan(step(params, weights, gain, theta, traj, poisoned, u, v)[-1])
+        with pytest.raises(IndexError):
+            step(params, weights, gain, theta, traj, adj, u[:-1], v[:-1])
+
+    @pytest.mark.parametrize("path", ["C", "Python"])
+    def test_a_nan_raw_control_is_the_same_value_error(self, path, covid19, default_weights, monkeypatch):
+        params, initial = covid19
+        monkeypatch.setattr(native, "_PAYBACK", 0)
+        if path == "Python":
+            monkeypatch.setattr(native, "_library", lambda n, to_exposed: None)
+        backward = control.integrate_adjoint_backward
+
+        def poisoned(*args):
+            adj = backward(*args)
+            values = adj.values_post.copy()
+            values[7, 3] = np.nan
+            return dataclasses.replace(adj, values_post=values)
+
+        monkeypatch.setattr(control, "integrate_adjoint_backward", poisoned)
+        with pytest.raises(ValueError, match="^NaN encountered in control update$"):
+            fbsm_solve(initial, params, default_weights, ec.TimeGrid(5.0, 0.05))
+
+
 def _ref_fbsm_solve(initial, params, weights, grid, schedule, options):
     """``fbsm_solve`` less its fault checks and log, written out from the public passes:
     each iteration one ``integrate_forward``, one ``integrate_adjoint_backward`` and one cost."""
@@ -892,3 +995,33 @@ class TestSweepProperties:
             assert sol.cost <= sol.cost_history[0]  # the first pass runs the zero controls
             ended.add(sol.converged)
         assert ended == {True, False}
+
+    def test_coarse_steps_end_converged_or_say_so(self, covid19, default_weights, monkeypatch):
+        # steps up to 2 and beta from 1e-4 to 1e-3, on short horizons: a StabilityError comes only
+        # from the first pass, which runs the zero controls; the C and the Python update agree
+        params, initial = covid19
+        monkeypatch.setattr(native, "_PAYBACK", 0)
+        rng = np.random.default_rng(9)
+        ended = []
+        for _ in range(24):
+            drawn = dataclasses.replace(params, beta=float(rng.uniform(1e-4, 1e-3)))
+            grid = ec.TimeGrid(float(rng.uniform(5.0, 15.0)), float(rng.uniform(0.1, 2.0)))
+            options = ec.SweepOptions(max_iterations=60)
+            try:
+                sol = fbsm_solve(initial, drawn, default_weights, grid, None, options)
+            except ec.StabilityError:
+                with pytest.raises(ec.StabilityError):
+                    ec.integrate_forward(initial, zero_controls(grid, drawn), drawn, grid)
+                ended.append("first pass")
+                continue
+            with monkeypatch.context() as patch:
+                patch.setattr(native, "_library", lambda n, to_exposed: None)
+                python = fbsm_solve(initial, drawn, default_weights, grid, None, options)
+            outputs = ("controls.u", "controls.v", "state_traj.states_post", "adjoint_traj.values_post")
+            for name in (*outputs, "cost_history"):
+                got, want = (operator.attrgetter(name)(x) for x in (sol, python))
+                assert _bitwise_equal(got, want) and np.isfinite(got).all()
+            assert (sol.iterations, sol.converged) == (python.iterations, python.converged)
+            ended.append("converged" if sol.converged else "ended early")
+            assert sol.converged or sol.iterations < options.max_iterations
+        assert set(ended) == {"converged", "ended early", "first pass"}
