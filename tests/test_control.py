@@ -3,6 +3,7 @@ import logging
 import math
 import operator
 import pathlib
+import shutil
 
 import numpy as np
 import pytest
@@ -505,11 +506,11 @@ class TestFbsmSolve:
         with pytest.raises(ec.StabilityError):
             fbsm_solve(config.initial, stiff, weights, ec.TimeGrid(35.0, 1.0))
 
-    @needs_cc
     def test_samples_controls_once_a_pass_and_the_grid_once(self, covid19, default_weights, monkeypatch):
-        # the nodes are the controls' own samples, and the grid's times are built once; the
-        # first controls' midpoints are interpolated once, which both passes share, and C's
-        # update forms every later signal's; a pass with no impulse node copies no whole table
+        # the nodes are the controls' own samples, and the grid's times are built once; a signal's
+        # midpoints are interpolated at most once, which both passes share, and on the C path only
+        # the first signal's, as C's update forms every later one's; a pass with no impulse node
+        # copies no whole table
         params, initial = covid19
         monkeypatch.setattr(native, "_PAYBACK", 0)
         calls = {"interp": 0, "linspace": 0}
@@ -526,13 +527,18 @@ class TestFbsmSolve:
                 return passes[-1]
 
             monkeypatch.setattr(control, name, kept)
-        for max_iterations in (3, 500):
-            calls.update(interp=0, linspace=0)
-            options = ec.SweepOptions(max_iterations=max_iterations)
-            sol = fbsm_solve(initial, params, default_weights, ec.TimeGrid(35.0, 0.01), options=options)
-            assert calls == {"interp": 2, "linspace": 1}
-        assert sol.converged and sol.iterations == 17
-        assert len(passes) == 2 * (3 + 1 + 17 + 1)
+        for path in ["Python"] + ["C"] * (shutil.which("cc") is not None):
+            with monkeypatch.context() as patch:
+                if path == "Python":
+                    patch.setattr(native, "_library", lambda n, to_exposed: None)
+                for max_iterations in (3, 500):
+                    calls.update(interp=0, linspace=0)
+                    options = ec.SweepOptions(max_iterations=max_iterations)
+                    sol = fbsm_solve(initial, params, default_weights, ec.TimeGrid(35.0, 0.01), options=options)
+                    interp = 2 if path == "C" else 2 * (sol.iterations + 1)
+                    assert calls == {"interp": interp, "linspace": 1}
+            assert sol.converged and sol.iterations == 17
+        assert len(passes) == 2 * (3 + 1 + 17 + 1) * (1 + (shutil.which("cc") is not None))
         for traj, adj in zip(passes[::2], passes[1::2]):
             assert traj.states_post is traj.states_pre and adj.values_pre is adj.values_post
             assert not (traj.states_pre.flags.writeable or adj.values_post.flags.writeable)
