@@ -70,7 +70,7 @@ def _csv(fmt, *columns, read_back: bool = False) -> tuple[list[bytes], np.ndarra
     """``_csv_lines`` as blocks of whole rows of text and, with ``read_back``, the table they read
     back as; by ``fmt`` if given."""
     if fmt:
-        return fmt(np.column_stack(columns))
+        return fmt(np.column_stack(columns), read_back)
     lines = list(_csv_lines(*columns))
     back = np.loadtxt(lines, delimiter=",", ndmin=2) if read_back else None
     return ["".join(line + "\r\n" for line in lines).encode()], back
@@ -114,7 +114,7 @@ def _write_lines(path: str, header: list[str], body: list[bytes]) -> None:
 
 def _write_trajectory(path: str, traj, controls: ControlSignal, fmt) -> tuple[list[bytes], np.ndarray]:
     """Write ``traj`` under ``controls`` by ``_csv``; returns the rows and the table they read back as."""
-    v_rows, u_rows = controls.at(times := traj.times)  # each read of traj.times builds it anew
+    v_rows, u_rows = controls.at(times := traj.times)  # the controls' own samples on a sweep's grid
     body, back = _csv(fmt, times, traj.states, u_rows, v_rows, read_back=True)
     n = back.shape[1] - 9  # t, six pools, n doses, u, v
     header = ["t", "S", "E", "A", "I", "R", "D"] + [f"V{i + 1}" for i in range(n)] + ["u", "v"]

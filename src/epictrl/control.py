@@ -323,7 +323,7 @@ def fbsm_solve(
     v_max = params.v_max
     u = np.zeros_like(times)
     v = np.zeros_like(times)
-    midpoints = None
+    midpoints = gain = None
     terminal = weights.terminal.value(float(times[-1]))
     history = []
     converged = False
@@ -343,11 +343,11 @@ def fbsm_solve(
         adj = integrate_adjoint_backward(traj, controls, params, weights, grid, schedule)
         compiled = native._marches(params.n, params.delta_n_to_exposed, 0)
         if compiled:
-            gain = _update_gain(params, weights)
+            gain = gain or _update_gain(params, weights)
             cells, u_new, v_new, midpoints, change = compiled["update"](
                 params, weights, gain, opts.theta, traj, adj, u, v
             )
-            history.append(float(np.sum(cells) + terminal))
+            history.append(float(np.add.reduce(cells) + terminal))  # np.sum's pairwise sum
         else:
             history.append(total_cost(traj, controls, weights, params))
         if converged or it == opts.max_iterations:

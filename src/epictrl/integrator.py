@@ -6,28 +6,28 @@ costate system from its zero terminal condition, applying the matching
 adjoint jumps.  Both record pre-jump and post-jump values at impulse nodes so
 trajectories represent the discontinuities losslessly.
 
-Both passes run scalar code: numpy's per-call cost on vectors of n + 6
-elements would otherwise dominate.  ``model`` generates each pass whole for
-the dose count: a ``march`` whose loop holds the value in local names and
-inlines the RK4 stages, called once per run of steps between impulse nodes,
-which ``native`` builds in C from the same generated lines, where ``cc`` is
-found, once a process has marched enough steps to pay for the compile.  The
-state march steps every compartment in every pass and stops at the first
-node where one is below zero, which the forward pass clamps before it resumes
-the march there.  The costate march steps with -h, forms each node's
-point-only terms once and does no arithmetic on the costates that stay zero,
-not even in the other rows.  Every floating-point operation keeps the order
-of the numpy formulation, and the tests hold both passes, C or Python,
-bitwise equal to a numpy reference implementation.  Each pass writes one
-array row per node.  A pass with impulse nodes copies that table to the other
-side of the jumps and patches their rows; a pass without one hands the same
-table out as both sides, read-only.  The costate march reads the four state
-columns it needs in place from the forward pass's table.  A ``ControlSignal``
-on the grid's own ``times`` (built once per grid) gives the passes its own node
-samples and its midpoint samples, which both passes of a sweep iteration share:
-interpolated once per signal and cached on it, or formed by the sweep's C step
-along with the controls; they are read-only, since every pass and cost shares
-them.
+Both passes run scalar code: numpy's per-call cost on vectors of n + 6 elements
+would otherwise dominate.  ``model`` generates each pass whole for the dose
+count: a ``march`` whose loop holds the value in local names and inlines the RK4
+stages, called once per run of steps between impulse nodes, which ``native``
+builds in C from the same generated lines, where ``cc`` is found, once a process
+has marched enough steps to pay for the compile.  The state march steps every
+compartment in every pass and stops at the first node where one is below zero,
+which the forward pass clamps before it resumes the march there.  The costate
+march steps with -h, forms each node's point-only terms once and does no
+arithmetic on the costates that stay zero, not even in the other rows.  Every
+floating-point operation keeps the order of the numpy formulation, and the tests
+hold both passes, C or Python, bitwise equal to a numpy reference
+implementation.  Each pass writes one array row per node.  A pass with impulse
+nodes copies that table to the other side of the jumps and patches their rows; a
+pass without one hands the same table out as both sides, read-only.  The costate
+march reads the four state columns it needs in place from the forward pass's
+table.  The C marches take an array's address once while it lives
+(``native._address``).  A ``ControlSignal`` on the grid's own ``times`` (built
+once per grid) gives the passes its own node samples and its midpoint samples,
+which both passes of a sweep iteration share: interpolated once per signal and
+cached on it, or formed by the sweep's C step along with the controls; they are
+read-only, since every pass and cost shares them.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from __future__ import annotations
 import functools
 import logging
 import math
+import types
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -171,12 +172,13 @@ def _impulse_nodes(schedule: ImpulseSchedule | None, grid: TimeGrid) -> tuple[di
     return imap, faults
 
 
-def _impulse_map(schedule: ImpulseSchedule | None, grid: TimeGrid) -> dict[int, tuple]:
-    """Map schedule events onto interior grid nodes; ScheduleError for the first fault."""
+@functools.lru_cache(maxsize=16)
+def _impulse_map(schedule: ImpulseSchedule | None, grid: TimeGrid) -> types.MappingProxyType:
+    """Schedule events by interior grid node, read-only and cached; ScheduleError for the first fault."""
     imap, faults = _impulse_nodes(schedule, grid)
     if faults:
         raise ScheduleError(faults[0])
-    return imap
+    return types.MappingProxyType(imap)
 
 
 def _sampled_controls(controls: ControlSignal, grid: TimeGrid):
@@ -224,16 +226,13 @@ def integrate_forward(
     if initial.n != params.n:
         raise ValueError(f"state has {initial.n} dose compartments, params expect {params.n}")
     imap = _impulse_map(schedule, grid)
-    # memoryviews index as Python floats without holding a list of them
-    v_n, u_n, v_m, u_m = (memoryview(x) for x in _sampled_controls(controls, grid))
+    v_n, u_n, *_ = samples = _sampled_controls(controls, grid)
     times = grid.times
     h = grid.h
     steps = grid.n_steps
     dim = 6 + params.n
 
     y0 = initial.as_array()
-    n0 = float(y0.sum() - y0[D])
-    tol = _NEGATIVE_TOL * n0
     pre = np.empty((steps + 1, dim))
     pre[0] = y0
     jumped = {}
@@ -242,14 +241,14 @@ def integrate_forward(
     march = _kernels(params, march=True, steps=steps)
     cuts = [0, *sorted(imap), steps]
     for i0, i1 in zip(cuts, cuts[1:]):
-        node, y = march(y, (v_n[i0], u_n[i0]), h, i0, i1, pre, v_n, u_n, v_m, u_m)
+        node, y = march(y, (float(v_n[i0]), float(u_n[i0])), h, i0, i1, pre, *samples)
         while node:  # a step left some compartment below zero there
             lowest = min(y)
-            if lowest < -tol:
+            if lowest < -(_NEGATIVE_TOL * float(y0.sum() - y0[D])):
                 raise _too_coarse(lowest, times[node])
             clamped.append(lowest)
             pre[node] = y = [0.0 if x < 0.0 else x for x in y]  # keeps -0.0, like np.maximum
-            node, y = march(y, (v_n[node], u_n[node]), h, node, i1, pre, v_n, u_n, v_m, u_m)
+            node, y = march(y, (float(v_n[node]), float(u_n[node])), h, node, i1, pre, *samples)
         lam = imap.get(i1)
         if lam is not None:
             y = jumped[i1] = _apply_impulse(y, lam)
@@ -287,28 +286,26 @@ def integrate_adjoint_backward(
     by (1 + lam_l), the transpose of the diagonal arrival jump.
     """
     times = grid.times
-    if len(traj.node_times) != len(times) or np.max(np.abs(traj.node_times - times)) > 1e-9 * max(
-        1.0, grid.tau
-    ):
+    if traj.node_times is not times and (len(traj.node_times) != len(times) or np.max(
+            np.abs(traj.node_times - times)) > 1e-9 * max(1.0, grid.tau)):
         raise GridMismatchError("trajectory grid does not match the integration grid")
     imap = _impulse_map(schedule, grid)
     if set(imap) != set(traj.impulse_nodes):
         raise GridMismatchError("schedule impulse nodes do not match the trajectory's")
 
-    v_n, u_n, v_m, u_m = (memoryview(x) for x in _sampled_controls(controls, grid))
+    v_n, u_n, *_ = samples = _sampled_controls(controls, grid)
     steps = grid.n_steps
     march = _kernels(params, weights.omega, march=True, steps=steps)
-    columns = [memoryview(traj.states_post[:, c]) for c in range(4)]  # strided, not copied
     dim = 6 + params.n
     post = np.empty((steps + 1, dim))
     jumped = {}
     pq = [0.0] * dim
-    post[steps] = pq
+    post[steps] = 0.0
     cuts = [0, *sorted(imap), steps]
     for i0, i1 in reversed(list(zip(cuts, cuts[1:]))):
         # the states either side of node i1 differ if it is an impulse node
-        right = (*traj.states_pre[i1, :4].tolist(), v_n[i1], u_n[i1])
-        _, pq = march(pq, right, -grid.h, i0, i1, post, v_n, u_n, v_m, u_m, *columns)
+        right = (*traj.states_pre[i1, :4].tolist(), float(v_n[i1]), float(u_n[i1]))
+        _, pq = march(pq, right, -grid.h, i0, i1, post, *samples, traj.states_post)
         lam = imap.get(i0)
         if lam is not None:
             pq = jumped[i0] = _apply_impulse(pq, lam)

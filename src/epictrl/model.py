@@ -31,16 +31,14 @@ from .errors import DegenerateParameterError, StabilityError
 S, E, A, I, R, D = 0, 1, 2, 3, 4, 5
 V0 = 6  # first vaccination compartment
 
-# A step may leave a compartment below zero by at most this fraction of the
-# initial living population (roundoff, clamped to zero); lower means the step
-# is too coarse.
+# A step may leave a compartment below zero by at most this fraction of the initial living
+# population (roundoff, clamped to zero); lower means the step is too coarse.
 _NEGATIVE_TOL = 1e-9
 
 
-# Value rules.  Each config component states its rules once, in a static
-# ``violations`` that returns every fault as "field: reason" and skips absent
-# fields; its constructor raises on any fault, and the config-file validator
-# calls the same function with the values of the right JSON type.
+# Value rules.  Each config component states its rules once, in a static ``violations`` that
+# returns every fault as "field: reason" and skips absent fields; its constructor raises on any
+# fault, and the config-file validator calls it with the values of the right JSON type.
 
 
 def _number_faults(values, names, lo=None, hi=None, positive=False) -> list[str]:
@@ -311,9 +309,10 @@ class ImpulseSchedule:
 
 
 def _row_view(pre: np.ndarray, post: np.ndarray, impulse_nodes) -> np.ndarray:
-    """Rows of ``pre`` in node order, each impulse node followed by its ``post`` row."""
+    """Rows of ``pre`` in node order, each impulse node followed by its ``post`` row: a new array,
+    or ``pre`` itself where it has no impulse node and is read-only, as a sweep's tables are."""
     jumps = np.asarray(impulse_nodes, dtype=int)
-    return np.insert(pre, jumps + 1, post[jumps], axis=0)
+    return np.insert(pre, jumps + 1, post[jumps], axis=0) if jumps.size or pre.flags.writeable else pre
 
 
 @dataclass(frozen=True)
@@ -466,19 +465,19 @@ def _kernel_lines(head, rows, cols, dim: int) -> list[str]:
 
 
 def _march_lines(head, rows, cols, dim: int) -> tuple[list[str], list[str], list[str], list[int]]:
-    """Source lines of ``march(pr, omega, y, a, h, i0, i1, out, vn, un, vm, um, *cols)``, which
-    steps ``rows`` from the value ``y`` at the point ``a`` (as in ``bind``) to each node between
-    i0 and i1, writing the value there to that row of ``out``; ``vn``, ``un`` and ``vm``, ``um``
-    sample the controls at the nodes and midpoints.  The costates step back with a negative h over
-    ``cols``' node columns.  Every row but a literal 0.0 is marched (``_rk4_lines``).  It returns
-    (0, the last value) or, at the first node where a state row is below zero, (that node, its
-    value) with that row unwritten.  Then the parts the C loop shares (``native._translate``): the
-    prologue, which runs ``head`` and binds what the loop starts from, the loop's ``name = expr``
-    lines, and the rows tested for a stop."""
+    """Source lines of ``march(pr, omega, y, a, h, i0, i1, out, vn, un, vm, um[, x])``, which steps
+    ``rows`` from the value ``y`` at the point ``a`` (as in ``bind``) to each node between i0 and i1,
+    writing the value there to that row of ``out``; ``vn``, ``un`` and ``vm``, ``um`` sample the
+    controls at the nodes and midpoints.  The costates step back with a negative h over the state
+    table ``x``, whose first columns are ``cols``.  Every row but a literal 0.0 is marched
+    (``_rk4_lines``).  It returns (0, the last value) or, at the first node where a state row is below
+    zero, (that node, its value) with that row unwritten.  Then the parts the C loop shares
+    (``native._translate``): the prologue, which runs ``head`` and binds what the loop starts from,
+    the loop's ``name = expr`` lines, and the rows tested for a stop."""
     ys, j = ", ".join(f"y{c}" for c in range(dim)), "i" if cols else "j"
     terms = functools.partial(_point_lines, rows, dim)
     rk4, live = _rk4_lines(rows, dim, every=True)
-    body = [*(f"a2_{r} = {r}[{j}]" for r in cols), f"a2_v = vn[{j}]", f"a2_u = un[{j}]"]
+    body = [*(f"a2_{r} = x[{j}, {c}]" for c, r in enumerate(cols)), f"a2_v = vn[{j}]", f"a2_u = un[{j}]"]
     body += [*terms("a2_"), *(f"a1_{r} = 0.5 * (a2_{r} + a0_{r})" for r in cols)]
     body += ["a1_v = vm[i]", "a1_u = um[i]", *terms("a1_"), *rk4]
     carry = [f"{a} = a2_{a[3:]}" for a in sorted(set(re.findall(r"\ba0_\w+", " ".join(body))))]
@@ -489,9 +488,10 @@ def _march_lines(head, rows, cols, dim: int) -> tuple[list[str], list[str], list
     stop = _block(f"if {' or '.join(f'y{c} < 0.0' for c in marched)}:", [f"return j, [{ys}]"])
     header = "for i in range(i1 - 1, i0 - 1, -1):" if cols else "for i in range(i0, i1):"
     step = [*loop, *(stop if marched else []), f"put(out, {8 * dim} * {j}, {ys})"]
-    lines = [*prologue, f"put = Struct('{dim}d').pack_into", *_block(header, step), f"return 0, [{ys}]"]
-    last = "".join(f", {r}" for r in cols)
-    march = _block(f"def march(pr, omega, y, a, h, i0, i1, out, vn, un, vm, um{last}):", lines)
+    arrays = f"vn, un, vm, um{', x' if cols else ''}"  # indexed as memoryviews, which give floats
+    lines = [*prologue, f"put, {arrays} = Struct('{dim}d').pack_into, *map(memoryview, ({arrays},))"]
+    lines += [*_block(header, step), f"return 0, [{ys}]"]
+    march = _block(f"def march(pr, omega, y, a, h, i0, i1, out, {arrays}):", lines)
     return march, prologue, loop, marched
 
 

@@ -3,10 +3,13 @@
 has marched enough steps to pay for it, and in the same library a "%.12g" CSV writer (_format)
 and the sweep's step between its passes (_update)."""
 
+import array
+import ctypes
 import functools
 import logging
 import re
 import time
+import weakref
 
 import numpy as np
 
@@ -18,21 +21,33 @@ _KINDS = (False, True)  # the costate flag of each of the sweep's marches
 # by costate flag, the loop of the march and the node each of its steps writes
 _LOOPS = {False: ("for (i = i0; i < i1; i++) {", "j"), True: ("for (i = i1 - 1; i > i0 - 1; i--) {", "i")}
 # names, numbers, subscripts, +, - and *; no division (C's truncates integers), power or call
-_TOKEN = r"\d+\.\d+\b|\d+\b|[A-Za-z_]\w*\b(?!\s*\()|\[\w+\]|[-+*() ]"
+_TOKEN = r"\d+\.\d+\b|\d+\b|[A-Za-z_]\w*\b(?!\s*\()|\[\w+(?:, \d+)?\]|[-+*() ]"
 _ASSIGN = rf"([A-Za-z_]\w*) = (?!.*\*\*)(?:{_TOKEN})+"
 # Python steps a compile costs (rent or buy): 37,000-73,000 at n = 2..5 when set, less ~8,000 its CSV
 # writer saves; with the update, 0.21-0.35 s of cc (0.05-0.07 s the update) at 3.0-4.4 us a step
 _PAYBACK = 40_000
 _STEPS: dict = {}  # (n, delta_n_to_exposed) -> steps this process has marched or is about to
 _BLOCK = 256  # rows _format writes at a time
-_FORMAT = "static const double P10[] = {%s};" % ", ".join(f"1e{k}" for k in range(23)) + r"""
+_ADDRESSES: dict = {}  # id -> (weak reference, address) of each array a C call has taken
+_FORMAT = r"""#include <string.h>
+static const double P10[] = {%s};
+static const char PAIRS[] = "%s";  /* PAIRS + 2 * k: the two digits of k < 100 */
 static double scaled(double a, int p) { return p < 0 ? a / P10[-p] : a * P10[p]; }
+static int six(char *d, unsigned long long h) {  /* the six digits of h < 10^6 to d, and how many zeros
+    end them: pairs by Anhalt's fixed point, y / 2^32 = h / 10^4 (exact for every h < 10^6) */
+    unsigned long long y = h * 429497, p[3];
+    for (int k = 0; k < 3; k++)
+        p[k] = y >> 32, memcpy(d + 2 * k, PAIRS + 2 * p[k], 2), y = (y & 0xffffffff) * 100;
+    return p[2] ? !(p[2] %% 10) : p[1] ? 2 + !(p[1] %% 10) : p[0] ? 4 + !(p[0] %% 10) : 6;
+}
+/* x[i:size], cols to a row, as text at out + *at; a field's fixed-width copies may run 25 bytes on */
 long format12(const double *x, long i, long size, long cols, char *out, long long *at, double *back) {
-    char *o = out + *at, d[12];
+    char *o = out + *at, d[24] = {0};
+    long c = i %% cols;
     for (; i < size; i++) {
         union { double f; unsigned long long b; } u = {x[i]};
         double a = x[i] < 0.0 ? -x[i] : x[i], m, f;
-        int e = ((int)(u.b >> 52 & 0x7ff) - 1023) * 78913 >> 18, j, nd = 12, p;  /* floor(log10 a) or 1 less */
+        int e = ((int)(u.b >> 52 & 0x7ff) - 1023) * 78913 >> 18, lo, hi, nd;  /* floor(log10 a) or 1 less */
         long long q = 0;
         if (a != 0.0) {  /* nan, inf and subnormals have e out of range */
             if (e < -11 || e > 32) break;
@@ -42,26 +57,26 @@ long format12(const double *x, long i, long size, long cols, char *out, long lon
             if ((f = m - (double)q) > 0.5 - 1.0 / 4096 && f < 0.5 + 1.0 / 4096) break;  /* near a tie */
             if (f > 0.5 && ++q == 1000000000000LL) q /= 10, e++;
         } else e = 0;
-        back[i] = u.b >> 63 ? -scaled((double)q, e - 11) : scaled((double)q, e - 11);
-        for (j = 11; j >= 0; j--, q /= 10) d[j] = (char)('0' + q % 10);
-        while (nd > 1 && d[nd - 1] == '0') nd--;
-        if (u.b >> 63) *o++ = '-';
-        p = e < -4 || e > 11 ? 0 : e;  /* the digit before the point; d[j < 0] are leading zeros */
-        for (j = p < 0 ? p : 0; j < nd || j <= p; j++) {
-            if (j == p + 1) *o++ = '.';
-            *o++ = j < 0 ? '0' : d[j];
-        }
-        if (e < -4 || e > 11)
-            *o++ = 'e', *o++ = e < 0 ? '-' : '+', e = e < 0 ? -e : e,
-            *o++ = (char)('0' + e / 10), *o++ = (char)('0' + e % 10);
-        if ((i + 1) % cols) *o++ = ','; else *o++ = '\r', *o++ = '\n';
+        if (back) back[i] = u.b >> 63 ? -scaled((double)q, e - 11) : scaled((double)q, e - 11);
+        lo = six(d + 6, q %% 1000000), hi = six(d, q / 1000000);  /* d: the 12 digits of q */
+        nd = q %% 1000000 ? 12 - lo : q ? 6 - hi : 1;  /* up to the last nonzero one */
+        *o = '-', o += u.b >> 63;
+        if (e < -4 || e > 11) {  /* d.ddde+XX */
+            o[0] = d[0], o[1] = '.', memcpy(o + 2, d + 1, 11), o += nd > 1 ? nd + 1 : 1;
+            o[0] = 'e', o[1] = e < 0 ? '-' : '+', memcpy(o + 2, PAIRS + 2 * (e < 0 ? -e : e), 2), o += 4;
+        } else if (e < 0)  /* 0.000ddd */
+            memcpy(o, "0.000", 5), memcpy(o + 1 - e, d, 12), o += 1 - e + nd;
+        else  /* ddd.ddd, or ddd */
+            memcpy(o, d, 12), memcpy(o + e + 2, d + e + 1, 11), o[e + 1] = '.',
+            o += nd > e + 1 ? nd + 1 : e + 1;
+        if (++c < cols) *o++ = ','; else c = 0, *o++ = '\r', *o++ = '\n';
     }
     *at = o - out;
     return i;
 }
-"""
+""" % (", ".join(f"1e{k}" for k in range(23)), "".join(f"{k:02d}" for k in range(100)))
 # the sweep's step between its passes (_update); k holds omega, sigma0/2, gain/2, sigma0, gain, v_max,
-# theta, 1 - theta and gamma
+# theta, 1 - theta and gamma, and the rows of out the next u and v, their midpoint v and u and the cells
 _UPDATE = r"""
 #include <math.h>
 static double clip(double x, double lo, double hi) { x = x < lo ? lo : x; return x > hi ? hi : x; }
@@ -76,8 +91,8 @@ static double interp(double x, const double *t, const double *y) {  /* np.interp
     return r != r && y[0] == y[1] ? y[0] : r;
 }
 double update(long nodes, long n, long to_exposed, const double *k, const double *t, const double *pre,
-              const double *post, const double *adj, const double *u, const double *v,
-              double *u1, double *v1, double *vm, double *um, double *cells) {
+              const double *post, const double *adj, const double *u, const double *v, double *out) {
+    double *u1 = out, *v1 = u1 + nodes, *vm = v1 + nodes, *um = vm + nodes, *cells = um + nodes;
     const double *g = k + 11, *x, *p;
     double most = 0.0, ur, vr, w, d;
     long dim = n + 6, j, l, bad = 0;
@@ -105,10 +120,9 @@ double update(long nodes, long n, long to_exposed, const double *k, const double
 
 
 def _translate(name: str, backward: bool, dim: int, prologue: list[str], loop: list[str], marched):
-    """C function ``name`` running the ``loop`` lines of a march from i0 to i1, ``backward`` or not,
-    and stopping as it does where a ``marched`` row is below zero; ``enter(pr, omega, y, a, h)``,
-    which runs the ``prologue`` and returns the values the loop starts from, y0.. first; their
-    count.  ValueError for a loop line but ``x = expr``."""
+    """C function ``name`` running the ``loop`` lines of a march from i0 to i1, ``backward`` or not, and
+    stopping as it does where a ``marched`` row is below zero, and ``enter(pr, omega, y, a, h)``, which runs
+    the ``prologue`` and returns the loop's start values, y0.. first.  ValueError for a line but x = expr."""
     header, at = _LOOPS[backward]
     ys = [f"y{c}" for c in range(dim)]
     save, row = (" ".join(f"{to}[{c}] = {y};" for c, y in enumerate(ys)) for to in ("inout_", "row_"))
@@ -117,54 +131,70 @@ def _translate(name: str, backward: bool, dim: int, prologue: list[str], loop: l
     for line in loop:  # a name the prologue does not bind is step-local
         if not (match := re.fullmatch(_ASSIGN, line)):
             raise ValueError(f"no C translation for the generated line {line!r}")
-        line = re.sub(r"\b([SEAI])\[(\w+)\]", rf"\1[{dim} * \2]", line)  # columns of the state table
+        line = re.sub(r"\[(\w+), (\d+)\]", rf"[{dim} * \1 + \2]", line)  # a cell of the state table
         body.append(("" if match[1] in declared else "double ") + f"{line};")
         declared.add(match[1])
     if marched:
         body.append(f"if ({' || '.join(f'y{c} < 0.0' for c in marched)}) {{ {save} return {at}; }}")
     body.append(f"double *row_ = out + {dim} * {at}; {row}")
     inputs = ys + sorted(bound & set(re.findall(r"\w+", "\n".join(body))) - set(ys))
-    arrays = ", ".join(f"const double *{x}" for x in ("vn", "un", "vm", "um", "S", "E", "A", "I"))
+    arrays = ", ".join(f"const double *{x}" for x in ("vn", "un", "vm", "um", "x"))
     c = [f"long {name}(double *inout_, long i0, long i1, double *out, {arrays}) {{", "long i, j;"]
     c += [f"double {x} = inout_[{k}];" for k, x in enumerate(inputs)]
     c += [header, *body, "}", save, "return 0;", "}"]
     enter = ["def enter(pr, omega, y, a, h):", *(f"    {line}" for line in prologue)]
     exec("\n".join([*enter, f"    return [{', '.join(inputs)}]"]), namespace := {})
-    return "\n".join(c), namespace["enter"], len(inputs)
+    return "\n".join(c), namespace["enter"]
 
 
-def _run(fn, enter, size, pr, omega, y, a, h, i0, i1, out, vn, un, vm, um, *cols):
+def _address(x, rows: int, width: int = 0, write: bool = False, at: int | None = None) -> int:
+    """The address of ``x``, a C-contiguous aligned float64 array of ``rows`` or more rows of
+    ``width`` values (a vector without), writable to ``write`` it, else IndexError.  Its layout is
+    checked, and its address (or ``at``, where the caller made it) and shape kept, at its first use
+    while it lives: a weak reference drops them with it and stops numpy resizing it meanwhile.
+    Each use checks the rows, the width and, to write, the flag."""
+    hit = _ADDRESSES.get(key := id(x))
+    new = (hit is None or hit[0]() is not x) and isinstance(x, np.ndarray) and x.dtype == float
+    if new and x.size and x.ndim in (1, 2) and x.flags.c_contiguous and x.flags.aligned:
+        # from_buffer takes the address three times as fast as .ctypes, of writable buffers only
+        at = at or (ctypes.addressof(ctypes.c_char.from_buffer(x)) if x.flags.writeable else x.ctypes.data)
+        shape = len(x), x.shape[1] if x.ndim == 2 else 0
+        hit = _ADDRESSES[key] = weakref.ref(x, lambda _: _ADDRESSES.pop(key, None)), at, *shape
+    if hit is None or hit[0]() is not x or hit[2] < rows or hit[3] != width or write and not x.flags.writeable:
+        raise IndexError(f"no buffer of {rows} rows of {width or 1} doubles")
+    return hit[1]
+
+
+def _run(fn, enter, pr, omega, y, a, h, i0, i1, out, vn, un, vm, um, x=None):
     """``march`` of ``model._march_lines`` on its C loop ``fn``: the node it stopped at, or 0,
-    and the value there."""
-    import ctypes  # with the first compile, not with the package
-    views = [memoryview(x) for x in (out, vn, un, vm, um, *cols)]
-    need = (len(y) * (i1 + 1), i1 + 1, i1 + 1, *(i1,) * 6)  # doubles the loop may index
-    apart = (1,) * 5 + (len(y),) * len(cols)  # doubles between them: state columns are table columns
-    fits = all(v.format == "d" and (v.c_contiguous if k == 1 else v.strides == (8 * k,)) and v.nbytes >= 8 * m
-               for v, m, k in zip(views, need, apart))
-    if i0 < 0 or views[0].readonly or not fits:
+    and the value there; the loop reads and writes the arrays at ``_address``'s addresses."""
+    if i0 < 0:
         raise IndexError(f"march from node {i0} to {i1} out of its buffers")
-    # addresses, as from_buffer refuses the read-only samples; ``views`` keeps the buffers alive
-    args = [np.asarray(v).ctypes.data for v in views] + [None] * (9 - len(views))
-    inout = (ctypes.c_double * size)(*enter(pr, omega, y, a, h))
-    return fn(inout, i0, i1, *args), inout[: len(y)]
+    args = [_address(out, i1 + 1, len(y), write=True), _address(vn, i1 + 1), _address(un, i1 + 1)]
+    args += [_address(vm, i1), _address(um, i1), None if x is None else _address(x, i1, len(y))]
+    inout = array.array("d", enter(pr, omega, y, a, h))
+    return fn(inout.buffer_info()[0], i0, i1, *args), inout[: len(y)].tolist()
 
 
-def _format(fn, table: np.ndarray) -> tuple[list[bytes], np.ndarray]:
+def _format(fn, table: np.ndarray, read_back: bool = True) -> tuple[list[bytes], np.ndarray | None]:
     """The rows of the 2-D ``table`` as CSV text of "%.12g" fields, in blocks of ``_BLOCK`` rows so
-    that no buffer but the text grows with the table, and the values those read back as, bitwise
-    Python's ``%`` and ``float``: ``fn`` (C's ``format12``) scales |x| by an exact 10^(11-e) into
-    [1e11, 1e12) with one rounding, to m within 2^-14 of the exact product, so m rounded is ``%``'s
-    correctly rounded significand q (Gay 1990) unless m is within 2^-12 of a tie; q·10^(e-11), one
-    rounding of exact operands, is ``float`` (Clinger, PLDI 1990).  ``fn`` returns the index of a
-    value near a tie, outside [1e-11, 1e33), nan or inf; Python writes it."""
+    that no buffer but the text grows with the table, and with ``read_back`` the values those read
+    back as, bitwise Python's ``%`` and ``float``: ``fn`` (C's ``format12``) scales |x| by an exact
+    10^(11-e) into [1e11, 1e12) with one rounding, to m within 2^-14 of the exact product, so m
+    rounded is ``%``'s correctly rounded significand q (Gay 1990) unless m is within 2^-12 of a tie;
+    q·10^(e-11), one rounding of exact operands, is ``float`` (Clinger, PLDI 1990).  ``fn`` returns
+    the index of a value near a tie, outside [1e-11, 1e33), nan or inf; Python writes it."""
     x = np.ascontiguousarray(table, dtype=float)
-    cols, flat, back, blocks = x.shape[1], x.reshape(-1), np.empty_like(x), []
-    out, at = np.empty(21 * _BLOCK * cols, np.uint8), np.zeros(1, np.int64)  # 21 bytes a field at most
+    cols, flat, back, blocks = x.shape[1], x.reshape(-1), np.empty_like(x) if read_back else None, []
+    # 21 bytes a field at most, and room for the last field's fixed-width copies
+    out, at = np.empty(21 * _BLOCK * cols + 32, np.uint8), np.zeros(1, np.int64)
+    args = out.ctypes.data, at.ctypes.data, None if back is None else back.ctypes.data
     for i in range(0, x.size, _BLOCK * cols):
         end, at[0] = min(i + _BLOCK * cols, x.size), 0
-        while (i := fn(x.ctypes.data, i, end, cols, out.ctypes.data, at.ctypes.data, back.ctypes.data)) < end:
-            back.flat[i] = float(field := b"%.12g" % flat[i])
+        while (i := fn(x.ctypes.data, i, end, cols, *args)) < end:
+            field = b"%.12g" % flat[i]
+            if back is not None:
+                back.flat[i] = float(field)
             field += b"," if (i + 1) % cols else b"\r\n"
             out[at[0] : at[0] + len(field)] = np.frombuffer(field, np.uint8)
             at[0], i = at[0] + len(field), i + 1
@@ -178,17 +208,16 @@ def _update(fn, pr, weights, gain: float, theta: float, traj, adj, u: np.ndarray
     ``control.fbsm_solve``, their midpoint samples (v, u) as ``np.interp`` forms them, read-only,
     and the largest scaled change, or NaN where a raw control is NaN; each bitwise numpy's.  A
     cell's left node is costed on its post row, which equals the pre row off the impulse nodes."""
-    times, pre, post, adj = traj.node_times, traj.states_pre, traj.states_post, adj.values_post
-    nodes, dim = pre.shape
-    k = np.array([*weights.omega, 0.5 * weights.sigma0, 0.5 * gain, weights.sigma0, gain, pr.v_max,
-                  theta, 1.0 - theta, *pr.gamma])
-    ins, shapes = (times, pre, post, adj, u, v), ((nodes,), *[(nodes, dim)] * 3, (nodes,), (nodes,))
-    if len(k) != dim + 5 or any(x.shape != shape or x.dtype != float or not x.flags.c_contiguous
-                                for x, shape in zip(ins, shapes)):
-        raise IndexError("sweep step on tables of other shapes")
-    out = (np.empty(nodes), np.empty(nodes), np.empty(nodes - 1), np.empty(nodes - 1), np.empty(nodes - 1))
-    change = fn(nodes, dim - 6, pr.delta_n_to_exposed, *(x.ctypes.data for x in (k, *ins, *out)))
-    u1, v1, *mid, cells = out
+    nodes, dim = len(traj.node_times), pr.n + 6
+    k = array.array("d", [*weights.omega, 0.5 * weights.sigma0, 0.5 * gain, weights.sigma0, gain,
+                          pr.v_max, theta, 1.0 - theta, *pr.gamma])
+    tables = [_address(x, nodes, dim) for x in (traj.states_pre, traj.states_post, adj.values_post)]
+    ins = [_address(traj.node_times, nodes), *tables, _address(u, nodes), _address(v, nodes)]
+    out = np.empty((5, nodes))  # the next passes find their samples' addresses as C wrote them
+    change = fn(nodes, pr.n, pr.delta_n_to_exposed, k.buffer_info()[0], *ins, at := _address(out, 5, nodes))
+    u1, v1, *mid, cells = out[0], out[1], out[2, :-1], out[3, :-1], out[4, :-1]
+    for row, x in enumerate((u1, v1, *mid)):
+        _address(x, 0, at=at + 8 * nodes * row)
     for x in mid:
         x.setflags(write=False)
     return cells, u1, v1, tuple(mid), change
@@ -205,7 +234,6 @@ def _library(n: int, to_exposed: bool) -> dict | None:
     """The C marches of n doses by costate flag and, as "format" and "update", ``_format`` and
     ``_update`` on their C, from one shared object compiled in a temporary directory, or None where
     that fails; logs which run, and the time or the reason."""
-    import ctypes
     import subprocess
     import tempfile
 
@@ -225,11 +253,10 @@ def _library(n: int, to_exposed: bool) -> dict | None:
         return None
     log.debug("n=%d, delta_n_to_exposed=%s: C marches from step %d, compiled in %.3f s", n, to_exposed,
               _STEPS.get((n, to_exposed), 0), time.perf_counter() - started)
-    double = ctypes.POINTER(ctypes.c_double)
-    proto = ctypes.CFUNCTYPE(ctypes.c_long, double, ctypes.c_long, ctypes.c_long, *[ctypes.c_void_p] * 9)
+    proto = ctypes.CFUNCTYPE(ctypes.c_long, ctypes.c_void_p, *[ctypes.c_long] * 2, *[ctypes.c_void_p] * 6)
     fmt = ctypes.CFUNCTYPE(ctypes.c_long, ctypes.c_void_p, *[ctypes.c_long] * 3, *[ctypes.c_void_p] * 3)
-    step = ctypes.CFUNCTYPE(ctypes.c_double, *[ctypes.c_long] * 3, *[ctypes.c_void_p] * 12)
+    step = ctypes.CFUNCTYPE(ctypes.c_double, *[ctypes.c_long] * 3, *[ctypes.c_void_p] * 8)
     return {"format": functools.partial(_format, fmt(("format12", lib))),
             "update": functools.partial(_update, step(("update", lib))),
-            **{kind: functools.partial(_run, proto((f"march{k}", lib)), *rest)
-               for k, (kind, (_, *rest)) in enumerate(zip(_KINDS, marches))}}
+            **{kind: functools.partial(_run, proto((f"march{k}", lib)), enter)
+               for k, (kind, (_, enter)) in enumerate(zip(_KINDS, marches))}}

@@ -104,6 +104,49 @@ def test_c_formatter_hands_python_the_values_at_block_boundaries(format12, monke
     assert np.array_equal(back.view(np.uint64), want_back.view(np.uint64))
 
 
+def test_c_formatter_fixed_width_copies_fit_one_row_blocks(format12, monkeypatch):
+    # the widest field of each layout, signs and all, in blocks of one row: the copies a field
+    # makes at fixed widths run past its end, into the room the block buffer leaves after it,
+    # and no further, which bytes after that buffer show
+    monkeypatch.setattr(native, "_BLOCK", 1)
+    buffers = []
+
+    class Guarded:  # numpy, but with 64 canary bytes after each text buffer _format allocates
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def empty(self, shape, dtype=float):
+            if dtype is not np.uint8:
+                return np.empty(shape, dtype)
+            buffers.append((whole := np.full(shape + 64, 0xAB, np.uint8), shape))
+            return whole[:shape]
+
+    monkeypatch.setattr(native, "np", Guarded())
+    widest = [-0.000123456789012, -1.23456789012e-11, -123456789012.0, -1.23456789012e32, -0.0]
+    widest += [-9.87654321098e-11, -12345678901.2, -0.123456789012, -1.2e-5, -999999999999.0, -1.0]
+    fn, calls = format12
+    for cols in (1, 2, len(widest)):
+        table = np.array(widest * cols).reshape(-1, cols)
+        blocks, back = native._format(fn, table)
+        want_body, want_back = python_csv(table)
+        assert [len(block) for block in blocks] == [len(line) + 2 for line in want_body.split(b"\r\n")[:-1]]
+        assert b"".join(blocks) == want_body
+        assert np.array_equal(back.view(np.uint64), want_back.view(np.uint64))
+        assert native._format(fn, table, read_back=False) == (blocks, None)
+    assert len(buffers) == 6 and all((whole[size:] == 0xAB).all() for whole, size in buffers)
+
+
+def test_six_digit_halves_split_exactly_into_pairs():
+    # format12's fixed point: y = h * 429497 holds h / 10^4 in its high 32 bits, and each step
+    # of y = (y mod 2^32) * 100 the next two digits, for every six-digit half h
+    h = np.arange(10**6, dtype=np.uint64)
+    y, pairs = h * np.uint64(429497), []
+    for _ in range(3):
+        pairs.append(y >> np.uint64(32))
+        y = (y & np.uint64(0xFFFFFFFF)) * np.uint64(100)
+    assert all(np.array_equal(p, h // 10**k % 100) for p, k in zip(pairs, (4, 2, 0)))
+
+
 def test_global_seed_option_is_rejected(capsys):
     # the solver is deterministic, and nothing read the former --seed
     for argv in (["--seed=1", "r0", "--config", "cfg.json"], ["r0", "--config", "cfg.json", "--seed", "1"]):

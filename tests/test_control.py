@@ -1,9 +1,11 @@
 import dataclasses
+import functools
 import logging
 import math
 import operator
 import pathlib
 import shutil
+import types
 
 import numpy as np
 import pytest
@@ -910,6 +912,28 @@ class TestCompiledUpdate:
         with pytest.raises(IndexError):
             step(params, weights, gain, theta, traj, adj, u[:-1], v[:-1])
 
+    @needs_cc
+    def test_every_bound_array_is_checked_before_the_c_call(self):
+        # each array the update reads is checked at its first use and its shape at every use: one
+        # shorter than the grid, misshapen, strided or non-float raises IndexError before the C loop
+        params, weights, traj, adj, u, v, _ = self._draw(np.random.default_rng(3), 3, True)
+        calls, gain = [], weights.vaccination_gain(params)
+        step = functools.partial(native._update, lambda *args: calls.append(args) or 0.0)
+        assert step(params, weights, gain, 0.5, traj, adj, u, v)[-1] == 0.0 and len(calls) == 1
+        times, pre, post, values = traj.node_times, traj.states_pre, traj.states_post, adj.values_post
+        passes = types.SimpleNamespace  # the pass tables as the update reads them, unchecked
+        bad = [(passes(node_times=np.repeat(times, 2)[::2], states_pre=pre, states_post=post), adj, u, v),
+               (passes(node_times=times, states_pre=pre[:-1], states_post=post), adj, u, v),
+               (passes(node_times=times, states_pre=pre, states_post=np.ascontiguousarray(post[:, 1:])), adj, u, v),
+               (passes(node_times=times, states_pre=np.asfortranarray(pre), states_post=post), adj, u, v),
+               (traj, passes(values_post=values.astype(np.float32)), u, v),
+               (traj, passes(values_post=values[::-1]), u, v),
+               (traj, adj, u[:-1], v), (traj, adj, u, np.zeros((len(v), 1))), (traj, adj, u, memoryview(v))]
+        for args in bad:
+            with pytest.raises(IndexError):
+                step(params, weights, gain, 0.5, *args)
+        assert len(calls) == 1
+
     @pytest.mark.parametrize("path", ["C", "Python"])
     def test_a_nan_raw_control_is_the_same_value_error(self, path, covid19, default_weights, monkeypatch):
         params, initial = covid19
@@ -927,6 +951,40 @@ class TestCompiledUpdate:
         monkeypatch.setattr(control, "integrate_adjoint_backward", poisoned)
         with pytest.raises(ValueError, match="^NaN encountered in control update$"):
             fbsm_solve(initial, params, default_weights, ec.TimeGrid(5.0, 0.05))
+
+
+@needs_cc
+def test_alternating_sweeps_repeat_their_first_run_bitwise(covid19, default_weights, monkeypatch):
+    # one process sweeps three configs in turn on the C path: covid19, covid19 with another beta
+    # and h, and three doses with impulses (every preset has two).  Each array's address and
+    # shape are taken once while it lives, so a later sweep must find none of an earlier one's
+    monkeypatch.setattr(native, "_PAYBACK", 0)
+    params, initial = covid19
+    other = ec.ModelParams(**{**params.__dict__, "beta": 7e-4})
+    three = ec.ModelParams(**{**params.__dict__, "gamma": (1.0, 0.8, 0.6), "delta": (5e-4, 1e-4, 0.0)})
+    events = tuple(ec.ImpulseEvent(t, (0.1, 0.2, 0.0, 0.05)) for t in (2.0, 6.5))
+    runs = [
+        (initial, params, default_weights, TimeGrid(10.0, 0.01), None),
+        (initial, other, default_weights, TimeGrid(10.0, 0.02), None),
+        (ec.StateVector(8000.0, 1000.0, 500.0, 500.0, 0.0, 0.0, (0.0,) * 3), three,
+         dataclasses.replace(default_weights, sigma=(50.0,) * 3), TimeGrid(10.0, 0.01), ec.ImpulseSchedule(events)),
+    ]
+    options = ec.SweepOptions(max_iterations=6)
+    first = [fbsm_solve(*run, options) for run in runs]
+    assert all(native._marches(run[1].n, run[1].delta_n_to_exposed, 0) for run in runs)
+    for _ in range(2):
+        for run, want in zip(runs, first):
+            got = fbsm_solve(*run, options)
+            for ours, theirs in (
+                (got.state_traj.states_pre, want.state_traj.states_pre),
+                (got.state_traj.states_post, want.state_traj.states_post),
+                (got.adjoint_traj.values_pre, want.adjoint_traj.values_pre),
+                (got.adjoint_traj.values_post, want.adjoint_traj.values_post),
+                (got.controls.u, want.controls.u),
+                (got.controls.v, want.controls.v),
+                (got.cost_history, want.cost_history),
+            ):
+                assert _bitwise_equal(ours, theirs)
 
 
 def _ref_fbsm_solve(initial, params, weights, grid, schedule, options):

@@ -736,11 +736,11 @@ class TestNativeMarch:
     @needs_cc
     def test_both_marches_stop_at_the_first_negative_row(self, clamping, monkeypatch):
         fast, initial, grid, controls = clamping
-        nodes = [memoryview(x) for x in _sampled_controls(controls, grid)]
+        nodes = _sampled_controls(controls, grid)
 
         def run():
             march, out = _kernels(fast, march=True), np.full((grid.n_steps + 1, 8), np.nan)
-            y0, a0 = initial.as_array().tolist(), (nodes[0][0], nodes[1][0])
+            y0, a0 = initial.as_array().tolist(), (float(nodes[0][0]), float(nodes[1][0]))
             return _runs_c(march), *march(y0, a0, grid.h, 0, grid.n_steps, out, *nodes), out
 
         (c, node, y, out), (python, *theirs) = _march_both(monkeypatch, run)
@@ -771,13 +771,53 @@ class TestNativeMarch:
         params, initial = covid19
         march = _kernels(params, march=True)
         assert _runs_c(march)
-        y, nodes = initial.as_array().tolist(), memoryview(np.zeros(11))
+        y, nodes = initial.as_array().tolist(), np.zeros(11)
         with pytest.raises(IndexError):
             march(y, (0.0, 0.0), 0.1, 0, 10, np.empty((5, 8)), nodes, nodes, nodes, nodes)
         out = np.empty((11, 8))
         out.setflags(write=False)
         with pytest.raises(IndexError):
             march(y, (0.0, 0.0), 0.1, 0, 10, out, nodes, nodes, nodes, nodes)
+
+    @needs_cc
+    @pytest.mark.parametrize("costate", [False, True])
+    def test_every_bound_buffer_is_checked_before_each_c_call(self, covid19, costate):
+        # each array a march reads or writes is checked at every call, though its address is
+        # taken once: a short, misshapen, strided, non-float or (to be written) read-only one, or
+        # a memoryview, raises IndexError before the C loop runs
+        params, initial = covid19
+        calls = []
+        built = _kernels(params, (1.0,) * 4 if costate else None, march=True)
+        assert _runs_c(built)
+        march = functools.partial(native._run, lambda *args: calls.append(args) or 0, *built.args[1:])
+        y, a = [0.0] * 8, (1.0, 2.0, 3.0, 4.0, 0.0, 0.0) if costate else (0.0, 0.0)
+        good = {"out": np.zeros((11, 8)), "vn": np.zeros(11), "un": np.zeros(11), "vm": np.zeros(10),
+                "um": np.zeros(10), **({"x": np.zeros((10, 8))} if costate else {})}
+        bad = [("out", np.zeros((10, 8))), ("out", np.zeros((11, 7))), ("out", np.zeros(88)),
+               ("out", np.asfortranarray(np.zeros((11, 8)))), ("vn", np.zeros(10)), ("un", np.zeros((11, 1))),
+               ("vm", np.zeros(9)), ("um", np.zeros(10, np.float32)), ("vn", np.zeros(22)[::2]),
+               ("un", memoryview(np.zeros(11)))]
+        bad += [("x", np.zeros((9, 8))), ("x", np.zeros((10, 9))), ("x", np.zeros((8, 10)).T)] if costate else []
+        assert march(y, a, -0.1, 0, 10, *good.values()) == (0, y) and len(calls) == 1
+        for name, buffer in bad:
+            with pytest.raises(IndexError):
+                march(y, a, -0.1, 0, 10, *{**good, name: buffer}.values())
+        with pytest.raises(IndexError):
+            march(y, a, -0.1, -1, 10, *good.values())
+        good["out"].setflags(write=False)  # after its address was taken
+        with pytest.raises(IndexError):
+            march(y, a, -0.1, 0, 10, *good.values())
+        assert len(calls) == 1
+
+    def test_an_address_leaves_with_its_array(self):
+        # the entry of an array dies with it, so a new array at the same id gets its own address
+        table = np.zeros((3, 8))
+        address, key = native._address(table, 3, 8, write=True), id(table)
+        assert native._ADDRESSES[key][1] == address == table.ctypes.data
+        with pytest.raises(ValueError, match="resize"):  # the weak reference pins the memory
+            table.resize((6, 8))
+        del table
+        assert key not in native._ADDRESSES
 
     @needs_cc
     def test_read_only_samples_march_like_writable_ones(self, covid19, default_weights, monkeypatch):
