@@ -28,7 +28,7 @@ _ASSIGN = rf"([A-Za-z_]\w*) = (?!.*\*\*)(?:{_TOKEN})+"
 _PAYBACK = 40_000
 _STEPS: dict = {}  # (n, delta_n_to_exposed) -> steps this process has marched or is about to
 _BLOCK = 256  # rows _format writes at a time
-_ADDRESSES: dict = {}  # id -> (weak reference, address) of each array a C call has taken
+_ADDRESSES: dict = {}  # id -> (weak reference, address, rows, width) of each array a C call took
 _FORMAT = r"""#include <string.h>
 static const double P10[] = {%s};
 static const char PAIRS[] = "%s";  /* PAIRS + 2 * k: the two digits of k < 100 */
@@ -213,10 +213,10 @@ def _update(fn, pr, weights, gain: float, theta: float, traj, adj, u: np.ndarray
                           pr.v_max, theta, 1.0 - theta, *pr.gamma])
     tables = [_address(x, nodes, dim) for x in (traj.states_pre, traj.states_post, adj.values_post)]
     ins = [_address(traj.node_times, nodes), *tables, _address(u, nodes), _address(v, nodes)]
-    out = np.empty((5, nodes))  # the next passes find their samples' addresses as C wrote them
+    out = np.empty((5, nodes))  # one block, whose rows C writes
     change = fn(nodes, pr.n, pr.delta_n_to_exposed, k.buffer_info()[0], *ins, at := _address(out, 5, nodes))
     u1, v1, *mid, cells = out[0], out[1], out[2, :-1], out[3, :-1], out[4, :-1]
-    for row, x in enumerate((u1, v1, *mid)):
+    for row, x in enumerate((u1, v1, *mid)):  # the next passes' samples: their addresses are known
         _address(x, 0, at=at + 8 * nodes * row)
     for x in mid:
         x.setflags(write=False)
