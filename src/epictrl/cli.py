@@ -3,7 +3,7 @@
 Every command reads a JSON run configuration (or a named disease preset for
 ``compare``), runs deterministically, and writes CSV time series plus a JSON
 summary.  Numbers are serialized as "%.12g" with no timestamps, so identical
-inputs produce byte-identical outputs, which C writes once the marches are compiled.
+inputs produce byte-identical outputs, written by C once the marches are compiled, else by Python.
 """
 
 from __future__ import annotations
@@ -58,20 +58,11 @@ def _first_crossing(times: np.ndarray, values: np.ndarray, threshold: float) -> 
     return float(times[below[0]]) if below.size else None
 
 
-def _csv_lines(*columns):
-    """CSV rows of side-by-side columns (vectors or tables), each value formatted once with
-    "%.12g", as they are consumed; a row is one ``%`` of a template with a field per column."""
-    table = np.column_stack(columns)
+def _python_format(table: np.ndarray, read_back: bool = True) -> tuple[list[bytes], np.ndarray | None]:
+    """``native._format``'s contract by Python's ``%``: the rows of the 2-D ``table`` as one block of
+    "%.12g" CSV text, a row one ``%`` of a template, and with ``read_back`` the table it reads back as."""
     template = ",".join(["%.12g"] * table.shape[1])
-    return (template % tuple(row.tolist()) for row in table)
-
-
-def _csv(fmt, *columns, read_back: bool = False) -> tuple[list[bytes], np.ndarray | None]:
-    """``_csv_lines`` as blocks of whole rows of text and, with ``read_back``, the table they read
-    back as; by ``fmt`` if given."""
-    if fmt:
-        return fmt(np.column_stack(columns), read_back)
-    lines = list(_csv_lines(*columns))
+    lines = [template % tuple(row) for row in table.tolist()]
     back = np.loadtxt(lines, delimiter=",", ndmin=2) if read_back else None
     return ["".join(line + "\r\n" for line in lines).encode()], back
 
@@ -113,9 +104,9 @@ def _write_lines(path: str, header: list[str], body: list[bytes]) -> None:
 
 
 def _write_trajectory(path: str, traj, controls: ControlSignal, fmt) -> tuple[list[bytes], np.ndarray]:
-    """Write ``traj`` under ``controls`` by ``_csv``; returns the rows and the table they read back as."""
+    """Write ``traj`` under ``controls`` by ``fmt``; returns the rows and the table they read back as."""
     v_rows, u_rows = controls.at(times := traj.times)  # the controls' own samples on a sweep's grid
-    body, back = _csv(fmt, times, traj.states, u_rows, v_rows, read_back=True)
+    body, back = fmt(np.column_stack((times, traj.states, u_rows, v_rows)), True)
     n = back.shape[1] - 9  # t, six pools, n doses, u, v
     header = ["t", "S", "E", "A", "I", "R", "D"] + [f"V{i + 1}" for i in range(n)] + ["u", "v"]
     _write_lines(path, header, body)
@@ -123,14 +114,14 @@ def _write_trajectory(path: str, traj, controls: ControlSignal, fmt) -> tuple[li
 
 
 def _write_controls(path: str, controls: ControlSignal, fmt) -> None:
-    _write_lines(path, ["t", "u", "v"], _csv(fmt, controls.grid, controls.u, controls.v)[0])
+    _write_lines(path, ["t", "u", "v"], fmt(np.column_stack((controls.grid, controls.u, controls.v)), False)[0])
 
 
 def _write_adjoints(path: str, adjoint_traj, fmt) -> None:
     values = adjoint_traj.values
     n = values.shape[1] - 6
     header = ["t"] + [f"p{i + 1}" for i in range(6)] + [f"q{i + 1}" for i in range(n)]
-    _write_lines(path, header, _csv(fmt, adjoint_traj.times, values)[0])
+    _write_lines(path, header, fmt(np.column_stack((adjoint_traj.times, values)), False)[0])
 
 
 def _write_summary(path: str, summary: RunSummary) -> None:
@@ -181,9 +172,9 @@ def cmd_simulate(config: RunConfig, mode: str, controls_file: str | None, out_di
 
 
 def _formatter(config: RunConfig):
-    """``native._format`` where this process has compiled the marches of ``config``, else None."""
+    """``native._format`` where this process has compiled the marches of ``config``, else its twin."""
     library = native._marches(config.params.n, config.params.delta_n_to_exposed, 0)
-    return library and library["format"]
+    return library["format"] if library else _python_format
 
 
 def _write_solution(out_dir: str, config: RunConfig, solution: OptimalSolution) -> list[bytes]:

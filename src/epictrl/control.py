@@ -198,29 +198,30 @@ def _cost_fault(initial: StateVector, params: ModelParams, weights: CostWeights,
     return _running_cost_fault(initial, params, weights, tau, schedule) or fault
 
 
+def _cost_cells(traj: Trajectory, v_n, u_n, weights: CostWeights, params: ModelParams) -> np.ndarray:
+    """The trapezoid cells of the running cost over ``traj``, controls v_n, u_n at its nodes: each uses
+    the post-jump state at its left node and the pre-jump one at its right, so no impulse smears
+    across a cell; as the two differ only at impulse nodes, only their post rows are costed apart."""
+    g = _running_cost_arrays(traj.states_pre.T, u_n, v_n, weights, params)
+    g_left, jumps = g[:-1].copy(), list(traj.impulse_nodes)
+    if jumps:
+        g_left[jumps] = _running_cost_arrays(traj.states_post[jumps].T, u_n[jumps], v_n[jumps], weights, params)
+    return 0.5 * np.diff(traj.node_times) * (g_left + g[1:])
+
+
 def total_cost(
     traj: Trajectory,
     controls: ControlSignal,
     weights: CostWeights,
     params: ModelParams,
 ) -> float:
-    """Trapezoidal quadrature of the running cost plus the terminal penalty.
-
-    Each grid cell uses the post-jump state at its left node and the pre-jump
-    state at its right node, so impulse discontinuities never smear across a
-    cell; as the two differ only at impulse nodes, only their post rows are costed apart.
-    """
+    """Trapezoidal quadrature of the running cost (``_cost_cells``) plus the terminal penalty."""
     times = traj.node_times
     if controls.tau < times[-1] - 1e-9 * max(1.0, times[-1]):
         raise GridMismatchError("controls do not cover the trajectory horizon")
     v_n, u_n = controls.at(times)
-    g = _running_cost_arrays(traj.states_pre.T, u_n, v_n, weights, params)
-    g_left, jumps = g[:-1].copy(), list(traj.impulse_nodes)
-    if jumps:
-        g_left[jumps] = _running_cost_arrays(traj.states_post[jumps].T, u_n[jumps], v_n[jumps], weights, params)
-    steps = np.diff(times)
     terminal = weights.terminal.value(float(times[-1]))
-    return float(np.sum(0.5 * steps * (g_left + g[1:])) + terminal)
+    return float(np.sum(_cost_cells(traj, v_n, u_n, weights, params)) + terminal)
 
 
 def adjoint_rhs(
@@ -283,11 +284,15 @@ def _switching_arrays(states, adjoints, params: ModelParams, weights: CostWeight
     return u_raw, v_raw
 
 
-def _clamped_controls(states, adjoints, params, weights):
-    u_raw, v_raw = _switching_arrays(states, adjoints, params, weights)
-    if np.any(np.isnan(u_raw)) or np.any(np.isnan(v_raw)):
-        raise ValueError(_NAN_UPDATE)
-    return np.clip(u_raw, 0.0, 1.0), np.clip(v_raw, 0.0, params.v_max)
+def _step(pr: ModelParams, weights: CostWeights, gain: float, theta: float, traj, adj, u, v):
+    """``native._update``'s contract in numpy (``_switching_arrays`` forms ``gain`` itself): the cost
+    cells, the relaxed next u and v, None for their midpoint samples (the next signal forms them) and
+    the largest scaled change, NaN where a raw control is NaN."""
+    u_raw, v_raw = _switching_arrays(traj.states_post, adj.values_post, pr, weights)
+    u_new = np.clip(theta * np.clip(u_raw, 0.0, 1.0) + (1.0 - theta) * u, 0.0, 1.0)
+    v_new = np.clip(theta * np.clip(v_raw, 0.0, pr.v_max) + (1.0 - theta) * v, 0.0, pr.v_max)
+    change = float(np.max(np.abs(u_new - u) + np.abs(v_new - v) / pr.v_max))
+    return _cost_cells(traj, v, u, weights, pr), u_new, v_new, None, change
 
 
 def fbsm_solve(
@@ -310,17 +315,16 @@ def fbsm_solve(
     RangeError before the first pass; a step too coarse raises StabilityError in
     the first pass, and in a later one ends the sweep unconverged with the pass
     before it.  Every pass is one ``integrate_forward``, which marches every
-    compartment, and one ``integrate_adjoint_backward``.  Once the passes run
-    as C, one C call between them (``native._update``) forms the pass's cost
-    cells, the relaxed next controls, their change and the next signal's
-    midpoint samples, bitwise the numpy steps it replaces, which run until then.
+    compartment, and one ``integrate_adjoint_backward``.  One step call between
+    them forms the pass's cost cells, the relaxed next controls and their
+    change: ``native._update`` once the passes run as C, which also forms the
+    next signal's midpoint samples, else its numpy twin ``_step``, bitwise equal.
     """
     fault = _cost_fault(initial, params, weights, grid.tau, schedule)
     if fault:
         raise RangeError(fault)
     opts = options or SweepOptions()
     times = grid.times
-    v_max = params.v_max
     u = np.zeros_like(times)
     v = np.zeros_like(times)
     midpoints = gain = None
@@ -330,7 +334,7 @@ def fbsm_solve(
 
     # pass `it` evaluates the controls after `it` updates; no update follows the last pass
     for it in range(opts.max_iterations + 1):
-        signal = ControlSignal._unchecked(times, v, u, v_max, midpoints)  # u, v clipped into the box
+        signal = ControlSignal._unchecked(times, v, u, params.v_max, midpoints)  # u, v clipped into the box
         try:
             traj = integrate_forward(initial, signal, params, grid, schedule)
         except StabilityError:
@@ -342,23 +346,14 @@ def fbsm_solve(
         controls = signal
         adj = integrate_adjoint_backward(traj, controls, params, weights, grid, schedule)
         compiled = native._marches(params.n, params.delta_n_to_exposed, 0)
-        if compiled:
-            gain = gain or _update_gain(params, weights)
-            cells, u_new, v_new, midpoints, change = compiled["update"](
-                params, weights, gain, opts.theta, traj, adj, u, v
-            )
-            history.append(float(np.add.reduce(cells) + terminal))  # np.sum's pairwise sum
-        else:
-            history.append(total_cost(traj, controls, weights, params))
+        gain = gain or _update_gain(params, weights)
+        cells, u_new, v_new, midpoints, change = (compiled["update"] if compiled else _step)(
+            params, weights, gain, opts.theta, traj, adj, u, v
+        )
+        history.append(float(np.add.reduce(cells) + terminal))  # np.sum's pairwise sum
         if converged or it == opts.max_iterations:
             break
-        if not compiled:
-            u_star, v_star = _clamped_controls(traj.states_post, adj.values_post, params, weights)
-            u_new = np.clip(opts.theta * u_star + (1.0 - opts.theta) * u, 0.0, 1.0)
-            v_new = np.clip(opts.theta * v_star + (1.0 - opts.theta) * v, 0.0, v_max)
-            change = float(np.max(np.abs(u_new - u) + np.abs(v_new - v) / v_max))
-            midpoints = None
-        elif math.isnan(change):
+        if math.isnan(change):
             raise ValueError(_NAN_UPDATE)
         u, v = u_new, v_new
         log.debug("sweep iteration %d: J=%.6g, control change %.3e", it + 1, history[-1], change)

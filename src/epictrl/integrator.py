@@ -27,8 +27,8 @@ an array's address once while it lives (``native._address``).  A ``ControlSignal
 on the grid's own ``times`` (built once per grid) gives the passes its own node
 samples and its midpoint samples, which both passes of a sweep iteration share:
 interpolated once per signal and cached on it, or formed by the sweep's C step
-along with the controls; they are read-only, since every pass and cost shares
-them.
+along with the controls (its numpy twin, ``control._step``, leaves them to the
+signal); they are read-only, since every pass and cost shares them.
 """
 
 from __future__ import annotations

@@ -50,7 +50,8 @@ long format12(const double *x, long i, long size, long cols, char *out, long lon
         int e = ((int)(u.b >> 52 & 0x7ff) - 1023) * 78913 >> 18, lo, hi, nd;  /* floor(log10 a) or 1 less */
         long long q = 0;
         if (a != 0.0) {  /* nan, inf and subnormals have e out of range */
-            if (e < -11 || e > 32) break;
+            if (e < -12 || e > 32) break;
+            e += e == -12;  /* P10 ends at 1e22: a true -12 fails the range test below */
             if ((m = scaled(a, 11 - e)) >= 1e12) m = scaled(a, 11 - ++e);
             if (!(m >= 1e11 && m < 1e12) || e > 32) break;
             q = (long long)m;
@@ -147,17 +148,17 @@ def _translate(name: str, backward: bool, dim: int, prologue: list[str], loop: l
     return "\n".join(c), namespace["enter"]
 
 
-def _address(x, rows: int, width: int = 0, write: bool = False, at: int | None = None) -> int:
+def _address(x, rows: int, width: int = 0, write: bool = False) -> int:
     """The address of ``x``, a C-contiguous aligned float64 array of ``rows`` or more rows of
     ``width`` values (a vector without), writable to ``write`` it, else IndexError.  Its layout is
-    checked, and its address (or ``at``, where the caller made it) and shape kept, at its first use
-    while it lives: a weak reference drops them with it and stops numpy resizing it meanwhile.
+    checked, and its address and shape kept, at its first use while it lives: a weak reference
+    drops them with it and stops numpy resizing it meanwhile.
     Each use checks the rows, the width and, to write, the flag."""
     hit = _ADDRESSES.get(key := id(x))
     new = (hit is None or hit[0]() is not x) and isinstance(x, np.ndarray) and x.dtype == float
     if new and x.size and x.ndim in (1, 2) and x.flags.c_contiguous and x.flags.aligned:
         # from_buffer takes the address three times as fast as .ctypes, of writable buffers only
-        at = at or (ctypes.addressof(ctypes.c_char.from_buffer(x)) if x.flags.writeable else x.ctypes.data)
+        at = ctypes.addressof(ctypes.c_char.from_buffer(x)) if x.flags.writeable else x.ctypes.data
         shape = len(x), x.shape[1] if x.ndim == 2 else 0
         hit = _ADDRESSES[key] = weakref.ref(x, lambda _: _ADDRESSES.pop(key, None)), at, *shape
     if hit is None or hit[0]() is not x or hit[2] < rows or hit[3] != width or write and not x.flags.writeable:
@@ -204,20 +205,20 @@ def _format(fn, table: np.ndarray, read_back: bool = True) -> tuple[list[bytes],
 
 def _update(fn, pr, weights, gain: float, theta: float, traj, adj, u: np.ndarray, v: np.ndarray):
     """One sweep step by ``fn`` (C's ``update``) from the pass ``traj``, ``adj`` of the controls u
-    and v: the running-cost cells of ``control.total_cost``, the relaxed next u and v of
-    ``control.fbsm_solve``, their midpoint samples (v, u) as ``np.interp`` forms them, read-only,
-    and the largest scaled change, or NaN where a raw control is NaN; each bitwise numpy's.  A
-    cell's left node is costed on its post row, which equals the pre row off the impulse nodes."""
+    and v: the running-cost cells of ``control._cost_cells``, the relaxed next u and v, their
+    midpoint samples (v, u) as ``np.interp`` forms them, read-only, and the largest scaled change,
+    or NaN where a raw control is NaN; each bitwise its numpy twin ``control._step``'s.  A cell's
+    left node is costed on its post row, which equals the pre row off the impulse nodes."""
     nodes, dim = len(traj.node_times), pr.n + 6
     k = array.array("d", [*weights.omega, 0.5 * weights.sigma0, 0.5 * gain, weights.sigma0, gain,
                           pr.v_max, theta, 1.0 - theta, *pr.gamma])
     tables = [_address(x, nodes, dim) for x in (traj.states_pre, traj.states_post, adj.values_post)]
     ins = [_address(traj.node_times, nodes), *tables, _address(u, nodes), _address(v, nodes)]
     out = np.empty((5, nodes))  # one block, whose rows C writes
-    change = fn(nodes, pr.n, pr.delta_n_to_exposed, k.buffer_info()[0], *ins, at := _address(out, 5, nodes))
     u1, v1, *mid, cells = out[0], out[1], out[2, :-1], out[3, :-1], out[4, :-1]
-    for row, x in enumerate((u1, v1, *mid)):  # the next passes' samples: their addresses are known
-        _address(x, 0, at=at + 8 * nodes * row)
+    for x in (u1, v1, *mid):  # the next passes' samples, kept while they are writable
+        _address(x, 0)
+    change = fn(nodes, pr.n, pr.delta_n_to_exposed, k.buffer_info()[0], *ins, _address(out, 5, nodes))
     for x in mid:
         x.setflags(write=False)
     return cells, u1, v1, tuple(mid), change

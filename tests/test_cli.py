@@ -34,10 +34,12 @@ def read_trajectory(path):
 
 def test_csv_row_template_formats_like_each_value():
     values = [-0.0, 5e-324, 1e16, 123456789012.5, np.inf, -np.inf, np.nan, 1.0 / 3.0]
-    rows = list(cli._csv_lines(np.array(values), -np.array(values)))
-    assert rows == [f"{format(x, '.12g')},{format(-x, '.12g')}" for x in values]
-    (row,) = cli._csv_lines(np.array([values]))
-    assert row == ",".join(format(x, ".12g") for x in values)
+    table = np.column_stack([values, -np.array(values)])
+    (body,), back = cli._python_format(table, True)
+    assert body.decode().splitlines() == [f"{format(x, '.12g')},{format(-x, '.12g')}" for x in values]
+    assert np.array_equal(back.view(np.uint64), python_csv(table)[1].view(np.uint64))
+    (row,), back = cli._python_format(np.array([values]), False)
+    assert row == (",".join(format(x, ".12g") for x in values) + "\r\n").encode() and back is None
 
 
 @pytest.fixture()
@@ -54,6 +56,16 @@ def python_csv(table):
     fields = [["%.12g" % x for x in row] for row in table.tolist()]
     back = np.array([[float(f) for f in row] for row in fields]).reshape(table.shape)
     return "".join(",".join(row) + "\r\n" for row in fields).encode(), back
+
+
+def assert_python_bytes(table, blocks, back):
+    """``blocks`` and ``back``, and the Python writer's (``cli._python_format``) of ``table``, are
+    the bytes of ``python_csv`` and the values they read back as, bitwise; returns those bytes."""
+    want_body, want_back = python_csv(table)
+    for body, got in ((blocks, back), cli._python_format(table, True)):
+        assert b"".join(body) == want_body
+        assert np.array_equal(got.view(np.uint64), want_back.view(np.uint64))
+    return want_body
 
 
 def test_c_formatter_writes_python_bytes_and_reads_back_bitwise(format12):
@@ -74,10 +86,27 @@ def test_c_formatter_writes_python_bytes_and_reads_back_bitwise(format12):
     table = np.concatenate([values, -values])[: values.size // 7 * 14].reshape(-1, 7)
     fn, calls = format12
     blocks, back = native._format(fn, table)
-    want_body, want_back = python_csv(table)
-    assert b"".join(blocks) == want_body
-    assert np.array_equal(back.view(np.uint64), want_back.view(np.uint64))
+    assert_python_bytes(table, blocks, back)
     assert table.size > 10**5 and len(calls) < table.size // 2  # the C loop wrote most of them
+
+
+def test_c_formatter_writes_from_1e_minus_11_on(format12):
+    # on [1e-11, 2^-36) the exponent estimate is one low (-12); values of both signs across
+    # [7e-12, 1.5e-11], each a quarter or more from a tie, which C writes from 1e-11 on and
+    # hands Python below it
+    rng = np.random.default_rng(1455)
+    count = 496
+    frac = rng.uniform(0.1, 0.4, count) + rng.integers(0, 2, count) / 2
+    above = (rng.integers(10**11, 15 * 10**10, count) + frac) / 1e22
+    below = (rng.integers(7 * 10**11, 10**12, count) + frac) / 1e23
+    edges = [1e-11, np.nextafter(1e-11, 1.0), 2.0**-36, np.nextafter(2.0**-36, 0.0), 1.5e-11,
+             np.nextafter(1.5e-11, 0.0), np.nextafter(1e-11, 0.0), 7e-12]
+    values = rng.permutation(np.concatenate([above, below, edges]))
+    table = np.concatenate([values, -values]).reshape(-1, 8)  # 250 rows: one block
+    fn, calls = format12
+    blocks, back = native._format(fn, table)
+    assert_python_bytes(table, blocks, back)
+    assert [i - 1 for i in calls[1:]] == np.flatnonzero(np.abs(table) < 1e-11).tolist()
 
 
 def test_c_formatter_resumes_within_a_row(format12):
@@ -85,10 +114,8 @@ def test_c_formatter_resumes_within_a_row(format12):
     table = np.array([[1.5, 1234567890.125, -2.5e-7, np.nan, 0.1, -0.0], [3.0, 4e30, 5e-9, 6.0, 7.0, 8.0]])
     fn, calls = format12
     blocks, back = native._format(fn, table)
-    want_body, want_back = python_csv(table)
     assert calls == [0, 2, 4]
-    assert b"".join(blocks) == want_body
-    assert np.array_equal(back.view(np.uint64), want_back.view(np.uint64))
+    assert_python_bytes(table, blocks, back)
 
 
 def test_c_formatter_hands_python_the_values_at_block_boundaries(format12, monkeypatch):
@@ -97,11 +124,9 @@ def test_c_formatter_hands_python_the_values_at_block_boundaries(format12, monke
     table = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, np.nan], [1234567890.125, 6.0, 7.0], [8.0, 9.0, 0.1]])
     fn, calls = format12
     blocks, back = native._format(fn, table)
-    want_body, want_back = python_csv(table)
     assert calls == [0, 6, 6, 7]  # block [0, 6) stops at 5, block [6, 12) at once at 6
     assert [block.count(b"\r\n") for block in blocks] == [2, 2]
-    assert b"".join(blocks) == want_body
-    assert np.array_equal(back.view(np.uint64), want_back.view(np.uint64))
+    assert_python_bytes(table, blocks, back)
 
 
 def test_c_formatter_fixed_width_copies_fit_one_row_blocks(format12, monkeypatch):
@@ -128,11 +153,10 @@ def test_c_formatter_fixed_width_copies_fit_one_row_blocks(format12, monkeypatch
     for cols in (1, 2, len(widest)):
         table = np.array(widest * cols).reshape(-1, cols)
         blocks, back = native._format(fn, table)
-        want_body, want_back = python_csv(table)
+        want_body = assert_python_bytes(table, blocks, back)
         assert [len(block) for block in blocks] == [len(line) + 2 for line in want_body.split(b"\r\n")[:-1]]
-        assert b"".join(blocks) == want_body
-        assert np.array_equal(back.view(np.uint64), want_back.view(np.uint64))
         assert native._format(fn, table, read_back=False) == (blocks, None)
+        assert cli._python_format(table, False) == ([want_body], None)
     assert len(buffers) == 6 and all((whole[size:] == 0xAB).all() for whole, size in buffers)
 
 

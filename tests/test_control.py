@@ -13,7 +13,6 @@ import pytest
 import epictrl as ec
 from epictrl.control import (
     OptimalSolution,
-    _clamped_controls,
     _hamiltonian,
     _running_cost_arrays,
     _switching_arrays,
@@ -27,6 +26,12 @@ from epictrl.integrator import TimeGrid
 from test_integrator import _bitwise_equal, _random_draw, needs_cc
 
 CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
+
+
+def _clamped(states, adjoints, params, weights):
+    """The PMP controls: the raw ``_switching_arrays`` clipped into their boxes."""
+    u_raw, v_raw = _switching_arrays(states, adjoints, params, weights)
+    return np.clip(u_raw, 0.0, 1.0), np.clip(v_raw, 0.0, params.v_max)
 
 
 def zero_controls(grid, params):
@@ -338,7 +343,7 @@ class TestControlUpdate:
         params, _ = covid19
         state = ec.StateVector(0, 0, 0, 100, 0, 0, (0, 0))
         adj = ec.AdjointVector((0, 0, 0, 2.0, 2.0, 0), (0, 0))
-        u, v = _clamped_controls(state.as_array(), adj.as_array(), params, default_weights)
+        u, v = _clamped(state.as_array(), adj.as_array(), params, default_weights)
         assert u == 0.0
 
     def test_upper_clamp(self, covid19):
@@ -347,13 +352,13 @@ class TestControlUpdate:
         w = ec.CostWeights(sigma0=50.0)
         state = ec.StateVector(0, 0, 0, 100, 0, 0, (0, 0))
         adj = ec.AdjointVector((0, 0, 0, 2.0, 0, 0), (0, 0))
-        u, v = _clamped_controls(state.as_array(), adj.as_array(), params, w)
+        u, v = _clamped(state.as_array(), adj.as_array(), params, w)
         assert u == 1.0
 
     def test_zero_adjoints_give_zero_controls(self, covid19, default_weights):
         params, initial = covid19
         adj = ec.AdjointVector((0,) * 6, (0, 0))
-        u, v = _clamped_controls(initial.as_array(), adj.as_array(), params, default_weights)
+        u, v = _clamped(initial.as_array(), adj.as_array(), params, default_weights)
         assert (u, v) == (0.0, 0.0)
 
     def test_two_dose_switching_reduces(self, covid19, default_weights, rng):
@@ -363,7 +368,7 @@ class TestControlUpdate:
         for _ in range(20):
             state = ec.StateVector(*rng.uniform(0, 2000, size=6), tuple(rng.uniform(0, 2000, 2)))
             adj = ec.AdjointVector(tuple(rng.normal(size=6)), tuple(rng.normal(size=2)))
-            _, v = _clamped_controls(state.as_array(), adj.as_array(), params, default_weights)
+            _, v = _clamped(state.as_array(), adj.as_array(), params, default_weights)
             w_val = params.gamma[0] * state.S * (adj.p[0] - adj.q[0])
             w_val += params.gamma[1] * adj.q[0] * state.V[0]
             expected = min(max(w_val / gain, 0.0), params.v_max)
@@ -375,14 +380,20 @@ class TestControlUpdate:
         state = ec.StateVector(1, 0, 0, 0, 0, 0, (0, 0))
         adj = ec.AdjointVector((0,) * 6, (0, 0))
         with pytest.raises(ec.DegenerateParameterError):
-            _clamped_controls(state.as_array(), adj.as_array(), params, w)
+            _clamped(state.as_array(), adj.as_array(), params, w)
 
     def test_nan_is_a_hard_error(self, covid19, default_weights):
+        # a NaN raw control passes the clips, so the step's change is NaN, on which fbsm_solve
+        # raises (test_a_nan_raw_control_is_the_same_value_error)
         params, _ = covid19
-        state = ec.StateVector(1, 0, 0, 0, 0, 0, (0, 0))
-        adj = ec.AdjointVector((float("nan"), 0, 0, 0, 0, 0), (0, 0))
-        with pytest.raises(ValueError):
-            _clamped_controls(state.as_array(), adj.as_array(), params, default_weights)
+        rows = np.array([ec.StateVector(1, 0, 0, 0, 0, 0, (0, 0)).as_array()] * 2)
+        values = np.zeros_like(rows)
+        values[1, 0] = np.nan
+        traj = types.SimpleNamespace(node_times=np.array([0.0, 1.0]), states_pre=rows, states_post=rows,
+                                     impulse_nodes=())
+        adj, zeros = types.SimpleNamespace(values_post=values), np.zeros(2)
+        *_, change = control._step(params, default_weights, 0.0, 0.5, traj, adj, zeros, zeros)
+        assert math.isnan(change)
 
 
 class TestFbsmSolve:
@@ -843,8 +854,8 @@ class TestHorizonSeedEquivalence:
 
 
 class TestCompiledUpdate:
-    """C's ``update`` (``native._update``) against the numpy steps of ``fbsm_solve`` that it
-    replaces: the cost cells, the PMP controls, their relaxation and change, and the midpoints."""
+    """C's ``update`` (``native._update``) against its numpy twin ``control._step``: the cost
+    cells, the PMP controls, their relaxation and change, and the midpoints."""
 
     @staticmethod
     def _draw(rng, n, to_exposed):
@@ -877,19 +888,15 @@ class TestCompiledUpdate:
             assert (raw < 0.0).any() and ((0.0 < raw) & (raw < box)).any() and (raw > box).any()
         assert len(zero) > 3 and len(traj.impulse_nodes) == 3 and np.signbit(u_raw[zero]).all()
         assert np.signbit(v_raw[zero]).all() != to_exposed
-        u_star, v_star = _clamped_controls(traj.states_post, adj.values_post, params, weights)
-        u_new = np.clip(theta * u_star + (1.0 - theta) * u, 0.0, 1.0)
-        v_new = np.clip(theta * v_star + (1.0 - theta) * v, 0.0, v_max)
-        change = float(np.max(np.abs(u_new - u) + np.abs(v_new - v) / v_max))
         cost = ec.total_cost(traj, ec.ControlSignal(times, v, u, v_max), weights, params)
-        g = _running_cost_arrays(traj.states_pre.T, u, v, weights, params)
-        g_left, jumps = g[:-1].copy(), list(traj.impulse_nodes)
-        g_left[jumps] = _running_cost_arrays(traj.states_post[jumps].T, u[jumps], v[jumps], weights, params)
         mid = 0.5 * (times[:-1] + times[1:])
 
         step = native._library(n, to_exposed)["update"]
         gain = weights.vaccination_gain(params)
         cells, u1, v1, (vm, um), got = step(params, weights, gain, theta, traj, adj, u, v)
+        twin = control._step(params, weights, gain, theta, traj, adj, u, v)
+        twin_cells, u_new, v_new, no_midpoints, change = twin
+        assert no_midpoints is None  # the next signal interpolates its own
         assert np.signbit(u1[zero]).all() and np.signbit(v1[zero]).all() != to_exposed
         for ours, theirs in (
             (u1, u_new),
@@ -897,7 +904,7 @@ class TestCompiledUpdate:
             (vm, np.interp(mid, times, v_new)),
             (um, np.interp(mid, times, u_new)),
             (got, change),
-            (cells, 0.5 * np.diff(times) * (g_left + g[1:])),  # total_cost's cells
+            (cells, twin_cells),
         ):
             assert _bitwise_equal(ours, theirs)
         assert float(np.sum(cells) + weights.terminal.value(float(times[-1]))).hex() == cost.hex()
@@ -905,10 +912,9 @@ class TestCompiledUpdate:
         for column in (3, 6):  # a NaN in raw u, then in raw v
             values = adj.values_post.copy()
             values[5, column] = np.nan
-            with pytest.raises(ValueError, match="NaN encountered in control update"):
-                _clamped_controls(traj.states_post, values, params, weights)
             poisoned = dataclasses.replace(adj, values_post=values)
-            assert math.isnan(step(params, weights, gain, theta, traj, poisoned, u, v)[-1])
+            for twin in (step, control._step):
+                assert math.isnan(twin(params, weights, gain, theta, traj, poisoned, u, v)[-1])
         with pytest.raises(IndexError):
             step(params, weights, gain, theta, traj, adj, u[:-1], v[:-1])
 
@@ -1004,7 +1010,7 @@ def _ref_fbsm_solve(initial, params, weights, grid, schedule, options):
         history.append(ec.total_cost(traj, controls, weights, params))
         if converged or it == opts.max_iterations:
             break
-        u_star, v_star = _clamped_controls(traj.states_post, adj.values_post, params, weights)
+        u_star, v_star = _clamped(traj.states_post, adj.values_post, params, weights)
         u_new = np.clip(opts.theta * u_star + (1.0 - opts.theta) * u, 0.0, 1.0)
         v_new = np.clip(opts.theta * v_star + (1.0 - opts.theta) * v, 0.0, v_max)
         change = float(np.max(np.abs(u_new - u) + np.abs(v_new - v) / v_max))
