@@ -216,7 +216,7 @@ def _update(fn, pr, weights, gain: float, theta: float, traj, adj, u: np.ndarray
     ins = [_address(traj.node_times, nodes), *tables, _address(u, nodes), _address(v, nodes)]
     out = np.empty((5, nodes))  # one block, whose rows C writes
     u1, v1, *mid, cells = out[0], out[1], out[2, :-1], out[3, :-1], out[4, :-1]
-    for x in (u1, v1, *mid):  # the next passes' samples, kept while they are writable
+    for x in (u1, v1, *mid):  # the next passes' samples: their addresses, taken while writable
         _address(x, 0)
     change = fn(nodes, pr.n, pr.delta_n_to_exposed, k.buffer_info()[0], *ins, _address(out, 5, nodes))
     for x in mid:

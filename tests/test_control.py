@@ -894,8 +894,9 @@ class TestCompiledUpdate:
         step = native._library(n, to_exposed)["update"]
         gain = weights.vaccination_gain(params)
         cells, u1, v1, (vm, um), got = step(params, weights, gain, theta, traj, adj, u, v)
-        twin = control._step(params, weights, gain, theta, traj, adj, u, v)
-        twin_cells, u_new, v_new, no_midpoints, change = twin
+        twin_cells, u_new, v_new, no_midpoints, change = control._step(
+            params, weights, gain, theta, traj, adj, u, v
+        )
         assert no_midpoints is None  # the next signal interpolates its own
         assert np.signbit(u1[zero]).all() and np.signbit(v1[zero]).all() != to_exposed
         for ours, theirs in (
@@ -913,8 +914,8 @@ class TestCompiledUpdate:
             values = adj.values_post.copy()
             values[5, column] = np.nan
             poisoned = dataclasses.replace(adj, values_post=values)
-            for twin in (step, control._step):
-                assert math.isnan(twin(params, weights, gain, theta, traj, poisoned, u, v)[-1])
+            for fn in (step, control._step):
+                assert math.isnan(fn(params, weights, gain, theta, traj, poisoned, u, v)[-1])
         with pytest.raises(IndexError):
             step(params, weights, gain, theta, traj, adj, u[:-1], v[:-1])
 
