@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import logging
 import os
@@ -255,6 +256,7 @@ def cmd_r0(config: RunConfig) -> int:
     return 0
 
 
+@functools.cache  # one parser a process: parsing does not change it
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="epictrl",

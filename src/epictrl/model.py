@@ -445,23 +445,25 @@ def _point_lines(rows, dim: int, pt: str) -> list[str]:
     return [line for line in rows([""] * dim, pt, [""] * dim) if line.startswith(pt)]
 
 
-def _kernel_lines(head, rows, cols, dim: int) -> list[str]:
+def _kernel_lines(head, rows, cols, dim: int) -> tuple[list[str], list[str], list[str], list[int]]:
     """Source lines of ``bind(pr, omega)``, which runs ``head`` and returns the field
     ``field(y, a0)`` of ``rows`` and, for the states, its RK4 step ``step(y, h, a0)`` with the
     point a0 held over the step (the costates step only in their march), which marches the
-    rows ``step.rows`` of y that some row reads.  ``a0`` holds a point's ``cols`` and v, u."""
+    rows ``step.rows`` of y that some row reads.  ``a0`` holds a point's ``cols`` and v, u.  Then the
+    parts of the step that ``native._kernel`` shares: its prologue, ``name = expr`` lines and rows."""
     y, k = [f"y{c}" for c in range(dim)], [f"k{c}" for c in range(dim)]
     at = f"{', '.join(f'a0_{r}' for r in (*cols, 'v', 'u'))}, = a0"
     field = [f"{', '.join(y)}, = y", at, *rows(y, "a0_", k), f"return [{', '.join(k)}]"]
     lines = [*head, *_block("def field(y, a0):", field)]
     if cols:
-        return _block("def bind(pr, omega):", [*lines, "return field, None"])
+        return _block("def bind(pr, omega):", [*lines, "return field, None"]), [], [], []
     rk4, live = _rk4_lines(rows, dim, every=False)
-    rk4 = [re.sub(r"\ba[12]_", "a0_", line) for line in rk4]  # each stage at the one point
-    ys = ", ".join(y[c] for c in live)
-    step = [f"{ys}, = y", at, *_point_lines(rows, dim, "a0_"), "half = 0.5 * h", "sixth = h / 6.0"]
-    lines += [*_block("def step(y, h, a0):", [*step, *rk4, f"return [{ys}]"]), f"step.rows = {live}"]
-    return _block("def bind(pr, omega):", [*lines, "return field, step"])
+    # the one point's terms, then each stage at that point
+    rk4 = [*_point_lines(rows, dim, "a0_"), *(re.sub(r"\ba[12]_", "a0_", line) for line in rk4)]
+    ys, prologue = ", ".join(y[c] for c in live), ["half = 0.5 * h", "sixth = h / 6.0"]
+    step = [f"{ys}, = y", at, *prologue, *rk4, f"return [{ys}]"]
+    lines += [*_block("def step(y, h, a0):", step), f"step.rows = {live}"]
+    return _block("def bind(pr, omega):", [*lines, "return field, step"]), [*head, *prologue], rk4, live
 
 
 def _march_lines(head, rows, cols, dim: int) -> tuple[list[str], list[str], list[str], list[int]]:
@@ -496,8 +498,7 @@ def _march_lines(head, rows, cols, dim: int) -> tuple[list[str], list[str], list
 
 
 def _source(n: int, to_exposed: bool, costate: bool, march: bool):
-    """For n doses, the lines of ``_kernel_lines``'s ``bind`` or, with ``march``, what
-    ``_march_lines`` returns."""
+    """For n doses, what ``_kernel_lines`` or, with ``march``, ``_march_lines`` returns."""
     rows = functools.partial(_costate_rows if costate else _state_rows, n, to_exposed)
     names = {key: ", ".join(f"{key}{j}" for j in range(n)) for key in ("g", "d")}
     head = _RATES.format(**names).splitlines() + (["w1, w2, w3, w4 = omega"] if costate else [])
@@ -509,7 +510,7 @@ def _source(n: int, to_exposed: bool, costate: bool, march: bool):
 def _binder(n: int, to_exposed: bool, costate: bool, march: bool):
     """``_source``'s function, compiled once."""
     lines = _source(n, to_exposed, costate, march)
-    source = "\n".join(lines[0] if march else lines)
+    source = "\n".join(lines[0])
     namespace: dict = {"Struct": struct.Struct}
     exec(compile(source, f"<epictrl {n} {to_exposed} {costate} {march}>", "exec"), namespace)
     return namespace["march" if march else "bind"]

@@ -127,25 +127,68 @@ def _translate(name: str, backward: bool, dim: int, prologue: list[str], loop: l
     header, at = _LOOPS[backward]
     ys = [f"y{c}" for c in range(dim)]
     save, row = (" ".join(f"{to}[{c}] = {y};" for c, y in enumerate(ys)) for to in ("inout_", "row_"))
+    body, inputs, enter = _statements("pr, omega, y, a, h", prologue, loop, dim, {"i", "j"}, ys)
+    if marched:
+        body.append(f"if ({' || '.join(f'y{c} < 0.0' for c in marched)}) {{ {save} return {at}; }}")
+    body.append(f"double *row_ = out + {dim} * {at}; {row}")
+    arrays = ", ".join(f"const double *{x}" for x in ("vn", "un", "vm", "um", "x"))
+    c = [f"long {name}(double *inout_, long i0, long i1, double *out, {arrays}) {{", "long i, j;"]
+    c += [f"double {x} = inout_[{k}];" for k, x in enumerate(inputs)]
+    c += [header, *body, "}", save, "return 0;", "}"]
+    return "\n".join(c), enter
+
+
+def _statements(args: str, prologue: list[str], loop: list[str], dim: int, local, first=()):
+    """The ``loop`` lines as C statements, each declaring its name at its first assignment unless the
+    ``prologue`` (or h) binds it or ``local`` holds it; ``first``, then the bound names they read; and
+    ``enter(args)``, which runs the prologue and returns those names' values.  ValueError for a line
+    but x = expr."""
     bound = {"h", *(x for line in prologue for x in re.findall(r"\w+", line.split(" = ")[0]))}
-    body, declared = [], bound | {"i", "j"}
+    body, declared = [], bound | set(local)
     for line in loop:  # a name the prologue does not bind is step-local
         if not (match := re.fullmatch(_ASSIGN, line)):
             raise ValueError(f"no C translation for the generated line {line!r}")
         line = re.sub(r"\[(\w+), (\d+)\]", rf"[{dim} * \1 + \2]", line)  # a cell of the state table
         body.append(("" if match[1] in declared else "double ") + f"{line};")
         declared.add(match[1])
-    if marched:
-        body.append(f"if ({' || '.join(f'y{c} < 0.0' for c in marched)}) {{ {save} return {at}; }}")
-    body.append(f"double *row_ = out + {dim} * {at}; {row}")
-    inputs = ys + sorted(bound & set(re.findall(r"\w+", "\n".join(body))) - set(ys))
-    arrays = ", ".join(f"const double *{x}" for x in ("vn", "un", "vm", "um", "x"))
-    c = [f"long {name}(double *inout_, long i0, long i1, double *out, {arrays}) {{", "long i, j;"]
-    c += [f"double {x} = inout_[{k}];" for k, x in enumerate(inputs)]
-    c += [header, *body, "}", save, "return 0;", "}"]
-    enter = ["def enter(pr, omega, y, a, h):", *(f"    {line}" for line in prologue)]
-    exec("\n".join([*enter, f"    return [{', '.join(inputs)}]"]), namespace := {})
-    return "\n".join(c), namespace["enter"]
+    inputs = [*first, *sorted(bound & set(re.findall(r"\w+", "\n".join(body))) - set(first))]
+    exec("\n    ".join([f"def enter({args}):", *prologue, f"return [{', '.join(inputs)}]"]), namespace := {})
+    return body, inputs, namespace["enter"]
+
+
+def _kernel(dim: int, prologue: list[str], loop: list[str], rows: list[int]):
+    """C's ``segment``: ``oracle._segment`` with the ``loop`` lines of its RK4 step over the ``rows`` it
+    marches (``model._kernel_lines``), and ``_segment``'s ``enter(pr, h)`` and row width.  k_ holds omega,
+    sigma0/2, gain/2 (as ``cost`` reads them), the negative tolerance, the bound's limit and the inputs;
+    g_ the running costs, then the bounds; out_ the value at a fault, then the row-steps."""
+    body, inputs, enter = _statements("pr, h", prologue, loop, dim, ["a0_v", "a0_u", *(f"y{c}" for c in rows)])
+    w, cell = len(rows), f"y_[{len(rows)} * q_ + r_]"
+    return rf"""long segment(long m, long steps, long left, const double *k_, double *y_, double *g_, double *c_, double *i_,
+             double *u_, double *v_, const double **lb_, double *out_) {{
+    double {", ".join(f"{x} = k_[{8 + j}]" for j, x in enumerate(inputs))}, *b_ = g_ + m, lo_, most_ = 0.0;
+    for (long s_ = 0, q_, r_, w_ = 0; s_ < steps && m; s_++, m = most_ > k_[7] ? w_ : m) {{
+        for (out_[1] += m, q_ = 0; q_ < m; q_++) {{  /* the step, after the running cost before the first */
+            double *x_ = y_ + {w} * q_, a0_v = v_[q_], a0_u = u_[q_], {", ".join(f"y{c} = x_[{p}]" for p, c in enumerate(rows))};
+            g_[q_] = s_ ? g_[q_] : cost(x_, a0_u, a0_v, k_); {" ".join(body)} {" ".join(f"x_[{p}] = y{c};" for p, c in enumerate(rows))}
+        }}
+        for (r_ = 0; r_ < {w}; r_++) {{  /* each compartment's min (NaN if one is), then its fault or clamp */
+            for (lo_ = y_[r_], q_ = 1; q_ < m; q_++) lo_ = {cell} < lo_ || {cell} != {cell} ? {cell} : lo_;
+            if (lo_ < 0.0 && lo_ < -k_[6]) return out_[0] = lo_, -1 - s_;
+            for (q_ = 0; lo_ < 0.0 && q_ < m; q_++) {cell} = {cell} <= 0.0 ? 0.0 : {cell};  /* np.maximum's +0.0 */
+        }}
+        for (q_ = 0; q_ < m; q_++) {{  /* the trapezoid cell, the bound, the largest bound (NaN if one is) */
+            double *x_ = y_ + {w} * q_, right_ = cost(x_, u_[q_], v_[q_], k_);
+            c_[q_] = c_[q_] + half * (g_[q_] + right_), g_[q_] = right_, b_[q_] = c_[q_];
+            for (r_ = 0; r_ < 3; r_++) b_[q_] = lb_[r_] ? b_[q_] + lb_[r_][left - s_ - 1] * x_[r_ + 1] : b_[q_];
+            most_ = !q_ || b_[q_] > most_ || b_[q_] != b_[q_] ? b_[q_] : most_;
+        }}
+        for (w_ = q_ = 0; most_ > k_[7] && q_ < m; q_++) if (b_[q_] <= k_[7]) {{  /* keep, in order */
+            for (r_ = 0; r_ < {w}; r_++) y_[{w} * w_ + r_] = {cell};
+            c_[w_] = c_[q_], i_[w_] = i_[q_], g_[w_] = g_[q_], u_[w_] = u_[q_], v_[w_++] = v_[q_];
+        }}
+    }}
+    return m;
+}}""", (enter, w)
 
 
 def _address(x, rows: int, width: int = 0, write: bool = False) -> int:
@@ -224,6 +267,21 @@ def _update(fn, pr, weights, gain: float, theta: float, traj, adj, u: np.ndarray
     return cells, u1, v1, tuple(mid), change
 
 
+def _segment(fn, enter, width: int, pr, weights, h: float, tol: float, limit: float, lb: dict, y, c, i, u, v,
+             first: int, steps: int, left: int):
+    """``oracle._segment`` by ``fn`` (C's ``segment``, from ``_kernel``), bitwise: it marches the rows of
+    y in place and moves those it keeps to the front, at the addresses ``_address`` checks first."""
+    k = [*weights.omega, 0.5 * weights.sigma0, 0.5 * weights.vaccination_gain(pr), tol, limit, *enter(pr, h)]
+    m, k, out = len(c), array.array("d", k), array.array("d", [0.0, 0.0])
+    args = [_address(y, m, width, write=True), _address(g := np.empty((2, m)), 2, m, write=True)]
+    args += [_address(x, m, write=True) for x in (c, i, u, v)]
+    lbs = (ctypes.c_void_p * 3)(*(_address(lb[j], left) if j in lb else None for j in (1, 2, 3)))  # E, A, I
+    if (kept := fn(m, steps, left, k.buffer_info()[0], *args, lbs, out.buffer_info()[0])) < 0:
+        from .model import _too_coarse  # which imports this module
+        raise _too_coarse(out[0], (first - kept) * h)
+    return y[:kept], c[:kept], i[:kept], int(out[1])
+
+
 def _marches(n: int, to_exposed: bool, steps: int) -> dict | None:
     """``_library(n, to_exposed)`` once its marches, these ``steps`` included, reach ``_PAYBACK``."""
     _STEPS[n, to_exposed] = steps = _STEPS.get((n, to_exposed), 0) + steps
@@ -242,11 +300,12 @@ def _library(n: int, to_exposed: bool) -> dict | None:
 
     marches = [_translate(f"march{k}", costate, n + 6, *_source(n, to_exposed, costate, True)[1:])
                for k, costate in enumerate(_KINDS)]
+    kernel, shape = _kernel(n + 6, *_source(n, to_exposed, False, False)[1:])
     started = time.perf_counter()
     try:
         with tempfile.TemporaryDirectory() as tmp:
             cmd = ["cc", *_FLAGS, "-x", "c", "-", "-o", f"{tmp}/march.so"]
-            source = "\n".join([_HEADER, *(c for c, *_ in marches), _FORMAT, _UPDATE])
+            source = "\n".join([_HEADER, *(c for c, *_ in marches), _FORMAT, _UPDATE, kernel])
             subprocess.run(cmd, input=source, text=True, check=True, capture_output=True, timeout=60)
             lib = ctypes.CDLL(cmd[-1])
     except (OSError, subprocess.SubprocessError) as exc:
@@ -257,7 +316,9 @@ def _library(n: int, to_exposed: bool) -> dict | None:
     proto = ctypes.CFUNCTYPE(ctypes.c_long, ctypes.c_void_p, *[ctypes.c_long] * 2, *[ctypes.c_void_p] * 6)
     fmt = ctypes.CFUNCTYPE(ctypes.c_long, ctypes.c_void_p, *[ctypes.c_long] * 3, *[ctypes.c_void_p] * 3)
     step = ctypes.CFUNCTYPE(ctypes.c_double, *[ctypes.c_long] * 3, *[ctypes.c_void_p] * 8)
+    segment = ctypes.CFUNCTYPE(ctypes.c_long, *[ctypes.c_long] * 3, *[ctypes.c_void_p] * 9)
     return {"format": functools.partial(_format, fmt(("format12", lib))),
             "update": functools.partial(_update, step(("update", lib))),
+            "segment": functools.partial(_segment, segment(("segment", lib)), *shape),
             **{kind: functools.partial(_run, proto((f"march{k}", lib)), enter)
                for k, (kind, (_, enter)) in enumerate(zip(_KINDS, marches))}}

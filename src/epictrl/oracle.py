@@ -1,13 +1,13 @@
 """Independent validators for the sweep solver.
 
 ``brute_force_optimum`` is an exact search over piecewise-constant control
-pairs on a coarse segment grid.  It marches each shared control prefix once,
-depth-first in chunks of at most ``_CHUNK`` candidates, through the generated
-RK4 state ``step`` (``model._kernels``) on a compartment-major batch (one row
-per compartment the cost reads), and drops a candidate before a chunk or after
-any step once a proved lower bound on its cost exceeds the best leaf found or,
-at first, the cheapest constant control pair's cost.  Each row carries its flat
-candidate number, by which the argmin of the marched leaves breaks ties.
+pairs on a coarse segment grid.  It marches each shared control prefix once, depth-first
+in chunks of at most ``_CHUNK`` candidates, a chunk through its segment in one call of the
+generated RK4 state ``step`` (``model._kernels``) in numpy (``_segment``) or, once the marches
+are compiled, in C from the same lines.  It drops a candidate before a chunk or after any step
+once a proved lower bound on its cost exceeds the best leaf found or, at first, the cheapest
+constant control pair's cost.  Each row carries its flat candidate number, by which the argmin
+of the marched leaves breaks ties.
 ``finite_difference_gradient`` probes the cost functional directly with
 central differences, to be compared against the costate-based gradient.
 """
@@ -24,6 +24,7 @@ import numpy as np
 from .control import (
     CostWeights,
     _cost_fault,
+    _running_cost_arrays,
     _switching_arrays,
     total_cost,
 )
@@ -42,6 +43,7 @@ from .model import (
     _kernels,
     _too_coarse,
 )
+from . import native
 
 log = logging.getLogger("epictrl")
 _CANDIDATE_GUARD = 10_000_000
@@ -108,8 +110,39 @@ def _cost_to_go(y0, params: ModelParams, weights: CostWeights, h: float, total: 
     rho = np.polyval([1.0 / 24.0, -1.0 / 6.0, 0.5, -1.0, 1.0], h * np.array(rates[E : I + 1]))
     first = np.array(weights.omega[E : I + 1]) * (1.0 + rho) * (0.5 * h * (1.0 - _MARGIN))
     table = np.cumsum(np.c_[np.zeros(3), first[:, None] * rho[:, None] ** np.arange(total)], axis=1)
-    lb = {c: table[c - E].tolist() for c in (E, A, I) if weights.omega[c] > 0.0}
+    lb = {c: table[c - E] for c in (E, A, I) if weights.omega[c] > 0.0}
     return lb, "on" if lb else "off: no weight on E, A or I"
+
+
+def _segment(pr, weights, h: float, tol: float, limit: float, lb: dict, y, c, i, u, v, first: int, steps: int, left: int):
+    """March rows y (one per candidate) of costs c, candidate numbers i and controls u, v ``steps`` RK4
+    steps of length h from step ``first``, ``left`` before the leaves, with the step ``integrate_forward``
+    runs less the compartments no row reads (``step.rows``, y's columns).  A step that leaves one below
+    the negative tolerance raises StabilityError; smaller negatives are roundoff, clamped to zero.  Then
+    each row adds its trapezoid cell and is dropped if its bound exceeds the limit.  Returns the rows
+    kept, their costs and numbers, and the row-steps marched; ``native._segment`` is its C twin."""
+    (_, step), yc, row_steps = _kernels(pr), list(y.T), 0
+    g_left = _running_cost_arrays(yc, u, v, weights, pr)
+    for k in range(steps):
+        if not len(c):
+            break
+        row_steps += len(c)
+        yc = step(yc, h, (v, u))
+        for x in yc:
+            lowest = x.min()
+            if lowest < 0.0:
+                if lowest < -tol:
+                    raise _too_coarse(lowest, (first + k + 1) * h)
+                np.maximum(x, 0.0, out=x)
+        g_right = _running_cost_arrays(yc, u, v, weights, pr)
+        c += (0.5 * h) * (g_left + g_right)
+        g_left = g_right
+        row_bound = sum((lb_j[left - k - 1] * yc[j] for j, lb_j in lb.items()), c)
+        if row_bound.max() > limit:
+            live = row_bound <= limit
+            c, i, g_left, u, v = c[live], i[live], g_left[live], u[live], v[live]
+            yc = [x[live] for x in yc]
+    return np.column_stack(yc), c, i, row_steps
 
 
 def _leaf_costs(
@@ -141,11 +174,8 @@ def _leaf_costs(
     states >= 0), rounded addition is monotone and ``_MARGIN`` far exceeds the test's
     rounding, so a dropped row leads to neither the minimum nor a tie.
 
-    Each row runs the RK4 step that ``integrate_forward`` runs on a float
-    state, less the compartments no row reads (``step.rows``): a step that
-    leaves one below the negative tolerance raises StabilityError (only
-    marched rows step, so a dropped row never raises); smaller negatives are
-    roundoff and are clamped to zero.  A chunk forms its effort terms once.
+    A chunk is marched through its segment by one ``_segment`` call, or by one call of its C
+    twin once the marches are compiled; only marched rows step, so a dropped row never raises.
     """
     n_pairs = config.u_levels * config.v_levels
     u_digit, v_digit = np.divmod(np.arange(n_pairs), config.v_levels)
@@ -158,51 +188,32 @@ def _leaf_costs(
     terminal = weights.terminal.value(config.horizon)
     _, step = _kernels(params)
     lb, state = _cost_to_go(y0, params, weights, h, config.segments * steps, step.rows)
-    (w1, w2, w3, w4), gain = weights.omega, weights.vaccination_gain(params)
+    segment = (native._marches(params.n, params.delta_n_to_exposed, 0) or {}).get("segment", _segment)
     marched, row_steps, start, slack = 0, 0, incumbent(), 1.0 + _MARGIN
-
-    def bound(c, y, r):  # to compare with incumbent() * slack - terminal
-        return sum((lb_j[r] * y[j] for j, lb_j in lb.items()), c)
 
     def march(y, cost, index, seg):
         nonlocal marched, row_steps
         if seg == config.segments:
-            yield index, cost + terminal
+            yield index.astype(np.int64), cost + terminal
             return
-        parent_bound = bound(cost, y, left := (config.segments - seg) * steps)
+        left = (config.segments - seg) * steps
+        parent_bound = sum((lb_j[left] * y[:, j] for j, lb_j in lb.items()), cost)
         children = len(cost) * n_pairs
         for lo in range(0, children, _CHUNK):
             parent, pair = np.divmod(np.arange(lo, min(lo + _CHUNK, children)), n_pairs)
-            keep = parent_bound[parent] <= incumbent() * slack - terminal
+            keep = parent_bound[parent] <= (limit := incumbent() * slack - terminal)
             parent, pair = parent[keep], pair[keep]
+            if not len(parent):
+                continue
             marched += len(parent)
-            yc, c, i = [x[parent] for x in y], cost[parent], index[parent] + offset[seg, pair]
-            u, v = u_pair[pair], v_pair[pair]
-            effort = (0.5 * weights.sigma0 * u * u, 0.5 * gain * v * v)
-            g_left = w1 * yc[S] + w2 * yc[E] + w3 * yc[A] + w4 * yc[I] + effort[0] + effort[1]
-            for k in range(steps):
-                if not len(c):
-                    break
-                row_steps += len(c)
-                yc = step(yc, h, (v, u))
-                for x in yc:
-                    lowest = x.min()
-                    if lowest < 0.0:
-                        if lowest < -tol:
-                            raise _too_coarse(lowest, (seg * steps + k + 1) * h)
-                        np.maximum(x, 0.0, out=x)
-                g_right = w1 * yc[S] + w2 * yc[E] + w3 * yc[A] + w4 * yc[I] + effort[0] + effort[1]
-                c += (0.5 * h) * (g_left + g_right)
-                g_left = g_right
-                row_bound, limit = bound(c, yc, left - k - 1), incumbent() * slack - terminal
-                if row_bound.max() > limit:
-                    live = row_bound <= limit
-                    c, i, g_left, u, v = c[live], i[live], g_left[live], u[live], v[live]
-                    yc, effort = [x[live] for x in yc], [x[live] for x in effort]
+            yc, c, i, count = segment(params, weights, h, tol, limit, lb, y[parent], cost[parent],
+                                      index[parent] + offset[seg, pair], u_pair[pair], v_pair[pair],
+                                      seg * steps, steps, left)
+            row_steps += count
             if len(c):
                 yield from march(yc, c, i, seg + 1)
 
-    yield from march(list(y0[step.rows, None]), np.zeros(1), np.zeros(1, dtype=np.int64), 0)
+    yield from march(y0[None, step.rows], np.zeros(1), np.zeros(1), 0)
     rows = sum(n_pairs**s for s in range(1, config.segments + 1))
     counts = (marched, rows, row_steps, rows * steps, start, state)
     line = "oracle: marched %d of %d prefix-tree rows, %d of %d row-steps; incumbent %.17g"

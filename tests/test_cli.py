@@ -180,6 +180,39 @@ def test_global_seed_option_is_rejected(capsys):
         assert "unrecognized arguments: --seed" in capsys.readouterr().err
 
 
+def test_one_parser_serves_every_call_like_fresh_ones(tmp_path, capsys):
+    # main builds its parser once a process; a run of different commands, usage errors and
+    # error lines through that one parser prints, writes and exits as fresh parsers do
+    _, cfg = small_config(tmp_path)
+
+    def run(out):
+        seen = []
+        for argv in (
+            ["r0", "--config", cfg],
+            ["simulate", "--config", cfg, "--controls", "max", "--out", str(out / "max")],
+            ["simulate", "--config", cfg],  # no --out: a usage error
+            ["compare", "--diseases", "nope", "--out", str(out / "cmp")],
+            ["frobnicate"],
+            ["simulate", "--config", cfg, "--out", str(out / "none")],
+            ["r0", "--config", cfg, "--free-tau", "1", "2"],
+            ["r0", "--config", cfg],
+        ):
+            if out.name == "fresh":
+                cli._build_parser.cache_clear()
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = f"exit {exc.code}"
+            seen.append((code, *capsys.readouterr()))
+        files = sorted(p.relative_to(out) for p in out.rglob("*") if p.is_file())
+        return seen, files, [(out / name).read_bytes() for name in files]
+
+    fresh = run(tmp_path / "fresh")
+    assert run(tmp_path / "shared") == fresh and cli._build_parser() is cli._build_parser()
+    assert [code for code, *_ in fresh[0]] == [0, 0, "exit 2", 1, "exit 2", 0, "exit 2", 0]
+    assert len(fresh[1]) == 4  # two simulate runs, each a trajectory and a summary
+
+
 class TestSimulate:
     def test_one_run_compiles_nothing(self, tmp_path, monkeypatch):
         # its one pass of 3500 steps costs less in the Python march than a compile

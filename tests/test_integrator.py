@@ -706,8 +706,9 @@ class TestNativeMarch:
     @pytest.mark.parametrize("to_exposed", [False, True])
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_built_for_every_dose_count(self, n, to_exposed):
-        # the state and costate marches, the CSV formatter and the sweep's step between passes
-        assert set(native._library(n, to_exposed)) == {False, True, "format", "update"}
+        # the state and costate marches, the CSV formatter, the sweep's step between passes and
+        # the oracle's segment kernel
+        assert set(native._library(n, to_exposed)) == {False, True, "format", "update", "segment"}
 
     @pytest.fixture
     def clamping(self, covid19):
@@ -941,7 +942,7 @@ class TestGeneratedRows:
         costate = functools.partial(model._costate_rows, n, to_exposed)
         costate_march = "\n".join(model._march_lines([], costate, "SEAI", n + 6)[0])
         full_march = "\n".join(model._march_lines([], state, "", n + 6)[0])
-        step = "\n".join(model._kernel_lines([], state, "", n + 6)).split("def step")[1]
+        step = "\n".join(model._kernel_lines([], state, "", n + 6)[0]).split("def step")[1]
         # no other row, the cost or the control update reads R, D or V_n, and their
         # costates stay +0.0, unless V_n leaks into E
         unread = {R, D} | (set() if to_exposed else {V0 + n - 1})

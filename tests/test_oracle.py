@@ -1,13 +1,15 @@
 import dataclasses
+import functools
 import itertools
 import logging
 import re
+import shutil
 
 import numpy as np
 import pytest
 
 import epictrl as ec
-from epictrl import oracle
+from epictrl import native, oracle
 from epictrl.control import _running_cost_arrays
 from epictrl.model import D, _NEGATIVE_TOL, A, E, I, S, V0, _kernels, _too_coarse
 
@@ -712,3 +714,205 @@ class TestFiniteDifferenceGradient:
         d1 = estimates[0.2] - estimates[0.1]
         d2 = estimates[0.1] - estimates[0.05]
         assert d1 / d2 == pytest.approx(4.0, rel=0.15)
+
+
+needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+
+
+@pytest.fixture(params=["C", "numpy"])
+def segment_path(request, monkeypatch):
+    """The search with its segments in C (``native._segment``, compiled from the first step) or
+    in its numpy twin (``oracle._segment``, with ``native._library`` patched to None)."""
+    monkeypatch.setattr(native, "_PAYBACK", 0)
+    if request.param == "numpy":
+        monkeypatch.setattr(native, "_library", lambda n, to_exposed: None)
+    elif shutil.which("cc") is None:
+        pytest.skip("no C compiler")
+    return request.param
+
+
+@pytest.mark.usefixtures("segment_path")
+class TestPrefixTreeMatchesFlatMarchOnBothPaths(TestPrefixTreeMatchesFlatMarch):
+    """The flat march's costs and first argmin, bitwise, with either segment path."""
+
+
+@pytest.mark.usefixtures("segment_path")
+class TestBranchAndBoundOnBothPaths(TestBranchAndBound):
+    """The exhaustive optimum, the kept ties and C04's counts with either segment path."""
+
+
+@pytest.mark.usefixtures("segment_path")
+class TestClampAndRaiseOnBothPaths:
+    """The forward pass's clamps and its StabilityError with either segment path."""
+
+    test_coarse_step_raises_like_the_forward_pass = (
+        TestBruteForceOptimum.test_coarse_step_raises_like_the_forward_pass
+    )
+    test_roundoff_negatives_clamped_like_the_forward_pass = (
+        TestBruteForceOptimum.test_roundoff_negatives_clamped_like_the_forward_pass
+    )
+
+
+def _search_on(path, monkeypatch, caplog, initial, params, weights, cfg):
+    """On ``path``, the search's optimum and its debug record's arguments, or its StabilityError's
+    message and None, and how many segments ran in C."""
+    calls = []
+    with monkeypatch.context() as patch, caplog.at_level(logging.DEBUG, logger="epictrl"):
+        patch.setattr(native, "_PAYBACK", 0)
+        if path == "numpy":
+            patch.setattr(native, "_library", lambda n, to_exposed: None)
+        else:
+            library = native._library(params.n, params.delta_n_to_exposed)
+            kernel = library["segment"]
+            patch.setitem(library, "segment", lambda *args: calls.append(1) or kernel(*args))
+        caplog.clear()
+        try:
+            found = ec.brute_force_optimum(initial, params, weights, cfg)
+        except ec.StabilityError as exc:
+            return str(exc), None, len(calls)
+        return found, _search_record(caplog), len(calls)
+
+
+def _same_optimum(a, b) -> bool:
+    (j_a, (u_a, v_a)), (j_b, (u_b, v_b)) = a, b
+    return _bitwise_equal(j_a, j_b) and _bitwise_equal(u_a, u_b) and _bitwise_equal(v_a, v_b)
+
+
+def _fast_clamping():
+    """test_roundoff_negatives_clamped_like_the_forward_pass's model and state: coarse steps whose
+    negatives are clamped, as a huge inert recovered pool widens the tolerance."""
+    params, _ = ec.preset("covid19")
+    fast = ec.ModelParams(**{**params.__dict__, "beta": 0.02})
+    return fast, ec.StateVector(50.0, 100.0, 100.0, 400.0, 1e12, 0.0, (0.0, 0.0))
+
+
+@needs_cc
+class TestSegmentKernel:
+    """C's ``segment`` (``native._segment``) against its numpy twin ``oracle._segment``: the same
+    optimum, counts and errors, bitwise, and every buffer checked before the C call."""
+
+    @pytest.mark.parametrize(
+        "shape",
+        [dict(horizon=5.0, segments=5), dict(horizon=5.0, segments=7, h=0.01)],
+        ids=["c04", "same-grid-dominance"],
+    )
+    def test_c04_searches_agree(self, shape, covid19, default_weights, monkeypatch, caplog):
+        params, initial = covid19
+        cfg = ec.OracleConfig(u_levels=3, v_levels=3, **shape)
+        found_c, record_c, calls = _search_on("C", monkeypatch, caplog, initial, params, default_weights, cfg)
+        found, record, _ = _search_on("numpy", monkeypatch, caplog, initial, params, default_weights, cfg)
+        assert _same_optimum(found_c, found) and record_c == record
+        assert calls == cfg.segments  # one C call per chunk, one chunk per tree level
+        if cfg.segments == 5:
+            assert found[0] == 20794.074592123383 and list(found[1][0]) == [1.0] * 5
+            assert list(found[1][1]) == [level * params.v_max for level in (1.0, 1.0, 1.0, 0.5, 0.0)]
+            assert record[:4] == (1485, 66_429, 13_287, 1_328_580)
+
+    def test_random_searches_agree(self, monkeypatch, caplog):
+        # TestBranchAndBound's draws, with forced ties in half, pruned mid-segment and in chunks
+        rng = np.random.default_rng(20261020)
+        for n, to_exposed, ties in itertools.product((2, 3), (False, True), (False, True)):
+            params = _params(n, to_exposed)
+            s0, v0 = (0.0, 0.0) if ties else (6000.0, 200.0)
+            initial = ec.StateVector(s0, 800.0, 400.0, 300.0, 100.0, 0.0, (v0,) * n)
+            omega = rng.uniform(0.0, 2.0, 4) * (rng.random(4) < 0.6)
+            sigma = (0.0,) * n if ties else tuple(rng.uniform(1.0, 100.0, n))
+            terminal = ec.TerminalCost("quadratic", float(rng.uniform(0.0, 50.0)))
+            weights = ec.CostWeights(tuple(omega), float(rng.uniform(1.0, 100.0)), sigma, terminal)
+            cfg = ec.OracleConfig(horizon=float(rng.uniform(0.5, 1.5)), segments=int(rng.integers(2, 4)),
+                                  u_levels=int(rng.integers(2, 4)), v_levels=int(rng.integers(2, 4)), h=0.1)
+            monkeypatch.setattr(oracle, "_CHUNK", int(rng.integers(3, 30)))
+            found_c, record_c, calls = _search_on("C", monkeypatch, caplog, initial, params, weights, cfg)
+            found, record, _ = _search_on("numpy", monkeypatch, caplog, initial, params, weights, cfg)
+            assert _same_optimum(found_c, found) and record_c == record and calls > 0
+
+    @pytest.mark.parametrize("h, at", [(2.0, "t=2;"), (0.8, "t=3;")])  # 0.8: two 1-day steps a segment
+    def test_stability_errors_match(self, h, at, covid19, default_weights, monkeypatch, caplog):
+        # a step too coarse for some candidate raises the same error, at the same step, on both
+        params, initial = covid19
+        cfg = ec.OracleConfig(horizon=4.0, segments=2, h=h)
+        args = (initial, params, default_weights, cfg)
+        (message_c, record_c, calls), (message, record, _) = (
+            _search_on(path, monkeypatch, caplog, *args) for path in ("C", "numpy")
+        )
+        assert message_c == message and f" at {at} reduce h" in message
+        assert record_c is record is None and calls >= 1
+
+    @pytest.mark.parametrize("nan", [False, True], ids=["drops", "a-nan-row"])
+    def test_kernel_bitwise_on_clamps_drops_and_nan(self, nan, rng):
+        # rows that clamp roundoff negatives of E and V1, about half dropped mid-segment; a NaN
+        # row makes its compartments' minima and the largest bound NaN: nothing clamps or drops
+        params, initial = _fast_clamping()
+        y0, (_, step) = initial.as_array(), _kernels(params)
+        m, steps, h = 300, 5, 0.5
+        y = np.tile(y0[step.rows], (m, 1)) * rng.uniform(0.95, 1.05, (m, len(step.rows)))
+        y[7, S] = np.nan if nan else y[7, S]
+        u, v = rng.choice([0.0, 1.0], m), rng.choice([0.0, 0.5 * params.v_max], m)
+        c, i = rng.uniform(0.0, 9.0, m), np.arange(m) * 1.0
+        lb = {E: rng.uniform(0.0, 0.01, 9), I: rng.uniform(0.0, 0.01, 9)}  # none for A
+        kernel = native._library(2, False)["segment"]
+
+        weights = ec.CostWeights(omega=(1.0, 0.5, 0.0, 2.0), sigma=(6.0, 3.0))
+
+        def both(limit, tol=1e-9 * float(y0.sum())):  # NaNs match as NaNs, whatever their sign bits
+            runs = []
+            for run in (kernel, oracle._segment):
+                try:
+                    rows = (x.copy() for x in (y, c, i, u, v))
+                    runs.append(run(params, weights, h, tol, limit, lb, *rows, 5, steps, 8))
+                except ec.StabilityError as exc:
+                    runs.append(str(exc))
+            if isinstance(runs[1], str):
+                return runs[0] == runs[1] and runs[1]
+            for a, b in zip(runs[0][:3], runs[1][:3]):
+                assert np.array_equal(np.isnan(a), np.isnan(b)) and _bitwise_equal(a[a == a], b[b == b])
+            assert runs[0][3] == runs[1][3]
+            return runs[1]
+
+        kept, costs, _, row_steps = both(np.inf)
+        assert row_steps == m * steps and np.count_nonzero(kept[:, [E, V0 - 2]] == 0.0) > 100
+        # u = 1 costs about twice what u = 0 does: those rows pass the midpoint before the last step
+        kept, costs, index, row_steps = both(0.5 * (np.nanmin(costs) + np.nanmax(costs)))
+        if nan:
+            assert len(costs) == m and row_steps == m * steps
+        else:
+            assert 0 < len(costs) < m and m < row_steps < m * steps and np.all(np.diff(index) > 0)
+            # a row whose last bound equals the limit is kept, while the rows above it are dropped
+            bounds = costs + lb[E][8 - steps] * kept[:, E] + lb[I][8 - steps] * kept[:, I]
+            tie = np.sort(bounds)[len(bounds) // 2]
+            assert len(both(tie)[1]) == np.count_nonzero(bounds <= tie) < len(bounds)
+            # the first negative of the first step that leaves one, below the tolerance, raises
+            yc = list(y.T)
+            for k in range(steps):
+                yc = step(yc, h, (v, u))
+                if lows := [x.min() for x in yc if x.min() < 0.0]:
+                    break
+            assert f"reached {lows[0]:.3e} at t={(6 + k) * h:.6g};" in both(np.inf, -lows[0] / 1.5)
+
+    def test_every_kernel_buffer_is_checked_before_the_c_call(self, covid19):
+        # a short, misshapen, strided, non-float or read-only array, or a short bound table,
+        # raises IndexError before the C loop runs
+        params, _ = covid19
+        calls = []
+        built = native._library(params.n, params.delta_n_to_exposed)["segment"]
+        kernel = functools.partial(native._segment, lambda *args: calls.append(args) or 0, *built.args[1:])
+        m, width = 4, len(_kernels(params)[1].rows)
+        good = {"y": np.zeros((m, width)), "c": np.zeros(m), "i": np.zeros(m), "u": np.zeros(m), "v": np.zeros(m)}
+        lb = {E: np.zeros(10), I: np.zeros(10)}
+
+        def run(lb=lb, **changed):
+            return kernel(params, ec.CostWeights(), 0.05, 0.0, 0.0, lb, *{**good, **changed}.values(), 0, 10, 10)
+
+        assert run()[3] == 0 and len(calls) == 1
+        bad = [("y", np.zeros((m - 1, width))), ("y", np.zeros((m, width + 1))), ("y", np.zeros(m * width)),
+               ("y", np.asfortranarray(np.zeros((m, width)))), ("u", np.zeros(m - 1)), ("v", np.zeros((m, 1))),
+               ("i", np.arange(m)), ("u", np.zeros(m, np.float32)), ("v", np.zeros(2 * m)[::2])]
+        for name, buffer in bad:
+            with pytest.raises(IndexError):
+                run(**{name: buffer})
+        with pytest.raises(IndexError):
+            run(lb={E: np.zeros(10), I: np.zeros(9)})
+        good["c"].setflags(write=False)  # after its address was taken
+        with pytest.raises(IndexError):
+            run()
+        assert len(calls) == 1
