@@ -1,7 +1,7 @@
 """The sweep's marches as C loops built from the generated parts of the Python marches
 (``model._march_lines``), bitwise equal to them under ``_FLAGS`` and ``_HEADER``, once a process
-has marched enough steps to pay for it, and in the same library a "%.12g" CSV writer (_format)
-and the sweep's step between its passes (_update)."""
+has marched enough steps to pay for it, and in the same library a "%.12g" CSV writer (_format),
+the sweep's step between its passes (_update) and the oracle's segment loop (_segment)."""
 
 import array
 import ctypes
@@ -300,7 +300,7 @@ def _library(n: int, to_exposed: bool) -> dict | None:
 
     marches = [_translate(f"march{k}", costate, n + 6, *_source(n, to_exposed, costate, True)[1:])
                for k, costate in enumerate(_KINDS)]
-    kernel, shape = _kernel(n + 6, *_source(n, to_exposed, False, False)[1:])
+    kernel, kernel_args = _kernel(n + 6, *_source(n, to_exposed, False, False)[1:])
     started = time.perf_counter()
     try:
         with tempfile.TemporaryDirectory() as tmp:
@@ -319,6 +319,6 @@ def _library(n: int, to_exposed: bool) -> dict | None:
     segment = ctypes.CFUNCTYPE(ctypes.c_long, *[ctypes.c_long] * 3, *[ctypes.c_void_p] * 9)
     return {"format": functools.partial(_format, fmt(("format12", lib))),
             "update": functools.partial(_update, step(("update", lib))),
-            "segment": functools.partial(_segment, segment(("segment", lib)), *shape),
+            "segment": functools.partial(_segment, segment(("segment", lib)), *kernel_args),
             **{kind: functools.partial(_run, proto((f"march{k}", lib)), enter)
                for k, (kind, (_, enter)) in enumerate(zip(_KINDS, marches))}}
