@@ -6,8 +6,8 @@ in chunks of at most ``_CHUNK`` candidates, a chunk through its segment in one c
 generated RK4 state ``step`` (``model._kernels``) in numpy (``_segment``) or, once the marches
 are compiled, in C from the same lines.  It drops a candidate before a chunk or after any step
 once a proved lower bound on its cost exceeds the best leaf found or, at first, the cheapest
-constant control pair's cost.  Each row carries its flat candidate number, by which the argmin
-of the marched leaves breaks ties.
+constant control pair's cost, which the same segment call prices.  Each row carries its flat
+candidate number, by which the argmin of the marched leaves breaks ties.
 ``finite_difference_gradient`` probes the cost functional directly with
 central differences, to be compared against the costate-based gradient.
 """
@@ -15,7 +15,6 @@ central differences, to be compared against the costate-based gradient.
 from __future__ import annotations
 
 import contextlib
-import itertools
 import logging
 from dataclasses import dataclass, replace
 
@@ -41,6 +40,8 @@ from .model import (
     ModelParams,
     StateVector,
     _kernels,
+    _number_faults,
+    _raise_faults,
     _too_coarse,
 )
 from . import native
@@ -62,15 +63,14 @@ class OracleConfig:
     h: float = 0.05
 
     def __post_init__(self):
-        if self.horizon <= 0 or self.h <= 0:
-            raise ValueError("horizon and step must be positive")
-        if self.segments < 1 or self.u_levels < 2 or self.v_levels < 2:
-            raise ValueError("need at least one segment and two levels per control")
-        if self.u_levels**self.segments * self.v_levels**self.segments > _CANDIDATE_GUARD:
-            raise ExplosionGuardError(
-                f"{self.u_levels}^{self.segments} * {self.v_levels}^{self.segments} "
-                f"candidates exceed the {_CANDIDATE_GUARD} guard"
-            )
+        faults = _number_faults(vars(self), ("horizon", "h"), positive=True)
+        for name, least in (("segments", 1), ("u_levels", 2), ("v_levels", 2)):
+            if not isinstance(k := getattr(self, name), int) or isinstance(k, bool) or k < least:
+                faults.append(f"{name}: expected an integer >= {least}")
+        _raise_faults(self, faults)
+        if self.candidates > _CANDIDATE_GUARD:
+            raise ExplosionGuardError(f"{self.u_levels}^{self.segments} * {self.v_levels}^{self.segments} "
+                                      f"candidates exceed the {_CANDIDATE_GUARD} guard")
 
     @property
     def candidates(self) -> int:
@@ -168,7 +168,7 @@ def _leaf_costs(
     Branch and bound: a row whose prefix cost, plus the terminal cost, plus ``_cost_to_go``'s
     lower bound on the cost of the row's steps left (A*'s admissible bound; 0 where h times
     some marched exit-rate bound exceeds 3/8 or E, A and I weigh nothing), exceeds
-    ``incumbent()`` (at least the best leaf cost, never rising) times 1 + ``_MARGIN``, tested
+    ``incumbent(seed)`` (at least the best leaf cost, never rising) times 1 + ``_MARGIN``, tested
     before a chunk is marched and after every RK4 step, is dropped at once: neither it nor
     any of its leaves is marched or yielded again.  Cost increments are >= 0 (omega, sigma,
     states >= 0), rounded addition is monotone and ``_MARGIN`` far exceeds the test's
@@ -176,6 +176,8 @@ def _leaf_costs(
 
     A chunk is marched through its segment by one ``_segment`` call, or by one call of its C
     twin once the marches are compiled; only marched rows step, so a dropped row never raises.
+    First the same call marches the constant candidates from y0, unbounded, ``_CHUNK`` at a time:
+    seed is their least leaf cost times 1 + ``_MARGIN``, of the chunks that raise no StabilityError.
     """
     n_pairs = config.u_levels * config.v_levels
     u_digit, v_digit = np.divmod(np.arange(n_pairs), config.v_levels)
@@ -187,9 +189,15 @@ def _leaf_costs(
     tol = _NEGATIVE_TOL * float(y0.sum() - y0[D])
     terminal = weights.terminal.value(config.horizon)
     _, step = _kernels(params)
-    lb, state = _cost_to_go(y0, params, weights, h, config.segments * steps, step.rows)
-    segment = (native._marches(params.n, params.delta_n_to_exposed, 0) or {}).get("segment", _segment)
-    marched, row_steps, start, slack = 0, 0, incumbent(), 1.0 + _MARGIN
+    total, seed, slack = config.segments * steps, np.inf, 1.0 + _MARGIN
+    lb, state = _cost_to_go(y0, params, weights, h, total, step.rows)
+    segment = (native._marches(params.n, params.delta_n_to_exposed, n_pairs * total) or {}).get("segment", _segment)
+    for pair in np.split(np.arange(n_pairs), range(_CHUNK, n_pairs, _CHUNK)):  # the constant candidates
+        with contextlib.suppress(StabilityError):
+            c = segment(params, weights, h, tol, np.inf, {}, np.tile(y0[step.rows], (len(pair), 1)),
+                        np.zeros(len(pair)), 1.0 * pair, u_pair[pair], v_pair[pair], 0, total, total)[1]
+            seed = min(seed, (c.min() + terminal) * slack)
+    marched, row_steps, start = 0, 0, incumbent(seed)
 
     def march(y, cost, index, seg):
         nonlocal marched, row_steps
@@ -201,7 +209,7 @@ def _leaf_costs(
         children = len(cost) * n_pairs
         for lo in range(0, children, _CHUNK):
             parent, pair = np.divmod(np.arange(lo, min(lo + _CHUNK, children)), n_pairs)
-            keep = parent_bound[parent] <= (limit := incumbent() * slack - terminal)
+            keep = parent_bound[parent] <= (limit := incumbent(seed) * slack - terminal)
             parent, pair = parent[keep], pair[keep]
             if not len(parent):
                 continue
@@ -228,7 +236,7 @@ def brute_force_optimum(
 ) -> tuple[float, tuple[np.ndarray, np.ndarray]]:
     """Exact minimum over piecewise-constant control pairs, skipping every subtree whose cost
     bound (``_leaf_costs``) exceeds the best leaf found or, at first, the cheapest constant
-    pair's cost (the sweep's forward pass; +inf on StabilityError) times 1 + ``_MARGIN``.
+    pair's leaf cost, priced by the search's own segment march, times 1 + ``_MARGIN``.
 
     Returns the best cost and the winning per-segment (u, v) levels, bitwise
     those of marching every candidate.  A tie goes to the lowest flat
@@ -246,16 +254,8 @@ def brute_force_optimum(
         raise RangeError(fault)
     u_choices = np.linspace(0.0, 1.0, config.u_levels)
     v_choices = np.linspace(0.0, params.v_max, config.v_levels)
-    grid, seed = TimeGrid(config.horizon, _segment_steps(config)[1]), np.inf
-    for u, v in itertools.product(u_choices, v_choices):
-        controls = ControlSignal.constant(grid.times, v, u, params.v_max)
-        with contextlib.suppress(StabilityError):
-            traj = integrate_forward(initial, controls, params, grid)
-            seed = min(seed, total_cost(traj, controls, weights, params) * (1.0 + _MARGIN))
-    best = (np.inf, -1)
-    leaves = _leaf_costs(
-        initial.as_array(), u_choices, v_choices, params, weights, config, lambda: min(best[0], seed)
-    )
+    best, y0 = (np.inf, -1), initial.as_array()
+    leaves = _leaf_costs(y0, u_choices, v_choices, params, weights, config, lambda seed: min(best[0], seed))
     for index, costs in leaves:
         j = costs.min()
         if j <= best[0]:

@@ -1,7 +1,10 @@
+import shutil
+
 import numpy as np
 import pytest
 
 import epictrl as ec
+from epictrl import native
 
 
 @pytest.fixture(scope="session")
@@ -25,3 +28,15 @@ def default_solution(covid19, default_weights):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture(params=["C", "numpy"])
+def segment_path(request, monkeypatch):
+    """The compiled path (``native._library``'s C from the first step: marches, the sweep's
+    update and the oracle's segments) or the numpy one (``native._library`` patched to None)."""
+    monkeypatch.setattr(native, "_PAYBACK", 0)
+    if request.param == "numpy":
+        monkeypatch.setattr(native, "_library", lambda n, to_exposed: None)
+    elif shutil.which("cc") is None:
+        pytest.skip("no C compiler")
+    return request.param

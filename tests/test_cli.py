@@ -261,6 +261,21 @@ class TestSimulate:
         path.write_text("{broken")
         assert cli.main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
 
+    def test_too_many_steps_is_an_error_line(self, tmp_path, capsys):
+        # h = 1e-12 at tau = 35 once passed validation and ended in a MemoryError traceback
+        _, cfg = small_config(tmp_path)
+        with open(cfg) as fh:
+            raw = json.load(fh)
+        raw["grid"] = {"tau": 35.0, "h": 1e-12}
+        with open(cfg, "w") as fh:
+            json.dump(raw, fh)
+        out = tmp_path / "o"
+        assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert [line for line in err.splitlines() if "error" in line] == [f"error: {cfg}: invalid config:"]
+        assert "grid.h: too small: tau/h = 3.5e+13 steps" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_non_finite_config_exits_nonzero(self, tmp_path):
         _, cfg = small_config(tmp_path)
         with open(cfg) as fh:

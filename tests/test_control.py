@@ -170,14 +170,11 @@ class TestTotalCost:
             costs[h] = ec.total_cost(traj, controls, default_weights, params)
         assert abs(costs[0.01] - costs[0.005]) / costs[0.005] < 1e-6
 
-    @pytest.mark.parametrize("path", ["C", "Python"])
-    def test_one_evaluation_equals_two_bitwise(self, path, monkeypatch):
+    @pytest.mark.usefixtures("segment_path")
+    def test_one_evaluation_equals_two_bitwise(self):
         # g(post) differs from g(pre) only at the impulse nodes, where it is evaluated again
         config = ec.load_config(str(CONFIG_DIR / "covid19_impulsive.json"))
         params, grid = config.params, config.grid
-        monkeypatch.setattr(native, "_PAYBACK", 0)
-        if path == "Python":
-            monkeypatch.setattr(native, "_library", lambda n, to_exposed: None)
         rng = np.random.default_rng(11)
         v, u = params.v_max * rng.random(grid.n_steps + 1), rng.random(grid.n_steps + 1)
         for controls in (zero_controls(grid, params), ec.ControlSignal(grid.times, v, u, params.v_max)):
@@ -941,12 +938,9 @@ class TestCompiledUpdate:
                 step(params, weights, gain, 0.5, *args)
         assert len(calls) == 1
 
-    @pytest.mark.parametrize("path", ["C", "Python"])
-    def test_a_nan_raw_control_is_the_same_value_error(self, path, covid19, default_weights, monkeypatch):
+    @pytest.mark.usefixtures("segment_path")
+    def test_a_nan_raw_control_is_the_same_value_error(self, covid19, default_weights, monkeypatch):
         params, initial = covid19
-        monkeypatch.setattr(native, "_PAYBACK", 0)
-        if path == "Python":
-            monkeypatch.setattr(native, "_library", lambda n, to_exposed: None)
         backward = control.integrate_adjoint_backward
 
         def poisoned(*args):

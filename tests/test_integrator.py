@@ -45,6 +45,13 @@ class TestTimeGrid:
         with pytest.raises(ValueError, match="h: too small"):
             ec.TimeGrid(1e300, 1e-10)
 
+    def test_caps_the_step_count(self):
+        # a sweep holds about 350 bytes a step, so a grid takes 10^6 steps at most
+        assert ec.TimeGrid(1.0, 1e-6).n_steps == 10**6
+        line = r"^TimeGrid: h: too small: tau/h = 1000001 steps, above the cap of 1,000,000 \(a sweep"
+        with pytest.raises(ValueError, match=line):
+            ec.TimeGrid(1.000001, 1e-6)
+
     def test_node_index_snaps_and_rejects(self):
         grid = ec.TimeGrid(10.0, 0.01)
         assert grid.node_index(0.25) == 25
@@ -908,6 +915,18 @@ class TestNativePayback:
         assert _kernels(other, march=True, steps=999).func is not fake
         assert _kernels(other, march=True, steps=1000).func is fake  # one pass that pays alone
         assert built == [1999] and native._STEPS == {(2, False): 999, (2, True): 1999}
+
+    def test_an_oracle_search_counts_its_seed_march(self, built, covid19, default_weights):
+        # C04's nine constant candidates, 5 segments of 20 steps each, count 900 steps at the
+        # search's one ``_marches`` call, as nine forward passes of 100 steps would; a second
+        # search reaches the payback there and runs no forward pass on the stand-in march
+        built, _ = built
+        params, initial = covid19
+        cfg = ec.OracleConfig(horizon=5.0, segments=5, u_levels=3, v_levels=3)
+        ec.brute_force_optimum(initial, params, default_weights, cfg)
+        assert built == [] and native._STEPS == {(2, False): 900}
+        best_j, _ = ec.brute_force_optimum(initial, params, default_weights, cfg)
+        assert built == [1800] and best_j == 20794.074592123383
 
     def test_field_and_step_count_nothing(self, built, covid19):
         built, _ = built

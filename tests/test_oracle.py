@@ -31,6 +31,22 @@ class TestOracleConfig:
         with pytest.raises(ValueError):
             ec.OracleConfig(horizon=5.0, u_levels=1)
 
+    @pytest.mark.parametrize(
+        "field, value, line",
+        [
+            ("h", float("nan"), "h: not finite"),
+            ("horizon", float("nan"), "horizon: not finite"),
+            ("h", float("inf"), "h: not finite"),
+            ("segments", 2.5, "segments: expected an integer >= 1"),
+            ("u_levels", True, "u_levels: expected an integer >= 2"),
+            ("v_levels", 3.0, "v_levels: expected an integer >= 2"),
+        ],
+    )
+    def test_malformed_sizes_name_their_field(self, field, value, line):
+        # once a float conversion error, a numpy IndexError or a running-cost RangeError
+        with pytest.raises(ValueError, match=f"^OracleConfig: {line}$"):
+            ec.OracleConfig(**{"horizon": 5.0, field: value})
+
 
 def _params(n: int, delta_n_to_exposed: bool) -> ec.ModelParams:
     gamma = (1.0, 0.7, 0.4, 0.2)[:n]
@@ -189,7 +205,7 @@ def _tree_costs(initial, params, weights, config):
     seen = np.zeros(config.candidates, dtype=int)
     # an incumbent of +inf drops nothing, so every candidate is marched
     leaves = oracle._leaf_costs(
-        initial.as_array(), u_choices, v_choices, params, weights, config, lambda: np.inf
+        initial.as_array(), u_choices, v_choices, params, weights, config, lambda _: np.inf
     )
     for index, chunk in leaves:
         assert len(chunk) <= oracle._CHUNK
@@ -370,7 +386,7 @@ class TestBranchAndBound:
         u_choices, v_choices = np.linspace(0.0, 1.0, 2), np.linspace(0.0, params.v_max, 3)
         y0, j = initial.as_array(), terminal.value(2.0)
         with caplog.at_level(logging.DEBUG, logger="epictrl"):
-            leaves = list(oracle._leaf_costs(y0, u_choices, v_choices, params, weights, cfg, lambda: j))
+            leaves = list(oracle._leaf_costs(y0, u_choices, v_choices, params, weights, cfg, lambda _: j))
         index = np.concatenate([index for index, _ in leaves])
         costs = np.concatenate([chunk for _, chunk in leaves])
         # the all-zero-u candidates are the first 3**2 in flat order
@@ -408,14 +424,9 @@ class TestBranchAndBound:
         assert marched <= 0.05 * total
         assert steps_total == 20 * total and row_steps <= 0.02 * steps_total
         assert state == "on"
-        # the search starts from the cheapest constant control pair's cost, with its margin
-        grid = ec.TimeGrid(5.0, 0.05)
-        constant = []
-        for u, v in itertools.product((0.0, 0.5, 1.0), (0.0, 0.5 * params.v_max, params.v_max)):
-            controls = ec.ControlSignal.constant(grid.times, v, u, params.v_max)
-            traj = ec.integrate_forward(initial, controls, params, grid)
-            constant.append(ec.total_cost(traj, controls, default_weights, params))
-        assert start == min(constant) * (1.0 + oracle._MARGIN) > best_j
+        # the search starts from the cheapest constant candidate's leaf cost times 1 + _MARGIN
+        # (TestSeedFromItsOwnMarch checks that bitwise against the exhaustive tree)
+        assert start == 20866.575090999821 > best_j
         assert best_j == 20794.074592123383
         assert list(u_best) == [1.0] * 5
         assert list(v_best) == [level * params.v_max for level in (1.0, 1.0, 1.0, 0.5, 0.0)]
@@ -629,7 +640,7 @@ class TestBruteForceOptimum:
         levels = list(itertools.product((0.0, 1.0), (0.0, 0.5 * fast.v_max)))
         leaves = oracle._leaf_costs(
             initial.as_array(), np.array([0.0, 1.0]), np.array([0.0, 0.5 * fast.v_max]),
-            fast, default_weights, cfg, lambda: np.inf,
+            fast, default_weights, cfg, lambda _: np.inf,
         )
         costs = np.full(4, np.nan)
         for index, chunk in leaves:
@@ -719,18 +730,6 @@ class TestFiniteDifferenceGradient:
 needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
 
 
-@pytest.fixture(params=["C", "numpy"])
-def segment_path(request, monkeypatch):
-    """The search with its segments in C (``native._segment``, compiled from the first step) or
-    in its numpy twin (``oracle._segment``, with ``native._library`` patched to None)."""
-    monkeypatch.setattr(native, "_PAYBACK", 0)
-    if request.param == "numpy":
-        monkeypatch.setattr(native, "_library", lambda n, to_exposed: None)
-    elif shutil.which("cc") is None:
-        pytest.skip("no C compiler")
-    return request.param
-
-
 @pytest.mark.usefixtures("segment_path")
 class TestPrefixTreeMatchesFlatMarchOnBothPaths(TestPrefixTreeMatchesFlatMarch):
     """The flat march's costs and first argmin, bitwise, with either segment path."""
@@ -751,6 +750,37 @@ class TestClampAndRaiseOnBothPaths:
     test_roundoff_negatives_clamped_like_the_forward_pass = (
         TestBruteForceOptimum.test_roundoff_negatives_clamped_like_the_forward_pass
     )
+
+
+@pytest.mark.usefixtures("segment_path")
+class TestSeedFromItsOwnMarch:
+    """The search starts from its own leaf costs of the constant candidates (one level pair in
+    every segment): the least of them times 1 + ``_MARGIN``, bitwise, on either segment path."""
+
+    @pytest.mark.parametrize(
+        "shape, chunk",
+        [
+            (dict(horizon=5.0, segments=5, u_levels=3, v_levels=3), None),
+            # 8 constant candidates, in chunks of 5 and 3
+            (dict(horizon=3.0, segments=3, u_levels=2, v_levels=4), 5),
+        ],
+        ids=["c04", "two-chunks"],
+    )
+    def test_starting_incumbent_is_the_least_constant_leaf(
+        self, shape, chunk, covid19, default_weights, monkeypatch, caplog
+    ):
+        params, initial = covid19
+        if chunk is not None:
+            monkeypatch.setattr(oracle, "_CHUNK", chunk)
+        cfg = ec.OracleConfig(**shape)
+        u_seg, v_seg = _flat_candidates(params, cfg)
+        constant = np.all(u_seg == u_seg[:, :1], axis=1) & np.all(v_seg == v_seg[:, :1], axis=1)
+        assert np.count_nonzero(constant) == cfg.u_levels * cfg.v_levels
+        seed = _tree_costs(initial, params, default_weights, cfg)[constant].min() * (1.0 + oracle._MARGIN)
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="epictrl"):
+            best_j, _ = ec.brute_force_optimum(initial, params, default_weights, cfg)
+        assert _bitwise_equal(_search_record(caplog)[4], seed) and seed > best_j
 
 
 def _search_on(path, monkeypatch, caplog, initial, params, weights, cfg):
@@ -802,7 +832,7 @@ class TestSegmentKernel:
         found_c, record_c, calls = _search_on("C", monkeypatch, caplog, initial, params, default_weights, cfg)
         found, record, _ = _search_on("numpy", monkeypatch, caplog, initial, params, default_weights, cfg)
         assert _same_optimum(found_c, found) and record_c == record
-        assert calls == cfg.segments  # one C call per chunk, one chunk per tree level
+        assert calls == cfg.segments + 1  # one C call per chunk: the seed's, then one per tree level
         if cfg.segments == 5:
             assert found[0] == 20794.074592123383 and list(found[1][0]) == [1.0] * 5
             assert list(found[1][1]) == [level * params.v_max for level in (1.0, 1.0, 1.0, 0.5, 0.0)]

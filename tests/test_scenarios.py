@@ -230,6 +230,12 @@ class TestValidateConfig:
         violations = ec.validate_config(bad)
         assert any("sigma" in v for v in violations)
 
+    def test_step_count_is_capped(self):
+        # h = 1e-12 at tau = 35 asks for 3.5e13 steps, tables no machine holds
+        raw = with_value(covid_raw(), ("grid", "h"), 1e-12)
+        (line,) = ec.validate_config(raw)
+        assert line.startswith("grid.h: too small: tau/h = 3.5e+13 steps, above the cap of 1,000,000")
+
     def test_one_line_per_fault(self):
         config = default_config("covid19")
         bad = ec.RunConfig(
