@@ -308,8 +308,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "r0":
             return cmd_r0(config)
         raise EpictrlError(f"unknown command {args.command!r}")
-    except (EpictrlError, ValueError, OSError) as exc:
-        reason = f"{exc.filename}: {exc.strerror}" if getattr(exc, "filename", None) else exc
+    except (EpictrlError, ValueError, OSError, MemoryError) as exc:
+        reason = f"{exc.filename}: {exc.strerror}" if getattr(exc, "filename", None) else str(exc) or type(exc).__name__
         print(f"error: {reason}", file=sys.stderr)
         return 1
 

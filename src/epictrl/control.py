@@ -22,6 +22,7 @@ from .integrator import (
     AdjointTrajectory,
     AdjointVector,
     TimeGrid,
+    _Binder,
     integrate_adjoint_backward,
     integrate_forward,
 )
@@ -284,14 +285,17 @@ def _switching_arrays(states, adjoints, params: ModelParams, weights: CostWeight
     return u_raw, v_raw
 
 
-def _step(pr: ModelParams, weights: CostWeights, gain: float, theta: float, traj, adj, u, v):
-    """``native._update``'s contract in numpy (``_switching_arrays`` forms ``gain`` itself): the cost
-    cells, the relaxed next u and v, None for their midpoint samples (the next signal forms them) and
-    the largest scaled change, NaN where a raw control is NaN."""
+def _step(pr: ModelParams, weights: CostWeights, gain: float, theta: float, traj, adj, u, v, binder=None):
+    """``native._update``'s contract in numpy (``_switching_arrays`` forms ``gain`` itself, and the
+    arrays are new, so no ``binder`` lends a block): the cost cells, the relaxed next u and v,
+    read-only, None for their midpoint samples (the next signal forms them) and the largest scaled
+    change, NaN where a raw control is NaN."""
     u_raw, v_raw = _switching_arrays(traj.states_post, adj.values_post, pr, weights)
     u_new = np.clip(theta * np.clip(u_raw, 0.0, 1.0) + (1.0 - theta) * u, 0.0, 1.0)
     v_new = np.clip(theta * np.clip(v_raw, 0.0, pr.v_max) + (1.0 - theta) * v, 0.0, pr.v_max)
     change = float(np.max(np.abs(u_new - u) + np.abs(v_new - v) / pr.v_max))
+    for x in (u_new, v_new):
+        x.setflags(write=False)
     return _cost_cells(traj, v, u, weights, pr), u_new, v_new, None, change
 
 
@@ -312,21 +316,25 @@ def fbsm_solve(
     below the tolerance.  Non-convergence is reported through the
     ``converged`` flag, never as an exception; weights whose running cost has no
     finite bound over the horizon, or whose terminal cost overflows there, raise
-    RangeError before the first pass; a step too coarse raises StabilityError in
-    the first pass, and in a later one ends the sweep unconverged with the pass
-    before it.  Every pass is one ``integrate_forward``, which marches every
-    compartment, and one ``integrate_adjoint_backward``.  One step call between
-    them forms the pass's cost cells, the relaxed next controls and their
-    change: ``native._update`` once the passes run as C, which also forms the
-    next signal's midpoint samples, else its numpy twin ``_step``, bitwise equal.
+    RangeError before the first pass; a step too coarse, or costates that
+    overflow, raise StabilityError in the first pass, and in a later one end the
+    sweep unconverged with the pass before it.  Every pass is one
+    ``integrate_forward``, which marches every compartment, and one
+    ``integrate_adjoint_backward``.  One step call between them forms the pass's
+    cost cells, the relaxed next controls and their change: ``native._update``
+    once the passes run as C, which also forms the next signal's midpoint
+    samples, else its numpy twin ``_step``, bitwise equal.  All three take the
+    sweep's ``_Binder`` and write its buffers in turn; no later pass or sweep
+    writes the arrays a solution holds, all read-only.
     """
     fault = _cost_fault(initial, params, weights, grid.tau, schedule)
     if fault:
         raise RangeError(fault)
     opts = options or SweepOptions()
+    binder = _Binder(params, grid, schedule, initial)
     times = grid.times
-    u = np.zeros_like(times)
-    v = np.zeros_like(times)
+    u = v = np.zeros_like(times)
+    u.setflags(write=False)
     midpoints = gain = None
     terminal = weights.terminal.value(float(times[-1]))
     history = []
@@ -336,19 +344,21 @@ def fbsm_solve(
     for it in range(opts.max_iterations + 1):
         signal = ControlSignal._unchecked(times, v, u, params.v_max, midpoints)  # u, v clipped into the box
         try:
-            traj = integrate_forward(initial, signal, params, grid, schedule)
+            fault = "step too coarse"
+            forward = integrate_forward(initial, signal, params, grid, schedule, binder=binder)
+            fault = "costates overflowed"
+            backward = integrate_adjoint_backward(forward, signal, params, weights, grid, schedule, binder=binder)
         except StabilityError:
             if not it:
                 raise
-            log.warning("step too coarse at update %d; ending with the pass before it", it)
+            log.warning("%s at update %d; ending with the pass before it", fault, it)
             it, converged = it - 1, False
             break
-        controls = signal
-        adj = integrate_adjoint_backward(traj, controls, params, weights, grid, schedule)
+        controls, traj, adj = signal, forward, backward
         compiled = native._marches(params.n, params.delta_n_to_exposed, 0)
         gain = gain or _update_gain(params, weights)
         cells, u_new, v_new, midpoints, change = (compiled["update"] if compiled else _step)(
-            params, weights, gain, opts.theta, traj, adj, u, v
+            params, weights, gain, opts.theta, traj, adj, u, v, binder
         )
         history.append(float(np.add.reduce(cells) + terminal))  # np.sum's pairwise sum
         if converged or it == opts.max_iterations:

@@ -6,7 +6,8 @@ class EpictrlError(Exception):
 
 
 class StabilityError(EpictrlError):
-    """A compartment went negative beyond roundoff tolerance; the step size is too large."""
+    """The step size is too large: a compartment went negative beyond roundoff tolerance, or
+    the costates overflowed in the backward pass."""
 
 
 class ScheduleError(EpictrlError):

@@ -19,11 +19,13 @@ point-only terms once and does no arithmetic on the costates that stay zero,
 not even in the other rows.  Every floating-point operation keeps the order
 of the numpy formulation, and the tests hold both passes, C or Python,
 bitwise equal to a numpy reference implementation.  Each pass writes one
-array row per node.  A pass with impulse nodes copies that table to the other
-side of the jumps and patches their rows; a pass without one hands the same
-table out as both sides, read-only.  The costate march reads the four state
-columns it needs in place from the forward pass's table.  The C marches take
-an array's address once while it lives (``native._address``).  A ``ControlSignal``
+array row per node: a sweep's passes write two tables of each kind in turn
+(``_Binder``), so that each leaves the one before it whole, and a pass called
+alone writes a fresh one.  A pass with impulse nodes copies its table to the
+other side of the jumps and patches their rows; a pass without one hands the
+same table out as both sides; either way read-only.  The costate march reads
+the four state columns it needs in place from the forward pass's table.  The C
+marches take an array's address once while it lives (``native._address``).  A ``ControlSignal``
 on the grid's own ``times`` (built once per grid) gives the passes its own node
 samples and its midpoint samples, which both passes of a sweep iteration share:
 interpolated once per signal and cached on it, or formed by the sweep's C step
@@ -36,12 +38,11 @@ from __future__ import annotations
 import functools
 import logging
 import math
-import types
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GridMismatchError, ScheduleError
+from .errors import GridMismatchError, ScheduleError, StabilityError
 from .model import (
     D,
     ControlSignal,
@@ -179,36 +180,65 @@ def _impulse_nodes(schedule: ImpulseSchedule | None, grid: TimeGrid) -> tuple[di
     return imap, faults
 
 
-@functools.lru_cache(maxsize=16)
-def _impulse_map(schedule: ImpulseSchedule | None, grid: TimeGrid) -> types.MappingProxyType:
-    """Schedule events by interior grid node, read-only and cached; ScheduleError for the first fault."""
-    imap, faults = _impulse_nodes(schedule, grid)
-    if faults:
-        raise ScheduleError(faults[0])
-    return types.MappingProxyType(imap)
-
-
 def _sampled_controls(controls: ControlSignal, grid: TimeGrid):
     """Control values at grid nodes and step midpoints, the controls' own if sampled on the grid."""
+    times = grid.times
+    if controls.grid is times:
+        return controls.v, controls.u, *controls.midpoints
     if controls.tau < grid.tau - 1e-9 * max(1.0, grid.tau):
         raise GridMismatchError(
             f"controls end at t={controls.tau} but the grid runs to t={grid.tau}"
         )
-    times = grid.times
-    mid = controls.midpoints if controls.grid is times else controls.at(0.5 * (times[:-1] + times[1:]))
-    return (*controls.at(times), *mid)
+    return (*controls.at(times), *controls.at(0.5 * (times[:-1] + times[1:])))
 
 
 def _patched(rows: np.ndarray, jumped: dict[int, list]) -> np.ndarray:
-    """A copy of ``rows`` with the row of each impulse node replaced by its jumped value or,
-    with no impulse node, ``rows`` itself, read-only, as both sides of the pass share it."""
-    if not jumped:
-        rows.setflags(write=False)
-        return rows
-    out = rows.copy()
+    """A copy of ``rows`` with the row of each impulse node replaced by its jumped value or, with no
+    impulse node, ``rows`` itself, as both sides of the pass share it; both read-only."""
+    out = rows.copy() if jumped else rows
     for node, row in jumped.items():
         out[node] = row
+    rows.setflags(write=False)
+    out.setflags(write=False)
     return out
+
+
+class _Binder:
+    """What the passes of one sweep share, set up once: the validated impulse map and its cuts, the
+    start row and its clamp floor, the C marches' constants, and the buffers the passes write,
+    which ``take`` hands out in turn.  ``control.fbsm_solve`` binds one per sweep; a pass called without one binds its own."""
+
+    def __init__(self, params: ModelParams, grid: TimeGrid, schedule=None, initial: StateVector | None = None):
+        if initial is not None and initial.n != params.n:
+            raise ValueError(f"state has {initial.n} dose compartments, params expect {params.n}")
+        self.imap, faults = _impulse_nodes(schedule, grid)
+        if faults:
+            raise ScheduleError(faults[0])
+        self.nodes = tuple(sorted(self.imap))
+        self.cuts = list(zip([0, *self.nodes], [*self.nodes, grid.n_steps]))
+        self.shape = grid.n_steps + 1, 6 + params.n
+        self._kept: dict = {}
+        self.rates: dict = {}  # the constants the C marches start from (``model._kernels``)
+        if initial is not None:
+            y0 = initial.as_array()
+            self.start, self.floor = y0.tolist(), -(_NEGATIVE_TOL * float(y0.sum() - y0[D]))
+
+    def take(self, kind: str, make):
+        """The buffer of ``kind`` for this pass: ``make()``'s at each of the first two takes, then
+        the older of those two, so that the pass before keeps its own."""
+        kept = self._kept.setdefault(kind, [])
+        if len(kept) < 2:
+            kept.append(make())
+        else:
+            kept.reverse()
+        return kept[-1]
+
+    def table(self, kind: str, fill) -> np.ndarray:
+        """The node table of ``kind`` for this pass, writable, made full of ``fill``: the row that
+        every march of the kind starts from and none writes."""
+        out = self.take(kind, lambda: np.full(self.shape, fill))
+        out.setflags(write=True)
+        return out
 
 
 def integrate_forward(
@@ -217,6 +247,8 @@ def integrate_forward(
     params: ModelParams,
     grid: TimeGrid,
     schedule: ImpulseSchedule | None = None,
+    *,
+    binder: _Binder | None = None,
 ) -> Trajectory:
     """March the controlled dynamics over the grid with classic RK4.
 
@@ -229,44 +261,35 @@ def integrate_forward(
     The step loop, C or Python (``model._kernels``), is bitwise equal to the same
     RK4 with numpy vectors, over every compartment; it stops at each node with a
     compartment below zero, which this pass clamps, writes and resumes from.
+    A sweep hands in its ``binder``, bound to the same arguments.
     """
-    if initial.n != params.n:
-        raise ValueError(f"state has {initial.n} dose compartments, params expect {params.n}")
-    imap = _impulse_map(schedule, grid)
+    b = binder or _Binder(params, grid, schedule, initial)
     v_n, u_n, *_ = samples = _sampled_controls(controls, grid)
-    times = grid.times
-    h = grid.h
-    steps = grid.n_steps
-    dim = 6 + params.n
-
-    y0 = initial.as_array()
-    pre = np.empty((steps + 1, dim))
-    pre[0] = y0
+    march = _kernels(params, march=True, steps=grid.n_steps, kept=b.rates)
+    pre = b.table("forward", b.start)
     jumped = {}
-    y = y0.tolist()
+    y = b.start
     clamped: list[float] = []
-    march = _kernels(params, march=True, steps=steps)
-    cuts = [0, *sorted(imap), steps]
-    for i0, i1 in zip(cuts, cuts[1:]):
-        node, y = march(y, (float(v_n[i0]), float(u_n[i0])), h, i0, i1, pre, *samples)
+    for i0, i1 in b.cuts:
+        node, y = march(y, (float(v_n[i0]), float(u_n[i0])), grid.h, i0, i1, pre, *samples)
         while node:  # a step left some compartment below zero there
             lowest = min(y)
-            if lowest < -(_NEGATIVE_TOL * float(y0.sum() - y0[D])):
-                raise _too_coarse(lowest, times[node])
+            if lowest < b.floor:
+                raise _too_coarse(lowest, grid.times[node])
             clamped.append(lowest)
             pre[node] = y = [0.0 if x < 0.0 else x for x in y]  # keeps -0.0, like np.maximum
-            node, y = march(y, (float(v_n[node]), float(u_n[node])), h, node, i1, pre, *samples)
-        lam = imap.get(i1)
+            node, y = march(y, (float(v_n[node]), float(u_n[node])), grid.h, node, i1, pre, *samples)
+        lam = b.imap.get(i1)
         if lam is not None:
             y = jumped[i1] = _apply_impulse(y, lam)
     if clamped:
         log.debug("forward pass: %d steps clamped to zero, lowest %.3e", len(clamped), min(clamped))
 
     return Trajectory(
-        node_times=times,
+        node_times=grid.times,
         states_pre=pre,
         states_post=_patched(pre, jumped),
-        impulse_nodes=tuple(sorted(imap)),
+        impulse_nodes=b.nodes,
     )
 
 
@@ -277,6 +300,8 @@ def integrate_adjoint_backward(
     weights,
     grid: TimeGrid,
     schedule: ImpulseSchedule | None = None,
+    *,
+    binder: _Binder | None = None,
 ) -> AdjointTrajectory:
     """Integrate the costate system backward from its zero terminal value.
 
@@ -290,36 +315,39 @@ def integrate_adjoint_backward(
     only the S, E, A and I states.
 
     At impulse nodes the costates of the jumped compartments are multiplied
-    by (1 + lam_l), the transpose of the diagonal arrival jump.
+    by (1 + lam_l), the transpose of the diagonal arrival jump.  An overflowed
+    costate stays inf or NaN to the march's end, so the value at each cut tells:
+    StabilityError names the first non-finite node in march order.  A sweep
+    hands in its ``binder``, bound to the same arguments.
     """
     times = grid.times
     if traj.node_times is not times and (len(traj.node_times) != len(times) or np.max(
             np.abs(traj.node_times - times)) > 1e-9 * max(1.0, grid.tau)):
         raise GridMismatchError("trajectory grid does not match the integration grid")
-    imap = _impulse_map(schedule, grid)
-    if set(imap) != set(traj.impulse_nodes):
+    b = binder or _Binder(params, grid, schedule)
+    if set(b.imap) != set(traj.impulse_nodes):
         raise GridMismatchError("schedule impulse nodes do not match the trajectory's")
 
     v_n, u_n, *_ = samples = _sampled_controls(controls, grid)
-    steps = grid.n_steps
-    march = _kernels(params, weights.omega, march=True, steps=steps)
-    dim = 6 + params.n
-    post = np.empty((steps + 1, dim))
+    march = _kernels(params, weights.omega, march=True, steps=grid.n_steps, kept=b.rates)
+    post = b.table("costate", 0.0)
     jumped = {}
-    pq = [0.0] * dim
-    post[steps] = 0.0
-    cuts = [0, *sorted(imap), steps]
-    for i0, i1 in reversed(list(zip(cuts, cuts[1:]))):
+    pq = [0.0] * b.shape[1]
+    for i0, i1 in reversed(b.cuts):
         # the states either side of node i1 differ if it is an impulse node
         right = (*traj.states_pre[i1, :4].tolist(), float(v_n[i1]), float(u_n[i1]))
         _, pq = march(pq, right, -grid.h, i0, i1, post, *samples, traj.states_post)
-        lam = imap.get(i0)
+        lam = b.imap.get(i0)
         if lam is not None:
             pq = jumped[i0] = _apply_impulse(pq, lam)
+        if not all(map(math.isfinite, pq)):  # rows i1 - 1 down to i0, then the jump at i0
+            bad = np.flatnonzero(~np.isfinite(post[i0:i1]).all(axis=1))
+            t = times[i0 + bad[-1] if bad.size else i0]
+            raise StabilityError(f"costates overflowed at t={t:.6g}; reduce h")
 
     return AdjointTrajectory(
         node_times=times,
         values_pre=_patched(post, jumped),
         values_post=post,
-        impulse_nodes=tuple(sorted(imap)),
+        impulse_nodes=b.nodes,
     )

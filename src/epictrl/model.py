@@ -516,17 +516,19 @@ def _binder(n: int, to_exposed: bool, costate: bool, march: bool):
     return namespace["march" if march else "bind"]
 
 
-def _kernels(pr: ModelParams, omega=None, march: bool = False, steps: int = 0):
+def _kernels(pr: ModelParams, omega=None, march: bool = False, steps: int = 0, kept: dict | None = None):
     """The state field ``field(y, (v, u))`` and RK4 step ``step(y, h, (v, u))`` of the rows
     ``step.rows`` bound to ``pr``, or given the weights ``omega`` the costate field
     ``field(pq, (S, E, A, I, v, u))`` and None; with ``march``, their ``_march_lines`` pass of
-    ``steps`` steps, in C once ``native._marches`` finds that pays.  Field and step take floats,
+    ``steps`` steps, in C once ``native._marches`` finds that pays, whose constants ``kept`` keeps
+    (``native._run``; a sweep's for all its passes).  Field and step take floats,
     or (M,) arrays for M runs: as they only unpack and do arithmetic, a batch column equals its
     float run bitwise, and input with zero imaginary part gives the float results as real parts."""
     kind = pr.n, pr.delta_n_to_exposed
     compiled = march and native._marches(*kind, steps)
     bound = compiled[omega is not None] if compiled else _binder(*kind, omega is not None, march)
-    return functools.partial(bound, pr, omega) if march else bound(pr, omega)
+    args = (pr, omega, {} if kept is None else kept) if compiled else (pr, omega)
+    return functools.partial(bound, *args) if march else bound(pr, omega)
 
 
 def _too_coarse(lowest: float, t: float) -> StabilityError:

@@ -1,7 +1,9 @@
 import csv
 import dataclasses
 import json
+import math
 import os
+import pathlib
 import shutil
 
 import numpy as np
@@ -22,6 +24,44 @@ def small_config(tmp_path, name="cfg.json", tau=5.0, h=0.02, impulsive=False, **
     path = tmp_path / name
     save_config(config, str(path))
     return config, str(path)
+
+
+def overflowing_costates(tmp_path) -> str:
+    """covid19 with S = 0, beta = 1, tau = 5 and h = 0.05, whose first costate march overflows."""
+    raw = json.loads((pathlib.Path(__file__).resolve().parent.parent / "configs" / "covid19.json").read_text())
+    raw["initial"]["S"], raw["params"]["beta"], raw["grid"] = 0.0, 1.0, {"tau": 5.0, "h": 0.05}
+    path = tmp_path / "overflowing.json"
+    path.write_text(json.dumps(raw))
+    return str(path)
+
+
+def _unit(rng, hi=1.0) -> float:
+    """0, ``hi`` or a uniform draw below it, a quarter, a quarter and a half of the time."""
+    return float(rng.choice([0.0, hi, rng.uniform(0.0, hi), rng.uniform(0.0, hi)]))
+
+
+def random_config(rng) -> dict:
+    """A run config drawn over the schema that validate_config accepts: 2 to 5 doses, both flags,
+    rates of 0 and 1 among them, arrivals in some, short horizons and coarse steps."""
+    n = int(rng.integers(2, 6))
+    gamma = sorted(rng.uniform(0.05, 1.0, n).tolist(), reverse=True)
+    delta = [min(g, d) for g, d in zip(gamma, sorted((_unit(rng, 0.05) for _ in range(n)), reverse=True))]
+    params = {name: _unit(rng) for name in ("q", "k", "z", "p", "eta", "alpha", "f", "epsilon", "mu")}
+    params |= {"beta": _unit(rng) * float(rng.choice([1e-3, 1.0])), "gamma": gamma, "delta": delta}
+    pools = (rng.uniform(0.0, 5000.0, 6) * (rng.random(6) < 0.8)).tolist()
+    initial = dict(zip("SEAIRD", pools)) | {"V": (rng.uniform(0.0, 500.0, n) * (rng.random(n) < 0.5)).tolist()}
+    terminal = {"kind": str(rng.choice(["linear", "quadratic", "exponential"])), "coeff": _unit(rng, 10.0),
+                "rate": float(rng.uniform(0.01, 1.0))}
+    weights = {"omega": [_unit(rng, 2.0) for _ in range(4)], "sigma0": float(rng.uniform(1.0, 100.0)),
+               "sigma": [_unit(rng, 100.0) for _ in range(n)], "terminal": terminal}
+    tau, h = float(rng.choice([1.0, 2.0, 3.0, 5.0])), float(rng.choice([0.05, 0.1, 0.25, 0.5]))
+    steps, schedule = int(round(tau / h)), None
+    if rng.random() < 0.4 and steps > 2:
+        nodes = sorted(rng.choice(np.arange(1, steps), size=2, replace=False).tolist())
+        schedule = {"events": [{"time": node * h, "lambda": [_unit(rng) for _ in range(4)]} for node in nodes]}
+    solver = {"relaxation": float(rng.uniform(0.2, 1.0)), "tolerance": 1e-3, "max_iterations": 25}
+    return {"params": params, "initial": initial, "weights": weights, "grid": {"tau": tau, "h": h},
+            "schedule": schedule, "solver": solver, "flags": {"include_delta_n": bool(rng.random() < 0.5)}}
 
 
 def read_trajectory(path):
@@ -473,6 +513,57 @@ class TestOptimize:
         assert err.startswith("error: ") and "overflows exp" in err
         assert "Traceback" not in err
         assert not out.exists()
+
+    def test_overflowing_costates_are_an_error_line(self, tmp_path, capsys):
+        # covid19 with S = 0, beta = 1, tau = 5 and h = 0.05, so h*beta*N0 = 100: the states stay
+        # finite and 39 costate rows overflow in the first backward pass, the first at t = 1.9;
+        # this once ended in "NaN encountered in control update"
+        out = tmp_path / "out"
+        assert cli.main(["optimize", "--config", overflowing_costates(tmp_path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == ["error: costates overflowed at t=1.9; reduce h"]
+        assert not out.exists()
+
+    def test_running_out_of_memory_is_an_error_line(self, tmp_path, capsys, monkeypatch):
+        def exhausted(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "fbsm_solve", exhausted)
+        _, cfg = small_config(tmp_path)
+        assert cli.main(["optimize", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.splitlines() == ["error: MemoryError"]
+
+    def test_random_configs_end_in_an_exit_code_and_finite_files(self, tmp_path, capsys):
+        # 40 draws over what validate_config accepts: a run exits 0 or 2 with four files of finite
+        # numbers, or 1 with one error line, from validation or the sweep's first iteration only
+        rng = np.random.default_rng(27)
+        raws = [json.loads(pathlib.Path(overflowing_costates(tmp_path)).read_text())]
+        raws += [random_config(rng) for _ in range(39)]
+        ends = []
+        for i, raw in enumerate(raws):
+            cfg, out = tmp_path / f"{i}.json", tmp_path / str(i)
+            cfg.write_text(json.dumps(raw))
+            rc = cli.main(["optimize", "--config", str(cfg), "--out", str(out)])
+            err = capsys.readouterr().err
+            assert rc in (0, 1, 2) and "Traceback" not in err, (i, err)
+            ends.append(rc)
+            if rc == 1:  # a validation error's line is followed by its faults, indented
+                line = err.splitlines()[0]
+                assert line.startswith("error: ") and err.count("error") == 1 and not out.exists()
+                try:
+                    config = ec.load_config(str(cfg))
+                except ec.ParseError:
+                    continue
+                assert err == line + "\n"
+                with pytest.raises((ec.EpictrlError, ValueError)) as raised:
+                    options = ec.SweepOptions(max_iterations=1)  # its second pass may only end the sweep
+                    ec.fbsm_solve(config.initial, config.params, config.weights, config.grid, config.schedule, options)
+                assert line == f"error: {raised.value}"
+                continue
+            for name in ("trajectory.csv", "controls.csv", "adjoints.csv"):
+                assert np.isfinite(np.loadtxt(out / name, delimiter=",", skiprows=1)).all(), (i, name)
+            summary = json.loads((out / "summary.json").read_text(), parse_constant=pytest.fail)
+            assert all(math.isfinite(x) for x in summary.values() if isinstance(x, float)), i
+        assert {0, 1, 2} <= set(ends)
 
     def test_byte_identical_reruns(self, tmp_path):
         _, cfg = small_config(tmp_path)

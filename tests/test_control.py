@@ -1,9 +1,11 @@
 import dataclasses
 import functools
+import hashlib
 import logging
 import math
 import operator
 import pathlib
+import runpy
 import shutil
 import types
 
@@ -20,9 +22,10 @@ from epictrl.control import (
     fbsm_solve,
     transversality_residual,
 )
-from epictrl import control, native
+from epictrl import cli, control, native
 from epictrl.errors import RangeError
 from epictrl.integrator import TimeGrid
+from epictrl.model import I
 from test_integrator import _bitwise_equal, _random_draw, needs_cc
 
 CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
@@ -46,6 +49,23 @@ def _ref_total_cost(traj, controls, weights, params):
     g_right = _running_cost_arrays(traj.states_pre[1:].T, u_n[1:], v_n[1:], weights, params)
     terminal = weights.terminal.value(float(times[-1]))
     return float(np.sum(0.5 * np.diff(times) * (g_left + g_right)) + terminal)
+
+
+def _assert_the_pass_before(sol, before):
+    """``sol`` ended unconverged with the pass before one that failed: finite, and bitwise ``before``,
+    the same sweep capped at that pass."""
+    assert not sol.converged and sol.iterations == before.iterations
+    for got, want in (
+        (sol.controls.u, before.controls.u),
+        (sol.controls.v, before.controls.v),
+        (sol.controls.midpoints, before.controls.midpoints),
+        (sol.state_traj.states_pre, before.state_traj.states_pre),
+        (sol.state_traj.states_post, before.state_traj.states_post),
+        (sol.adjoint_traj.values_pre, before.adjoint_traj.values_pre),
+        (sol.adjoint_traj.values_post, before.adjoint_traj.values_post),
+        (sol.cost_history, before.cost_history),
+    ):
+        assert _bitwise_equal(got, want) and np.isfinite(got).all()
 
 
 def solve_small(params, initial, weights, tau=5.0, h=0.01, schedule=None, **opts):
@@ -481,8 +501,8 @@ class TestFbsmSolve:
         params, initial = covid19
         passes = []
 
-        def forward(*args):
-            passes.append(ec.integrate_forward(*args))
+        def forward(*args, **kwargs):
+            passes.append(ec.integrate_forward(*args, **kwargs))
             return passes[-1]
 
         monkeypatch.setattr(ec.control, "integrate_forward", forward)
@@ -491,6 +511,7 @@ class TestFbsmSolve:
             assert len(passes) == sol.iterations + 1 and passes[-1] is sol.state_traj
             passes.clear()
 
+    @pytest.mark.usefixtures("segment_path")
     @pytest.mark.parametrize("h, update", [(1.5, 5), (1.75, 3)])
     def test_step_too_coarse_after_the_first_pass_ends_with_the_pass_before(self, h, update, caplog):
         # beta = 2e-4 marches under the zero controls at these steps, but the controls of a later
@@ -501,20 +522,39 @@ class TestFbsmSolve:
         with caplog.at_level(logging.WARNING, logger="epictrl"):
             sol = fbsm_solve(config.initial, params, weights, grid, None, config.solver)
         assert f"step too coarse at update {update};" in caplog.text
-        assert not sol.converged and sol.iterations == update - 1
         options = ec.SweepOptions(max_iterations=update - 1)
-        before = fbsm_solve(config.initial, params, weights, grid, None, options)
-        for got, want in (
-            (sol.controls.u, before.controls.u),
-            (sol.controls.v, before.controls.v),
-            (sol.state_traj.states_post, before.state_traj.states_post),
-            (sol.adjoint_traj.values_post, before.adjoint_traj.values_post),
-            (sol.cost_history, before.cost_history),
-        ):
-            assert _bitwise_equal(got, want) and np.isfinite(got).all()
+        _assert_the_pass_before(sol, fbsm_solve(config.initial, params, weights, grid, None, options))
         stiff = dataclasses.replace(params, beta=0.01)  # the zero controls' own step is too coarse
         with pytest.raises(ec.StabilityError):
             fbsm_solve(config.initial, stiff, weights, ec.TimeGrid(35.0, 1.0))
+
+    @pytest.mark.usefixtures("segment_path")
+    @pytest.mark.parametrize("update", [2, 5])
+    def test_costates_overflowing_after_the_first_pass_end_with_the_pass_before(
+        self, covid19, default_weights, monkeypatch, caplog, update
+    ):
+        # from the pass of that update on, each forward pass hands the costate march an I of
+        # 1e300 at t = 2, whose force of infection overflows the costates there at once
+        params, initial = covid19
+        grid, forward, passes, first = ec.TimeGrid(5.0, 0.05), control.integrate_forward, [], [update]
+
+        def poisoned(*args, **kwargs):
+            passes.append(forward(*args, **kwargs))
+            if len(passes) <= first[0]:
+                return passes[-1]
+            states = passes[-1].states_pre.copy()
+            states[40, I] = 1e300
+            return dataclasses.replace(passes[-1], states_pre=states, states_post=states)
+
+        monkeypatch.setattr(control, "integrate_forward", poisoned)
+        with caplog.at_level(logging.WARNING, logger="epictrl"):
+            sol = fbsm_solve(initial, params, default_weights, grid)
+        assert f"costates overflowed at update {update};" in caplog.text
+        options, passes[:] = ec.SweepOptions(max_iterations=update - 1), []
+        _assert_the_pass_before(sol, fbsm_solve(initial, params, default_weights, grid, None, options))
+        first[0] = 0  # the zero controls' own pass
+        with pytest.raises(ec.StabilityError, match=r"^costates overflowed at t=2; reduce h$"):
+            fbsm_solve(initial, params, default_weights, grid)
 
     def test_samples_controls_once_a_pass_and_the_grid_once(self, covid19, default_weights, monkeypatch):
         # the nodes are the controls' own samples, and the grid's times are built once; a signal's
@@ -943,8 +983,8 @@ class TestCompiledUpdate:
         params, initial = covid19
         backward = control.integrate_adjoint_backward
 
-        def poisoned(*args):
-            adj = backward(*args)
+        def poisoned(*args, **kwargs):
+            adj = backward(*args, **kwargs)
             values = adj.values_post.copy()
             values[7, 3] = np.nan
             return dataclasses.replace(adj, values_post=values)
@@ -952,6 +992,49 @@ class TestCompiledUpdate:
         monkeypatch.setattr(control, "integrate_adjoint_backward", poisoned)
         with pytest.raises(ValueError, match="^NaN encountered in control update$"):
             fbsm_solve(initial, params, default_weights, ec.TimeGrid(5.0, 0.05))
+
+
+_DEFAULT_PAYBACK = native._PAYBACK
+
+
+def _pinned_sha256() -> dict:
+    """The four ``optimize`` outputs' sha256s that the benchmark pins (``benchmarks/workloads.py``)."""
+    return runpy.run_path(str(CONFIG_DIR.parent / "benchmarks" / "workloads.py"))["OPTIMIZE_SHA256"]
+
+
+@pytest.mark.usefixtures("segment_path")
+class TestSweepBinder:
+    """A sweep's passes write two tables of each kind, and the update two blocks, in turn
+    (``integrator._Binder``): what one pass hands on stays as it was, and so does every solution."""
+
+    def test_a_second_sweep_leaves_the_first_solution_as_it_was(self, covid19, default_weights):
+        params, initial = covid19
+        grid = ec.TimeGrid(5.0, 0.05)
+        events = ec.ImpulseSchedule((ec.ImpulseEvent(2.0, (0.1, 0.2, 0.0, 0.05)),))
+        other = dataclasses.replace(params, beta=7e-4)
+        for schedule in (None, events):
+            first = fbsm_solve(initial, params, default_weights, grid, schedule)
+            arrays = [first.state_traj.states_pre, first.state_traj.states_post, first.adjoint_traj.values_pre,
+                      first.adjoint_traj.values_post, first.controls.u, first.controls.v, *first.controls.midpoints]
+            kept = [x.copy() for x in arrays], first.cost_history
+            second = fbsm_solve(initial, other, default_weights, grid, schedule)
+            assert second.cost_history != first.cost_history
+            for x, was in zip(arrays, kept[0]):
+                assert _bitwise_equal(x, was) and not x.flags.writeable
+            assert first.cost_history is kept[1] and isinstance(kept[1], tuple)
+
+    def test_a_cold_sweep_asks_for_c_where_it_did_and_writes_the_pinned_bytes(self, tmp_path, monkeypatch):
+        # the default payback and no steps marched yet: the C marches, where they build, take over
+        # at the 12th of the 36 passes, at step 42,000, as before the passes shared their tables
+        monkeypatch.setattr(native, "_PAYBACK", _DEFAULT_PAYBACK)
+        monkeypatch.setattr(native, "_STEPS", {})
+        library, asked = native._library, []
+        monkeypatch.setattr(native, "_library", lambda *kind: asked.append(native._STEPS[kind]) or library(*kind))
+        argv = ["optimize", "--config", str(CONFIG_DIR / "covid19.json"), "--out", str(tmp_path)]
+        assert cli.main(argv) == 0
+        assert asked[0] == 42_000 and native._STEPS[2, False] == 36 * 3500
+        for name, digest in _pinned_sha256().items():
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
 
 @needs_cc

@@ -8,7 +8,7 @@ import pytest
 
 import epictrl as ec
 from epictrl.control import CostWeights, _hamiltonian, _running_cost_arrays
-from epictrl.integrator import _impulse_map, _sampled_controls
+from epictrl.integrator import _Binder, _sampled_controls
 from epictrl import model, native
 from epictrl.model import A, D, E, I, R, S, V0, ModelParams, _NEGATIVE_TOL, _kernels
 
@@ -400,7 +400,7 @@ def _ref_adjoint_deriv(pq, y, v, u, pr: ModelParams, weights: CostWeights):
 
 def _ref_forward(initial, controls, params, grid, schedule=None):
     """Seed forward step loop; returns (states_pre, states_post)."""
-    imap = _impulse_map(schedule, grid)
+    imap = _Binder(params, grid, schedule).imap
     v_n, u_n, v_m, u_m = _sampled_controls(controls, grid)
     times = grid.times
     h = grid.h
@@ -438,7 +438,7 @@ def _ref_forward(initial, controls, params, grid, schedule=None):
 
 def _ref_backward(traj, controls, params, weights, grid, schedule=None):
     """Seed backward step loop; returns (values_pre, values_post)."""
-    imap = _impulse_map(schedule, grid)
+    imap = _Binder(params, grid, schedule).imap
     v_n, u_n, v_m, u_m = _sampled_controls(controls, grid)
     h = grid.h
     steps = grid.n_steps
