@@ -143,7 +143,10 @@ def _read_controls_file(path: str, v_max: float) -> ControlSignal:
     if not rows:
         raise EpictrlError(f"{path}: no control samples")
     t, u, v = (np.array(col) for col in zip(*rows))
-    return ControlSignal(t, v, u, v_max)
+    try:
+        return ControlSignal(t, v, u, v_max)
+    except ValueError as exc:  # a sample out of its box or not finite, or a time out of order
+        raise EpictrlError(f"{path}: {exc}") from None
 
 
 def _controls_for_mode(config: RunConfig, mode: str, controls_file: str | None) -> ControlSignal:

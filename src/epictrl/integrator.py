@@ -11,26 +11,29 @@ elements would otherwise dominate.  ``model`` generates each pass whole for
 the dose count: a ``march`` whose loop holds the value in local names and
 inlines the RK4 stages, called once per run of steps between impulse nodes,
 which ``native`` builds in C from the same generated lines, where ``cc`` is
-found, once a process has marched enough steps to pay for the compile.  The
-state march steps every compartment in every pass and stops at the first
-node where one is below zero, which the forward pass clamps before it resumes
-the march there.  The costate march steps with -h, forms each node's
-point-only terms once and does no arithmetic on the costates that stay zero,
-not even in the other rows.  Every floating-point operation keeps the order
-of the numpy formulation, and the tests hold both passes, C or Python,
-bitwise equal to a numpy reference implementation.  Each pass writes one
-array row per node: a sweep's passes write two tables of each kind in turn
+found, once a process has marched enough steps to pay for the compile.  Both
+marches take one call, bound to the model (and the weights) alone: each call
+runs the march's prologue in Python, and the C loop reads the values it starts
+from in one array.  The state march steps every compartment in every pass and
+stops at the first node where one is below zero, which the forward pass clamps
+before it resumes the march there.  The costate march steps with -h, forms
+each node's point-only terms once and does no arithmetic on the costates that
+stay zero, not even in the other rows.  Every floating-point operation keeps
+the order of the numpy formulation, and the tests hold both passes, C or
+Python, bitwise equal to a numpy reference implementation.  Each pass writes
+one array row per node: a sweep's passes write two tables of each kind in turn
 (``_Binder``), so that each leaves the one before it whole, and a pass called
 alone writes a fresh one.  A pass with impulse nodes copies its table to the
 other side of the jumps and patches their rows; a pass without one hands the
 same table out as both sides; either way read-only.  The costate march reads
 the four state columns it needs in place from the forward pass's table.  The C
-marches take an array's address once while it lives (``native._address``).  A ``ControlSignal``
-on the grid's own ``times`` (built once per grid) gives the passes its own node
-samples and its midpoint samples, which both passes of a sweep iteration share:
-interpolated once per signal and cached on it, or formed by the sweep's C step
-along with the controls (its numpy twin, ``control._step``, leaves them to the
-signal); they are read-only, since every pass and cost shares them.
+marches take an array's address once while it lives (``native._address``).  A
+``ControlSignal`` on the grid's own ``times`` (built once per grid) gives the
+passes its own node samples and its midpoint samples, which both passes of a
+sweep iteration share: interpolated once per signal and cached on it, or
+formed by the sweep's C step along with the controls (its numpy twin,
+``control._step``, leaves them to the signal); they are read-only, since every
+pass and cost shares them.
 """
 
 from __future__ import annotations
@@ -205,8 +208,8 @@ def _patched(rows: np.ndarray, jumped: dict[int, list]) -> np.ndarray:
 
 class _Binder:
     """What the passes of one sweep share, set up once: the validated impulse map and its cuts, the
-    start row and its clamp floor, the C marches' constants, and the buffers the passes write,
-    which ``take`` hands out in turn.  ``control.fbsm_solve`` binds one per sweep; a pass called without one binds its own."""
+    start row and its clamp floor, and the buffers the passes write, which ``take`` lends in turn.
+    ``control.fbsm_solve`` binds one per sweep; a pass called without one binds its own."""
 
     def __init__(self, params: ModelParams, grid: TimeGrid, schedule=None, initial: StateVector | None = None):
         if initial is not None and initial.n != params.n:
@@ -217,8 +220,7 @@ class _Binder:
         self.nodes = tuple(sorted(self.imap))
         self.cuts = list(zip([0, *self.nodes], [*self.nodes, grid.n_steps]))
         self.shape = grid.n_steps + 1, 6 + params.n
-        self._kept: dict = {}
-        self.rates: dict = {}  # the constants the C marches start from (``model._kernels``)
+        self._lent: dict = {}
         if initial is not None:
             y0 = initial.as_array()
             self.start, self.floor = y0.tolist(), -(_NEGATIVE_TOL * float(y0.sum() - y0[D]))
@@ -226,12 +228,12 @@ class _Binder:
     def take(self, kind: str, make):
         """The buffer of ``kind`` for this pass: ``make()``'s at each of the first two takes, then
         the older of those two, so that the pass before keeps its own."""
-        kept = self._kept.setdefault(kind, [])
-        if len(kept) < 2:
-            kept.append(make())
+        lent = self._lent.setdefault(kind, [])
+        if len(lent) < 2:
+            lent.append(make())
         else:
-            kept.reverse()
-        return kept[-1]
+            lent.reverse()
+        return lent[-1]
 
     def table(self, kind: str, fill) -> np.ndarray:
         """The node table of ``kind`` for this pass, writable, made full of ``fill``: the row that
@@ -265,7 +267,7 @@ def integrate_forward(
     """
     b = binder or _Binder(params, grid, schedule, initial)
     v_n, u_n, *_ = samples = _sampled_controls(controls, grid)
-    march = _kernels(params, march=True, steps=grid.n_steps, kept=b.rates)
+    march = _kernels(params, march=True, steps=grid.n_steps)
     pre = b.table("forward", b.start)
     jumped = {}
     y = b.start
@@ -329,7 +331,7 @@ def integrate_adjoint_backward(
         raise GridMismatchError("schedule impulse nodes do not match the trajectory's")
 
     v_n, u_n, *_ = samples = _sampled_controls(controls, grid)
-    march = _kernels(params, weights.omega, march=True, steps=grid.n_steps, kept=b.rates)
+    march = _kernels(params, weights.omega, march=True, steps=grid.n_steps)
     post = b.table("costate", 0.0)
     jumped = {}
     pq = [0.0] * b.shape[1]

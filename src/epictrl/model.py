@@ -195,6 +195,15 @@ class ModelParams:
         return 1.0 / self.gamma[0]
 
 
+def _check_box(v, u, v_max: float) -> None:
+    """ValueError unless every u is in [0, 1] and every v in [0, v_max], widened by 1e-12 of v_max
+    for roundoff; NaN is in neither."""
+    if not np.all((u >= 0.0) & (u <= 1.0)):
+        raise ValueError("treatment control outside [0, 1]")
+    if not np.all((v >= 0.0) & (v <= v_max * (1 + 1e-12))):
+        raise ValueError(f"vaccination control outside [0, {v_max}]")
+
+
 @dataclass(frozen=True)
 class ControlSignal:
     """Sampled (v, u) control pair on a strictly increasing time grid.
@@ -218,14 +227,11 @@ class ControlSignal:
             raise ValueError("control grid needs at least two samples")
         if grid[0] != 0.0:
             raise ValueError("control grid must start at t=0")
-        if np.any(np.diff(grid) <= 0):
-            raise ValueError("control grid must be strictly increasing")
+        if not (np.all(np.diff(grid) > 0) and math.isfinite(grid[-1])):  # so NaN and inf fail
+            raise ValueError("control grid must be finite and strictly increasing")
         if v.shape != grid.shape or u.shape != grid.shape:
             raise ValueError("control samples must match the grid shape")
-        if np.any(u < 0) or np.any(u > 1):
-            raise ValueError("treatment control outside [0, 1]")
-        if np.any(v < 0) or np.any(v > self.v_max * (1 + 1e-12)):
-            raise ValueError(f"vaccination control outside [0, {self.v_max}]")
+        _check_box(v, u, self.v_max)
 
     @property
     def tau(self) -> float:
@@ -516,19 +522,18 @@ def _binder(n: int, to_exposed: bool, costate: bool, march: bool):
     return namespace["march" if march else "bind"]
 
 
-def _kernels(pr: ModelParams, omega=None, march: bool = False, steps: int = 0, kept: dict | None = None):
+def _kernels(pr: ModelParams, omega=None, march: bool = False, steps: int = 0):
     """The state field ``field(y, (v, u))`` and RK4 step ``step(y, h, (v, u))`` of the rows
     ``step.rows`` bound to ``pr``, or given the weights ``omega`` the costate field
     ``field(pq, (S, E, A, I, v, u))`` and None; with ``march``, their ``_march_lines`` pass of
-    ``steps`` steps, in C once ``native._marches`` finds that pays, whose constants ``kept`` keeps
-    (``native._run``; a sweep's for all its passes).  Field and step take floats,
+    ``steps`` steps, in C once ``native._marches`` finds that pays, either way bound to
+    ``(pr, omega)`` and called alike.  Field and step take floats,
     or (M,) arrays for M runs: as they only unpack and do arithmetic, a batch column equals its
     float run bitwise, and input with zero imaginary part gives the float results as real parts."""
     kind = pr.n, pr.delta_n_to_exposed
     compiled = march and native._marches(*kind, steps)
     bound = compiled[omega is not None] if compiled else _binder(*kind, omega is not None, march)
-    args = (pr, omega, {} if kept is None else kept) if compiled else (pr, omega)
-    return functools.partial(bound, *args) if march else bound(pr, omega)
+    return functools.partial(bound, pr, omega) if march else bound(pr, omega)
 
 
 def _too_coarse(lowest: float, t: float) -> StabilityError:
@@ -544,10 +549,7 @@ def vector_field(state: StateVector, v: float, u: float, params: ModelParams) ->
     """
     if state.n != params.n:
         raise ValueError(f"state has {state.n} dose compartments, params expect {params.n}")
-    if not 0.0 <= u <= 1.0:
-        raise ValueError("treatment control outside [0, 1]")
-    if not 0.0 <= v <= params.v_max:
-        raise ValueError(f"vaccination control outside [0, {params.v_max}]")
+    _check_box(v, u, params.v_max)
     return np.array(_kernels(params)[0](state.as_array().tolist(), (v, u)))
 
 

@@ -122,49 +122,40 @@ double update(long nodes, long n, long to_exposed, const double *k, const double
 
 def _translate(name: str, backward: bool, dim: int, prologue: list[str], loop: list[str], marched):
     """C function ``name`` running the ``loop`` lines of a march from i0 to i1, ``backward`` or not, and
-    stopping as it does where a ``marched`` row is below zero, and ``enter(pr, omega, h)``, which runs
-    the ``prologue`` but the lines that read y or a, which C runs before the loop, and returns the rest
-    of the loop's start values.  ValueError for a line but x = expr."""
+    stopping as it does where a ``marched`` row is below zero, and ``enter(pr, omega, y, a, h)``, which
+    runs the whole ``prologue`` and returns the loop's start values, y0.. first: C reads them from
+    ``inout_`` and leaves the last y0.. there.  ValueError for a line but x = expr."""
     header, at = _LOOPS[backward]
     ys = [f"y{c}" for c in range(dim)]
     save, row = (" ".join(f"{to}[{c}] = {y};" for c, y in enumerate(ys)) for to in ("inout_", "row_"))
-    start, body, given, inputs, enter = _statements("pr, omega, h", prologue, loop, dim, {"i", "j"}, ("y", "a"))
+    local = sorted({"i", at})  # the costate march writes node i's row, and has no j
+    body, inputs, enter = _statements("pr, omega, y, a, h", prologue, loop, dim, local, ys)
     if marched:
         body.append(f"if ({' || '.join(f'y{c} < 0.0' for c in marched)}) {{ {save} return {at}; }}")
     body.append(f"double *row_ = out + {dim} * {at}; {row}")
     arrays = ", ".join(f"const double *{x}" for x in ("vn", "un", "vm", "um", "x"))
-    c = [f"long {name}(double *inout_, const double *k_, long i0, long i1, double *out, {arrays}) {{"]
-    c += ["long i, j;", *(f"double {x} = inout_[{k}];" for k, x in enumerate(given))]
-    c += [f"double {x} = k_[{k}];" for k, x in enumerate(inputs)]
-    c += [*start, header, *body, "}", save, "return 0;", "}"]
+    c = [f"long {name}(double *inout_, long i0, long i1, double *out, {arrays}) {{", f"long {', '.join(local)};"]
+    c += [f"double {x} = inout_[{k}];" for k, x in enumerate(inputs)]
+    c += [header, *body, "}", save, "return 0;", "}"]
     return "\n".join(c), enter
 
 
-def _statements(args: str, prologue: list[str], loop: list[str], dim: int, local, call=()):
-    """The ``prologue`` lines that read the values unpacked from ``call`` (``y0, y1, = y``), then the
-    ``loop`` lines, as C statements, each declaring its name at its first assignment unless the rest
-    of the prologue (or h) binds it, ``call`` gives it or ``local`` holds it; the names unpacked from
-    ``call``, in order; the bound names the C reads; and ``enter(args)``, which runs the rest of the
-    prologue and returns those names' values.  ValueError for a line but x = expr."""
-    given, start, rest = [], [], []
-    for line in prologue:
-        names, expr = line.split(" = ")
-        if expr in call:
-            given += re.findall(r"\w+", names)
-        else:
-            reads = set(re.findall(r"\w+", expr)) & {*given, *(x.split(" = ")[0] for x in start)}
-            (start if reads else rest).append(line)
-    bound = {"h", *(x for line in rest for x in re.findall(r"\w+", line.split(" = ")[0]))}
-    body, declared = [], bound | set(given) | set(local)
-    for line in [*start, *loop]:  # a name the prologue does not bind is step-local
+def _statements(args: str, prologue: list[str], loop: list[str], dim: int, local, first=()):
+    """The ``loop`` lines as C statements, each declaring its name at its first assignment unless the
+    ``prologue`` (or h) binds it or ``local`` holds it; ``first``, then the bound names they read; and
+    ``enter(args)``, which runs the prologue and returns those names' values.  ValueError for a line
+    but x = expr."""
+    bound = {"h", *(x for line in prologue for x in re.findall(r"\w+", line.split(" = ")[0]))}
+    body, declared = [], bound | set(local)
+    for line in loop:  # a name the prologue does not bind is step-local
         if not (match := re.fullmatch(_ASSIGN, line)):
             raise ValueError(f"no C translation for the generated line {line!r}")
         line = re.sub(r"\[(\w+), (\d+)\]", rf"[{dim} * \1 + \2]", line)  # a cell of the state table
         body.append(("" if match[1] in declared else "double ") + f"{line};")
         declared.add(match[1])
-    inputs = sorted(bound & set(re.findall(r"\w+", "\n".join(body))))
-    exec("\n    ".join([f"def enter({args}):", *rest, f"return [{', '.join(inputs)}]"]), namespace := {})
-    return body[: len(start)], body[len(start) :], given, inputs, namespace["enter"]
+    inputs = [*first, *sorted(bound & set(re.findall(r"\w+", "\n".join(body))) - set(first))]
+    exec("\n    ".join([f"def enter({args}):", *prologue, f"return [{', '.join(inputs)}]"]), namespace := {})
+    return body, inputs, namespace["enter"]
 
 
 def _kernel(dim: int, prologue: list[str], loop: list[str], rows: list[int]):
@@ -172,7 +163,7 @@ def _kernel(dim: int, prologue: list[str], loop: list[str], rows: list[int]):
     marches (``model._kernel_lines``), and ``_segment``'s ``enter(pr, h)`` and row width.  k_ holds omega,
     sigma0/2, gain/2 (as ``cost`` reads them), the negative tolerance, the bound's limit and the inputs;
     g_ the running costs, then the bounds; out_ the value at a fault, then the row-steps."""
-    _, body, _, inputs, enter = _statements("pr, h", prologue, loop, dim, ["a0_v", "a0_u", *(f"y{c}" for c in rows)])
+    body, inputs, enter = _statements("pr, h", prologue, loop, dim, ["a0_v", "a0_u", *(f"y{c}" for c in rows)])
     w, cell = len(rows), f"y_[{len(rows)} * q_ + r_]"
     return rf"""long segment(long m, long steps, long left, const double *k_, double *y_, double *g_, double *c_, double *i_,
              double *u_, double *v_, const double **lb_, double *out_) {{
@@ -222,18 +213,16 @@ def _address(x, rows: int, width: int = 0, write: bool = False) -> int:
     return hit[1]
 
 
-def _run(fn, enter, pr, omega, kept: dict, y, a, h, i0, i1, out, vn, un, vm, um, x=None):
+def _run(fn, enter, pr, omega, y, a, h, i0, i1, out, vn, un, vm, um, x=None):
     """``march`` of ``model._march_lines`` on its C loop ``fn``: the node it stopped at, or 0, and the
-    value there; the loop reads and writes the arrays at ``_address``'s addresses, and reads the
-    constants ``enter`` forms for each h, which ``kept`` keeps (a sweep's for all its passes)."""
+    value there; the loop reads and writes the arrays at ``_address``'s addresses, and starts from
+    the one array of values that ``enter`` forms at each call, as the Python march's prologue does."""
     if i0 < 0:
         raise IndexError(f"march from node {i0} to {i1} out of its buffers")
     args = [_address(out, i1 + 1, len(y), write=True), _address(vn, i1 + 1), _address(un, i1 + 1)]
     args += [_address(vm, i1), _address(um, i1), None if x is None else _address(x, i1, len(y))]
-    if (k := kept.get((enter, h))) is None:
-        k = kept[enter, h] = array.array("d", enter(pr, omega, h))
-    inout = array.array("d", [*y, *a])
-    return fn(inout.buffer_info()[0], k.buffer_info()[0], i0, i1, *args), inout[: len(y)].tolist()
+    inout = array.array("d", enter(pr, omega, y, a, h))
+    return fn(inout.buffer_info()[0], i0, i1, *args), inout[: len(y)].tolist()
 
 
 def _format(fn, table: np.ndarray, read_back: bool = True) -> tuple[list[bytes], np.ndarray | None]:
@@ -332,7 +321,7 @@ def _library(n: int, to_exposed: bool) -> dict | None:
         return None
     log.debug("n=%d, delta_n_to_exposed=%s: C marches from step %d, compiled in %.3f s", n, to_exposed,
               _STEPS.get((n, to_exposed), 0), time.perf_counter() - started)
-    proto = ctypes.CFUNCTYPE(ctypes.c_long, *[ctypes.c_void_p] * 2, *[ctypes.c_long] * 2, *[ctypes.c_void_p] * 6)
+    proto = ctypes.CFUNCTYPE(ctypes.c_long, ctypes.c_void_p, *[ctypes.c_long] * 2, *[ctypes.c_void_p] * 6)
     fmt = ctypes.CFUNCTYPE(ctypes.c_long, ctypes.c_void_p, *[ctypes.c_long] * 3, *[ctypes.c_void_p] * 3)
     step = ctypes.CFUNCTYPE(ctypes.c_double, *[ctypes.c_long] * 3, *[ctypes.c_void_p] * 8)
     segment = ctypes.CFUNCTYPE(ctypes.c_long, *[ctypes.c_long] * 3, *[ctypes.c_void_p] * 9)

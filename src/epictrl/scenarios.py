@@ -246,7 +246,8 @@ def _cross_violations(config: RunConfig) -> list[str]:
 
 def validate_raw_config(raw: dict) -> list[str]:
     """Every violation in a parsed config document, never just the first: the sections,
-    then, once they pass, the cross-component checks.  ``load_config`` runs the same."""
+    then, once they pass, the cross-component checks.  ``load_config`` runs the same, and keeps
+    the config it builds for them."""
     return _section_violations(raw) or _cross_violations(_build(raw))
 
 
@@ -271,10 +272,11 @@ def load_config(path: str) -> RunConfig:
         raise ParseError(f"{path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
-    violations = validate_raw_config(raw)
+    if not (violations := _section_violations(raw)):  # validate_raw_config, building the config once
+        violations = _cross_violations(config := _build(raw))
     if violations:
         raise ParseError(f"{path}: invalid config:\n  " + "\n  ".join(violations))
-    return _build(raw)
+    return config
 
 
 def save_config(config: RunConfig, path: str) -> None:

@@ -363,6 +363,21 @@ class TestSimulate:
         assert cli.main(argv) == 1
         assert capsys.readouterr().err == f"error: {where.get(fault, f'{controls}: ')}{reason}\n"
 
+    @pytest.mark.parametrize("column", [0, 1, 2], ids=["t", "u", "v"])
+    def test_nan_in_the_controls_file_is_an_error_line(self, tmp_path, capsys, column):
+        # a nan once passed every check, and the run wrote nan rows and "cost": NaN, which is not JSON
+        _, cfg = small_config(tmp_path)
+        rows = [[0.0, 0.5, 0.5], [2.5, 0.5, 0.5], [5.0, 0.5, 0.5]]
+        rows[1][column] = math.nan
+        controls, out = tmp_path / "controls.csv", tmp_path / "out"
+        controls.write_text("t,u,v\n" + "".join(f"{t},{u},{v}\n" for t, u, v in rows))
+        capsys.readouterr()
+        argv = ["simulate", "--config", cfg, "--controls", "file", "--controls-file", str(controls)]
+        assert cli.main([*argv, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {controls}: ") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_controls_from_file_reproduces_optimized_run(self, tmp_path):
         # controls.csv rounds to 12 significant digits, so replaying it
         # reproduces the optimized trajectory to that precision

@@ -2,6 +2,7 @@ import functools
 import logging
 import re
 import shutil
+import subprocess
 
 import numpy as np
 import pytest
@@ -542,11 +543,10 @@ def _assert_both_passes_match(params, initial, weights, grid, controls, schedule
     return traj, adj
 
 
+@pytest.mark.usefixtures("segment_path")
 class TestSeedEquivalence:
-    @pytest.fixture(autouse=True)
-    def march(self, monkeypatch):
-        # the native march from the first step, wherever a C compiler is found
-        monkeypatch.setattr(native, "_PAYBACK", 0)
+    """Both passes against the numpy reference, on the C marches from the first step and on the
+    Python march, the fallback where no C compiler is found."""
 
     @pytest.mark.parametrize("delta_n_to_exposed", [False, True])
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -675,15 +675,6 @@ class TestSeedEquivalence:
                 (costate(pq.tolist(), point), costate(pqc, c(point))),
             ):
                 assert _bitwise_equal(np.real(np.array(cplx)), real)
-
-
-class TestSeedEquivalencePythonMarch(TestSeedEquivalence):
-    """The seed-equivalence checks on the Python march, the fallback where no C compiler is
-    found; ``TestSeedEquivalence`` runs the native march wherever one is."""
-
-    @pytest.fixture(autouse=True)
-    def march(self, monkeypatch):
-        monkeypatch.setattr(native, "_library", lambda n, to_exposed: None)
 
 
 needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
@@ -858,6 +849,20 @@ class TestNativeMarch:
         native._translate("march", False, 8, prologue, loop, marched)  # the generated lines translate
         with pytest.raises(ValueError, match="no C translation"):
             native._translate("march", False, 8, prologue, [*loop[:at], line, *loop[at:]], marched)
+
+    @needs_cc
+    @pytest.mark.parametrize("to_exposed", [False, True])
+    @pytest.mark.parametrize("n", [2, 5])
+    def test_generated_c_has_no_warnings(self, n, to_exposed):
+        # the library's parts, joined as native._library joins them, pass -Wall -Werror, so that
+        # an unused or misdeclared name the translator writes fails here
+        marches = [native._translate(f"march{k}", costate, n + 6, *model._source(n, to_exposed, costate, True)[1:])[0]
+                   for k, costate in enumerate(native._KINDS)]
+        kernel, _ = native._kernel(n + 6, *model._source(n, to_exposed, False, False)[1:])
+        source = "\n".join([native._HEADER, *marches, native._FORMAT, native._UPDATE, kernel])
+        cmd = ["cc", "-std=c99", "-fsyntax-only", "-Wall", "-Werror", "-x", "c", "-"]
+        checked = subprocess.run(cmd, input=source, text=True, capture_output=True, timeout=60)
+        assert checked.returncode == 0, checked.stderr
 
     @pytest.mark.parametrize("fault", ["no compiler", "compile error", None])
     def test_logs_once_which_march_runs(self, fault, covid19, monkeypatch, caplog, tmp_path):

@@ -90,6 +90,15 @@ class TestControlSignal:
         with pytest.raises(ValueError):
             ec.ControlSignal(np.array([0.0, 0.0, 1.0]), np.zeros(3), np.zeros(3))
 
+    @pytest.mark.parametrize("column", ["t", "u", "v"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_samples_rejected(self, column, bad):
+        # every check was a comparison, which NaN passes, and an inf last time was let through
+        samples = {"t": np.linspace(0.0, 1.0, 5), "u": np.full(5, 0.5), "v": np.full(5, 0.5)}
+        samples[column][-1] = bad
+        with pytest.raises(ValueError):
+            ec.ControlSignal(samples["t"], samples["v"], samples["u"])
+
     def test_linear_interpolation_between_samples(self):
         sig = ec.ControlSignal(np.array([0.0, 1.0]), np.array([0.0, 1.0]), np.array([1.0, 0.0]))
         v, u = sig.at(0.25)
@@ -171,6 +180,20 @@ class TestVectorField:
             ec.vector_field(initial, 0.0, 1.5, params)
         with pytest.raises(ValueError):
             ec.vector_field(initial, params.v_max * 1.01, 0.0, params)
+
+    def test_control_box_is_the_signals(self, covid19):
+        # one rule for both: v_max's roundoff slack is in the box, and NaN is not
+        params, initial = covid19
+        times = np.linspace(0.0, 1.0, 3)
+        for v, u, inside in ((params.v_max * (1 + 1e-13), 0.0, True), (np.nan, 0.0, False), (0.0, np.nan, False)):
+            field = lambda: ec.vector_field(initial, v, u, params)  # noqa: E731
+            signal = lambda: ec.ControlSignal.constant(times, v, u, params.v_max)  # noqa: E731
+            for build in (field, signal):
+                if inside:
+                    build()
+                else:
+                    with pytest.raises(ValueError):
+                        build()
 
     def test_linear_in_each_control(self, covid19, rng):
         # three-point collinearity in u and in v, state held fixed

@@ -251,9 +251,11 @@ def _piecewise_signal(u_seg, v_seg, horizon, grid, v_max=1.0):
     return ec.ControlSignal(times, np.asarray(v_seg)[idx], np.asarray(u_seg)[idx], v_max)
 
 
+@pytest.mark.usefixtures("segment_path")
 class TestPrefixTreeMatchesFlatMarch:
     """Every candidate's cost from the prefix-tree march equals the flat lockstep
-    marcher's bitwise, and the reported optimum is the flat marcher's first argmin."""
+    marcher's bitwise, and the reported optimum is the flat marcher's first argmin,
+    with either segment path."""
 
     @pytest.mark.parametrize(
         "shape, chunk",
@@ -328,9 +330,10 @@ def _marched_rows(caplog) -> tuple[int, int, int, int]:
     return _search_record(caplog)[:4]
 
 
+@pytest.mark.usefixtures("segment_path")
 class TestBranchAndBound:
     """The search skips subtrees proved costlier than its best leaf, and still returns the
-    exhaustive search's optimum bitwise."""
+    exhaustive search's optimum bitwise, the kept ties and C04's counts with either segment path."""
 
     @pytest.mark.parametrize("ties", [False, True], ids=["plain", "forced-ties"])
     def test_matches_the_exhaustive_argmin_on_random_searches(self, ties, monkeypatch, caplog):
@@ -728,16 +731,6 @@ class TestFiniteDifferenceGradient:
 
 
 needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
-
-
-@pytest.mark.usefixtures("segment_path")
-class TestPrefixTreeMatchesFlatMarchOnBothPaths(TestPrefixTreeMatchesFlatMarch):
-    """The flat march's costs and first argmin, bitwise, with either segment path."""
-
-
-@pytest.mark.usefixtures("segment_path")
-class TestBranchAndBoundOnBothPaths(TestBranchAndBound):
-    """The exhaustive optimum, the kept ties and C04's counts with either segment path."""
 
 
 @pytest.mark.usefixtures("segment_path")

@@ -7,6 +7,7 @@ import re
 import pytest
 
 import epictrl as ec
+from epictrl import scenarios
 from epictrl.scenarios import config_to_raw, default_config, validate_raw_config
 
 CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
@@ -333,6 +334,15 @@ class TestLoadSaveConfig:
         assert validate_raw_config(raw) == [line]
         with pytest.raises(ec.ParseError, match=re.escape(line)):
             load_raw(tmp_path, raw)
+
+    @pytest.mark.parametrize("name", ["covid19.json", "covid19_impulsive.json"])
+    def test_load_builds_the_config_once(self, name, monkeypatch):
+        # the cross-component checks run on the config that load_config returns
+        builds = []
+        build = scenarios._build
+        monkeypatch.setattr(scenarios, "_build", lambda raw: builds.append(1) or build(raw))
+        config = ec.load_config(str(CONFIG_DIR / name))
+        assert builds == [1] and config == build(json.loads((CONFIG_DIR / name).read_text()))
 
     def test_syntax_error_carries_location(self, tmp_path):
         path = tmp_path / "broken.json"
