@@ -11,29 +11,28 @@ elements would otherwise dominate.  ``model`` generates each pass whole for
 the dose count: a ``march`` whose loop holds the value in local names and
 inlines the RK4 stages, called once per run of steps between impulse nodes,
 which ``native`` builds in C from the same generated lines, where ``cc`` is
-found, once a process has marched enough steps to pay for the compile.  Both
-marches take one call, bound to the model (and the weights) alone: each call
-runs the march's prologue in Python, and the C loop reads the values it starts
-from in one array.  The state march steps every compartment in every pass and
-stops at the first node where one is below zero, which the forward pass clamps
-before it resumes the march there.  The costate march steps with -h, forms
-each node's point-only terms once and does no arithmetic on the costates that
-stay zero, not even in the other rows.  Every floating-point operation keeps
-the order of the numpy formulation, and the tests hold both passes, C or
-Python, bitwise equal to a numpy reference implementation.  Each pass writes
-one array row per node: a sweep's passes write two tables of each kind in turn
-(``_Binder``), so that each leaves the one before it whole, and a pass called
-alone writes a fresh one.  A pass with impulse nodes copies its table to the
-other side of the jumps and patches their rows; a pass without one hands the
-same table out as both sides; either way read-only.  The costate march reads
-the four state columns it needs in place from the forward pass's table.  The C
-marches take an array's address once while it lives (``native._address``).  A
-``ControlSignal`` on the grid's own ``times`` (built once per grid) gives the
-passes its own node samples and its midpoint samples, which both passes of a
-sweep iteration share: interpolated once per signal and cached on it, or
-formed by the sweep's C step along with the controls (its numpy twin,
-``control._step``, leaves them to the signal); they are read-only, since every
-pass and cost shares them.
+found, once a process has marched enough steps to pay for the compile.  Either
+march is called alike: the C loop starts from the values that its Python
+prologue forms at each call.  The state march steps every compartment in every
+pass and stops at the first node where one is below zero, which the forward
+pass clamps before it resumes the march there.  The costate march steps with
+-h, forms each node's point-only terms once and does no arithmetic on the
+costates that stay zero, not even in the other rows.  Every floating-point
+operation keeps the order of the numpy formulation, and the tests hold both
+passes, C or Python, bitwise equal to a numpy reference implementation.  Each
+pass writes one array row per node: a sweep's passes write two tables of each
+kind in turn (``_Binder``), so that each leaves the one before it whole, and a
+pass called alone writes a fresh one.  A pass with impulse nodes copies its
+table to the other side of the jumps and patches their rows; a pass without
+one hands the same table out as both sides; either way read-only.  The costate
+march reads the four state columns it needs in place from the forward pass's
+table.  The C marches take an array's address once while it lives
+(``native._address``).  A ``ControlSignal`` on the grid's own ``times`` (built
+once per grid) gives the passes its own node samples and its midpoint samples,
+which both passes of a sweep iteration share: interpolated once per signal and
+cached on it, or formed by the sweep's C step along with the controls (its
+numpy twin, ``control._step``, leaves them to the signal); they are read-only,
+since every pass and cost shares them.
 """
 
 from __future__ import annotations

@@ -296,7 +296,7 @@ def finite_difference_gradient(
     schedule=None,
 ) -> float:
     """Central-difference dJ/d(eps) for a unit bump at one control node."""
-    if epsilon <= 0:
+    if not epsilon > 0:  # NaN too
         raise ValueError("epsilon must be positive")
     plus, minus = _bump(controls, cell_index, epsilon, which)
     j_plus = total_cost(integrate_forward(initial, plus, params, grid, schedule), plus, weights, params)

@@ -246,8 +246,7 @@ def _cross_violations(config: RunConfig) -> list[str]:
 
 def validate_raw_config(raw: dict) -> list[str]:
     """Every violation in a parsed config document, never just the first: the sections,
-    then, once they pass, the cross-component checks.  ``load_config`` runs the same, and keeps
-    the config it builds for them."""
+    then, once they pass, the cross-component checks.  ``load_config`` runs the same."""
     return _section_violations(raw) or _cross_violations(_build(raw))
 
 

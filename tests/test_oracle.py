@@ -700,6 +700,15 @@ class TestFiniteDifferenceGradient:
                 initial, params, default_weights, controls, grid, 10, 1e-3, "u"
             )
 
+    @pytest.mark.parametrize("epsilon", [0.0, -1e-3, float("nan")])
+    def test_epsilon_must_be_positive(self, covid19, default_weights, epsilon):
+        # a NaN bump once passed the check and gave a NaN gradient
+        params, initial = covid19
+        grid = ec.TimeGrid(2.0, 0.1)
+        controls = ec.ControlSignal.constant(grid.times, 0.1, 0.5, params.v_max)
+        with pytest.raises(ValueError, match="epsilon must be positive"):
+            ec.finite_difference_gradient(initial, params, default_weights, controls, grid, 5, epsilon)
+
     def test_matches_costate_gradient(self, covid19, default_weights, rng):
         params, initial = covid19
         grid = ec.TimeGrid(5.0, 0.01)
